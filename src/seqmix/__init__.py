@@ -30,7 +30,7 @@ from .gaussian import (
     sym_pinv_sqrt,
     sym_sqrt,
 )
-from .prox import gamp_resolvent, moreau_prox, prox_jacobians, ProxProblem
+from .prox import moreau_prox, ProxProblem
 from .saddle import (
     FixedPointReport,
     free_entropy,
@@ -48,7 +48,7 @@ from .gamp import (
     generate_dataset,
     rbp_run,
 )
-from .erm import empirical_test_error, erm_train, summary_statistics, TrainConfig
+from .erm import empirical_test_error, erm_train, TrainConfig
 from .zoo import instance_by_name
 
 __version__ = "0.1.0"
@@ -65,7 +65,6 @@ __all__ = [
     "FixedPointReport",
     "FixedStatistics",
     "free_entropy",
-    "gamp_resolvent",
     "gamp_run",
     "gd_gradient_norm",
     "generate_dataset",
@@ -76,7 +75,6 @@ __all__ = [
     "ModelSpec",
     "moreau_prox",
     "OrderParameters",
-    "prox_jacobians",
     "ProxProblem",
     "rbp_run",
     "sample_energetic_measure",
@@ -85,7 +83,6 @@ __all__ = [
     "SolverConfig",
     "SpectralAtom",
     "SpectralMeasure",
-    "summary_statistics",
     "sym_pinv",
     "sym_pinv_sqrt",
     "sym_sqrt",

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecValidationError
-from .gaussian import McPlan
+from .gaussian import GH_MAX_DIM, McPlan
 from .losses import loss_by_name
 from .model import ClassLaw, Dimensions, make_atom, ModelSpec, SpectralMeasure
 from .saddle import SolverConfig
@@ -193,6 +193,19 @@ class ExperimentConfig:
         if not self.lambdas:
             out.append("ExperimentConfig: lambda grid is empty")
         out += self.solver.violations()
+        if self.mc_plan.gh_order > 0:
+            # energetic nodes span (Xi, Zeta) and a smooth test metric is
+            # integrated over the joint (X, Y) law; tensor quadrature caps both
+            dims, loss = self.spec.dims, self.spec.loss
+            gh_dim = dims.L * (dims.r + (dims.t if loss.depends_on_y else 0))
+            if loss.test_metric_smooth:
+                gh_dim = max(gh_dim, dims.L * (dims.r + dims.t))
+            if gh_dim > GH_MAX_DIM:
+                out.append(
+                    f"ExperimentConfig: gh_order > 0 needs a {gh_dim}-dimensional "
+                    f"Gaussian quadrature, above the limit of {GH_MAX_DIM}; "
+                    "use Monte Carlo (gh_order = 0)"
+                )
         return out
 
 

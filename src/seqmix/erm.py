@@ -13,14 +13,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import StalledError
-from .gamp import Dataset, empirical_risk_and_grad, empirical_statistics
+from .gamp import Dataset, empirical_risk_and_grad
 from .model import LossModel, ModelSpec
 
 
 @dataclass
 class TrainConfig:
     step_size: float = 1.0            # initial trial step for backtracking
-    backtracking: bool = True
     max_epochs: int = 5000
     grad_tol: float = 1e-7            # stop when ||grad||_inf falls below
     init: str = "zero"                # zero | gaussian | warm
@@ -123,8 +122,6 @@ def empirical_test_error(
     w_hat: np.ndarray,
     data: Dataset,
     spec: ModelSpec,
-    loss_ts=None,
-    loss_ts_batch=None,
     n_test: int = 200_000,
     seed: int = 1,
 ) -> tuple[float, float]:
@@ -133,10 +130,6 @@ def empirical_test_error(
     Test tokens are drawn from the generator's declared population (the
     same means, covariance diagonals and teacher the train set realized).
     """
-    loss = spec.loss
-    if loss_ts is None:
-        loss_ts = loss.test_eval
-        loss_ts_batch = loss.test_eval_batch
     dims = spec.dims
     d = data.d
     sqd = np.sqrt(d)
@@ -159,13 +152,5 @@ def empirical_test_error(
             Z[mask, ell, :] = x @ w_hat / sqd
             Y[mask, ell, :] = x @ data.teacher / sqd
     v = w_hat.T @ w_hat / d
-    if loss_ts_batch is not None:
-        vals = np.asarray(loss_ts_batch(Y, Z, v, c), dtype=float)
-    else:
-        vals = np.array([loss_ts(Y[s], Z[s], v, tuple(c[s])) for s in range(n_test)])
+    vals = np.asarray(spec.loss.test_eval(Y, Z, v, c), dtype=float)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_test))
-
-
-def summary_statistics(w_hat: np.ndarray, data: Dataset) -> dict:
-    """Exact quadratic forms of the weights against the declared population."""
-    return empirical_statistics(w_hat, data)

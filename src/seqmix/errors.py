@@ -17,10 +17,6 @@ class InconsistentOverlapsError(SeqmixError):
     """Joint (X, Y) covariance block is indefinite beyond tolerance."""
 
 
-class DegenerateTeacherChannelError(SeqmixError):
-    """The label-channel Schur complement is singular for a label-using loss."""
-
-
 class SingularResolventError(SeqmixError):
     """The spectral resolvent is singular at an atom of the measure."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SpecValidationError
 from .model import LossModel, ModelSpec, SpectralMeasure
-from .prox import ProxProblem, moreau_prox
+from .prox import prox_batch, prox_gain
 
 MESSAGE_SLOT_GUARD = 10_000_000
 
@@ -172,52 +172,6 @@ class GampResult:
     residual_history: list = field(default_factory=list)
 
 
-def _prox_batch(
-    loss: LossModel,
-    y: np.ndarray,
-    omega: np.ndarray,
-    precisions: np.ndarray,
-    Gamma: np.ndarray,
-    cs: np.ndarray,
-) -> np.ndarray:
-    n = omega.shape[0]
-    if loss.prox_closed_form_batch is not None:
-        return loss.prox_closed_form_batch(omega, precisions, y, Gamma, cs)
-    out = np.empty_like(omega)
-    for mu in range(n):
-        problem = ProxProblem(omega[mu], precisions[mu], y[mu], Gamma, tuple(cs[mu]))
-        out[mu] = moreau_prox(problem, loss).x_star
-    return out
-
-
-def _prox_gain(
-    loss: LossModel,
-    y: np.ndarray,
-    z: np.ndarray,
-    precisions: np.ndarray,
-    Gamma: np.ndarray,
-    cs: np.ndarray,
-) -> np.ndarray:
-    """dz/domega per sample: (P + H)^-1 P with H the loss Hessian at z."""
-    n, L, r = z.shape
-    size = L * r
-    if loss.hess_X is None:
-        raise SpecValidationError(
-            f"loss {loss.name!r} needs hess_X for message-passing gain terms"
-        )
-    if loss.hess_is_constant:
-        H0 = np.asarray(loss.hess_X(y[0], z[0], Gamma, tuple(cs[0])), dtype=float)
-        H = np.broadcast_to(H0, (n, size, size))
-    else:
-        H = np.stack(
-            [
-                np.asarray(loss.hess_X(y[mu], z[mu], Gamma, tuple(cs[mu])), dtype=float)
-                for mu in range(n)
-            ]
-        )
-    return np.linalg.solve(precisions + H, precisions)
-
-
 def gamp_run(
     data: Dataset,
     spec: ModelSpec,
@@ -275,20 +229,18 @@ def gamp_run(
                 omega = omega - np.einsum("nlkab,nkb->nla", V, f)
 
             precisions = np.linalg.inv(V_full)
-            z = _prox_batch(loss, data.y, omega, precisions, Gamma, data.c)
+            z = prox_batch(loss, omega, precisions, data.y, Gamma, data.c)
             resid = (z - omega).reshape(n, L * r)
             f = np.einsum("nij,nj->ni", precisions, resid).reshape(n, L, r)
 
-            J = _prox_gain(loss, data.y, z, precisions, Gamma, data.c)
+            J = prox_gain(loss, data.y, z, precisions, Gamma, data.c)
             g = np.einsum("nij,njk->nik", precisions, J - eye_lr)
             g_blocks = g.reshape(n, L, r, L, r).transpose(0, 1, 3, 2, 4)
             A = -np.einsum("nli,nki,nlkab->iab", X, X, g_blocks) / d
 
             C = np.zeros((r, r))
             if loss.depends_on_v:
-                for mu in range(n):
-                    C += np.asarray(loss.d3(data.y[mu], z[mu], Gamma, tuple(data.c[mu])))
-                C = 2.0 * C / d
+                C = 2.0 * np.sum(loss.d3(data.y, z, Gamma, data.c), axis=0) / d
 
             b = np.einsum("nli,nla->ia", X, f) / sqd
             if onsager_b:
@@ -387,21 +339,17 @@ def rbp_run(
         flat_prec = np.linalg.inv(V_mi.reshape(n * d, L * r, L * r))
         flat_y = np.repeat(data.y, d, axis=0)
         flat_c = np.repeat(data.c, d, axis=0)
-        z = _prox_batch(loss, flat_y, flat_omega, flat_prec, Gamma_mean, flat_c)
+        z = prox_batch(loss, flat_omega, flat_prec, flat_y, Gamma_mean, flat_c)
         resid = (z - flat_omega).reshape(n * d, L * r)
         f_msg = np.einsum("nij,nj->ni", flat_prec, resid).reshape(n, d, L, r)
 
-        J = _prox_gain(loss, flat_y, z, flat_prec, Gamma_mean, flat_c)
+        J = prox_gain(loss, flat_y, z, flat_prec, Gamma_mean, flat_c)
         g = np.einsum("nij,njk->nik", flat_prec, J - eye_lr)
         g_blocks = g.reshape(n, d, L, r, L, r).transpose(0, 1, 2, 4, 3, 5)
 
         eta = np.zeros((n, d, r, r))
         if loss.depends_on_v:
-            flat_z = z
-            for j in range(n * d):
-                eta[j // d, j % d] = np.asarray(
-                    loss.d3(flat_y[j], flat_z[j], Gamma_mean, tuple(flat_c[j]))
-                )
+            eta = np.reshape(loss.d3(flat_y, z, Gamma_mean, flat_c), (n, d, r, r))
 
         contrib_A = -np.einsum("nli,nki,nilkab->niab", X, X, g_blocks) / d
         A_all = contrib_A.sum(axis=0)                     # (d, r, r)
@@ -449,27 +397,16 @@ def empirical_risk_and_grad(
            + (lambda / 2) ||w||^2.
     """
     loss = loss or spec.loss
-    n, L, d = data.X.shape
+    d = data.d
     lam = spec.dims.lam
     sqd = np.sqrt(d)
     Z = np.einsum("nld,dr->nlr", data.X, w) / sqd
     Gamma = w.T @ w / d
-    if loss.eval_batch is not None and loss.grad_X_batch is not None:
-        vals = loss.eval_batch(data.y, Z, Gamma, data.c)
-        total = float(np.sum(vals))
-        G = loss.grad_X_batch(data.y, Z, Gamma, data.c)
-    else:
-        total = 0.0
-        G = np.empty_like(Z)
-        for mu in range(n):
-            cm = tuple(data.c[mu])
-            total += loss.eval(data.y[mu], Z[mu], Gamma, cm)
-            G[mu] = loss.grad_X(data.y[mu], Z[mu], Gamma, cm)
+    total = float(np.sum(loss.eval(data.y, Z, Gamma, data.c)))
+    G = loss.grad_X(data.y, Z, Gamma, data.c)
     grad = np.einsum("nld,nlr->dr", data.X, G) / sqd
     if loss.depends_on_v:
-        D3 = np.zeros((spec.dims.r, spec.dims.r))
-        for mu in range(n):
-            D3 += np.asarray(loss.d3(data.y[mu], Z[mu], Gamma, tuple(data.c[mu])))
+        D3 = np.sum(loss.d3(data.y, Z, Gamma, data.c), axis=0)
         grad = grad + w @ (D3 + D3.T) / d
     total += 0.5 * lam * float(np.sum(w * w))
     grad = grad + lam * w

@@ -26,7 +26,6 @@ from .model import FixedStatistics, ModelSpec, OrderParameters
 EIG_CLIP = 1e-12          # eigenvalues below this are treated as exactly zero
 NEG_EIG_TOL = 1e-8        # more negative than this signals corrupted matrices
 GH_MAX_DIM = 6            # tensor quadrature allowed up to this Gaussian dimension
-_CHUNK = 2048             # fixed chunk size for reproducible tree reduction
 
 
 # ----------------------------------------------------------------------
@@ -316,23 +315,7 @@ def sample_joint_xy(
     c_index: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded stream (X, Y) of per-token joint normals with means (m, m*)."""
-    joint = JointXYStats.build(params, fixed, c)
-    L = len(c)
-    r = params.v.shape[0]
-    t = joint.means[0].shape[0] - r
-    if plan.gh_order > 0:
-        wts, pts = gauss_hermite_nodes(L * (r + t), plan.gh_order)
-        S = len(pts)
-        Z = pts.reshape(S, L, r + t)
-    else:
-        Z = standard_normals(plan, c_index + 7_000_009, iteration, (L, r + t))
-        S = plan.n_samples
-    X = np.empty((S, L, r))
-    Y = np.empty((S, L, t))
-    for ell in range(L):
-        zl = Z[:, ell, :] @ joint.factors[ell].T + joint.means[ell]
-        X[:, ell, :] = zl[:, :r]
-        Y[:, ell, :] = zl[:, r:]
+    _, X, Y = joint_xy_nodes(params, fixed, c, plan, iteration, c_index)
     return X, Y
 
 
@@ -345,14 +328,24 @@ def joint_xy_nodes(
     c_index: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(weights, X, Y) nodes of the joint law, honoring the plan's method."""
-    X, Y = sample_joint_xy(params, fixed, c, plan, iteration, c_index)
+    joint = JointXYStats.build(params, fixed, c)
+    L = len(c)
+    r = params.v.shape[0]
+    t = joint.means[0].shape[0] - r
     if plan.gh_order > 0:
-        L = len(c)
-        r = params.v.shape[0]
-        t = Y.shape[2]
-        wts, _ = gauss_hermite_nodes(L * (r + t), plan.gh_order)
+        wts, pts = gauss_hermite_nodes(L * (r + t), plan.gh_order)
+        S = len(pts)
+        Z = pts.reshape(S, L, r + t)
     else:
-        wts = np.full(X.shape[0], 1.0 / X.shape[0])
+        Z = standard_normals(plan, c_index + 7_000_009, iteration, (L, r + t))
+        S = plan.n_samples
+        wts = np.full(S, 1.0 / S)
+    X = np.empty((S, L, r))
+    Y = np.empty((S, L, t))
+    for ell in range(L):
+        zl = Z[:, ell, :] @ joint.factors[ell].T + joint.means[ell]
+        X[:, ell, :] = zl[:, :r]
+        Y[:, ell, :] = zl[:, r:]
     return wts, X, Y
 
 

@@ -1,9 +1,10 @@
 """Loss models for the shipped problem zoo.
 
-All losses follow the ell(Y, X, v, c) signature of `model.LossModel`: Y is the
-L x t label channel, X the L x r student channel, v the r x r weight
-self-overlap, c the class tuple.  Batched variants take leading sample axes
-and are used by the finite-dimensional simulators.
+Every loss implements the single batched interface of `model.LossModel`:
+each hook takes (Ys, Xs, v, cs) with Ys the (S, L, t) label channel, Xs the
+(S, L, r) student channel, v the shared r x r weight self-overlap and cs the
+(S, L) class tuples, and returns one value per sample.  A single point is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zero_d3(Ys, Xs, v, cs):
+    return np.zeros((Xs.shape[0],) + v.shape)
+
+
+def _scalar_precisions(precisions: np.ndarray, n: int) -> np.ndarray:
+    """Per-sample inverse precision V of a 1 x 1 prox, shared or not."""
+    if precisions.ndim == 2:
+        return np.full(n, 1.0 / precisions[0, 0])
+    return 1.0 / precisions.reshape(n)
+
+
 # ----------------------------------------------------------------------
 # Square loss (teacher-student regression), any L, requires r == t.
 # ----------------------------------------------------------------------
@@ -34,33 +46,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def square_loss() -> LossModel:
     """ell = (1/2) ||Y - X||_F^2 with the exact quadratic prox."""
 
-    def ev(Y, X, v, c):
-        return 0.5 * float(np.sum((Y - X) ** 2))
+    def ev(Ys, Xs, v, cs):
+        return 0.5 * np.sum((Ys - Xs) ** 2, axis=(-2, -1))
 
-    def grad(Y, X, v, c):
-        return X - Y
+    def grad(Ys, Xs, v, cs):
+        return Xs - Ys
 
-    def hess(Y, X, v, c):
-        n = X.size
-        return np.eye(n)
+    def hess(Ys, Xs, v, cs):
+        n = Xs.shape[-2] * Xs.shape[-1]
+        return np.broadcast_to(np.eye(n), (Xs.shape[0], n, n))
 
-    def cross(Y, X, v, c):
-        # d(grad_X)/dY, flattened (Lr x Lt)
-        return -np.eye(X.size)
-
-    def d3(Y, X, v, c):
-        return np.zeros((v.shape[0], v.shape[0]))
-
-    def prox(anchor, precision_full, Y, v, c):
+    def prox(anchors, precisions, Ys, v, cs):
         # stationarity: P (X - a) + (X - Y) = 0  =>  (P + I) X = P a + Y
-        L, r = anchor.shape
-        P = precision_full
-        rhs = P @ anchor.reshape(-1) + Y.reshape(-1)
-        X = np.linalg.solve(P + np.eye(L * r), rhs)
-        return X.reshape(L, r)
-
-    def prox_batch(anchors, precisions, Ys, v, cs):
-        # anchors (n, L, r); precisions (n, Lr, Lr) or (Lr, Lr) shared
         n, L, r = anchors.shape
         P = precisions
         if P.ndim == 2:
@@ -69,29 +66,18 @@ def square_loss() -> LossModel:
         X = np.linalg.solve(P + np.eye(L * r), rhs[..., None])[..., 0]
         return X.reshape(n, L, r)
 
-    def ev_batch(Ys, Xs, v, cs):
-        return 0.5 * np.sum((Ys - Xs) ** 2, axis=(-2, -1))
-
-    def grad_batch(Ys, Xs, v, cs):
-        return Xs - Ys
-
     return LossModel(
         name="square",
         strongly_convex=True,
         eval=ev,
         grad_X=grad,
-        d3=d3,
+        d3=_zero_d3,
         test_eval=ev,
         depends_on_v=False,
         depends_on_y=True,
         hess_X=hess,
         hess_is_constant=True,
-        cross_XY=cross,
-        prox_closed_form=prox,
-        prox_closed_form_batch=prox_batch,
-        eval_batch=ev_batch,
-        grad_X_batch=grad_batch,
-        test_eval_batch=ev_batch,
+        prox=prox,
     )
 
 
@@ -100,20 +86,11 @@ def square_loss() -> LossModel:
 # cluster sign, so the Y channel is never read.
 # ----------------------------------------------------------------------
 
-def _sign_of(c) -> float:
-    return 1.0 if c[0] == 0 else -1.0
-
-
 def _signs_of(cs: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(cs)[..., 0] == 0, 1.0, -1.0)
 
 
-def misclassification(Y, X, v, c) -> float:
-    s = _sign_of(c)
-    return float(np.sign(X[0, 0]) != s)
-
-
-def _misclassification_batch(Ys, Xs, v, cs):
+def misclassification(Ys, Xs, v, cs):
     s = _signs_of(cs)
     return (np.sign(Xs[..., 0, 0]) != s).astype(float)
 
@@ -121,29 +98,24 @@ def _misclassification_batch(Ys, Xs, v, cs):
 def logistic_gmm_loss() -> LossModel:
     """ell = log(1 + exp(-s_c x)) with s_c = +-1 from the first token's cluster."""
 
-    def ev(Y, X, v, c):
-        return float(_logistic(-_sign_of(c) * X[0, 0]))
+    def ev(Ys, Xs, v, cs):
+        s = _signs_of(cs)
+        return _logistic(-s * Xs[..., 0, 0])
 
-    def grad(Y, X, v, c):
-        s = _sign_of(c)
-        return np.array([[-s * _sigmoid(np.array(-s * X[0, 0]))]])
+    def grad(Ys, Xs, v, cs):
+        s = _signs_of(cs)
+        g = -s * _sigmoid(-s * Xs[..., 0, 0])
+        return g[..., None, None]
 
-    def hess(Y, X, v, c):
-        s = _sign_of(c)
-        p = _sigmoid(np.array(s * X[0, 0]))
-        return np.array([[p * (1.0 - p)]])
+    def hess(Ys, Xs, v, cs):
+        p = _sigmoid(_signs_of(cs) * Xs[..., 0, 0])
+        return (p * (1.0 - p))[..., None, None]
 
-    def d3(Y, X, v, c):
-        return np.zeros((v.shape[0], v.shape[0]))
-
-    def prox_batch(anchors, precisions, Ys, v, cs):
+    def prox(anchors, precisions, Ys, v, cs):
         # scalar Newton on x + V s'(x) = a, vectorized over the batch
         n = anchors.shape[0]
         a = anchors.reshape(n)
-        if precisions.ndim == 2:
-            V = np.full(n, 1.0 / precisions[0, 0])
-        else:
-            V = 1.0 / precisions.reshape(n)
+        V = _scalar_precisions(precisions, n)
         s = _signs_of(cs)
         x = a.copy()
         for _ in range(80):
@@ -156,101 +128,56 @@ def logistic_gmm_loss() -> LossModel:
                 break
         return x.reshape(n, 1, 1)
 
-    def prox(anchor, precision_full, Y, v, c):
-        out = prox_batch(
-            anchor.reshape(1, 1, 1),
-            precision_full.reshape(1, 1),
-            np.zeros((1, 1, 1)),
-            v,
-            np.asarray([c]),
-        )
-        return out[0]
-
-    def ev_batch(Ys, Xs, v, cs):
-        s = _signs_of(cs)
-        return _logistic(-s * Xs[..., 0, 0])
-
-    def grad_batch(Ys, Xs, v, cs):
-        s = _signs_of(cs)
-        g = -s * _sigmoid(-s * Xs[..., 0, 0])
-        return g[..., None, None]
-
     return LossModel(
         name="logistic_gmm",
         eval=ev,
         grad_X=grad,
-        d3=d3,
+        d3=_zero_d3,
         test_eval=misclassification,
         depends_on_v=False,
         depends_on_y=False,
         test_metric_smooth=False,
         hess_X=hess,
-        prox_closed_form=prox,
-        prox_closed_form_batch=prox_batch,
-        eval_batch=ev_batch,
-        grad_X_batch=grad_batch,
-        test_eval_batch=_misclassification_batch,
+        prox=prox,
     )
 
 
 def square_gmm_loss() -> LossModel:
     """ell = (1/2)(s_c - x)^2, misclassification as the test metric."""
 
-    def ev(Y, X, v, c):
-        return 0.5 * float((_sign_of(c) - X[0, 0]) ** 2)
+    def ev(Ys, Xs, v, cs):
+        s = _signs_of(cs)
+        return 0.5 * (s - Xs[..., 0, 0]) ** 2
 
-    def grad(Y, X, v, c):
-        return np.array([[X[0, 0] - _sign_of(c)]])
+    def grad(Ys, Xs, v, cs):
+        s = _signs_of(cs)
+        return (Xs[..., 0, 0] - s)[..., None, None]
 
-    def hess(Y, X, v, c):
-        return np.array([[1.0]])
+    def hess(Ys, Xs, v, cs):
+        return np.ones((Xs.shape[0], 1, 1))
 
-    def d3(Y, X, v, c):
-        return np.zeros((v.shape[0], v.shape[0]))
-
-    def prox_batch(anchors, precisions, Ys, v, cs):
+    def prox(anchors, precisions, Ys, v, cs):
         n = anchors.shape[0]
         a = anchors.reshape(n)
-        if precisions.ndim == 2:
-            V = np.full(n, 1.0 / precisions[0, 0])
-        else:
-            V = 1.0 / precisions.reshape(n)
+        V = _scalar_precisions(precisions, n)
         s = _signs_of(cs)
         # (1/V)(x - a) + (x - s) = 0
         x = (a + V * s) / (1.0 + V)
         return x.reshape(n, 1, 1)
-
-    def prox(anchor, precision_full, Y, v, c):
-        return prox_batch(
-            anchor.reshape(1, 1, 1), precision_full.reshape(1, 1),
-            np.zeros((1, 1, 1)), v, np.asarray([c]),
-        )[0]
-
-    def ev_batch(Ys, Xs, v, cs):
-        s = _signs_of(cs)
-        return 0.5 * (s - Xs[..., 0, 0]) ** 2
-
-    def grad_batch(Ys, Xs, v, cs):
-        s = _signs_of(cs)
-        return (Xs[..., 0, 0] - s)[..., None, None]
 
     return LossModel(
         name="square_gmm",
         strongly_convex=True,
         eval=ev,
         grad_X=grad,
-        d3=d3,
+        d3=_zero_d3,
         test_eval=misclassification,
         depends_on_v=False,
         depends_on_y=False,
         test_metric_smooth=False,
         hess_X=hess,
         hess_is_constant=True,
-        prox_closed_form=prox,
-        prox_closed_form_batch=prox_batch,
-        eval_batch=ev_batch,
-        grad_X_batch=grad_batch,
-        test_eval_batch=_misclassification_batch,
+        prox=prox,
     )
 
 
@@ -263,14 +190,11 @@ def square_loss_with_energy(coupling: float = 0.3) -> LossModel:
     """ell = (1/2) ||Y - X||^2 + (coupling/2) Tr v."""
     base = square_loss()
 
-    def ev(Y, X, v, c):
-        return base.eval(Y, X, v, c) + 0.5 * coupling * float(np.trace(v))
+    def ev(Ys, Xs, v, cs):
+        return base.eval(Ys, Xs, v, cs) + 0.5 * coupling * float(np.trace(v))
 
-    def d3(Y, X, v, c):
-        return 0.5 * coupling * np.eye(v.shape[0])
-
-    def ev_batch(Ys, Xs, v, cs):
-        return base.eval_batch(Ys, Xs, v, cs) + 0.5 * coupling * float(np.trace(v))
+    def d3(Ys, Xs, v, cs):
+        return np.broadcast_to(0.5 * coupling * np.eye(v.shape[0]), (Xs.shape[0],) + v.shape)
 
     return LossModel(
         name="square_energy",
@@ -283,12 +207,7 @@ def square_loss_with_energy(coupling: float = 0.3) -> LossModel:
         depends_on_y=True,
         hess_X=base.hess_X,
         hess_is_constant=True,
-        cross_XY=base.cross_XY,
-        prox_closed_form=base.prox_closed_form,
-        prox_closed_form_batch=base.prox_closed_form_batch,
-        eval_batch=ev_batch,
-        grad_X_batch=base.grad_X_batch,
-        test_eval_batch=base.test_eval_batch,
+        prox=base.prox,
         params={"coupling": coupling},
     )
 
@@ -296,37 +215,30 @@ def square_loss_with_energy(coupling: float = 0.3) -> LossModel:
 def zero_loss() -> LossModel:
     """Identically-zero loss; prox is the identity on the anchor."""
 
-    def ev(Y, X, v, c):
-        return 0.0
+    def ev(Ys, Xs, v, cs):
+        return np.zeros(Xs.shape[0])
 
-    def grad(Y, X, v, c):
-        return np.zeros_like(X)
+    def grad(Ys, Xs, v, cs):
+        return np.zeros_like(Xs)
 
-    def hess(Y, X, v, c):
-        return np.zeros((X.size, X.size))
+    def hess(Ys, Xs, v, cs):
+        n = Xs.shape[-2] * Xs.shape[-1]
+        return np.zeros((Xs.shape[0], n, n))
 
-    def d3(Y, X, v, c):
-        return np.zeros((v.shape[0], v.shape[0]))
-
-    def prox(anchor, precision_full, Y, v, c):
-        return anchor.copy()
-
-    def prox_batch(anchors, precisions, Ys, v, cs):
+    def prox(anchors, precisions, Ys, v, cs):
         return anchors.copy()
 
     return LossModel(
         name="zero",
         eval=ev,
         grad_X=grad,
-        d3=d3,
+        d3=_zero_d3,
         test_eval=ev,
         depends_on_v=False,
         depends_on_y=False,
         hess_X=hess,
         hess_is_constant=True,
-        cross_XY=lambda Y, X, v, c: np.zeros((X.size, Y.size)),
-        prox_closed_form=prox,
-        prox_closed_form_batch=prox_batch,
+        prox=prox,
     )
 
 

@@ -356,18 +356,27 @@ class ConjugateParameters:
 class LossModel:
     """Behavioral loss interface: ell(Y, X, v, c) with its derivatives.
 
-    Y is L x t (label-channel argument, teacher means included), X is L x r,
-    v is the r x r weight self-overlap slot, c the class tuple.  grad_X and
-    d3 are the exact partials used by the solver; test_eval is the metric
-    reported as test error.  Optional hooks speed up or stabilize the inner
-    prox solves; everything works from (eval, grad_X, d3) alone.
+    Every hook is batched over a leading sample axis and called as
+    hook(Ys, Xs, v, cs) with Ys (S, L, t) the label channel (teacher means
+    included), Xs (S, L, r) the student channel, v the shared r x r weight
+    self-overlap slot and cs (S, L) the class tuples; a single point is a
+    batch of one.  Per sample, eval and test_eval return (S,), grad_X
+    (S, L, r), d3 = d ell / dv (S, r, r) and hess_X the flattened X-Hessian
+    (S, Lr, Lr).  grad_X and d3 are the exact partials used by the solver;
+    test_eval is the metric reported as test error.
+
+    The optional prox(anchors (S, L, r), precisions, Ys, v, cs) returns the
+    minimizers (S, L, r) of (1/2)(X - a)^T P (X - a) + ell with precisions
+    either one shared (Lr, Lr) matrix or per-sample (S, Lr, Lr).  Without
+    it, `prox.prox_batch` runs a generic damped Newton; without hess_X,
+    Hessians come from finite differences of grad_X.
     """
 
     name: str
-    eval: Callable[[np.ndarray, np.ndarray, np.ndarray, tuple], float]
-    grad_X: Callable[[np.ndarray, np.ndarray, np.ndarray, tuple], np.ndarray]
-    d3: Callable[[np.ndarray, np.ndarray, np.ndarray, tuple], np.ndarray]
-    test_eval: Callable[[np.ndarray, np.ndarray, np.ndarray, tuple], float]
+    eval: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    grad_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    d3: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    test_eval: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     depends_on_v: bool = False
     # False for losses that never read the label channel (e.g. mixture
     # classification, where supervision comes from the class tuple); the
@@ -384,12 +393,7 @@ class LossModel:
     # True when hess_X does not depend on (Y, X): prox sensitivities are then
     # shared across expectation nodes.
     hess_is_constant: bool = False
-    cross_XY: Optional[Callable] = None
-    prox_closed_form: Optional[Callable] = None
-    prox_closed_form_batch: Optional[Callable] = None
-    eval_batch: Optional[Callable] = None
-    grad_X_batch: Optional[Callable] = None
-    test_eval_batch: Optional[Callable] = None
+    prox: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
 
@@ -404,47 +408,59 @@ class ModelSpec:
     name: str = ""
 
 
-def _finite_diff_grad(f, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.zeros_like(X, dtype=float)
-    it = np.nditer(X, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        Xp = X.copy()
-        Xm = X.copy()
-        Xp[idx] += h
-        Xm[idx] -= h
-        g[idx] = (f(Xp) - f(Xm)) / (2 * h)
-        it.iternext()
-    return g
+def _finite_diff(f, X: np.ndarray, ndim: int, h: float = 1e-6) -> np.ndarray:
+    """Central differences of f along every entry of the last `ndim` axes
+    of X, perturbed in all samples at once; the entry axes come last."""
+    shape = X.shape[X.ndim - ndim:]
+    cols = []
+    for idx in np.ndindex(shape):
+        E = np.zeros(shape)
+        E[idx] = h
+        cols.append((np.asarray(f(X + E)) - np.asarray(f(X - E))) / (2 * h))
+    return np.stack(cols, axis=-1).reshape(cols[0].shape + shape)
 
 
 def check_loss_gradients(
-    loss: LossModel, dims: Dimensions, c: tuple, rng: np.random.Generator,
+    loss: LossModel, dims: Dimensions, classes, rng: np.random.Generator,
     rel_tol: float = 1e-5,
 ) -> list[str]:
-    """Spot-check grad_X and d3 against central finite differences."""
+    """Spot-check grad_X, hess_X and d3 against central finite differences.
+
+    The hooks are called on a batch of at least two random points that
+    cycle through `classes`, so a hook that ignores or mixes the sample
+    axis is flagged here rather than at a fixed point.
+    """
     out = []
-    Y = rng.standard_normal((dims.L, dims.t))
-    X = 0.5 * rng.standard_normal((dims.L, dims.r))
+    classes = np.asarray(classes)
+    S = max(2, len(classes))
+    cs = classes[np.arange(S) % len(classes)]
+    Ys = rng.standard_normal((S, dims.L, dims.t))
+    Xs = 0.5 * rng.standard_normal((S, dims.L, dims.r))
     A = rng.standard_normal((dims.r, dims.r))
     v = 0.5 * np.eye(dims.r) + 0.05 * (A + A.T)
+    n = dims.L * dims.r
 
-    g = loss.grad_X(Y, X, v, c)
-    g_fd = _finite_diff_grad(lambda Z: loss.eval(Y, Z, v, c), X)
-    scale = max(1.0, float(np.max(np.abs(g_fd))))
-    if np.max(np.abs(g - g_fd)) > rel_tol * scale:
-        out.append(f"LossModel {loss.name}: grad_X disagrees with finite differences")
+    def compare(name: str, got, fd: np.ndarray) -> None:
+        got = np.asarray(got, dtype=float)
+        if got.shape != fd.shape:
+            out.append(f"LossModel {loss.name}: {name} has shape {got.shape}, expected {fd.shape}")
+            return
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        if np.max(np.abs(got - fd)) > rel_tol * scale:
+            out.append(f"LossModel {loss.name}: {name} disagrees with finite differences")
 
-    d3 = loss.d3(Y, X, v, c)
+    compare("grad_X", loss.grad_X(Ys, Xs, v, cs),
+            _finite_diff(lambda Z: loss.eval(Ys, Z, v, cs), Xs, 2))
+    if loss.hess_X is not None:
+        H_fd = _finite_diff(lambda Z: np.reshape(loss.grad_X(Ys, Z, v, cs), (S, n)), Xs, 2)
+        compare("hess_X", loss.hess_X(Ys, Xs, v, cs), H_fd.reshape(S, n, n))
+
+    d3 = np.asarray(loss.d3(Ys, Xs, v, cs), dtype=float)
     if loss.depends_on_v:
-        d3_fd = _finite_diff_grad(lambda vv: loss.eval(Y, X, 0.5 * (vv + vv.T), c), v)
-        d3_fd = 0.5 * (d3_fd + d3_fd.T)
-        scale = max(1.0, float(np.max(np.abs(d3_fd))))
-        if np.max(np.abs(d3 - d3_fd)) > rel_tol * scale:
-            out.append(f"LossModel {loss.name}: d3 disagrees with finite differences")
-    else:
-        if np.any(d3 != 0.0):
-            out.append(f"LossModel {loss.name}: d3 must be identically zero when depends_on_v is false")
+        d3_fd = _finite_diff(lambda vv: loss.eval(Ys, Xs, 0.5 * (vv + vv.T), cs), v, 2)
+        compare("d3", d3, 0.5 * (d3_fd + d3_fd.transpose(0, 2, 1)))
+    elif np.any(d3 != 0.0):
+        out.append(f"LossModel {loss.name}: d3 must be identically zero when depends_on_v is false")
     return out
 
 
@@ -457,6 +473,5 @@ def validate_spec(spec: ModelSpec) -> list[str]:
     out += spec.nu.violations(spec.dims)
     if not out:
         rng = np.random.default_rng(20240)
-        c = spec.class_law.support[0]
-        out += check_loss_gradients(spec.loss, spec.dims, c, rng)
+        out += check_loss_gradients(spec.loss, spec.dims, spec.class_law.support, rng)
     return out

@@ -1,39 +1,36 @@
-"""Moreau envelope evaluation and its minimizer.
+"""Moreau envelope minimization and its anchor sensitivity, batched over samples.
 
-The inner problem is
+The inner problem, per sample s, is
 
-    min_X  (1/2) (X - anchor)^T P (X - anchor) + ell(Y, X, v, c)
+    min_X  (1/2) (X - a_s)^T P_s (X - a_s) + ell(Y_s, X, v, c_s)
 
-with X an L x r matrix flattened to length Lr and P a positive-definite
-precision, either block-diagonal per token or a full Lr x Lr block (the
-message-passing variant).  The minimization is over X only; the v slot is a
-constant and the loss's v-derivative is evaluated at the minimizer afterward.
+with X an L x r matrix flattened to length Lr and P_s a positive-definite
+precision: either one Lr x Lr matrix shared by the batch (block-diagonal per
+token in the solver) or one per sample (the full blocks of message
+passing).  The minimization is over X only; the v slot is a constant and the
+loss's v-derivative is evaluated at the minimizer afterward.
 
-The solver is damped Newton (Levenberg shift on the loss Hessian, Armijo
-backtracking); losses that register a specialized prox take that path, with
-an optional cross-check against the generic solver.  The problem is
-low-dimensional and called millions of times, so second-order convergence
-dominates runtime.
+This module is the one place that solves it.  `prox_batch` takes the loss's
+specialized prox when it registers one and otherwise runs damped Newton
+(Levenberg shift on the loss Hessian, Armijo backtracking), vectorized over
+the batch with every sample checked on its own.  `loss_hessian` supplies
+hess_X or central differences of grad_X, and `prox_gain` is the sensitivity
+dX/danchor = (P + H)^-1 P shared by the solver, GAMP and rBP.
+`moreau_prox` is the single-problem view.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import LossBlowupError, ProxConvergenceError
+from .errors import LossBlowupError, ProxConvergenceError, SeqmixError
 from .model import LossModel
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100
-FD_STEP = 1e-5
-
-# When set, dispatching to a specialized prox also runs the generic Newton
-# path and asserts agreement; used by the test suite.
-DEBUG_CROSS_CHECK = bool(os.environ.get("SEQMIX_PROX_DEBUG", ""))
 
 
 @dataclass
@@ -74,215 +71,174 @@ class ProxResult:
     value: float              # envelope value at the minimizer
     grad_norm: float          # stationarity residual
     iterations: int = 0
-    used_closed_form: bool = False
-    fd_fallback: bool = False
 
 
-def _objective(problem: ProxProblem, P: np.ndarray, loss: LossModel, X: np.ndarray) -> float:
-    d = (X - problem.anchor).reshape(-1)
-    val = 0.5 * float(d @ P @ d) + loss.eval(problem.y, X, problem.v, problem.c)
-    if not np.isfinite(val):
-        raise LossBlowupError(f"non-finite envelope objective at class {problem.c}")
+def _objective(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
+    """Envelope objective per sample; a and X are flat (S, Lr), P (S, Lr, Lr)."""
+    d = X - a
+    val = 0.5 * np.einsum("si,sij,sj->s", d, P, d) + loss.eval(
+        Ys, X.reshape(Ys.shape[0], -1, v.shape[0]), v, cs
+    )
+    bad = ~np.isfinite(val)
+    if np.any(bad):
+        c = tuple(int(x) for x in cs[np.flatnonzero(bad)[0]])
+        raise LossBlowupError(f"non-finite envelope objective at class {c}")
     return val
 
 
-def _residual(problem: ProxProblem, P: np.ndarray, loss: LossModel, X: np.ndarray) -> np.ndarray:
-    d = (X - problem.anchor).reshape(-1)
-    return P @ d + loss.grad_X(problem.y, X, problem.v, problem.c).reshape(-1)
+def _residual(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
+    """Stationarity residual P (X - a) + grad ell per sample, flat (S, Lr)."""
+    g = loss.grad_X(Ys, X.reshape(Ys.shape[0], -1, v.shape[0]), v, cs)
+    return np.einsum("sij,sj->si", P, X - a) + np.reshape(g, X.shape)
 
 
-def _loss_hessian(loss: LossModel, problem: ProxProblem, X: np.ndarray) -> np.ndarray:
+def loss_hessian(loss: LossModel, Ys, Xs, v, cs) -> np.ndarray:
+    """X-Hessians (S, Lr, Lr): hess_X when the loss has one, otherwise
+    symmetrized central differences of grad_X (the problem is tiny)."""
     if loss.hess_X is not None:
-        return np.asarray(loss.hess_X(problem.y, X, problem.v, problem.c), dtype=float)
-    # central differences of grad_X; the problem dimension is tiny
-    n = X.size
-    H = np.zeros((n, n))
-    h = 1e-6 * (1.0 + float(np.max(np.abs(X))))
-    flat = X.reshape(-1)
+        return np.asarray(loss.hess_X(Ys, Xs, v, cs), dtype=float)
+    S, L, r = Xs.shape
+    n = L * r
+    flat = Xs.reshape(S, n)
+    h = 1e-6 * (1.0 + np.max(np.abs(flat), axis=1, initial=0.0))
+    H = np.empty((S, n, n))
     for j in range(n):
-        xp = flat.copy()
-        xm = flat.copy()
-        xp[j] += h
-        xm[j] -= h
-        gp = loss.grad_X(problem.y, xp.reshape(X.shape), problem.v, problem.c).reshape(-1)
-        gm = loss.grad_X(problem.y, xm.reshape(X.shape), problem.v, problem.c).reshape(-1)
-        H[:, j] = (gp - gm) / (2 * h)
-    return 0.5 * (H + H.T)
+        E = np.zeros((S, n))
+        E[:, j] = h
+        gp = loss.grad_X(Ys, (flat + E).reshape(S, L, r), v, cs).reshape(S, n)
+        gm = loss.grad_X(Ys, (flat - E).reshape(S, L, r), v, cs).reshape(S, n)
+        H[:, :, j] = (gp - gm) / (2 * h[:, None])
+    return 0.5 * (H + H.transpose(0, 2, 1))
 
 
-def _newton(problem: ProxProblem, P: np.ndarray, loss: LossModel) -> ProxResult:
-    X = problem.anchor.copy()
-    shape = X.shape
-    tol = problem.tol * (1.0 + float(np.linalg.norm(problem.anchor)))
-    res = _residual(problem, P, loss, X)
-    obj = _objective(problem, P, loss, X)
-    mu = 0.0
-    for it in range(problem.max_iters):
-        rnorm = float(np.linalg.norm(res))
-        if rnorm <= tol:
-            return ProxResult(X, obj, rnorm, iterations=it)
-        H = _loss_hessian(loss, problem, X)
-        M = P + H + mu * np.eye(X.size)
+def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
+    """Damped Newton on every sample at once; returns (X, iterations).
+
+    Each sample keeps its own Levenberg shift, Armijo step and stopping
+    test ||P (X - a) + grad ell|| <= tol (1 + ||a||); a sample that has not
+    met it when the iterations run out raises ProxConvergenceError.
+    """
+    S, L, r = anchors.shape
+    n = L * r
+    a = anchors.reshape(S, n)
+    P = np.broadcast_to(precisions, (S, n, n))
+    tols = tol * (1.0 + np.linalg.norm(a, axis=1))
+    shift_floor = 1e-6 * (1.0 + np.trace(P, axis1=1, axis2=2) / n)
+    eye = np.eye(n)
+
+    def at(idx):
+        return loss, a[idx], P[idx], Ys[idx], v, cs[idx]
+
+    X = a.copy()
+    everyone = np.arange(S)
+    obj = _objective(*at(everyone), X)
+    res = _residual(*at(everyone), X)
+    mu = np.zeros(S)
+    iterations = np.full(S, max_iters)
+    live = np.ones(S, dtype=bool)
+    for it in range(max_iters):
+        done = live & (np.linalg.norm(res, axis=1) <= tols)
+        iterations[done] = it
+        live &= ~done
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        H = loss_hessian(loss, Ys[idx], X[idx].reshape(-1, L, r), v, cs[idx])
+        M = P[idx] + H + mu[idx, None, None] * eye
         try:
-            step = np.linalg.solve(M, -res)
+            step = np.linalg.solve(M, -res[idx][..., None])[..., 0]
         except np.linalg.LinAlgError:
-            mu = max(10.0 * mu, 1e-6)
+            mu[idx] = np.maximum(10.0 * mu[idx], 1e-6)
             continue
-        # Armijo backtracking on the envelope objective
-        t = 1.0
-        accepted = False
+        # Armijo backtracking on the envelope objective, per sample
+        slope = np.einsum("si,si->s", res[idx], step)
+        t = np.ones(idx.size)
+        accepted = np.zeros(idx.size, dtype=bool)
+        trying = np.arange(idx.size)
         for _ in range(40):
-            X_new = (X.reshape(-1) + t * step).reshape(shape)
-            obj_new = _objective(problem, P, loss, X_new)
-            if obj_new <= obj + 1e-4 * t * float(res @ step):
-                accepted = True
+            cand = X[idx[trying]] + t[trying, None] * step[trying]
+            val = _objective(*at(idx[trying]), cand)
+            ok = val <= obj[idx[trying]] + 1e-4 * t[trying] * slope[trying]
+            win = idx[trying[ok]]
+            X[win] = cand[ok]
+            obj[win] = val[ok]
+            accepted[trying[ok]] = True
+            trying = trying[~ok]
+            if trying.size == 0:
                 break
-            t *= 0.5
-        if accepted:
-            X = X_new
-            obj = obj_new
-            res = _residual(problem, P, loss, X)
-            mu = 0.1 * mu if mu > 1e-12 else 0.0
-        else:
-            # Hessian model is unreliable here; add curvature and retry
-            mu = max(10.0 * mu, 1e-6 * (1.0 + float(np.trace(P)) / P.shape[0]))
-            if mu > 1e12:
-                break
-    rnorm = float(np.linalg.norm(_residual(problem, P, loss, X)))
-    if rnorm <= tol:
-        return ProxResult(X, obj, rnorm, iterations=problem.max_iters)
-    raise ProxConvergenceError(X, rnorm, problem.max_iters)
+            t[trying] *= 0.5
+        won = idx[accepted]
+        res[won] = _residual(*at(won), X[won])
+        mu[won] = np.where(mu[won] > 1e-12, 0.1 * mu[won], 0.0)
+        # Hessian model is unreliable where no step passed: add curvature
+        # and retry, giving up once the shift is huge
+        lost = idx[~accepted]
+        mu[lost] = np.maximum(10.0 * mu[lost], shift_floor[lost])
+        live[lost[mu[lost] > 1e12]] = False
+    rnorm = np.linalg.norm(_residual(*at(everyone), X), axis=1)
+    failed = np.flatnonzero(rnorm > tols)
+    if failed.size:
+        s = failed[0]
+        raise ProxConvergenceError(X[s].reshape(L, r), float(rnorm[s]), max_iters)
+    return X.reshape(S, L, r), iterations
+
+
+def prox_batch(
+    loss: LossModel, anchors, precisions, Ys, v, cs,
+    tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
+) -> np.ndarray:
+    """Prox minimizers (S, L, r) of a batch of anchors (S, L, r).
+
+    precisions is one shared (Lr, Lr) matrix or per-sample (S, Lr, Lr).
+    For convex losses the returned points are the global minimizers.
+    """
+    if loss.prox is not None:
+        return loss.prox(anchors, precisions, Ys, v, cs)
+    return _newton(loss, anchors, precisions, Ys, v, cs, tol, max_iters)[0]
+
+
+def prox_gain(loss: LossModel, Ys, Xs, P, v, cs) -> np.ndarray:
+    """Anchor sensitivity dX/danchor = (P + H)^-1 P at the minimizers Xs.
+
+    Returns (S, Lr, Lr); P is shared (Lr, Lr) or per-sample (S, Lr, Lr).
+    With a constant loss Hessian the shared case is one solve.  A singular
+    P + H raises SeqmixError.
+    """
+    S = Xs.shape[0]
+    try:
+        if loss.hess_is_constant:
+            H = loss_hessian(loss, Ys[:1], Xs[:1], v, cs[:1])[0]
+            J = np.linalg.solve(P + H, P)
+            return np.broadcast_to(J, (S,) + J.shape[-2:]) if P.ndim == 2 else J
+        H = loss_hessian(loss, Ys, Xs, v, cs)
+        return np.linalg.solve(P + H, np.broadcast_to(P, H.shape))
+    except np.linalg.LinAlgError as exc:
+        raise SeqmixError(
+            f"prox sensitivity of loss {loss.name!r} is undefined: P + H is singular"
+        ) from exc
 
 
 def moreau_prox(problem: ProxProblem, loss: LossModel) -> ProxResult:
-    """Minimizer, envelope value, and stationarity residual.
+    """Minimizer, envelope value, and stationarity residual of one problem.
 
     For convex losses the returned point is the global minimizer; the
     residual postcondition ||P (X - anchor) + grad ell|| <= tol (1 + ||anchor||)
     holds on every return.
     """
     P = problem.precision_full()
-    if loss.prox_closed_form is not None:
-        X = loss.prox_closed_form(problem.anchor, P, problem.y, problem.v, problem.c)
-        res = float(np.linalg.norm(_residual(problem, P, loss, X)))
-        out = ProxResult(
-            X,
-            _objective(problem, P, loss, X),
-            res,
-            used_closed_form=True,
-        )
-        if DEBUG_CROSS_CHECK:
-            ref = _newton(problem, P, loss)
-            if not np.allclose(ref.x_star, out.x_star, atol=1e-7, rtol=1e-7):
-                raise AssertionError(
-                    f"specialized prox of {loss.name!r} disagrees with the generic solver"
-                )
-        return out
-    return _newton(problem, P, loss)
-
-
-def gamp_resolvent(problem: ProxProblem, loss: LossModel) -> np.ndarray:
-    """Minimizer under the full Lr x Lr quadratic form; same contract as
-    moreau_prox, which it reproduces bit-for-bit on block-diagonal precision."""
-    return moreau_prox(problem, loss).x_star
-
-
-def _fd_jacobians(
-    problem: ProxProblem, loss: LossModel, want_y: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    n = problem.anchor.size
-    m = problem.y.size
-    J_w = np.zeros((n, n))
-    for j in range(n):
-        dp = problem.anchor.reshape(-1).copy()
-        dm = dp.copy()
-        dp[j] += FD_STEP
-        dm[j] -= FD_STEP
-        xp = moreau_prox(
-            ProxProblem(dp.reshape(problem.anchor.shape), problem.precision,
-                        problem.y, problem.v, problem.c, problem.tol,
-                        problem.max_iters),
-            loss,
-        ).x_star
-        xm = moreau_prox(
-            ProxProblem(dm.reshape(problem.anchor.shape), problem.precision,
-                        problem.y, problem.v, problem.c, problem.tol,
-                        problem.max_iters),
-            loss,
-        ).x_star
-        J_w[:, j] = (xp - xm).reshape(-1) / (2 * FD_STEP)
-    J_y = np.zeros((n, m))
-    if want_y:
-        for j in range(m):
-            yp = problem.y.reshape(-1).copy()
-            ym = yp.copy()
-            yp[j] += FD_STEP
-            ym[j] -= FD_STEP
-            xp = moreau_prox(
-                ProxProblem(problem.anchor, problem.precision,
-                            yp.reshape(problem.y.shape), problem.v, problem.c,
-                            problem.tol, problem.max_iters),
-                loss,
-            ).x_star
-            xm = moreau_prox(
-                ProxProblem(problem.anchor, problem.precision,
-                            ym.reshape(problem.y.shape), problem.v, problem.c,
-                            problem.tol, problem.max_iters),
-                loss,
-            ).x_star
-            J_y[:, j] = (xp - xm).reshape(-1) / (2 * FD_STEP)
-    return J_w, J_y
-
-
-def _cross_derivative(loss: LossModel, problem: ProxProblem, X: np.ndarray) -> np.ndarray:
-    """d(grad_X)/dY at fixed X, flattened Lr x Lt."""
-    if loss.cross_XY is not None:
-        return np.asarray(loss.cross_XY(problem.y, X, problem.v, problem.c), dtype=float)
-    if not loss.depends_on_y:
-        return np.zeros((X.size, problem.y.size))
-    m = problem.y.size
-    C = np.zeros((X.size, m))
-    h = 1e-6 * (1.0 + float(np.max(np.abs(problem.y))))
-    flat = problem.y.reshape(-1)
-    for j in range(m):
-        yp = flat.copy()
-        ym = flat.copy()
-        yp[j] += h
-        ym[j] -= h
-        gp = loss.grad_X(yp.reshape(problem.y.shape), X, problem.v, problem.c).reshape(-1)
-        gm = loss.grad_X(ym.reshape(problem.y.shape), X, problem.v, problem.c).reshape(-1)
-        C[:, j] = (gp - gm) / (2 * h)
-    return C
-
-
-@dataclass
-class ProxJacobians:
-    d_anchor: np.ndarray      # Lr x Lr
-    d_y: np.ndarray           # Lr x Lt
-    fd_fallback: bool = False
-
-
-def prox_jacobians(
-    problem: ProxProblem, loss: LossModel, x_star: np.ndarray
-) -> ProxJacobians:
-    """Sensitivities of the minimizer to the anchor and to Y.
-
-    Smooth losses use the implicit-function relations
-        (P + H) dX/danchor = P,    (P + H) dX/dY = -d(grad ell)/dY;
-    a singular system falls back to central differences of the prox map
-    (step 1e-5) and flags the result.
-    """
-    P = problem.precision_full()
-    want_y = loss.depends_on_y
-    try:
-        H = _loss_hessian(loss, problem, x_star)
-        M = P + H
-        J_w = np.linalg.solve(M, P)
-        if want_y:
-            J_y = np.linalg.solve(M, -_cross_derivative(loss, problem, x_star))
-        else:
-            J_y = np.zeros((x_star.size, problem.y.size))
-        return ProxJacobians(J_w, J_y)
-    except np.linalg.LinAlgError:
-        J_w, J_y = _fd_jacobians(problem, loss, want_y)
-        return ProxJacobians(J_w, J_y, fd_fallback=True)
+    Ys = problem.y[None]
+    cs = np.asarray([problem.c])
+    if loss.prox is not None:
+        X = loss.prox(problem.anchor[None], P, Ys, problem.v, cs)
+        iterations = 0
+    else:
+        X, its = _newton(loss, problem.anchor[None], P, Ys, problem.v, cs,
+                         problem.tol, problem.max_iters)
+        iterations = int(its[0])
+    at = (loss, problem.anchor.reshape(1, -1), P[None], Ys, problem.v, cs, X.reshape(1, -1))
+    return ProxResult(
+        X[0],
+        float(_objective(*at)[0]),
+        float(np.linalg.norm(_residual(*at))),
+        iterations=iterations,
+    )

@@ -59,7 +59,7 @@ from .model import (
     OrderParameters,
     SpectralMeasure,
 )
-from .prox import ProxProblem, moreau_prox
+from .prox import prox_batch, prox_gain
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -124,68 +124,59 @@ def _sym(A: np.ndarray) -> np.ndarray:
 # Hat updates.
 # ----------------------------------------------------------------------
 
-def _solve_prox_nodes(
-    spec: ModelSpec,
+@dataclass
+class NodeBatch:
+    """Energetic nodes of one class tuple and the prox minimizers at them.
+
+    wts (S,), Xi (S, L, r), Zeta (S, L, t); anchors and x_stars (S, L, r);
+    y_loss (S, L, t) is the label channel with teacher means added; cs
+    (S, L) repeats the class tuple c; P_full is the block-diagonal prox
+    precision with blocks V_{ell, c_ell}^-1.
+    """
+
+    c: tuple
+    pc: float
+    wts: np.ndarray
+    Xi: np.ndarray
+    Zeta: np.ndarray
+    anchors: np.ndarray
+    y_loss: np.ndarray
+    cs: np.ndarray
+    P_full: np.ndarray
+    x_stars: np.ndarray
+
+
+def _node_batches(
     params: OrderParameters,
-    anchors: np.ndarray,
-    y_loss: np.ndarray,
-    c: tuple,
-    P_full: np.ndarray,
-    precision_blocks: list[np.ndarray],
-) -> np.ndarray:
-    """Prox minimizers at every node; batched when the loss allows it."""
-    loss = spec.loss
-    S = anchors.shape[0]
-    if loss.prox_closed_form_batch is not None:
+    fixed: FixedStatistics,
+    spec: ModelSpec,
+    plan: McPlan,
+    iteration: int,
+):
+    """NodeBatch for every class tuple of positive probability, in law order."""
+    dims = spec.dims
+    r = dims.r
+    sqrt_q = {key: sym_sqrt(params.q[key]) for key in dims.lk_pairs()}
+    V_inv = {key: np.linalg.inv(params.V[key]) for key in dims.lk_pairs()}
+    for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
+        if pc == 0.0:
+            continue
+        wts, Xi, Zeta, Y = energetic_nodes(
+            params, fixed, c, plan, iteration=iteration, c_index=c_index,
+            with_y=spec.loss.depends_on_y,
+        )
+        S = len(wts)
+        anchors = np.empty((S, dims.L, r))
+        P_full = np.zeros((dims.L * r, dims.L * r))
+        for ell in range(dims.L):
+            key = (ell, c[ell])
+            anchors[:, ell, :] = Xi[:, ell, :] @ sqrt_q[key].T + params.m[key]
+            P_full[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = V_inv[key]
+        m_star_c = np.stack([fixed.m_star[(ell, c[ell])] for ell in range(dims.L)])
+        y_loss = Y + m_star_c
         cs = np.tile(np.asarray(c), (S, 1))
-        return loss.prox_closed_form_batch(anchors, P_full, y_loss, params.v, cs)
-    out = np.empty_like(anchors)
-    for s in range(S):
-        problem = ProxProblem(anchors[s], precision_blocks, y_loss[s], params.v, c)
-        out[s] = moreau_prox(problem, loss).x_star
-    return out
-
-
-def _anchor_jacobian_blocks(
-    spec: ModelSpec,
-    params: OrderParameters,
-    x_stars: np.ndarray,
-    y_loss: np.ndarray,
-    c: tuple,
-    P_full: np.ndarray,
-) -> np.ndarray:
-    """Diagonal (ell, ell) r x r blocks of dprox/danchor per node, (S, L, r, r)."""
-    loss = spec.loss
-    S, L, r = x_stars.shape
-    n = L * r
-
-    def hess_at(s: int) -> np.ndarray:
-        if loss.hess_X is not None:
-            return np.asarray(loss.hess_X(y_loss[s], x_stars[s], params.v, c), dtype=float)
-        h = 1e-6
-        H = np.zeros((n, n))
-        flat = x_stars[s].reshape(-1)
-        for j in range(n):
-            xp, xm = flat.copy(), flat.copy()
-            xp[j] += h
-            xm[j] -= h
-            gp = loss.grad_X(y_loss[s], xp.reshape(L, r), params.v, c).reshape(-1)
-            gm = loss.grad_X(y_loss[s], xm.reshape(L, r), params.v, c).reshape(-1)
-            H[:, j] = (gp - gm) / (2 * h)
-        return _sym(H)
-
-    out = np.empty((S, L, r, r))
-    if loss.hess_is_constant:
-        J = np.linalg.solve(P_full + hess_at(0), P_full)
-        for ell in range(L):
-            blk = J[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r]
-            out[:, ell] = blk
-        return out
-    for s in range(S):
-        J = np.linalg.solve(P_full + hess_at(s), P_full)
-        for ell in range(L):
-            out[s, ell] = J[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r]
-    return out
+        x_stars = prox_batch(spec.loss, anchors, P_full, y_loss, params.v, cs)
+        yield NodeBatch(c, pc, wts, Xi, Zeta, anchors, y_loss, cs, P_full, x_stars)
 
 
 def update_hats(
@@ -200,43 +191,22 @@ def update_hats(
     dims = spec.dims
     loss = spec.loss
     alpha = dims.alpha
+    r = dims.r
     out = ConjugateParameters.zeros(dims)
-
-    sqrt_q = {key: sym_sqrt(params.q[key]) for key in dims.lk_pairs()}
     pinv_sqrt_q = {key: sym_pinv_sqrt(params.q[key]) for key in dims.lk_pairs()}
-    V_inv = {key: np.linalg.inv(params.V[key]) for key in dims.lk_pairs()}
 
-    vhat_acc = np.zeros((dims.r, dims.r))
-    for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
-        if pc == 0.0:
-            continue
-        wts, Xi, Zeta, Y = energetic_nodes(
-            params, fixed, c, plan, iteration=iteration, c_index=c_index,
-            with_y=loss.depends_on_y,
-        )
-        S = len(wts)
-        anchors = np.empty((S, dims.L, dims.r))
-        for ell in range(dims.L):
-            key = (ell, c[ell])
-            anchors[:, ell, :] = Xi[:, ell, :] @ sqrt_q[key].T + params.m[key]
-        m_star_c = np.stack([fixed.m_star[(ell, c[ell])] for ell in range(dims.L)])
-        y_loss = Y + m_star_c
-
-        blocks = [V_inv[(ell, c[ell])] for ell in range(dims.L)]
-        P_full = np.zeros((dims.L * dims.r, dims.L * dims.r))
-        for ell, blk in enumerate(blocks):
-            P_full[ell * dims.r : (ell + 1) * dims.r, ell * dims.r : (ell + 1) * dims.r] = blk
-
-        x_stars = _solve_prox_nodes(spec, params, anchors, y_loss, c, P_full, blocks)
-        D = x_stars - anchors
-
+    vhat_acc = np.zeros((r, r))
+    eye_r = np.eye(r)
+    for nb in _node_batches(params, fixed, spec, plan, iteration):
+        c, pc, wts = nb.c, nb.pc, nb.wts
+        D = nb.x_stars - nb.anchors
         if vhat_form == "jacobian":
-            J_blocks = _anchor_jacobian_blocks(spec, params, x_stars, y_loss, c, P_full)
+            J = prox_gain(loss, nb.y_loss, nb.x_stars, nb.P_full, params.v, nb.cs)
 
-        eye_r = np.eye(dims.r)
         for ell in range(dims.L):
             key = (ell, c[ell])
-            Vinv = V_inv[key]
+            blk = slice(ell * r, (ell + 1) * r)
+            Vinv = nb.P_full[blk, blk]
             VD = D[:, ell, :] @ Vinv.T
             w_col = wts[:, None]
             out.m_hat[key] += pc * pairwise_sum(w_col * VD)
@@ -244,22 +214,18 @@ def update_hats(
                 wts[:, None, None] * np.einsum("si,sj->sij", VD, VD)
             )
             out.theta_hat[key] += pc * pairwise_sum(
-                wts[:, None, None] * np.einsum("si,sj->sij", VD, Zeta[:, ell, :])
+                wts[:, None, None] * np.einsum("si,sj->sij", VD, nb.Zeta[:, ell, :])
             )
             if vhat_form == "jacobian":
-                avg_J = pairwise_sum(wts[:, None, None] * J_blocks[:, ell])
+                avg_J = pairwise_sum(wts[:, None, None] * J[:, blk, blk])
                 out.V_hat[key] += pc * (Vinv @ (avg_J - pairwise_sum(wts) * eye_r))
             else:
                 out.V_hat[key] += pc * pairwise_sum(
-                    wts[:, None, None] * np.einsum("si,sj->sij", VD, Xi[:, ell, :])
+                    wts[:, None, None] * np.einsum("si,sj->sij", VD, nb.Xi[:, ell, :])
                 )
         if loss.depends_on_v:
-            acc = np.zeros((dims.r, dims.r))
-            for s in range(S):
-                acc += wts[s] * np.asarray(
-                    loss.d3(y_loss[s], x_stars[s], params.v, c), dtype=float
-                )
-            vhat_acc += pc * acc
+            d3 = np.asarray(loss.d3(nb.y_loss, nb.x_stars, params.v, nb.cs), dtype=float)
+            vhat_acc += pc * np.einsum("s,sij->ij", wts, d3)
 
     # scale, convert the theta channel through the Schur root, symmetrize
     for key in dims.lk_pairs():
@@ -372,45 +338,18 @@ def expected_envelope(
     iteration: int = 0,
 ) -> tuple[float, float]:
     """E_{c,Y,Xi} of the Moreau envelope value at the current overlaps."""
-    dims = spec.dims
-    loss = spec.loss
-    sqrt_q = {key: sym_sqrt(params.q[key]) for key in dims.lk_pairs()}
-    V_inv = {key: np.linalg.inv(params.V[key]) for key in dims.lk_pairs()}
     total = 0.0
     var = 0.0
-    for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
-        if pc == 0.0:
-            continue
-        wts, Xi, _, Y = energetic_nodes(
-            params, fixed, c, plan, iteration=iteration, c_index=c_index,
-            with_y=loss.depends_on_y,
-        )
-        S = len(wts)
-        anchors = np.empty((S, dims.L, dims.r))
-        for ell in range(dims.L):
-            key = (ell, c[ell])
-            anchors[:, ell, :] = Xi[:, ell, :] @ sqrt_q[key].T + params.m[key]
-        m_star_c = np.stack([fixed.m_star[(ell, c[ell])] for ell in range(dims.L)])
-        y_loss = Y + m_star_c
-        blocks = [V_inv[(ell, c[ell])] for ell in range(dims.L)]
-        P_full = np.zeros((dims.L * dims.r, dims.L * dims.r))
-        for ell, blk in enumerate(blocks):
-            P_full[ell * dims.r : (ell + 1) * dims.r, ell * dims.r : (ell + 1) * dims.r] = blk
-        x_stars = _solve_prox_nodes(spec, params, anchors, y_loss, c, P_full, blocks)
-        D = (x_stars - anchors).reshape(S, -1)
-        quad = 0.5 * np.einsum("si,ij,sj->s", D, P_full, D)
-        if loss.eval_batch is not None:
-            cs = np.tile(np.asarray(c), (S, 1))
-            vals = quad + loss.eval_batch(y_loss, x_stars, params.v, cs)
-        else:
-            vals = quad + np.array(
-                [loss.eval(y_loss[s], x_stars[s], params.v, c) for s in range(S)]
-            )
+    for nb in _node_batches(params, fixed, spec, plan, iteration):
+        S = len(nb.wts)
+        D = (nb.x_stars - nb.anchors).reshape(S, -1)
+        quad = 0.5 * np.einsum("si,ij,sj->s", D, nb.P_full, D)
+        vals = quad + spec.loss.eval(nb.y_loss, nb.x_stars, params.v, nb.cs)
         mean_c, se_c = _weighted_mean_stderr(
-            wts, vals[:, None], plan.antithetic, plan.gh_order > 0
+            nb.wts, vals[:, None], plan.antithetic, plan.gh_order > 0
         )
-        total += pc * float(mean_c[0])
-        var += (pc * float(se_c[0])) ** 2
+        total += nb.pc * float(mean_c[0])
+        var += (nb.pc * float(se_c[0])) ** 2
     return total, float(np.sqrt(var))
 
 
@@ -472,8 +411,6 @@ def test_error(
     fixed: FixedStatistics,
     spec: ModelSpec,
     plan: McPlan,
-    loss_ts=None,
-    loss_ts_batch=None,
     iteration: int = 0,
 ) -> tuple[float, float]:
     """Class-weighted expectation of the test metric over the joint (X, Y) law.
@@ -483,11 +420,8 @@ def test_error(
     polynomial quadrature on a discontinuous integrand is unreliable.
     """
     loss = spec.loss
-    if loss_ts is None:
-        loss_ts = loss.test_eval
-        loss_ts_batch = loss.test_eval_batch
-        if plan.gh_order > 0 and not loss.test_metric_smooth:
-            plan = replace(plan, gh_order=0)
+    if plan.gh_order > 0 and not loss.test_metric_smooth:
+        plan = replace(plan, gh_order=0)
     total = 0.0
     var = 0.0
     for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
@@ -496,12 +430,8 @@ def test_error(
         wts, X, Y = joint_xy_nodes(
             params, fixed, c, plan, iteration=iteration, c_index=c_index
         )
-        S = len(wts)
-        if loss_ts_batch is not None:
-            cs = np.tile(np.asarray(c), (S, 1))
-            vals = np.asarray(loss_ts_batch(Y, X, params.v, cs), dtype=float)
-        else:
-            vals = np.array([loss_ts(Y[s], X[s], params.v, c) for s in range(S)])
+        cs = np.tile(np.asarray(c), (len(wts), 1))
+        vals = np.asarray(loss.test_eval(Y, X, params.v, cs), dtype=float)
         mean_c, se_c = _weighted_mean_stderr(
             wts, vals[:, None], plan.antithetic, plan.gh_order > 0
         )

@@ -360,8 +360,7 @@ def check_unit_properties() -> CheckResult:
     # dropped so the generic Newton path is what gets exercised
     worst_res = 0.0
     generic = logistic_gmm_loss()
-    generic.prox_closed_form = None
-    generic.prox_closed_form_batch = None
+    generic.prox = None
     for _ in range(50):
         anchor = rng.standard_normal((1, 1))
         prec = np.array([[np.exp(rng.uniform(-1.5, 1.5))]])
@@ -376,7 +375,7 @@ def check_unit_properties() -> CheckResult:
     bad = []
     for spec_g in (gmm_instance(), ridge_instance()):
         bad += check_loss_gradients(
-            spec_g.loss, spec_g.dims, spec_g.class_law.support[0], rng,
+            spec_g.loss, spec_g.dims, spec_g.class_law.support, rng,
             rel_tol=GRAD_FD_REL,
         )
     ok = ok and not bad

@@ -212,6 +212,20 @@ class TestCli:
         code = main(["solve-se", "--config", str(path)])
         assert code == 2
 
+    def test_quadrature_dimension_is_validation_error(self, tmp_path, capsys):
+        # L = 2, r = t = 2 asks for an 8-dimensional tensor quadrature
+        path = tmp_path / "wide.ini"
+        path.write_text(
+            "[dimensions]\nL = 2\nr = 2\nt = 2\nK = 1 1\nalpha = 1.0\nlambda = 0.1\n\n"
+            "[class_law]\ntuple_0 = 0 0 : 1.0\n\n"
+            "[spectral_measure]\natom_0 = 1.0 | 1.0 | 0.0 | 1.0\n\n"
+            "[loss]\nname = square\n\n[mc]\ngh_order = 5\n"
+        )
+        code = main(["solve-se", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and "Gaussian quadrature" in err
+
     def test_verify_unknown_instance(self):
         assert main(["verify", "--instance", "nope"]) == 2
 

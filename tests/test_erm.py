@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from seqmix.erm import empirical_test_error, erm_train, summary_statistics, TrainConfig
-from seqmix.gamp import gamp_run, generate_dataset
+from seqmix.erm import empirical_test_error, erm_train, TrainConfig
+from seqmix.gamp import empirical_statistics, gamp_run, generate_dataset
 from seqmix.model import compute_fixed_statistics
 from seqmix.zoo import gmm_instance, ridge_instance
 
@@ -59,8 +59,6 @@ class TestErmTrain:
         # flat objective with a fake nonzero gradient: no step ever passes
         # the decrease test, which must surface as a stall, not a hang
         liar = zero_loss()
-        liar.eval_batch = None
-        liar.grad_X_batch = None
         liar.grad_X = lambda Y, X, v, c: np.ones_like(X)
         spec = gmm_instance(lam=0.0)
         bad = ModelSpec(spec.dims, spec.class_law, spec.nu, liar)
@@ -100,14 +98,14 @@ class TestSummaryStatistics:
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=100, n=10, seed=12)
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
-        stats = summary_statistics(data.teacher, data)
+        stats = empirical_statistics(data.teacher, data)
         np.testing.assert_allclose(stats["q"][(0, 0)], fixed.rho[(0, 0)], atol=1e-12)
         np.testing.assert_allclose(stats["theta"][(0, 0)], fixed.rho[(0, 0)], atol=1e-12)
 
     def test_zero_weights(self):
         spec = gmm_instance()
         data = generate_dataset(spec, spec.nu, d=100, n=10, seed=13)
-        stats = summary_statistics(np.zeros((100, 1)), data)
+        stats = empirical_statistics(np.zeros((100, 1)), data)
         for key in spec.dims.lk_pairs():
             assert stats["q"][key][0, 0] == 0.0
             assert stats["m"][key][0] == 0.0
@@ -123,5 +121,5 @@ class TestSummaryStatistics:
             w = np.linalg.solve(
                 X.T @ X / d + 0.1 * np.eye(d), X.T @ data.y[:, 0, 0] / np.sqrt(d)
             )
-            qs.append(summary_statistics(w[:, None], data)["q"][(0, 0)][0, 0])
+            qs.append(empirical_statistics(w[:, None], data)["q"][(0, 0)][0, 0])
         assert float(np.std(qs)) <= 5.0 / np.sqrt(1000)

@@ -13,7 +13,7 @@ from seqmix.model import (
     SpectralMeasure,
     validate_spec,
 )
-from seqmix.losses import square_loss
+from seqmix.losses import logistic_gmm_loss, square_loss
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
 
@@ -125,6 +125,20 @@ class TestValidateSpec:
         bad = ModelSpec(spec.dims, spec.class_law, spec.nu, broken)
         report = validate_spec(bad)
         assert any("grad_X" in line for line in report)
+
+    def test_sample_axis_mixing_flagged(self):
+        # hooks that answer every sample with sample 0's value
+        spec = gmm_instance()
+        first_grad = logistic_gmm_loss()
+        good_grad = first_grad.grad_X
+        first_grad.grad_X = lambda Y, X, v, c: np.broadcast_to(
+            good_grad(Y, X, v, c)[:1], X.shape)
+        first_hess = logistic_gmm_loss()
+        good_hess = first_hess.hess_X
+        first_hess.hess_X = lambda Y, X, v, c: good_hess(Y[:1], X[:1], v, c[:1])
+        for loss, hook in ((first_grad, "grad_X"), (first_hess, "hess_X")):
+            report = validate_spec(ModelSpec(spec.dims, spec.class_law, spec.nu, loss))
+            assert any(hook in line for line in report), hook
 
     def test_total_lk_maps(self):
         spec = two_token_instance()

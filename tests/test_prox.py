@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from seqmix.losses import logistic_gmm_loss, square_loss, zero_loss
+from seqmix.losses import LOSSES, logistic_gmm_loss, square_loss, zero_loss
 from seqmix.model import LossModel
-from seqmix.prox import gamp_resolvent, moreau_prox, prox_jacobians, ProxProblem
+from seqmix.prox import moreau_prox, prox_batch, prox_gain, ProxProblem
 
 
 def scalar_problem(anchor, V, y=0.0, c=(0,), tol=1e-10):
@@ -20,9 +20,14 @@ def scalar_problem(anchor, V, y=0.0, c=(0,), tol=1e-10):
 
 
 def _strip_specialized(loss: LossModel) -> LossModel:
-    loss.prox_closed_form = None
-    loss.prox_closed_form_batch = None
+    loss.prox = None
     return loss
+
+
+def _gain(problem: ProxProblem, loss: LossModel, x_star: np.ndarray) -> np.ndarray:
+    """prox_gain of a single problem."""
+    return prox_gain(loss, problem.y[None], x_star[None], problem.precision_full(),
+                     problem.v, np.asarray([problem.c]))[0]
 
 
 class TestMoreauProx:
@@ -94,19 +99,6 @@ class TestMoreauProx:
         expected = (x - 1.0) ** 2 / 4.0 + 0.5 * (3.0 - x) ** 2
         assert out.value == pytest.approx(expected)
 
-    def test_debug_mode_cross_checks_specialized_prox(self, monkeypatch):
-        import seqmix.prox as prox_mod
-
-        monkeypatch.setattr(prox_mod, "DEBUG_CROSS_CHECK", True)
-        problem = scalar_problem(anchor=0.4, V=1.5, y=1.0)
-        out = moreau_prox(problem, square_loss())
-        assert out.used_closed_form
-
-        broken = square_loss()
-        broken.prox_closed_form = lambda a, P, Y, v, c: a + 1.0
-        with pytest.raises(AssertionError):
-            moreau_prox(problem, broken)
-
 
 class TestGampResolvent:
     def test_block_diagonal_reduces_to_moreau(self):
@@ -119,7 +111,7 @@ class TestGampResolvent:
         full = np.diag([2.0, 0.5])
         p_full = ProxProblem(anchor, full, y, np.zeros((1, 1)), (0, 0))
         a = moreau_prox(p_blocks, loss).x_star
-        b = gamp_resolvent(p_full, loss)
+        b = moreau_prox(p_full, loss).x_star
         np.testing.assert_array_equal(a, b)
 
     def test_quadratic_closed_form(self):
@@ -131,7 +123,7 @@ class TestGampResolvent:
         anchor = rng.standard_normal((L, r))
         y = rng.standard_normal((L, r))
         problem = ProxProblem(anchor, P, y, np.zeros((r, r)), (0, 0))
-        got = gamp_resolvent(problem, loss)
+        got = moreau_prox(problem, loss).x_star
         expected = np.linalg.solve(
             P + np.eye(L * r), P @ anchor.reshape(-1) + y.reshape(-1)
         ).reshape(L, r)
@@ -140,34 +132,27 @@ class TestGampResolvent:
     def test_nonsmooth_subgradient_certificate(self):
         # hinge loss max(0, 1 - x) with a closed-form prox; at the kink the
         # optimality condition is interval-valued
-        def hinge_prox(anchor, P, Y, v, c):
-            a = anchor[0, 0]
+        def hinge_prox(anchors, P, Ys, v, cs):
+            a = anchors[:, 0, 0]
             V = 1.0 / P[0, 0]
-            if a > 1.0:
-                x = a                 # flat region, gradient 0
-            elif a < 1.0 - V:
-                x = a + V             # linear region, gradient -1
-            else:
-                x = 1.0               # kink
-            return np.array([[x]])
+            # flat region (gradient 0), linear region (gradient -1), kink
+            x = np.where(a > 1.0, a, np.where(a < 1.0 - V, a + V, 1.0))
+            return x[:, None, None]
 
         hinge = LossModel(
             name="hinge",
-            eval=lambda Y, X, v, c: float(max(0.0, 1.0 - X[0, 0])),
-            grad_X=lambda Y, X, v, c: np.array(
-                [[-1.0 if X[0, 0] < 1.0 else 0.0]]
-            ),
-            d3=lambda Y, X, v, c: np.zeros((1, 1)),
-            test_eval=lambda Y, X, v, c: 0.0,
+            eval=lambda Y, X, v, c: np.maximum(0.0, 1.0 - X[:, 0, 0]),
+            grad_X=lambda Y, X, v, c: np.where(X < 1.0, -1.0, 0.0),
+            d3=lambda Y, X, v, c: np.zeros((len(X), 1, 1)),
+            test_eval=lambda Y, X, v, c: np.zeros(len(X)),
             depends_on_y=False,
-            prox_closed_form=hinge_prox,
+            prox=hinge_prox,
         )
         rng = np.random.default_rng(10)
         for _ in range(20):
             a = rng.uniform(-1, 3)
             V = np.exp(rng.uniform(-1, 1))
-            problem = scalar_problem(a, V)
-            x = hinge_prox(problem.anchor, problem.precision_full(), None, None, None)[0, 0]
+            x = moreau_prox(scalar_problem(a, V), hinge).x_star[0, 0]
             # 0 must lie in (x - a)/V + [subdifferential of the hinge at x]
             quad = (x - a) / V
             if x < 1.0:
@@ -185,18 +170,14 @@ class TestProxJacobians:
         problem = scalar_problem(anchor=0.3, V=V, y=1.0)
         loss = square_loss()
         out = moreau_prox(problem, loss)
-        jac = prox_jacobians(problem, loss, out.x_star)
         expected = (1.0 / V) / (1.0 / V + 1.0)
-        assert jac.d_anchor[0, 0] == pytest.approx(expected, abs=1e-12)
-        assert not jac.fd_fallback
+        assert _gain(problem, loss, out.x_star)[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_loss_jacobians(self):
         problem = scalar_problem(anchor=0.3, V=2.0)
         loss = zero_loss()
         out = moreau_prox(problem, loss)
-        jac = prox_jacobians(problem, loss, out.x_star)
-        assert jac.d_anchor[0, 0] == pytest.approx(1.0)
-        np.testing.assert_allclose(jac.d_y, 0.0)
+        assert _gain(problem, loss, out.x_star)[0, 0] == pytest.approx(1.0)
 
     def test_logistic_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -204,7 +185,7 @@ class TestProxJacobians:
         for _ in range(5):
             problem = scalar_problem(rng.standard_normal(), np.exp(rng.uniform(-1, 1)))
             out = moreau_prox(problem, loss)
-            jac = prox_jacobians(problem, loss, out.x_star)
+            jac = _gain(problem, loss, out.x_star)
             h = 1e-6
             xp = moreau_prox(
                 scalar_problem(problem.anchor[0, 0] + h, 1.0 / problem.precision[0, 0]),
@@ -215,13 +196,52 @@ class TestProxJacobians:
                 loss,
             ).x_star[0, 0]
             fd = (xp - xm) / (2 * h)
-            assert abs(jac.d_anchor[0, 0] - fd) < 1e-4
+            assert abs(jac[0, 0] - fd) < 1e-4
 
-    def test_square_y_jacobian(self):
-        V = 0.7
-        problem = scalar_problem(anchor=0.2, V=V, y=0.5)
+    def test_singular_system_raises(self):
+        from seqmix.errors import SeqmixError
+
+        # a concave loss whose curvature cancels the precision exactly
         loss = square_loss()
-        out = moreau_prox(problem, loss)
-        jac = prox_jacobians(problem, loss, out.x_star)
-        # x = (a/V + y) / (1/V + 1), so dx/dy = 1 / (1/V + 1)
-        assert jac.d_y[0, 0] == pytest.approx(1.0 / (1.0 / V + 1.0), abs=1e-10)
+        loss.hess_X = lambda Y, X, v, c: -np.ones((len(X), 1, 1))
+        problem = scalar_problem(anchor=0.3, V=1.0)
+        with pytest.raises(SeqmixError):
+            _gain(problem, loss, problem.anchor)
+
+
+def _spd(rng, n: int) -> np.ndarray:
+    M = rng.standard_normal((n, n))
+    return M @ M.T / n + 0.5 * np.eye(n)
+
+
+@pytest.mark.parametrize("name", sorted(LOSSES))
+def test_batched_prox_matches_generic_newton(name):
+    """Specialized prox against the generic batched Newton, and prox_gain
+    against central differences of the prox map, in the shared-precision
+    (solver) and per-sample-precision (message passing) shapes."""
+    rng = np.random.default_rng(sorted(LOSSES).index(name))
+    loss = LOSSES[name]()
+    generic = _strip_specialized(LOSSES[name]())
+    S, L, r = 64, (1 if name.endswith("gmm") else 2), 1
+    n = L * r
+    anchors = 1.5 * rng.standard_normal((S, L, r))
+    Ys = rng.standard_normal((S, L, r))
+    cs = rng.integers(0, 2, size=(S, L))
+    v = _spd(rng, r)
+    shapes = {"shared": _spd(rng, n), "per-sample": np.stack([_spd(rng, n) for _ in range(S)])}
+    for shape, P in shapes.items():
+        X = prox_batch(loss, anchors, P, Ys, v, cs)
+        np.testing.assert_allclose(
+            X, prox_batch(generic, anchors, P, Ys, v, cs), atol=1e-9, err_msg=shape
+        )
+        h = 1e-6
+        fd = np.empty((S, n, n))
+        for j in range(n):
+            E = np.zeros((S, n))
+            E[:, j] = h
+            xp = prox_batch(loss, anchors + E.reshape(S, L, r), P, Ys, v, cs)
+            xm = prox_batch(loss, anchors - E.reshape(S, L, r), P, Ys, v, cs)
+            fd[:, :, j] = (xp - xm).reshape(S, n) / (2 * h)
+        np.testing.assert_allclose(
+            prox_gain(loss, Ys, X, P, v, cs), fd, atol=1e-6, err_msg=shape
+        )

@@ -218,8 +218,7 @@ class TestSolveFixedPoint:
         # a prox that catapults the iterate makes every sweep amplify
         spec = ridge_instance()
         runaway = zero_loss()
-        runaway.prox_closed_form = lambda a, P, Y, v, c: a + 1e4
-        runaway.prox_closed_form_batch = None
+        runaway.prox = lambda a, P, Y, v, c: a + 1e4
         bad = ModelSpec(spec.dims, spec.class_law, spec.nu, runaway)
         cfg = SolverConfig(
             damping=0.0, tol=1e-12, max_iters=50, mc_plan=GH,
@@ -286,12 +285,12 @@ class TestScalarFunctionals:
 
     def test_constant_test_metric(self):
         spec = ridge_instance()
+        constant = zero_loss()
+        constant.test_eval = lambda Y, X, v, c: np.ones(len(X))
+        cspec = ModelSpec(spec.dims, spec.class_law, spec.nu, constant)
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         params = OrderParameters.cold(spec.dims)
-        eg, se = solver_test_error(
-            params, fixed, spec, McPlan(n_samples=512, seed=6),
-            loss_ts=lambda Y, X, v, c: 1.0, loss_ts_batch=None,
-        )
+        eg, se = solver_test_error(params, fixed, cspec, McPlan(n_samples=512, seed=6))
         assert eg == pytest.approx(1.0) and se == pytest.approx(0.0)
 
     def test_monotone_mc_refinement(self):
