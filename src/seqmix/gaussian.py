@@ -10,6 +10,7 @@ as tensor Gauss-Hermite quadrature.  Samplers are pure functions of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,7 +45,7 @@ def _clipped_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _check_symmetric(A)
     w, U = np.linalg.eigh(0.5 * (A + A.T))
     if w.min(initial=0.0) < -NEG_EIG_TOL:
-        raise ValueError(
+        raise InconsistentOverlapsError(
             f"matrix has eigenvalue {w.min():.3e} below -{NEG_EIG_TOL:.0e}; "
             "order parameters are corrupted"
         )
@@ -141,11 +142,13 @@ def standard_normals(
     return rng.standard_normal((n, *shape))
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Hermite nodes for N(0, I_dim).
 
     Returns (weights, points) with weights summing to 1 and points of shape
-    (order**dim, dim).
+    (order**dim, dim).  Built once per (dim, order) and shared by every
+    later call, so both arrays are read-only.
     """
     if dim > GH_MAX_DIM:
         raise ValueError(
@@ -154,12 +157,15 @@ def gauss_hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = hermegauss(order)
     w = w / np.sqrt(2.0 * np.pi)
     if dim == 0:
-        return np.ones(1), np.zeros((1, 0))
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wts = np.ones(len(pts))
-    for axis in range(dim):
-        wts = wts * w[np.unravel_index(np.arange(len(pts)), (order,) * dim)[axis]]
+        wts, pts = np.ones(1), np.zeros((1, 0))
+    else:
+        grids = np.meshgrid(*([x] * dim), indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        wts = np.ones(len(pts))
+        for axis in range(dim):
+            wts = wts * w[np.unravel_index(np.arange(len(pts)), (order,) * dim)[axis]]
+    wts.flags.writeable = False
+    pts.flags.writeable = False
     return wts, pts
 
 

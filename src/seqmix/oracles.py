@@ -15,7 +15,14 @@ Two routes that never touch the fixed-point solver:
    giving test error  (1/2)(rho - 2 theta + q) = (1/2) rho lam^2 g2  and
    per-dimension training loss  (lam / 2) theta.
 
-2. Finite-d ridge via the normal equations, averaged over seeds.
+2. Finite-d ridge fits, averaged over seeds, sampled exactly in law
+   without forming the n x d design.  A Gaussian X is rotation invariant,
+   so with w* = sqrt(d) e1 it can be written X = U B V^T with V e1 = e1 and
+   B upper bidiagonal with independent chi entries (Golub-Kahan
+   bidiagonalization of a Gaussian matrix; Dumitriu & Edelman, "Matrix
+   models for beta ensembles", J. Math. Phys. 43, 2002).  Every error of
+   the fit depends on X only through the tridiagonal T = B^T B, so one fit
+   is an O(d) banded solve.
 """
 
 from __future__ import annotations
@@ -23,13 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, cholesky
+from scipy.linalg import solveh_banded
+
+from .errors import SpecValidationError
 
 
 def resolvent_trace(alpha: float, lam: float, tol: float = 1e-14) -> float:
     """Bisection solve of g = 1 / (lam + alpha / (1 + g)) on g > 0."""
     if lam <= 0:
-        raise ValueError("requires lam > 0")
+        raise SpecValidationError(f"resolvent trace requires lam > 0, got {lam}")
 
     def F(g: float) -> float:
         return g * (lam + alpha / (1.0 + g)) - 1.0
@@ -77,28 +86,38 @@ def ridge_asymptotics(alpha: float, lam: float, rho: float = 1.0) -> RidgeAsympt
 
 
 def _one_ridge_fit(alpha: float, lam: float, d: int, seed: int) -> tuple[float, float]:
-    # single precision: the fit enters a 3-sigma comparison at ~1e-3, far
-    # above float32 roundoff, and the Gram work dominates the runtime
+    # X = U B V^T with V e1 = e1 and B upper bidiagonal (Dumitriu-Edelman):
+    # row i of B holds a_i ~ chi_{n-i} on the diagonal and b_i ~ chi_{d-1-i}
+    # right of it, for the first min(n, d) rows; when n < d the last row
+    # keeps its superdiagonal entry
     n = int(round(alpha * d))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x41D6E]))
-    X = rng.standard_normal((n, d), dtype=np.float32)
-    w_star = np.ones(d, dtype=np.float32)
-    y = X @ w_star / np.float32(np.sqrt(d))
-    # Gram matrices via symmetric rank-k updates (half the flops of a full
-    # product); the regularized systems are positive definite, so Cholesky
-    if n <= d:
-        # dual form: w = X^T (X X^T / d + lam I)^-1 y / sqrt(d)
-        G = blas.ssyrk(1.0 / d, X, lower=1)
-        G[np.diag_indices(n)] += lam
-        w = X.T @ cho_solve((cholesky(G, lower=True), True), y) / np.sqrt(d)
-    else:
-        A = blas.ssyrk(1.0 / d, X, trans=1, lower=1)
-        A[np.diag_indices(d)] += lam
-        w = cho_solve((cholesky(A, lower=True), True), X.T @ y / np.sqrt(d))
-    resid = (y - X @ w.astype(np.float32) / np.float32(np.sqrt(d))).astype(np.float64)
-    w = w.astype(np.float64)
-    eg = 0.5 * float(np.sum((w - 1.0) ** 2)) / d
-    et = (0.5 * float(resid @ resid) + 0.5 * lam * float(w @ w)) / d
+    rows = min(n, d)
+    i = np.arange(rows)
+    a = np.sqrt(2.0 * rng.standard_gamma((n - i) / 2.0))
+    b = np.sqrt(2.0 * rng.standard_gamma((d - 1 - i) / 2.0))[: d - 1]
+    # T = B^T B: T_jj = a_j^2 + b_{j-1}^2 and T_{j,j+1} = a_j b_j
+    diag = np.zeros(d)
+    diag[:rows] = a * a
+    diag[1 : len(b) + 1] += b * b
+    off = np.zeros(d - 1)
+    off[: len(b)] = a[: len(b)] * b
+
+    def T(x: np.ndarray) -> np.ndarray:
+        out = diag * x
+        out[:-1] += off * x[1:]
+        out[1:] += off * x[:-1]
+        return out
+
+    # u = (T/d + lam)^-1 T e1 / d is w / sqrt(d) in the rotated frame
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    band = np.vstack([np.concatenate([[0.0], off]), diag + lam * d])
+    # scipy's tridiagonal path rejects d = 1, where the band is the diagonal
+    u = solveh_banded(band[-min(d, 2):], T(e1))
+    e = u - e1
+    eg = 0.5 * float(e @ e)
+    et = (0.5 * float(e @ T(e)) + 0.5 * lam * d * float(u @ u)) / d
     return eg, et
 
 
@@ -109,7 +128,12 @@ def finite_d_ridge(
 
     Returns (eg_mean, eg_stderr, et_mean, et_stderr) over the seeds.  The
     test error uses the population identity (1/2)||w - w*||^2 / d for
-    isotropic covariance, so the only randomness is the train set.
+    isotropic covariance, so the only randomness is the train set.  Each
+    seed's fit has the law of ridge on an n x d standard Gaussian design
+    with n = round(alpha d) and ||w*||^2 = d, but is drawn through the
+    bidiagonal model: with u = (T/d + lam)^-1 T e1 / d,
+        eg = (1/2) ||u - e1||^2,
+        et = ((1/2) (u - e1)^T T (u - e1) + (1/2) lam d ||u||^2) / d.
     """
     pairs = [_one_ridge_fit(alpha, lam, d, s) for s in seeds]
     egs = np.asarray([p[0] for p in pairs])

@@ -150,15 +150,19 @@ def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
         except np.linalg.LinAlgError:
             mu[idx] = np.maximum(10.0 * mu[idx], 1e-6)
             continue
-        # Armijo backtracking on the envelope objective, per sample
+        # Armijo backtracking on the envelope objective, per sample.  Near
+        # the optimum the decrease drops below rounding of the objective, so
+        # a step within a few ulps of |obj| passes; without that slack the
+        # Levenberg shift climbs until the sample gives up
         slope = np.einsum("si,si->s", res[idx], step)
+        slack = 16.0 * np.finfo(float).eps * np.abs(obj[idx])
         t = np.ones(idx.size)
         accepted = np.zeros(idx.size, dtype=bool)
         trying = np.arange(idx.size)
         for _ in range(40):
             cand = X[idx[trying]] + t[trying, None] * step[trying]
             val = _objective(*at(idx[trying]), cand)
-            ok = val <= obj[idx[trying]] + 1e-4 * t[trying] * slope[trying]
+            ok = val <= obj[idx[trying]] + 1e-4 * t[trying] * slope[trying] + slack[trying]
             win = idx[trying[ok]]
             X[win] = cand[ok]
             obj[win] = val[ok]

@@ -493,7 +493,7 @@ def solve_fixed_point(
     """
     bad = config.violations()
     if bad:
-        raise ValueError("; ".join(bad))
+        raise SpecValidationError("; ".join(bad))
     dims = spec.dims
     if dims.lam == 0.0:
         # the resolvent is lambda I + v_hat + sum gamma V_hat; without a

@@ -39,12 +39,16 @@ from seqmix.verify import (
 @pytest.fixture(scope="session")
 def report_line(request):
     """Write one live line per criterion, bypassing output capture."""
-    terminal = request.config.pluginmanager.get_plugin("terminalreporter")
+    plugins = request.config.pluginmanager
+    terminal = plugins.get_plugin("terminalreporter")
+    capture = plugins.get_plugin("capturemanager")
 
     def write(result):
-        if terminal is not None:
-            terminal.write_line("")
-            terminal.write_line(result.line())
+        if terminal is not None and capture is not None:
+            # fd-level capture also swallows the terminal writer's stream
+            with capture.global_and_fixture_disabled():
+                terminal.write_line("")
+                terminal.write_line(result.line())
         else:
             print(result.line())
         assert result.passed, result.detail

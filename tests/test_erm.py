@@ -4,9 +4,37 @@ import numpy as np
 import pytest
 
 from seqmix.erm import empirical_test_error, erm_train, TrainConfig
+from seqmix.errors import SpecValidationError
 from seqmix.gamp import empirical_statistics, gamp_run, generate_dataset
 from seqmix.model import compute_fixed_statistics
-from seqmix.zoo import gmm_instance, ridge_instance
+from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
+
+
+def dense_test_error(w_hat, data, spec, n_test, seed):
+    """Reference estimator: draws every test token in full, n_test x d
+    normals per token, and projects onto the weights and the teacher."""
+    dims = spec.dims
+    d = data.d
+    sqd = np.sqrt(d)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E57]))
+    c = spec.class_law.sample(rng, n_test)
+    Z = np.empty((n_test, dims.L, dims.r))
+    Y = np.empty((n_test, dims.L, dims.t))
+    for ell in range(dims.L):
+        for k in range(dims.K[ell]):
+            mask = c[:, ell] == k
+            if not np.any(mask):
+                continue
+            key = (ell, k)
+            gam = data.meta.eigenvalues[key]
+            mu = data.meta.means[key]
+            g = rng.standard_normal((int(mask.sum()), d))
+            x = mu + g * np.sqrt(gam)
+            Z[mask, ell, :] = x @ w_hat / sqd
+            Y[mask, ell, :] = x @ data.teacher / sqd
+    v = w_hat.T @ w_hat / d
+    vals = np.asarray(spec.loss.test_eval(Y, Z, v, c), dtype=float)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_test))
 
 
 class TestErmTrain:
@@ -51,6 +79,12 @@ class TestErmTrain:
         fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-8))
         assert fit.grad_norm <= 1e-8
 
+    def test_config_violation_is_validation_error(self):
+        spec = ridge_instance()
+        data = generate_dataset(spec, spec.nu, d=10, n=10, seed=0)
+        with pytest.raises(SpecValidationError, match="step size"):
+            erm_train(data, spec, config=TrainConfig(step_size=-1.0))
+
     def test_inconsistent_gradient_stalls(self):
         from seqmix.errors import StalledError
         from seqmix.losses import zero_loss
@@ -91,6 +125,19 @@ class TestEmpiricalTestError:
             rng.standard_normal((64, 1)), data, spec, n_test=20_000, seed=11
         )
         assert 0.0 < eg < 1.0 and se > 0.0
+
+    @pytest.mark.parametrize("instance", [gmm_instance, two_token_instance])
+    def test_projection_sampler_matches_dense_tokens(self, instance):
+        # the direct projection draw against full d-dimensional test tokens
+        # on trained weights; different seeds keep the two independent
+        spec = instance(alpha=1.0)
+        d = 100
+        data = generate_dataset(spec, spec.nu, d=d, n=d, seed=14)
+        fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-6))
+        eg, se = empirical_test_error(fit.w_hat, data, spec, n_test=200_000, seed=15)
+        eg_ref, se_ref = dense_test_error(fit.w_hat, data, spec, n_test=100_000, seed=16)
+        assert 0.0 < eg and se > 0.0
+        assert abs(eg - eg_ref) <= 3.0 * np.hypot(se, se_ref)
 
 
 class TestSummaryStatistics:

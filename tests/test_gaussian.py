@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from seqmix.errors import DegenerateOverlapError, McIntegrandError
+from seqmix.errors import (
+    DegenerateOverlapError,
+    InconsistentOverlapsError,
+    McIntegrandError,
+)
 from seqmix.gaussian import (
     expect_over_measure,
     gauss_hermite_nodes,
@@ -48,7 +52,7 @@ class TestSymSqrt:
         np.testing.assert_allclose(B, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_large_negative_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InconsistentOverlapsError):
             sym_sqrt(np.diag([1.0, -1e-3]))
 
     def test_nonsymmetric_raises(self):
@@ -95,6 +99,44 @@ class TestGaussHermite:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             gauss_hermite_nodes(7, 3)
+
+    def test_memoized_read_only(self):
+        w, x = gauss_hermite_nodes(2, 9)
+        w2, x2 = gauss_hermite_nodes(2, 9)
+        assert w2 is w and x2 is x
+        assert not w.flags.writeable and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name, order", [
+        ("ridge", 31), ("square_gmm", 31), ("logistic_gmm", 51), ("two_token", 7),
+    ])
+    def test_zoo_fixed_points_match_fresh_nodes(self, name, order, monkeypatch):
+        """Shared cached nodes give the fixed point, bit for bit, that
+        freshly built writable nodes give on every call."""
+        from seqmix import gaussian
+        from seqmix.saddle import solve_fixed_point, SolverConfig
+        from seqmix.zoo import instance_by_name
+
+        spec = instance_by_name(name, alpha=1.0, lam=0.1)
+        cfg = SolverConfig(damping=0.3, tol=1e-10, max_iters=2000,
+                           mc_plan=McPlan(gh_order=order))
+        cached = solve_fixed_point(spec, spec.nu, cfg)
+        build = gauss_hermite_nodes.__wrapped__
+        monkeypatch.setattr(
+            gaussian, "gauss_hermite_nodes",
+            lambda dim, n: tuple(a.copy() for a in build(dim, n)),
+        )
+        fresh = solve_fixed_point(spec, spec.nu, cfg)
+        for block in ("q", "V", "m", "theta"):
+            for key in spec.dims.lk_pairs():
+                np.testing.assert_array_equal(
+                    getattr(cached.params, block)[key], getattr(fresh.params, block)[key]
+                )
+        np.testing.assert_array_equal(cached.params.v, fresh.params.v)
+        assert (cached.test_error, cached.train_loss, cached.free_entropy) == (
+            fresh.test_error, fresh.train_loss, fresh.free_entropy
+        )
 
 
 def _scalar_params(q, theta, m=0.0, V=1.0, v=0.0):

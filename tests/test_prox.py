@@ -245,3 +245,19 @@ def test_batched_prox_matches_generic_newton(name):
         np.testing.assert_allclose(
             prox_gain(loss, Ys, X, P, v, cs), fd, atol=1e-6, err_msg=shape
         )
+
+
+def test_generic_newton_random_logistic_sweep():
+    """1,000 random logistic problems through the generic Newton: near the
+    optimum the Armijo decrease falls below rounding of the objective, and
+    that must not drive the Levenberg shift until the sample gives up."""
+    rng = np.random.default_rng(0)
+    S = 1000
+    anchors = 3.0 * rng.standard_normal((S, 1, 1))
+    P = np.exp(rng.uniform(-3.0, 3.0, size=S))[:, None, None]
+    cs = rng.integers(0, 2, size=(S, 1))
+    Ys, v = np.zeros((S, 1, 1)), np.zeros((1, 1))
+    loss = _strip_specialized(logistic_gmm_loss())
+    X = prox_batch(loss, anchors, P, Ys, v, cs)
+    resid = P[:, 0, 0] * (X - anchors)[:, 0, 0] + loss.grad_X(Ys, X, v, cs)[:, 0, 0]
+    assert np.all(np.abs(resid) <= 1e-10 * (1.0 + np.abs(anchors[:, 0, 0])))

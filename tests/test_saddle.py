@@ -197,6 +197,13 @@ class TestSolveFixedPoint:
             rep = solve_fixed_point(spec2, spec2.nu, cfg2)
         assert rep.converged
 
+    def test_config_violation_is_validation_error(self):
+        from seqmix.errors import SpecValidationError
+
+        spec = ridge_instance()
+        with pytest.raises(SpecValidationError, match="damping"):
+            solve_fixed_point(spec, spec.nu, SolverConfig(damping=1.5, mc_plan=GH))
+
     def test_informed_init_reaches_same_point(self):
         # convex instance: one basin, so the informed start must agree
         spec = ridge_instance(alpha=1.1, lam=0.2)
