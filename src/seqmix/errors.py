@@ -46,6 +46,10 @@ class ProxConvergenceError(SeqmixError):
         )
 
 
+class SingularSystemError(SeqmixError):
+    """A linear system inside an iteration is singular."""
+
+
 class LossBlowupError(SeqmixError):
     """Loss returned a non-finite value along the prox path."""
 

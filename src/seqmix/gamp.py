@@ -5,6 +5,15 @@ simplification with Onsager memory terms (GAMP), plus the dataset generator
 that realizes a discrete spectral measure at finite d and the empirical
 risk gradient used to verify that message-passing fixed points are critical
 points of gradient descent.
+
+Cost model.  Every data contraction is a BLAS matmul over operands fixed for
+the run.  GAMP builds the squared design XX[n, p, i] = X[n, l, i] X[n, k, i]
+over the token pairs p = (l, k), l <= k, once: n L (L + 1) / 2 d floats held
+for the run, the size of X when L = 1.  Each iteration is then four matrix
+products against it and X (the noise blocks V, the Onsager blocks A, the
+projections omega and the back-projection b) plus batched L r x L r algebra
+per sample and r x r algebra per coordinate.  rBP uses the same squared
+design for its target-excluded blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import SingularSystemError, SolverDivergenceError, SpecValidationError
 from .model import LossModel, ModelSpec, SpectralMeasure
 from .prox import prox_batch, prox_gain
 
@@ -104,11 +113,11 @@ def generate_dataset(
     for ell in range(dims.L):
         z = rng.standard_normal((n, d))
         for k in range(dims.K[ell]):
-            mask = c[:, ell] == k
-            if not np.any(mask):
-                continue
+            rows = (c[:, ell] == k)[:, None]
             key = (ell, k)
-            X[mask, ell, :] = means[key] + z[mask] * np.sqrt(eigenvalues[key])
+            np.multiply(z, np.sqrt(eigenvalues[key]), out=z, where=rows)
+            np.add(z, means[key], out=z, where=rows)
+        X[:, ell, :] = z
     y = np.einsum("nld,dt->nlt", X, teacher) / np.sqrt(d)
     meta = GeneratorMetadata(
         seed=seed,
@@ -143,6 +152,111 @@ def population_v_blocks(c_hat: np.ndarray, data: Dataset) -> dict:
     for key, gam in data.meta.eigenvalues.items():
         out[key] = np.einsum("i,iab->ab", gam, c_hat) / data.d
     return out
+
+
+# ----------------------------------------------------------------------
+# Data contractions shared by GAMP, rBP and the risk gradient.
+# ----------------------------------------------------------------------
+
+def _project(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """omega[n, l, a] = sum_i X[n, l, i] w[i, a] / sqrt(d), as one matmul."""
+    n, L, d = X.shape
+    return (X.reshape(n * L, d) @ w).reshape(n, L, w.shape[1]) / np.sqrt(d)
+
+
+def _backproject(X: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """b[i, a] = sum_{n, l} X[n, l, i] f[n, l, a] / sqrt(d), as one matmul."""
+    n, L, d = X.shape
+    return X.reshape(n * L, d).T @ f.reshape(n * L, f.shape[2]) / np.sqrt(d)
+
+
+def _squared_design(X: np.ndarray) -> np.ndarray:
+    """XX[n, p, i] = X[n, l, i] X[n, k, i] over the pairs (l, k) of triu_indices(L)."""
+    n, L, d = X.shape
+    ls, ks = np.triu_indices(L)
+    XX = np.empty((n, len(ls), d))
+    for p, (ell, k) in enumerate(zip(ls, ks)):
+        np.multiply(X[:, ell], X[:, k], out=XX[:, p])
+    return XX
+
+
+def _unfold_pairs(blocks: np.ndarray, L: int) -> np.ndarray:
+    """(..., P, r, r) pair blocks -> (..., Lr, Lr), block (l, k) = block (k, l)."""
+    r = blocks.shape[-1]
+    lead = blocks.shape[:-3]
+    ls, ks = np.triu_indices(L)
+    full = np.empty(lead + (L, L, r, r))
+    full[..., ls, ks, :, :] = blocks
+    full[..., ks, ls, :, :] = blocks
+    return full.swapaxes(-3, -2).reshape(lead + (L * r, L * r))
+
+
+def _fold_pairs(g: np.ndarray, L: int) -> np.ndarray:
+    """(..., Lr, Lr) -> (..., P, r, r) pair blocks g[l, k] + g[k, l] (l != k) and g[l, l].
+
+    Contracting the result against the squared design equals contracting g
+    against X[n, l, i] X[n, k, i] over every ordered token pair.
+    """
+    r = g.shape[-1] // L
+    blocks = g.reshape(g.shape[:-2] + (L, r, L, r)).swapaxes(-3, -2)
+    ls, ks = np.triu_indices(L)
+    out = blocks[..., ls, ks, :, :]
+    off = ls != ks
+    out[..., off, :, :] += blocks[..., ks[off], ls[off], :, :]
+    return out
+
+
+def _noise_blocks(XX: np.ndarray, c_hat: np.ndarray, L: int) -> np.ndarray:
+    """V[n] = sum_i x_{n,i} x_{n,i}^T (x) c_hat[i] / d as (n, Lr, Lr)."""
+    n, P, d = XX.shape
+    r = c_hat.shape[-1]
+    pairs = XX.reshape(n * P, d) @ c_hat.reshape(d, r * r)
+    return _unfold_pairs(pairs.reshape(n, P, r, r) / d, L)
+
+
+def _onsager_blocks(XX: np.ndarray, g: np.ndarray, L: int) -> np.ndarray:
+    """A[i] = -sum_n sum_{l,k} X[n, l, i] X[n, k, i] g[n, l, k] / d as (d, r, r)."""
+    n, P, d = XX.shape
+    r = g.shape[-1] // L
+    pairs = _fold_pairs(g, L).reshape(n * P, r * r)
+    return -(XX.reshape(n * P, d).T @ pairs).reshape(d, r, r) / d
+
+
+def _excluded_noise_blocks(XX: np.ndarray, c_msg: np.ndarray, L: int) -> np.ndarray:
+    """V[n, i] = sum_{j != i} x_{n,j} x_{n,j}^T (x) c_msg[n, j] / d as (n, d, Lr, Lr)."""
+    n, P, d = XX.shape
+    r = c_msg.shape[-1]
+    c_flat = c_msg.reshape(n, d, r * r)
+    total = XX @ c_flat                                        # (n, P, rr)
+    own = XX.transpose(0, 2, 1)[..., None] * c_flat[:, :, None, :]
+    return _unfold_pairs((total[:, None] - own).reshape(n, d, P, r, r) / d, L)
+
+
+def _onsager_contributions(XX: np.ndarray, g: np.ndarray, L: int) -> np.ndarray:
+    """-sum_{l,k} X[n, l, i] X[n, k, i] g[n, i, l, k] / d as (n, d, r, r)."""
+    n, P, d = XX.shape
+    r = g.shape[-1] // L
+    pairs = _fold_pairs(g, L).reshape(n, d, P, r * r)
+    return -(XX.transpose(0, 2, 1)[:, :, None, :] @ pairs).reshape(n, d, r, r) / d
+
+
+def _inverse(M: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"{what} is singular") from exc
+
+
+def _check_finite(w: np.ndarray, residual: float, trajectory: list) -> None:
+    if not np.all(np.isfinite(w)):
+        raise SolverDivergenceError(residual, trajectory)
+
+
+def _residual(w_new: np.ndarray, w_old: np.ndarray) -> float:
+    return float(
+        np.max(np.linalg.norm(w_new - w_old, axis=1))
+        / (1.0 + np.max(np.abs(w_old), initial=0.0))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +304,9 @@ def gamp_run(
     against the solver's time-indexed output.  Disabling either Onsager
     memory term is exposed for regression tests only.  Damping keeps a
     fraction of the previous estimate and halves its step on residual
-    increase; use damping = 0 for the raw iteration.
+    increase; use damping = 0 for the raw iteration.  A singular system
+    raises SingularSystemError and a non-finite estimate
+    SolverDivergenceError.
     """
     loss = loss or spec.loss
     dims = spec.dims
@@ -198,7 +314,7 @@ def gamp_run(
     r = dims.r
     lam = dims.lam
     X = data.X
-    sqd = np.sqrt(d)
+    XX = _squared_design(X)
 
     w_hat = np.zeros((d, r))
     c_hat = np.broadcast_to(np.eye(r), (d, r, r)).copy()
@@ -222,38 +338,31 @@ def gamp_run(
             C = np.zeros((r, r))
             b = np.zeros((d, r))
         else:
-            V = np.einsum("nli,nki,iab->nlkab", X, X, c_hat) / d
-            V_full = V.transpose(0, 1, 3, 2, 4).reshape(n, L * r, L * r)
-            omega = np.einsum("nli,ia->nla", X, w_hat) / sqd
+            V_full = _noise_blocks(XX, c_hat, L)
+            omega = _project(X, w_hat)
             if onsager_omega:
-                omega = omega - np.einsum("nlkab,nkb->nla", V, f)
+                omega = omega - (V_full @ f.reshape(n, L * r, 1)).reshape(n, L, r)
 
-            precisions = np.linalg.inv(V_full)
+            precisions = _inverse(V_full, "a GAMP noise block V")
             z = prox_batch(loss, omega, precisions, data.y, Gamma, data.c)
-            resid = (z - omega).reshape(n, L * r)
-            f = np.einsum("nij,nj->ni", precisions, resid).reshape(n, L, r)
+            resid = (z - omega).reshape(n, L * r, 1)
+            f = (precisions @ resid).reshape(n, L, r)
 
             J = prox_gain(loss, data.y, z, precisions, Gamma, data.c)
-            g = np.einsum("nij,njk->nik", precisions, J - eye_lr)
-            g_blocks = g.reshape(n, L, r, L, r).transpose(0, 1, 3, 2, 4)
-            A = -np.einsum("nli,nki,nlkab->iab", X, X, g_blocks) / d
+            A = _onsager_blocks(XX, precisions @ (J - eye_lr), L)
 
             C = np.zeros((r, r))
             if loss.depends_on_v:
                 C = 2.0 * np.sum(loss.d3(data.y, z, Gamma, data.c), axis=0) / d
 
-            b = np.einsum("nli,nla->ia", X, f) / sqd
+            b = _backproject(X, f)
             if onsager_b:
-                b = b + np.einsum("iab,ib->ia", A, w_hat)
+                b = b + (A @ w_hat[..., None])[..., 0]
 
-        M = lam * eye_r + C + A
-        w_new = np.linalg.solve(M, b[..., None])[..., 0]
-        c_hat = np.linalg.inv(M)
+        c_hat = _inverse(lam * eye_r + C + A, "the GAMP weight system M")
+        w_new = (c_hat @ b[..., None])[..., 0]
 
-        residual = float(
-            np.max(np.linalg.norm(w_new - w_hat, axis=1))
-            / (1.0 + np.max(np.abs(w_hat), initial=0.0))
-        )
+        residual = _residual(w_new, w_hat)
         residual_history.append(residual)
         if damping > 0.0:
             if residual > prev_residual:
@@ -262,6 +371,7 @@ def gamp_run(
         else:
             w_hat = w_new
         prev_residual = residual
+        _check_finite(w_hat, residual, trajectory)
 
         state = GampState(
             w_hat=w_hat, c_hat=c_hat, f=f, V=V_full, omega=omega, Gamma=Gamma,
@@ -299,7 +409,9 @@ def rbp_run(
     """Full directed-message iteration; returns final marginal means.
 
     Exclusion sums are exact: the full sum is computed once and the single
-    excluded term subtracted.  Memory is n * d message slots, guarded.
+    excluded term subtracted.  Memory is n * d message slots, guarded.  A
+    singular system raises SingularSystemError and a non-finite marginal
+    SolverDivergenceError.
     """
     loss = loss or spec.loss
     dims = spec.dims
@@ -311,6 +423,8 @@ def rbp_run(
             f"rBP message storage n*d = {n * d} exceeds guard {MESSAGE_SLOT_GUARD}"
         )
     X = data.X
+    XX = _squared_design(X)
+    Xt = X.transpose(0, 2, 1)                                # (n, d, L)
     sqd = np.sqrt(d)
     eye_r = np.eye(r)
     eye_lr = np.eye(L * r)
@@ -322,60 +436,49 @@ def rbp_run(
     trajectory = []
 
     for t in range(max_iters):
-        T_full = np.einsum("nli,nki,niab->nlkab", X, X, c_msg) / d
-        xxc = np.einsum("nli,nki,niab->nilkab", X, X, c_msg) / d
-        V_mi = T_full[:, None] - xxc                      # (n, d, L, L, r, r)
-        V_mi = V_mi.transpose(0, 1, 2, 4, 3, 5).reshape(n, d, L * r, L * r)
+        V_mi = _excluded_noise_blocks(XX, c_msg, L)           # (n, d, Lr, Lr)
+        omega_full = X @ w_msg / sqd                          # (n, L, r)
+        omega_mi = omega_full[:, None] - Xt[..., None] * w_msg[:, :, None, :] / sqd
 
-        omega_full = np.einsum("nli,nia->nla", X, w_msg) / sqd
-        omega_mi = omega_full[:, None] - (
-            X.transpose(0, 2, 1)[:, :, :, None] * w_msg[:, :, None, :]
-        ) / sqd                                           # (n, d, L, r)
-
-        Gamma_full = np.einsum("nia,nib->nab", w_msg, w_msg) / d
-        Gamma_mean = Gamma_full.mean(axis=0)
+        Gamma_mean = (w_msg.transpose(0, 2, 1) @ w_msg).mean(axis=0) / d
 
         flat_omega = omega_mi.reshape(n * d, L, r)
-        flat_prec = np.linalg.inv(V_mi.reshape(n * d, L * r, L * r))
+        flat_prec = _inverse(V_mi.reshape(n * d, L * r, L * r), "an rBP noise block V")
         flat_y = np.repeat(data.y, d, axis=0)
         flat_c = np.repeat(data.c, d, axis=0)
         z = prox_batch(loss, flat_omega, flat_prec, flat_y, Gamma_mean, flat_c)
-        resid = (z - flat_omega).reshape(n * d, L * r)
-        f_msg = np.einsum("nij,nj->ni", flat_prec, resid).reshape(n, d, L, r)
+        resid = (z - flat_omega).reshape(n * d, L * r, 1)
+        f_msg = (flat_prec @ resid).reshape(n, d, L, r)
 
         J = prox_gain(loss, flat_y, z, flat_prec, Gamma_mean, flat_c)
-        g = np.einsum("nij,njk->nik", flat_prec, J - eye_lr)
-        g_blocks = g.reshape(n, d, L, r, L, r).transpose(0, 1, 2, 4, 3, 5)
+        g = (flat_prec @ (J - eye_lr)).reshape(n, d, L * r, L * r)
 
         eta = np.zeros((n, d, r, r))
         if loss.depends_on_v:
             eta = np.reshape(loss.d3(flat_y, z, Gamma_mean, flat_c), (n, d, r, r))
 
-        contrib_A = -np.einsum("nli,nki,nilkab->niab", X, X, g_blocks) / d
-        A_all = contrib_A.sum(axis=0)                     # (d, r, r)
-        A_msg = A_all[None, :] - contrib_A                # exclude nu = mu
+        contrib_A = _onsager_contributions(XX, g, L)
+        A_all = contrib_A.sum(axis=0)                         # (d, r, r)
+        A_msg = A_all[None, :] - contrib_A                    # exclude nu = mu
 
         contrib_C = 2.0 * eta / d
         C_all = contrib_C.sum(axis=0)
         C_msg = C_all[None, :] - contrib_C
 
-        contrib_b = np.einsum("nli,nila->nia", X, f_msg) / sqd
+        contrib_b = (Xt[:, :, None, :] @ f_msg)[:, :, 0, :] / sqd   # (n, d, r)
         b_all = contrib_b.sum(axis=0)
         b_msg = b_all[None, :] - contrib_b
 
-        M_msg = lam * eye_r + C_msg + A_msg
-        w_msg = np.linalg.solve(M_msg, b_msg[..., None])[..., 0]
-        c_msg = np.linalg.inv(M_msg)
+        c_msg = _inverse(lam * eye_r + C_msg + A_msg, "an rBP weight system M")
+        w_msg = (c_msg @ b_msg[..., None])[..., 0]
 
-        M_all = lam * eye_r + C_all + A_all
-        w_marg_new = np.linalg.solve(M_all, b_all[..., None])[..., 0]
-        residual = float(
-            np.max(np.linalg.norm(w_marg_new - w_marg, axis=1))
-            / (1.0 + np.max(np.abs(w_marg), initial=0.0))
-        )
+        c_marg = _inverse(lam * eye_r + C_all + A_all, "the rBP marginal system M")
+        w_marg_new = (c_marg @ b_all[..., None])[..., 0]
+        residual = _residual(w_marg_new, w_marg)
         w_marg = w_marg_new
+        _check_finite(w_marg, residual, trajectory)
         stats = empirical_statistics(w_marg, data)
-        stats["V"] = population_v_blocks(np.linalg.inv(M_all), data)
+        stats["V"] = population_v_blocks(c_marg, data)
         stats["iteration"] = t + 1
         trajectory.append(stats)
         if residual <= tol:
@@ -399,12 +502,11 @@ def empirical_risk_and_grad(
     loss = loss or spec.loss
     d = data.d
     lam = spec.dims.lam
-    sqd = np.sqrt(d)
-    Z = np.einsum("nld,dr->nlr", data.X, w) / sqd
+    Z = _project(data.X, w)
     Gamma = w.T @ w / d
     total = float(np.sum(loss.eval(data.y, Z, Gamma, data.c)))
     G = loss.grad_X(data.y, Z, Gamma, data.c)
-    grad = np.einsum("nld,nlr->dr", data.X, G) / sqd
+    grad = _backproject(data.X, G)
     if loss.depends_on_v:
         D3 = np.sum(loss.d3(data.y, Z, Gamma, data.c), axis=0)
         grad = grad + w @ (D3 + D3.T) / d

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import LossBlowupError, ProxConvergenceError, SeqmixError
+from .errors import LossBlowupError, ProxConvergenceError, SingularSystemError
 from .model import LossModel
 
 DEFAULT_TOL = 1e-10
@@ -206,7 +206,7 @@ def prox_gain(loss: LossModel, Ys, Xs, P, v, cs) -> np.ndarray:
 
     Returns (S, Lr, Lr); P is shared (Lr, Lr) or per-sample (S, Lr, Lr).
     With a constant loss Hessian the shared case is one solve.  A singular
-    P + H raises SeqmixError.
+    P + H raises SingularSystemError.
     """
     S = Xs.shape[0]
     try:
@@ -217,7 +217,7 @@ def prox_gain(loss: LossModel, Ys, Xs, P, v, cs) -> np.ndarray:
         H = loss_hessian(loss, Ys, Xs, v, cs)
         return np.linalg.solve(P + H, np.broadcast_to(P, H.shape))
     except np.linalg.LinAlgError as exc:
-        raise SeqmixError(
+        raise SingularSystemError(
             f"prox sensitivity of loss {loss.name!r} is undefined: P + H is singular"
         ) from exc
 

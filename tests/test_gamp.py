@@ -1,10 +1,22 @@
 """Dataset generation, message passing, and the gradient bridge."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from seqmix.errors import SpecValidationError
+from seqmix.errors import SingularSystemError, SolverDivergenceError, SpecValidationError
 from seqmix.gamp import (
+    Dataset,
+    GeneratorMetadata,
+    _atom_counts,
+    _backproject,
+    _excluded_noise_blocks,
+    _noise_blocks,
+    _onsager_blocks,
+    _onsager_contributions,
+    _project,
+    _squared_design,
     empirical_risk_and_grad,
     empirical_statistics,
     gamp_run,
@@ -12,9 +24,41 @@ from seqmix.gamp import (
     generate_dataset,
     rbp_run,
 )
-from seqmix.losses import square_loss_with_energy
+from seqmix.losses import square_loss_with_energy, zero_loss
 from seqmix.model import ModelSpec
-from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
+from seqmix.zoo import INSTANCES, gmm_instance, ridge_instance, two_token_instance
+
+
+def masked_generate_dataset(spec, nu, d, n, seed):
+    """Reference generator: each cluster's rows gathered, scaled and scattered."""
+    dims = spec.dims
+    atom_of = np.repeat(np.arange(len(nu.atoms)),
+                        _atom_counts(np.array([a.weight for a in nu.atoms]), d))
+    eigenvalues, means = {}, {}
+    for key in dims.lk_pairs():
+        eigenvalues[key] = np.array([nu.atoms[a].gamma[key] for a in atom_of])
+        means[key] = np.array([nu.atoms[a].tau[key] for a in atom_of]) / np.sqrt(d)
+    teacher = np.stack([nu.atoms[a].pi for a in atom_of])
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    c = spec.class_law.sample(rng, n)
+    X = np.empty((n, dims.L, d))
+    for ell in range(dims.L):
+        z = rng.standard_normal((n, d))
+        for k in range(dims.K[ell]):
+            mask = c[:, ell] == k
+            if not np.any(mask):
+                continue
+            key = (ell, k)
+            X[mask, ell, :] = means[key] + z[mask] * np.sqrt(eigenvalues[key])
+    y = np.einsum("nld,dt->nlt", X, teacher) / np.sqrt(d)
+    meta = GeneratorMetadata(seed, atom_of, eigenvalues, means, spec.class_law.probs)
+    return Dataset(X=X, y=y, c=c, teacher=teacher, meta=meta)
+
+
+def assert_close(actual, reference):
+    # rtol 1e-12, with an absolute floor for entries that cancel to ~0
+    scale = float(np.max(np.abs(reference)))
+    np.testing.assert_allclose(actual, reference, rtol=1e-12, atol=1e-14 * scale)
 
 
 class TestGenerateDataset:
@@ -43,6 +87,16 @@ class TestGenerateDataset:
             se = np.sqrt(0.5 / (mu @ mu) / mask.sum())
             assert abs(agg - sign) < 4.0 * se
 
+    @pytest.mark.parametrize("instance", sorted(INSTANCES))
+    def test_matches_masked_reference(self, instance):
+        spec = INSTANCES[instance]()
+        # n = 1 leaves one cluster of the two-class mixtures empty
+        for seed, d, n in ((0, 64, 1), (1, 64, 3), (2, 128, 50), (3, 33, 17)):
+            got = generate_dataset(spec, spec.nu, d=d, n=n, seed=seed)
+            ref = masked_generate_dataset(spec, spec.nu, d=d, n=n, seed=seed)
+            for name in ("X", "y", "c", "teacher"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
     def test_d_smaller_than_atoms_rejected(self):
         spec = two_token_instance()
         with pytest.raises(SpecValidationError):
@@ -62,6 +116,95 @@ class TestGenerateDataset:
         stats = empirical_statistics(np.zeros((50, 1)), data)
         assert stats["q"][(0, 0)][0, 0] == 0.0
         assert stats["v"][0, 0] == 0.0
+
+
+class TestContractions:
+    """The matmul forms against the einsum definitions they replace."""
+
+    L, r = 3, 2
+
+    def test_gamp_contractions(self):
+        L, r, n, d = self.L, self.r, 37, 29
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((n, L, d))
+        c_hat = rng.standard_normal((d, r, r))            # not symmetric
+        g = rng.standard_normal((n, L * r, L * r))        # blocks not symmetric
+        w = rng.standard_normal((d, r))
+        f = rng.standard_normal((n, L, r))
+        XX = _squared_design(X)
+        assert XX.shape == (n, L * (L + 1) // 2, d)
+
+        V = np.einsum("nli,nki,iab->nlkab", X, X, c_hat) / d
+        assert_close(_noise_blocks(XX, c_hat, L),
+                     V.transpose(0, 1, 3, 2, 4).reshape(n, L * r, L * r))
+        g_blocks = g.reshape(n, L, r, L, r).transpose(0, 1, 3, 2, 4)
+        assert_close(_onsager_blocks(XX, g, L),
+                     -np.einsum("nli,nki,nlkab->iab", X, X, g_blocks) / d)
+        assert_close(_project(X, w), np.einsum("nli,ia->nla", X, w) / np.sqrt(d))
+        assert_close(_backproject(X, f), np.einsum("nli,nla->ia", X, f) / np.sqrt(d))
+
+    def test_rbp_excluded_blocks(self):
+        L, r, n, d = self.L, self.r, 7, 11
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((n, L, d))
+        c_msg = rng.standard_normal((n, d, r, r))
+        g = rng.standard_normal((n, d, L * r, L * r))
+        XX = _squared_design(X)
+
+        T_full = np.einsum("nli,nki,niab->nlkab", X, X, c_msg) / d
+        own = np.einsum("nli,nki,niab->nilkab", X, X, c_msg) / d
+        V_mi = (T_full[:, None] - own).transpose(0, 1, 2, 4, 3, 5)
+        assert_close(_excluded_noise_blocks(XX, c_msg, L), V_mi.reshape(n, d, L * r, L * r))
+        g_blocks = g.reshape(n, d, L, r, L, r).transpose(0, 1, 2, 4, 3, 5)
+        assert_close(_onsager_contributions(XX, g, L),
+                     -np.einsum("nli,nki,nilkab->niab", X, X, g_blocks) / d)
+
+
+def nan_prox_after(spec, calls):
+    """spec with a prox that returns NaN from call number `calls` on."""
+    count = [0]
+    prox = spec.loss.prox
+
+    def bad(anchors, *args):
+        count[0] += 1
+        out = prox(anchors, *args)
+        return out if count[0] <= calls else np.full_like(out, np.nan)
+
+    return ModelSpec(spec.dims, spec.class_law, spec.nu,
+                     dataclasses.replace(spec.loss, prox=bad))
+
+
+class TestFailures:
+    RUNS = {
+        "gamp": lambda data, spec: gamp_run(data, spec, max_iters=20, damping=0.0),
+        "rbp": lambda data, spec: rbp_run(data, spec, max_iters=20),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_non_finite_estimate_raises_divergence(self, run):
+        spec = ridge_instance(alpha=2.0, lam=0.1)
+        data = generate_dataset(spec, spec.nu, d=20, n=40, seed=16)
+        with pytest.raises(SolverDivergenceError) as info:
+            self.RUNS[run](data, nan_prox_after(spec, 3))
+        assert np.isnan(info.value.residual)
+        assert len(info.value.trajectory) == 3
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_singular_weight_system_raises(self, run):
+        # a zero loss without ridge leaves M = lambda I + C + A = 0
+        base = ridge_instance(lam=0.0)
+        spec = ModelSpec(base.dims, base.class_law, base.nu, zero_loss())
+        data = generate_dataset(spec, spec.nu, d=20, n=20, seed=17)
+        with pytest.raises(SingularSystemError, match="weight system"):
+            self.RUNS[run](data, spec)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_singular_noise_block_raises(self, run):
+        spec = ridge_instance()
+        data = generate_dataset(spec, spec.nu, d=20, n=20, seed=18)
+        zero = dataclasses.replace(data, X=np.zeros_like(data.X), y=np.zeros_like(data.y))
+        with pytest.raises(SingularSystemError, match="noise block"):
+            self.RUNS[run](zero, spec)
 
 
 class TestGamp:
