@@ -22,10 +22,8 @@ from .model import (
     validate_spec,
 )
 from .gaussian import (
-    expect_over_measure,
     McPlan,
     sample_energetic_measure,
-    sample_joint_xy,
     sym_pinv,
     sym_pinv_sqrt,
     sym_sqrt,
@@ -61,7 +59,6 @@ __all__ = [
     "Dimensions",
     "empirical_test_error",
     "erm_train",
-    "expect_over_measure",
     "FixedPointReport",
     "FixedStatistics",
     "free_entropy",
@@ -78,7 +75,6 @@ __all__ = [
     "ProxProblem",
     "rbp_run",
     "sample_energetic_measure",
-    "sample_joint_xy",
     "solve_fixed_point",
     "SolverConfig",
     "SpectralAtom",

@@ -1,8 +1,9 @@
 """Config-driven command line: solver sweeps, simulator and training runs,
 and the cross-verification suite.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
-Worker count defaults to the SEQMIX_WORKERS environment variable.
+Exit codes: 0 success, 2 validation error, 3 numerical failure.  `sweep`
+solves its lambdas in a process pool whose size defaults to the
+SEQMIX_WORKERS environment variable.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import config_hash, ExperimentConfig, load_experiment
@@ -51,16 +50,23 @@ def _metadata(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     return meta
 
 
+def _load_with_overrides(
+    path, mc_samples: int | None, seed: int | None
+) -> ExperimentConfig:
+    """Load a config and apply the --mc-samples / --seed overrides."""
+    cfg = load_experiment(path)
+    if mc_samples:
+        cfg.mc_plan = replace(cfg.mc_plan, n_samples=mc_samples)
+    if seed is not None:
+        cfg.mc_plan = replace(cfg.mc_plan, seed=seed)
+    cfg.solver.mc_plan = cfg.mc_plan
+    return cfg
+
+
 def _load_and_validate(args) -> ExperimentConfig:
     if not args.config or not Path(args.config).exists():
         raise SpecValidationError(f"config file not found: {args.config!r}")
-    cfg = load_experiment(args.config)
-    if args.mc_samples:
-        cfg.mc_plan = replace(cfg.mc_plan, n_samples=args.mc_samples)
-        cfg.solver.mc_plan = cfg.mc_plan
-    if args.seed is not None:
-        cfg.mc_plan = replace(cfg.mc_plan, seed=args.seed)
-        cfg.solver.mc_plan = cfg.mc_plan
+    cfg = _load_with_overrides(args.config, args.mc_samples, args.seed)
     if args.out:
         cfg.out_dir = args.out
     bad = cfg.violations() + validate_spec(cfg.spec)
@@ -75,10 +81,7 @@ def _load_and_validate(args) -> ExperimentConfig:
 # ----------------------------------------------------------------------
 
 def replace_spec(spec, alpha: float, lam: float):
-    from dataclasses import replace as dc_replace
-
-    dims = dc_replace(spec.dims, alpha=alpha, lam=lam)
-    return dc_replace(spec, dims=dims)
+    return replace(spec, dims=replace(spec.dims, alpha=alpha, lam=lam))
 
 
 def _alpha_line(cfg: ExperimentConfig, lam: float) -> tuple[list[list], list]:
@@ -119,14 +122,7 @@ def _alpha_line_from_path(
 ) -> list[list]:
     """Worker entry point: reload the config so nothing unpicklable crosses
     the process boundary."""
-    cfg = load_experiment(path)
-    if mc_samples:
-        cfg.mc_plan = replace(cfg.mc_plan, n_samples=mc_samples)
-        cfg.solver.mc_plan = cfg.mc_plan
-    if seed is not None:
-        cfg.mc_plan = replace(cfg.mc_plan, seed=seed)
-        cfg.solver.mc_plan = cfg.mc_plan
-    rows, _ = _alpha_line(cfg, lam)
+    rows, _ = _alpha_line(_load_with_overrides(path, mc_samples, seed), lam)
     return rows
 
 
@@ -268,8 +264,10 @@ def cmd_run_erm(args) -> int:
         )
         rows.append(
             curve_row(cfg.spec.name, dims.alpha, dims.lam, seed, eg, eg_se,
-                      fit.train_loss_per_d, fit.grad_norm, fit.iterations, True)
+                      fit.train_loss_per_d, fit.grad_norm, fit.iterations,
+                      fit.converged)
         )
+        ok = ok and fit.converged
     out = Path(cfg.out_dir) / "erm_curve.csv"
     write_table(out, CURVE_HEADER, rows, _metadata(cfg, {"d": opts.d, "n": n}))
     print(f"wrote {out}")
@@ -282,7 +280,7 @@ def cmd_run_erm(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        results = run_checks(args.instance, fast=args.fast)
+        results = run_checks(args.instance)
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
@@ -314,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file (INI)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override expectation seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (default: env SEQMIX_WORKERS or 1)")
         p.add_argument("--mc-samples", type=int, default=None,
                        help="override Monte Carlo sample count")
 
@@ -325,6 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="solve the full alpha x lambda grid")
     common(p)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes solving lambdas in parallel "
+                        "(default: env SEQMIX_WORKERS or 1)")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("run-gamp", help="simulate message passing on generated datasets")
@@ -343,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", default="all",
                    help="zoo instance name (ridge | logistic_gmm | two_token) or 'all'")
     p.add_argument("--out", default=None, help="directory for the verification report")
-    p.add_argument("--fast", action="store_true",
-                   help="reduced sizes for smoke testing (not the acceptance gate)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -116,41 +116,6 @@ def model_spec_from_parser(cp: configparser.ConfigParser) -> ModelSpec:
     return ModelSpec(dims=dims, class_law=class_law, nu=nu, loss=loss, name=name)
 
 
-def save_model_spec(spec: ModelSpec, path) -> None:
-    dims = spec.dims
-    lines = [
-        "[model]",
-        f"name = {spec.name or spec.loss.name}",
-        "",
-        "[dimensions]",
-        f"L = {dims.L}",
-        f"r = {dims.r}",
-        f"t = {dims.t}",
-        "K = " + " ".join(str(k) for k in dims.K),
-        f"alpha = {dims.alpha!r}",
-        f"lambda = {dims.lam!r}",
-    ]
-    if dims.d is not None:
-        lines.append(f"d = {dims.d}")
-    lines += ["", "[class_law]"]
-    for i, (c, p) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
-        lines.append(f"tuple_{i} = " + " ".join(str(x) for x in c) + f" : {p!r}")
-    lines += ["", "[spectral_measure]"]
-    for i, atom in enumerate(spec.nu.atoms):
-        gam = " ".join(repr(atom.gamma[k]) for k in dims.lk_pairs())
-        tau = " ".join(repr(atom.tau[k]) for k in dims.lk_pairs())
-        pi = " ".join(repr(float(x)) for x in atom.pi)
-        lines.append(f"atom_{i} = {atom.weight!r} | {gam} | {tau} | {pi}")
-    lines += ["", "[loss]", f"name = {spec.loss.name}"]
-    for k, v in spec.loss.params.items():
-        lines.append(f"{k} = {v!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_model_spec(path) -> ModelSpec:
-    return model_spec_from_parser(_parser(path))
-
-
 # ----------------------------------------------------------------------
 # Experiment sections.
 # ----------------------------------------------------------------------
@@ -228,7 +193,6 @@ def load_experiment(path) -> ExperimentConfig:
         max_iters=cp.getint("solver", "max_iters", fallback=500),
         mc_plan=plan,
         record_trajectory=cp.getboolean("solver", "record_trajectory", fallback=False),
-        vhat_form=cp.get("solver", "vhat_form", fallback="jacobian"),
     )
     alphas = tuple(
         _floats(cp.get("sweep", "alphas", fallback=str(spec.dims.alpha)))

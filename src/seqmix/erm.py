@@ -47,6 +47,7 @@ class TrainResult:
     grad_norm: float
     iterations: int
     objective_history: list
+    converged: bool                   # final grad_norm <= grad_tol
 
 
 def erm_train(
@@ -57,7 +58,8 @@ def erm_train(
 ) -> TrainResult:
     """Minimize the empirical risk by monotone full-batch gradient descent.
 
-    Returns the iterate with ||grad||_inf <= grad_tol, or the best found.
+    Returns the iterate with ||grad||_inf <= grad_tol (converged), or the
+    last one reached within max_epochs (not converged).
     The reported loss is R(w)/d, the same per-dimension normalization the
     solver uses for its training-loss output.
     """
@@ -109,12 +111,14 @@ def erm_train(
         history.append(obj)
         # gentle step growth so backtracking stays cheap
         step = min(2.0 * t, config.step_size * 16)
+    gnorm = float(np.max(np.abs(grad)))
     return TrainResult(
         w_hat=w,
         train_loss_per_d=obj / d,
-        grad_norm=float(np.max(np.abs(grad))),
+        grad_norm=gnorm,
         iterations=it,
         objective_history=history,
+        converged=gnorm <= config.grad_tol,
     )
 
 

@@ -54,17 +54,6 @@ class LossBlowupError(SeqmixError):
     """Loss returned a non-finite value along the prox path."""
 
 
-class McIntegrandError(SeqmixError):
-    """An expectation integrand returned a non-finite value."""
-
-    def __init__(self, class_tuple, sample_index: int):
-        self.class_tuple = class_tuple
-        self.sample_index = sample_index
-        super().__init__(
-            f"non-finite integrand at class {class_tuple}, sample {sample_index}"
-        )
-
-
 class SolverDivergenceError(SeqmixError):
     """Fixed-point iteration diverged; carries the trajectory prefix."""
 

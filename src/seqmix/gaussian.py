@@ -1,10 +1,10 @@
 """Gaussian machinery: symmetric matrix roots, the conditional measure over
-(Y, Xi) entering the energetic expectations, joint (X, Y) sampling for the
-test error, and a seeded expectation engine.
+(Y, Xi) entering the energetic expectations, joint (X, Y) nodes for the
+test error, and the weighted reductions the solver averages them with.
 
-Expectations run either as seeded Monte Carlo (antithetic variates, common
+Nodes come either from seeded Monte Carlo (antithetic variates, common
 random numbers across solver iterations) or, for small Gaussian dimension,
-as tensor Gauss-Hermite quadrature.  Samplers are pure functions of
+from tensor Gauss-Hermite quadrature.  Samplers are pure functions of
 (seed, class index, iteration), so runs are bit-reproducible.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -20,9 +19,9 @@ from numpy.polynomial.hermite_e import hermegauss
 from .errors import (
     DegenerateOverlapError,
     InconsistentOverlapsError,
-    McIntegrandError,
+    SpecValidationError,
 )
-from .model import FixedStatistics, ModelSpec, OrderParameters
+from .model import FixedStatistics, OrderParameters
 
 EIG_CLIP = 1e-12          # eigenvalues below this are treated as exactly zero
 NEG_EIG_TOL = 1e-8        # more negative than this signals corrupted matrices
@@ -36,9 +35,9 @@ GH_MAX_DIM = 6            # tensor quadrature allowed up to this Gaussian dimens
 
 def _check_symmetric(A: np.ndarray, tol: float = 1e-10) -> None:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise InconsistentOverlapsError(f"expected a square matrix, got shape {A.shape}")
     if np.max(np.abs(A - A.T)) > tol:
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise InconsistentOverlapsError("matrix is not symmetric within tolerance")
 
 
 def _clipped_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +150,7 @@ def gauss_hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     later call, so both arrays are read-only.
     """
     if dim > GH_MAX_DIM:
-        raise ValueError(
+        raise SpecValidationError(
             f"tensor quadrature limited to {GH_MAX_DIM} Gaussian dimensions, got {dim}"
         )
     x, w = hermegauss(order)
@@ -312,19 +311,6 @@ def sample_energetic_measure(
     return Xi, Y
 
 
-def sample_joint_xy(
-    params: OrderParameters,
-    fixed: FixedStatistics,
-    c: tuple,
-    plan: McPlan,
-    iteration: int = 0,
-    c_index: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded stream (X, Y) of per-token joint normals with means (m, m*)."""
-    _, X, Y = joint_xy_nodes(params, fixed, c, plan, iteration, c_index)
-    return X, Y
-
-
 def joint_xy_nodes(
     params: OrderParameters,
     fixed: FixedStatistics,
@@ -356,16 +342,14 @@ def joint_xy_nodes(
 
 
 # ----------------------------------------------------------------------
-# Expectation engine.
+# Weighted reductions over nodes.
 # ----------------------------------------------------------------------
 
 def pairwise_sum(values: np.ndarray) -> np.ndarray:
-    """Pairwise tree reduction along axis 0; order is fixed, so results do
-    not depend on how chunks were distributed across workers."""
+    """Pairwise tree reduction along axis 0, in a fixed order."""
     n = values.shape[0]
     if n == 1:
         return values[0]
-    half = (n + 1) // 2
     padded = values
     if n % 2 == 1:
         padded = np.concatenate([values, np.zeros_like(values[:1])], axis=0)
@@ -393,47 +377,3 @@ def _weighted_mean_stderr(
         return mean, np.full(mean.shape, np.inf)
     var = np.var(units, axis=0, ddof=1) / n
     return mean, np.sqrt(var).reshape(vals.shape[1:])
-
-
-def expect_over_measure(
-    f: Callable[[tuple, np.ndarray, np.ndarray], np.ndarray],
-    spec: ModelSpec,
-    params: OrderParameters,
-    fixed: FixedStatistics,
-    plan: McPlan,
-    iteration: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class-weighted expectation of f(c, Xi, Y) over the energetic measure.
-
-    Returns (value, stderr), both with f's output shape.  Non-finite values
-    of f raise with the offending class tuple and sample index.
-    """
-    total = None
-    var_total = None
-    for c_index, (c, pc) in enumerate(
-        zip(spec.class_law.support, spec.class_law.probs)
-    ):
-        if pc == 0.0:
-            continue
-        wts, Xi, _, Y = energetic_nodes(
-            params, fixed, c, plan, iteration=iteration, c_index=c_index
-        )
-        vals = []
-        for s in range(Xi.shape[0]):
-            out = np.asarray(f(c, Xi[s], Y[s]), dtype=float)
-            if not np.all(np.isfinite(out)):
-                raise McIntegrandError(c, s)
-            vals.append(out)
-        vals = np.stack(vals, axis=0)
-        mean_c, se_c = _weighted_mean_stderr(
-            wts, vals, plan.antithetic, plan.gh_order > 0
-        )
-        if total is None:
-            total = pc * mean_c
-            var_total = (pc * se_c) ** 2
-        else:
-            total = total + pc * mean_c
-            var_total = var_total + (pc * se_c) ** 2
-    if total is None:
-        raise ValueError("class law has no support")
-    return total, np.sqrt(var_total)

@@ -149,16 +149,6 @@ class SpectralMeasure:
                 out.append(f"SpectralMeasure: atom {i} pi has wrong shape")
         return out
 
-    def mixed(self, other: "SpectralMeasure", w: float) -> "SpectralMeasure":
-        """Convex combination w * self + (1 - w) * other."""
-        atoms = [
-            SpectralAtom(w * a.weight, a.gamma, a.tau, a.pi) for a in self.atoms
-        ] + [
-            SpectralAtom((1 - w) * a.weight, a.gamma, a.tau, a.pi)
-            for a in other.atoms
-        ]
-        return SpectralMeasure(tuple(atoms))
-
 
 def make_atom(
     dims: Dimensions,

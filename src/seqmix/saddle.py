@@ -9,9 +9,8 @@ expectations of prox displacements under the conditional (Y, Xi) measure:
     V_hat = -alpha E[delta V^-1 (dprox/danchor - I)]
     v_hat = 2 alpha E[d3(Y + m*, prox, v, c)]
 
-(the V_hat form above is the anchor-sensitivity one; the equivalent
-Stein-lemma form theta_hat theta^T q^-1 - alpha E[V^-1 D xi^T q^{-1/2}] is
-available via SolverConfig and cross-checked in tests -- the sensitivity form
+(the V_hat form above is the anchor-sensitivity one; unlike the equivalent
+Stein-lemma form theta_hat theta^T q^-1 - alpha E[V^-1 D xi^T q^{-1/2}], it
 stays well-posed when q is singular, e.g. at cold starts).
 
 The overlap update is a finite sum over spectral atoms with resolvent
@@ -83,7 +82,6 @@ class SolverConfig:
     max_iters: int = 500
     mc_plan: McPlan = field(default_factory=McPlan)
     record_trajectory: bool = False
-    vhat_form: str = "jacobian"     # jacobian | stein
 
     def violations(self) -> list[str]:
         out = self.mc_plan.violations()
@@ -95,8 +93,6 @@ class SolverConfig:
             out.append(f"SolverConfig: unknown init {self.init!r}")
         if self.init == "warm" and self.warm_start is None:
             out.append("SolverConfig: warm init requires warm_start")
-        if self.vhat_form not in ("jacobian", "stein"):
-            out.append(f"SolverConfig: unknown vhat_form {self.vhat_form!r}")
         return out
 
 
@@ -185,7 +181,6 @@ def update_hats(
     spec: ModelSpec,
     plan: McPlan,
     iteration: int = 0,
-    vhat_form: str = "jacobian",
 ) -> ConjugateParameters:
     """One hat sweep: class-weighted Gaussian expectations of prox statistics."""
     dims = spec.dims
@@ -193,15 +188,13 @@ def update_hats(
     alpha = dims.alpha
     r = dims.r
     out = ConjugateParameters.zeros(dims)
-    pinv_sqrt_q = {key: sym_pinv_sqrt(params.q[key]) for key in dims.lk_pairs()}
 
     vhat_acc = np.zeros((r, r))
     eye_r = np.eye(r)
     for nb in _node_batches(params, fixed, spec, plan, iteration):
         c, pc, wts = nb.c, nb.pc, nb.wts
         D = nb.x_stars - nb.anchors
-        if vhat_form == "jacobian":
-            J = prox_gain(loss, nb.y_loss, nb.x_stars, nb.P_full, params.v, nb.cs)
+        J = prox_gain(loss, nb.y_loss, nb.x_stars, nb.P_full, params.v, nb.cs)
 
         for ell in range(dims.L):
             key = (ell, c[ell])
@@ -216,13 +209,8 @@ def update_hats(
             out.theta_hat[key] += pc * pairwise_sum(
                 wts[:, None, None] * np.einsum("si,sj->sij", VD, nb.Zeta[:, ell, :])
             )
-            if vhat_form == "jacobian":
-                avg_J = pairwise_sum(wts[:, None, None] * J[:, blk, blk])
-                out.V_hat[key] += pc * (Vinv @ (avg_J - pairwise_sum(wts) * eye_r))
-            else:
-                out.V_hat[key] += pc * pairwise_sum(
-                    wts[:, None, None] * np.einsum("si,sj->sij", VD, nb.Xi[:, ell, :])
-                )
+            avg_J = pairwise_sum(wts[:, None, None] * J[:, blk, blk])
+            out.V_hat[key] += pc * (Vinv @ (avg_J - pairwise_sum(wts) * eye_r))
         if loss.depends_on_v:
             d3 = np.asarray(loss.d3(nb.y_loss, nb.x_stars, params.v, nb.cs), dtype=float)
             vhat_acc += pc * np.einsum("s,sij->ij", wts, d3)
@@ -233,13 +221,7 @@ def update_hats(
         out.m_hat[key] = alpha * out.m_hat[key]
         out.q_hat[key] = _sym(alpha * out.q_hat[key])
         out.theta_hat[key] = alpha * out.theta_hat[key] @ cond_scale
-        if vhat_form == "jacobian":
-            out.V_hat[key] = -alpha * out.V_hat[key]
-        else:
-            stein = alpha * out.V_hat[key] @ pinv_sqrt_q[key]
-            out.V_hat[key] = (
-                out.theta_hat[key] @ params.theta[key].T @ sym_pinv(params.q[key]) - stein
-            )
+        out.V_hat[key] = -alpha * out.V_hat[key]
     out.v_hat = _sym(2.0 * alpha * vhat_acc) if loss.depends_on_v else np.zeros_like(out.v_hat)
     return out
 
@@ -522,9 +504,7 @@ def solve_fixed_point(
     it = 0
 
     for it in range(1, config.max_iters + 1):
-        conj_prop = update_hats(
-            params, fixed, spec, plan, iteration=it, vhat_form=config.vhat_form
-        )
+        conj_prop = update_hats(params, fixed, spec, plan, iteration=it)
         res_hat = _block_residual(conj_prop, conj if conj is not None else conj_ref, skip=skip)
         conj = _damp_struct(conj_prop, conj, config.damping)
 
@@ -544,7 +524,7 @@ def solve_fixed_point(
 
     # exact one-sweep image: hats from the converged overlaps, overlaps from
     # those hats, undamped
-    conj = update_hats(params, fixed, spec, plan, iteration=0, vhat_form=config.vhat_form)
+    conj = update_hats(params, fixed, spec, plan, iteration=0)
     params = update_overlaps(conj, nu, spec)
 
     envelope = expected_envelope(params, fixed, spec, plan)

@@ -1,6 +1,5 @@
 """File formats: fixed-point reports (JSON), iteration trajectories and
-learning curves (comma-separated tables with a metadata comment block),
-datasets (NPZ container).
+learning curves (comma-separated tables with a metadata comment block).
 
 Tables carry their provenance in leading "# key = value" comment lines and
 are re-parseable by this module; solver and simulator trajectories share one
@@ -15,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gamp import Dataset, GeneratorMetadata
-from .model import ConjugateParameters, Dimensions, OrderParameters
+from .model import Dimensions
 
 
 # ----------------------------------------------------------------------
@@ -28,20 +26,8 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": a.reshape(-1).tolist()}
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    return np.asarray(obj["data"], dtype=float).reshape(obj["shape"])
-
-
 def _encode_keyed(blocks: dict) -> dict:
     return {f"{k[0]},{k[1]}": _encode_array(v) for k, v in blocks.items()}
-
-
-def _decode_keyed(obj: dict) -> dict:
-    out = {}
-    for key, val in obj.items():
-        ell, k = key.split(",")
-        out[(int(ell), int(k))] = _decode_array(val)
-    return out
 
 
 def report_to_dict(report) -> dict:
@@ -74,25 +60,6 @@ def report_to_dict(report) -> dict:
 
 def save_report(report, path) -> None:
     Path(path).write_text(json.dumps(report_to_dict(report), indent=1))
-
-
-def load_report(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    doc["params"] = OrderParameters(
-        q=_decode_keyed(doc["params"]["q"]),
-        V=_decode_keyed(doc["params"]["V"]),
-        m=_decode_keyed(doc["params"]["m"]),
-        theta=_decode_keyed(doc["params"]["theta"]),
-        v=_decode_array(doc["params"]["v"]),
-    )
-    doc["conj"] = ConjugateParameters(
-        q_hat=_decode_keyed(doc["conj"]["q_hat"]),
-        V_hat=_decode_keyed(doc["conj"]["V_hat"]),
-        m_hat=_decode_keyed(doc["conj"]["m_hat"]),
-        theta_hat=_decode_keyed(doc["conj"]["theta_hat"]),
-        v_hat=_decode_array(doc["conj"]["v_hat"]),
-    )
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -210,46 +177,3 @@ def curve_row(
     et: float, grad_norm: float, iterations: int, converged: bool,
 ) -> list:
     return [model, alpha, lam, seed, eg, eg_stderr, et, grad_norm, iterations, converged]
-
-
-# ----------------------------------------------------------------------
-# Datasets (binary container: arrays plus a JSON metadata entry).
-# ----------------------------------------------------------------------
-
-def save_dataset(data: Dataset, path) -> None:
-    keys = sorted(data.meta.eigenvalues)
-    meta = {
-        "seed": int(data.meta.seed),
-        "class_probs": list(data.meta.class_probs),
-        "keys": [list(k) for k in keys],
-    }
-    arrays = {
-        "X": data.X,
-        "y": data.y,
-        "c": data.c,
-        "teacher": data.teacher,
-        "atom_of": data.meta.atom_of,
-        "meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-    }
-    for i, key in enumerate(keys):
-        arrays[f"eig_{i}"] = data.meta.eigenvalues[key]
-        arrays[f"mean_{i}"] = data.meta.means[key]
-    np.savez_compressed(path, **arrays)
-
-
-def load_dataset(path) -> Dataset:
-    with np.load(path) as arc:
-        meta = json.loads(bytes(arc["meta_json"].tolist()).decode())
-        keys = [tuple(k) for k in meta["keys"]]
-        eigenvalues = {key: arc[f"eig_{i}"] for i, key in enumerate(keys)}
-        means = {key: arc[f"mean_{i}"] for i, key in enumerate(keys)}
-        gm = GeneratorMetadata(
-            seed=meta["seed"],
-            atom_of=arc["atom_of"],
-            eigenvalues=eigenvalues,
-            means=means,
-            class_probs=tuple(meta["class_probs"]),
-        )
-        return Dataset(
-            X=arc["X"], y=arc["y"], c=arc["c"], teacher=arc["teacher"], meta=gm
-        )

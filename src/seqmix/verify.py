@@ -88,9 +88,7 @@ def _solve(spec: ModelSpec, gh_order: int = 7, tol: float = 1e-10,
 # ----------------------------------------------------------------------
 
 @_timed
-def check_ridge_oracle(fast: bool = False) -> CheckResult:
-    finite_d = 1000 if fast else 4000
-    n_seeds = 5 if fast else 20
+def check_ridge_oracle() -> CheckResult:
     worst_abs = 0.0
     worst_sig = 0.0
     details = []
@@ -100,7 +98,7 @@ def check_ridge_oracle(fast: bool = False) -> CheckResult:
         oracle = ridge_asymptotics(alpha, RIDGE_LAM)
         diff = abs(rep.test_error - oracle.test_error)
         worst_abs = max(worst_abs, diff)
-        eg_emp, eg_se, _, _ = finite_d_ridge(alpha, RIDGE_LAM, finite_d, range(n_seeds))
+        eg_emp, eg_se, _, _ = finite_d_ridge(alpha, RIDGE_LAM, 4000, range(20))
         pooled = max(np.hypot(eg_se, rep.test_error_stderr), 1e-12)
         sig = abs(rep.test_error - eg_emp) / pooled
         worst_sig = max(worst_sig, sig)
@@ -153,10 +151,10 @@ def _trajectory_deviation(
 
 
 @_timed
-def check_se_tracks_gamp(fast: bool = False) -> CheckResult:
+def check_se_tracks_gamp() -> CheckResult:
     spec = ridge_instance(alpha=1.0, lam=RIDGE_LAM)
-    d = 500 if fast else 1000
-    seeds = 3 if fast else 5
+    d = 1000
+    seeds = 5
     dev = _trajectory_deviation(spec, d=d, n_seeds=seeds)
     return CheckResult(
         "se-tracks-gamp",
@@ -232,13 +230,12 @@ def check_free_energy_identity() -> CheckResult:
 # ----------------------------------------------------------------------
 
 @_timed
-def check_replica_predicts_erm(fast: bool = False) -> CheckResult:
-    alphas = (0.5, 2.0) if fast else GMM_ALPHAS
-    n_seeds = 4 if fast else 10
+def check_replica_predicts_erm() -> CheckResult:
+    n_seeds = 10
     d = 500
     details = []
     ok = True
-    for alpha in alphas:
+    for alpha in GMM_ALPHAS:
         spec = gmm_instance(alpha=alpha, lam=GMM_LAM)
         rep = _solve(spec, gh_order=51)
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
@@ -288,7 +285,7 @@ def check_rbp_gamp_equivalence() -> CheckResult:
 # ----------------------------------------------------------------------
 
 @_timed
-def check_two_token(fast: bool = False) -> CheckResult:
+def check_two_token() -> CheckResult:
     spec = two_token_instance(alpha=1.2, lam=RIDGE_LAM)
     tol = 1e-10
     rep = _solve(spec, gh_order=7, tol=tol)
@@ -328,8 +325,7 @@ def check_two_token(fast: bool = False) -> CheckResult:
     ok = ok and identity_ok
     notes.append(f"|et+phi| {gap:.1e}")
 
-    d = 500 if fast else 1000
-    dev = _trajectory_deviation(spec, d=d, n_seeds=3 if fast else 5)
+    dev = _trajectory_deviation(spec, d=1000, n_seeds=5)
     ok = ok and dev <= SE_GAMP_REL_DEV
     notes.append(f"trajectory dev {dev:.4f}")
     return CheckResult("two-token-invariants", ok, "; ".join(notes))
@@ -456,10 +452,7 @@ ALL_CHECKS = {
     "onsager-mutation": check_onsager_mutation,
 }
 
-FAST_AWARE = {"ridge-oracle", "se-tracks-gamp", "replica-predicts-erm", "two-token-invariants"}
-
-
-def run_checks(instance: str = "all", fast: bool = False, printer=print) -> list[CheckResult]:
+def run_checks(instance: str = "all", printer=print) -> list[CheckResult]:
     """Run the acceptance checks for one zoo instance (or all of them)."""
     if instance == "all":
         names = list(ALL_CHECKS)
@@ -471,8 +464,7 @@ def run_checks(instance: str = "all", fast: bool = False, printer=print) -> list
         )
     results = []
     for name in names:
-        fn = ALL_CHECKS[name]
-        result = fn(fast=fast) if fast and name in FAST_AWARE else fn()
+        result = ALL_CHECKS[name]()
         results.append(result)
         printer(result.line())
     return results

@@ -1,21 +1,15 @@
 """Config parsing, file formats, and the command-line driver."""
 
+import json
+
 import numpy as np
 import pytest
 
 from seqmix.cli import main
-from seqmix.config import load_experiment, load_model_spec, save_model_spec
-from seqmix.gamp import generate_dataset
+from seqmix.config import load_experiment
 from seqmix.gaussian import McPlan
 from seqmix.saddle import solve_fixed_point, SolverConfig
-from seqmix.serialize import (
-    load_dataset,
-    load_report,
-    read_table,
-    save_dataset,
-    save_report,
-    write_table,
-)
+from seqmix.serialize import read_table, save_report, write_table
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
 RIDGE_EXPERIMENT = """
@@ -59,14 +53,35 @@ def ridge_config(tmp_path):
     return path
 
 
+def explicit_ini(spec) -> str:
+    """A spec spelled out in [dimensions]/[class_law]/[spectral_measure]/[loss]."""
+    dims, keys = spec.dims, spec.dims.lk_pairs()
+
+    def row(xs):
+        return " ".join(repr(float(x)) for x in xs)
+
+    lines = ["[model]", f"name = {spec.name}", "", "[dimensions]",
+             f"L = {dims.L}", f"r = {dims.r}", f"t = {dims.t}", "K = " + " ".join(map(str, dims.K)),
+             f"alpha = {dims.alpha!r}", f"lambda = {dims.lam!r}", "", "[class_law]"]
+    lines += [f"tuple_{i} = {' '.join(map(str, c))} : {float(p)!r}"
+              for i, (c, p) in enumerate(zip(spec.class_law.support, spec.class_law.probs))]
+    lines += ["", "[spectral_measure]"]
+    lines += [f"atom_{i} = {float(a.weight)!r} | {row(a.gamma[k] for k in keys)} | "
+              f"{row(a.tau[k] for k in keys)} | {row(a.pi)}" for i, a in enumerate(spec.nu.atoms)]
+    lines += ["", "[loss]", f"name = {spec.loss.name}"]
+    lines += [f"{k} = {float(v)!r}" for k, v in spec.loss.params.items()]
+    return "\n".join(lines) + "\n"
+
+
 class TestModelConfig:
     def test_round_trip_explicit_sections(self, tmp_path):
         for spec in (ridge_instance(), gmm_instance(), two_token_instance()):
             path = tmp_path / f"{spec.name}.ini"
-            save_model_spec(spec, path)
-            back = load_model_spec(path)
+            path.write_text(explicit_ini(spec))
+            back = load_experiment(path).spec
+            assert back.name == spec.name
             assert back.dims == spec.dims
-            assert back.class_law.support == spec.class_law.support
+            assert back.class_law == spec.class_law
             assert back.loss.name == spec.loss.name
             for a, b in zip(back.nu.atoms, spec.nu.atoms):
                 assert a.weight == b.weight
@@ -77,8 +92,8 @@ class TestModelConfig:
     def test_round_trip_preserves_fixed_point(self, tmp_path):
         spec = ridge_instance(alpha=1.0, lam=0.1)
         path = tmp_path / "m.ini"
-        save_model_spec(spec, path)
-        back = load_model_spec(path)
+        path.write_text(explicit_ini(spec))
+        back = load_experiment(path).spec
         cfg = SolverConfig(damping=0.3, tol=1e-10, max_iters=500,
                            mc_plan=McPlan(gh_order=7))
         a = solve_fixed_point(spec, spec.nu, cfg)
@@ -121,23 +136,11 @@ class TestReportsAndDatasets:
         rep = solve_fixed_point(spec, spec.nu, cfg)
         path = tmp_path / "rep.json"
         save_report(rep, path)
-        doc = load_report(path)
+        doc = json.loads(path.read_text())
         assert doc["converged"] is True
-        np.testing.assert_array_equal(doc["params"].q[(0, 0)], rep.params.q[(0, 0)])
-        np.testing.assert_array_equal(doc["conj"].q_hat[(0, 0)], rep.conj.q_hat[(0, 0)])
-
-    def test_dataset_round_trip(self, tmp_path):
-        spec = two_token_instance()
-        data = generate_dataset(spec, spec.nu, d=32, n=16, seed=3)
-        path = tmp_path / "data.npz"
-        save_dataset(data, path)
-        back = load_dataset(path)
-        np.testing.assert_array_equal(back.X, data.X)
-        np.testing.assert_array_equal(back.y, data.y)
-        np.testing.assert_array_equal(back.c, data.c)
-        np.testing.assert_array_equal(
-            back.meta.eigenvalues[(1, 0)], data.meta.eigenvalues[(1, 0)]
-        )
+        for got, want in ((doc["params"]["q"]["0,0"], rep.params.q[(0, 0)]),
+                          (doc["conj"]["q_hat"]["0,0"], rep.conj.q_hat[(0, 0)])):
+            np.testing.assert_array_equal(np.reshape(got["data"], got["shape"]), want)
 
 
 class TestCli:
@@ -193,6 +196,24 @@ class TestCli:
         assert len(rows) == 2
         eg = float(rows[0][header.index("eg")])
         assert 0.0 <= eg < 1.0
+        assert all(r[header.index("converged")] == "True" for r in rows)
+
+    def test_run_erm_max_epochs_is_numerical_failure(self, ridge_config, tmp_path):
+        text = ridge_config.read_text().replace(
+            "grad_tol = 1e-6", "grad_tol = 1e-6\nmax_epochs = 1"
+        )
+        ridge_config.write_text(text)
+        out = tmp_path / "out"
+        code = main(["run-erm", "--config", str(ridge_config), "--out", str(out)])
+        assert code == 3
+        _, header, rows = read_table(out / "erm_curve.csv")
+        assert len(rows) == 2
+        assert all(r[header.index("converged")] == "False" for r in rows)
+
+    def test_retired_flags_are_usage_errors(self, ridge_config):
+        assert main(["verify", "--fast"]) == 2
+        for cmd in ("solve-se", "run-gamp", "run-rbp", "run-erm"):
+            assert main([cmd, "--config", str(ridge_config), "--workers", "2"]) == 2
 
     def test_missing_config_is_validation_error(self, tmp_path):
         code = main(["solve-se", "--config", str(tmp_path / "nope.ini")])
@@ -252,3 +273,19 @@ class TestCli:
         alphas = [float(r[header.index("alpha")]) for r in rows]
         assert lams == [0.1] * 3 + [0.5] * 3
         assert alphas == [0.5, 1.0, 2.0] * 2
+
+    def test_sweep_workers_match_serial(self, ridge_config, tmp_path):
+        # Monte Carlo nodes whose sample count and seed come from the command
+        # line: the pool's workers reload the config and must apply both
+        text = ridge_config.read_text().replace("gh_order = 7", "gh_order = 0")
+        text = text.replace("alphas = 0.5, 1.0, 2.0", "alphas = 0.5, 1.0")
+        ridge_config.write_text(text.replace("lambdas = 0.1", "lambdas = 0.1, 0.5"))
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            code = main(["sweep", "--config", str(ridge_config), "--out", str(out),
+                         "--workers", workers, "--mc-samples", "2000", "--seed", "5"])
+            assert code == 0
+            tables.append(read_table(out / "sweep.csv"))
+        assert len(tables[0][2]) == 4
+        assert tables[0] == tables[1]

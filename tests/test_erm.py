@@ -77,7 +77,14 @@ class TestErmTrain:
         spec = gmm_instance(alpha=1.0, lam=0.05)
         data = generate_dataset(spec, spec.nu, d=60, n=60, seed=4)
         fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-8))
-        assert fit.grad_norm <= 1e-8
+        assert fit.grad_norm <= 1e-8 and fit.converged
+
+    def test_max_epochs_reports_not_converged(self):
+        spec = ridge_instance(alpha=1.0, lam=0.1)
+        data = generate_dataset(spec, spec.nu, d=60, n=60, seed=0)
+        fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-6, max_epochs=1))
+        assert fit.iterations == 1 and fit.grad_norm > 1e-6
+        assert not fit.converged
 
     def test_config_violation_is_validation_error(self):
         spec = ridge_instance()

@@ -1,4 +1,4 @@
-"""Gaussian machinery: matrix roots, samplers, expectation engine."""
+"""Gaussian machinery: matrix roots, node samplers, weighted reductions."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,15 @@ import pytest
 from seqmix.errors import (
     DegenerateOverlapError,
     InconsistentOverlapsError,
-    McIntegrandError,
+    SpecValidationError,
 )
 from seqmix.gaussian import (
-    expect_over_measure,
+    _weighted_mean_stderr,
+    energetic_nodes,
     gauss_hermite_nodes,
+    joint_xy_nodes,
     McPlan,
     sample_energetic_measure,
-    sample_joint_xy,
     standard_normals,
     sym_pinv_sqrt,
     sym_sqrt,
@@ -56,7 +57,7 @@ class TestSymSqrt:
             sym_sqrt(np.diag([1.0, -1e-3]))
 
     def test_nonsymmetric_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InconsistentOverlapsError):
             sym_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_pinv_sqrt_zeros_null_space(self):
@@ -97,7 +98,7 @@ class TestGaussHermite:
         np.testing.assert_allclose(w @ (x[:, 0] ** 2), 1.0, atol=1e-12)
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecValidationError):
             gauss_hermite_nodes(7, 3)
 
     def test_memoized_read_only(self):
@@ -202,7 +203,7 @@ class TestJointSampler:
 
     def test_uncorrelated_when_theta_zero(self):
         params = _scalar_params(q=0.7, theta=0.0)
-        X, Y = sample_joint_xy(
+        _, X, Y = joint_xy_nodes(
             params, self.fixed, (0,), McPlan(n_samples=400_000, seed=7)
         )
         n = X.shape[0]
@@ -211,19 +212,30 @@ class TestJointSampler:
 
     def test_perfect_correlation(self):
         params = _scalar_params(q=1.0, theta=1.0)
-        X, Y = sample_joint_xy(
+        _, X, Y = joint_xy_nodes(
             params, self.fixed, (0,), McPlan(n_samples=10_000, seed=8)
         )
         np.testing.assert_allclose(X, Y, atol=1e-8)
 
     def test_cross_covariance_matches_theta(self):
         params = _scalar_params(q=1.0, theta=0.6)
-        X, Y = sample_joint_xy(
+        _, X, Y = joint_xy_nodes(
             params, self.fixed, (0,), McPlan(n_samples=400_000, seed=9)
         )
         n = X.shape[0]
         cov = float(np.mean(X[:, 0, 0] * Y[:, 0, 0]))
         assert abs(cov - 0.6) < 3.0 * 2.0 / np.sqrt(n)
+
+
+def _expect(f, spec, params, fixed, plan):
+    """Class-weighted mean and stderr of f(Xi, Y) over the energetic nodes,
+    the reduction the solver's envelope uses."""
+    total, var = 0.0, 0.0
+    for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
+        wts, Xi, _, Y = energetic_nodes(params, fixed, c, plan, c_index=c_index)
+        mean, se = _weighted_mean_stderr(wts, f(Xi, Y), plan.antithetic, plan.gh_order > 0)
+        total, var = total + pc * mean, var + (pc * se) ** 2
+    return total, np.sqrt(var)
 
 
 class TestExpectation:
@@ -233,8 +245,8 @@ class TestExpectation:
         self.params = _scalar_params(q=1.0, theta=0.0)
 
     def test_constant(self):
-        val, se = expect_over_measure(
-            lambda c, Xi, Y: 1.0, self.spec, self.params, self.fixed,
+        val, se = _expect(
+            lambda Xi, Y: np.ones(len(Xi)), self.spec, self.params, self.fixed,
             McPlan(n_samples=512, seed=1),
         )
         assert val == pytest.approx(1.0)
@@ -242,36 +254,27 @@ class TestExpectation:
 
     def test_mean_zero_label(self):
         # antithetic pairing cancels the linear statistic exactly
-        val, se = expect_over_measure(
-            lambda c, Xi, Y: Y[0, 0], self.spec, self.params, self.fixed,
+        val, se = _expect(
+            lambda Xi, Y: Y[:, 0, 0], self.spec, self.params, self.fixed,
             McPlan(n_samples=100_000, seed=2),
         )
         assert abs(val) <= 3.0 * se + 1e-14
 
     def test_second_moment(self):
-        val, se = expect_over_measure(
-            lambda c, Xi, Y: Xi[0, 0] ** 2, self.spec, self.params, self.fixed,
+        val, se = _expect(
+            lambda Xi, Y: Xi[:, 0, 0] ** 2, self.spec, self.params, self.fixed,
             McPlan(n_samples=100_000, seed=3),
         )
         assert abs(val - 1.0) < 3.0 * max(se, 1e-6)
 
-    def test_nonfinite_integrand_flagged(self):
-        def bad(c, Xi, Y):
-            return np.nan
-
-        with pytest.raises(McIntegrandError):
-            expect_over_measure(
-                bad, self.spec, self.params, self.fixed, McPlan(n_samples=8, seed=4)
-            )
-
     def test_stderr_scaling(self):
         # doubling the sample count shrinks stderr by sqrt(2) within 20%
-        f = lambda c, Xi, Y: Xi[0, 0] ** 3 + Y[0, 0]
-        _, se1 = expect_over_measure(
+        f = lambda Xi, Y: Xi[:, 0, 0] ** 3 + Y[:, 0, 0]
+        _, se1 = _expect(
             f, self.spec, self.params, self.fixed,
             McPlan(n_samples=20_000, seed=5, antithetic=False),
         )
-        _, se2 = expect_over_measure(
+        _, se2 = _expect(
             f, self.spec, self.params, self.fixed,
             McPlan(n_samples=40_000, seed=5, antithetic=False),
         )
@@ -282,8 +285,8 @@ class TestExpectation:
         spec = two_token_instance()
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         params = OrderParameters.cold(spec.dims, eps=0.5)
-        val, _ = expect_over_measure(
-            lambda c, Xi, Y: np.array([Xi[0, 0] ** 2, Xi[1, 0] ** 2]),
-            spec, params, fixed, McPlan(n_samples=50_000, seed=6),
+        val, _ = _expect(
+            lambda Xi, Y: Xi[:, :, 0] ** 2, spec, params, fixed,
+            McPlan(n_samples=50_000, seed=6),
         )
         np.testing.assert_allclose(val, [1.0, 1.0], atol=0.05)

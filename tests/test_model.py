@@ -10,6 +10,7 @@ from seqmix.model import (
     Dimensions,
     make_atom,
     ModelSpec,
+    SpectralAtom,
     SpectralMeasure,
     validate_spec,
 )
@@ -83,7 +84,10 @@ class TestFixedStatistics:
         d = dims1()
         nu1 = SpectralMeasure((make_atom(d, 1.0, gamma=2.0, tau=1.0, pi=0.7),))
         nu2 = SpectralMeasure((make_atom(d, 1.0, gamma=0.5, tau=-1.0, pi=1.3),))
-        mixed = nu1.mixed(nu2, 0.5)
+        mixed = SpectralMeasure(tuple(
+            SpectralAtom(0.5 * a.weight, a.gamma, a.tau, a.pi)
+            for a in nu1.atoms + nu2.atoms
+        ))
         f1 = compute_fixed_statistics(nu1, d)
         f2 = compute_fixed_statistics(nu2, d)
         fm = compute_fixed_statistics(mixed, d)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seqmix.gaussian import McPlan
+from seqmix.gaussian import McPlan, sym_pinv, sym_pinv_sqrt
 from seqmix.model import (
     compute_fixed_statistics,
     ConjugateParameters,
@@ -13,6 +13,7 @@ from seqmix.model import (
 from seqmix.losses import zero_loss
 from seqmix.oracles import ridge_asymptotics
 from seqmix.saddle import (
+    _node_batches,
     expected_envelope,
     free_entropy,
     solve_fixed_point,
@@ -26,6 +27,26 @@ from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
 
 GH = McPlan(gh_order=7)
+
+
+def stein_vhat(params, fixed, spec, plan, theta_hat):
+    """Reference V_hat by the Stein-lemma form
+    theta_hat theta^T q^+ - alpha E[V^-1 D xi^T] q^{-1/2}."""
+    dims = spec.dims
+    r = dims.r
+    acc = {key: np.zeros((r, r)) for key in dims.lk_pairs()}
+    for nb in _node_batches(params, fixed, spec, plan, 0):
+        for ell in range(dims.L):
+            blk = slice(ell * r, (ell + 1) * r)
+            VD = (nb.x_stars - nb.anchors)[:, ell, :] @ nb.P_full[blk, blk].T
+            acc[(ell, nb.c[ell])] += nb.pc * np.einsum(
+                "s,si,sj->ij", nb.wts, VD, nb.Xi[:, ell, :]
+            )
+    return {
+        key: theta_hat[key] @ params.theta[key].T @ sym_pinv(params.q[key])
+        - dims.alpha * acc[key] @ sym_pinv_sqrt(params.q[key])
+        for key in acc
+    }
 
 
 class TestUpdateHats:
@@ -54,14 +75,15 @@ class TestUpdateHats:
     def test_vhat_forms_agree_on_smooth_instance(self):
         # the anchor-sensitivity form and the Stein-lemma form are the same
         # expectation written two ways; with exact quadrature they coincide
-        spec = ridge_instance(alpha=1.3)
-        fixed = compute_fixed_statistics(spec.nu, spec.dims)
-        params = OrderParameters.informed(spec.dims, fixed, eps=0.4)
-        a = update_hats(params, fixed, spec, GH, vhat_form="jacobian")
-        b = update_hats(params, fixed, spec, GH, vhat_form="stein")
-        for key in spec.dims.lk_pairs():
-            np.testing.assert_allclose(a.V_hat[key], b.V_hat[key], atol=1e-10)
-            np.testing.assert_allclose(a.q_hat[key], b.q_hat[key], atol=1e-12)
+        # (31 nodes integrate the logistic prox to rounding)
+        for spec, plan in ((ridge_instance(alpha=1.3), GH),
+                           (gmm_instance(alpha=1.3), McPlan(gh_order=31))):
+            fixed = compute_fixed_statistics(spec.nu, spec.dims)
+            params = OrderParameters.informed(spec.dims, fixed, eps=0.4)
+            a = update_hats(params, fixed, spec, plan)
+            b = stein_vhat(params, fixed, spec, plan, a.theta_hat)
+            for key in spec.dims.lk_pairs():
+                np.testing.assert_allclose(a.V_hat[key], b[key], rtol=0, atol=1e-12)
 
     def test_hats_symmetric(self):
         spec = two_token_instance()
