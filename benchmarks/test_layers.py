@@ -29,7 +29,7 @@ def _dataset(instance, d, seed=0):
 def test_gamp_iteration(benchmark, instance):
     """One GAMP iteration at d = 1000, squared-design build included."""
     spec, data = _dataset(instance, 1000)
-    res = benchmark(gamp.gamp_run, data, spec, max_iters=1, damping=0.0, record=False)
+    res = benchmark(gamp.gamp_run, data, spec, max_iters=1, damping=0.0)
     assert np.all(np.isfinite(res.w_hat))
 
 

@@ -25,10 +25,9 @@ from .saddle import solve_fixed_point
 from .serialize import (
     CURVE_HEADER,
     curve_row,
-    gamp_trajectory_rows,
     save_report,
-    se_trajectory_rows,
     trajectory_header,
+    trajectory_rows,
     write_table,
 )
 from .verify import run_checks
@@ -44,7 +43,7 @@ def _metadata(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
         "config": cfg.source_path or "<inline>",
         "config_hash": config_hash(cfg.source_path) if cfg.source_path else "",
         "model": cfg.spec.name,
-        "mc_seed": cfg.mc_plan.seed,
+        "mc_seed": cfg.solver.mc_plan.seed,
     }
     meta.update(extra or {})
     return meta
@@ -55,11 +54,10 @@ def _load_with_overrides(
 ) -> ExperimentConfig:
     """Load a config and apply the --mc-samples / --seed overrides."""
     cfg = load_experiment(path)
-    if mc_samples:
-        cfg.mc_plan = replace(cfg.mc_plan, n_samples=mc_samples)
+    if mc_samples is not None:
+        cfg.solver.mc_plan = replace(cfg.solver.mc_plan, n_samples=mc_samples)
     if seed is not None:
-        cfg.mc_plan = replace(cfg.mc_plan, seed=seed)
-    cfg.solver.mc_plan = cfg.mc_plan
+        cfg.solver.mc_plan = replace(cfg.solver.mc_plan, seed=seed)
     return cfg
 
 
@@ -138,7 +136,7 @@ def cmd_solve_se(args) -> int:
                 write_table(
                     Path(cfg.out_dir) / f"se_trajectory_alpha{alpha}.csv",
                     trajectory_header(dims),
-                    se_trajectory_rows(report, dims),
+                    trajectory_rows(report.trajectory, report.residual_history, dims),
                     _metadata(cfg, {"alpha": alpha, "lam": lam}),
                 )
     out = Path(cfg.out_dir) / "learning_curve.csv"
@@ -209,7 +207,7 @@ def _simulate(args, use_rbp: bool) -> int:
         write_table(
             table,
             trajectory_header(dims),
-            gamp_trajectory_rows(traj, residuals, dims),
+            trajectory_rows(traj, residuals, dims),
             _metadata(cfg, {"seed": seed, "d": opts.d, "n": n}),
         )
         gnorm = gd_gradient_norm(w_hat, data, cfg.spec)
@@ -251,9 +249,7 @@ def cmd_run_erm(args) -> int:
         try:
             fit = erm_train(
                 data, cfg.spec,
-                config=TrainConfig(
-                    grad_tol=opts.grad_tol, max_epochs=opts.max_epochs, seed=seed
-                ),
+                config=TrainConfig(grad_tol=opts.grad_tol, max_epochs=opts.max_epochs),
             )
         except SeqmixError as exc:
             print(f"  seed={seed}: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -111,6 +111,9 @@ def model_spec_from_parser(cp: configparser.ConfigParser) -> ModelSpec:
         loss = loss_by_name(loss_name, **loss_kwargs)
     except KeyError as exc:
         raise SpecValidationError(str(exc)) from exc
+    except TypeError as exc:
+        # a [loss] key that the named loss takes no parameter for
+        raise SpecValidationError(f"[loss] {exc}") from exc
 
     name = cp.get("model", "name", fallback=loss_name) if cp.has_section("model") else loss_name
     return ModelSpec(dims=dims, class_law=class_law, nu=nu, loss=loss, name=name)
@@ -142,7 +145,6 @@ class ErmOptions:
 @dataclass
 class ExperimentConfig:
     spec: ModelSpec
-    mc_plan: McPlan
     solver: SolverConfig
     alphas: tuple[float, ...]
     lambdas: tuple[float, ...]
@@ -158,7 +160,7 @@ class ExperimentConfig:
         if not self.lambdas:
             out.append("ExperimentConfig: lambda grid is empty")
         out += self.solver.violations()
-        if self.mc_plan.gh_order > 0:
+        if self.solver.mc_plan.gh_order > 0:
             # energetic nodes span (Xi, Zeta) and a smooth test metric is
             # integrated over the joint (X, Y) law; tensor quadrature caps both
             dims, loss = self.spec.dims, self.spec.loss
@@ -174,56 +176,84 @@ class ExperimentConfig:
         return out
 
 
-def load_experiment(path) -> ExperimentConfig:
-    cp = _parser(path)
-    spec = model_spec_from_parser(cp)
+# How a key is read, by the annotation of the option field it sets.
+_READERS = {
+    "int": configparser.ConfigParser.getint,
+    "float": configparser.ConfigParser.getfloat,
+    "bool": configparser.ConfigParser.getboolean,
+    "str": configparser.ConfigParser.get,
+    "tuple[int, ...]": lambda cp, section, key: tuple(_ints(cp.get(section, key))),
+}
 
-    plan = McPlan(
-        n_samples=cp.getint("mc", "n_samples", fallback=20000),
-        seed=cp.getint("mc", "seed", fallback=0),
-        antithetic=cp.getboolean("mc", "antithetic", fallback=True),
-        crn=cp.getboolean("mc", "crn", fallback=True),
-        gh_order=cp.getint("mc", "gh_order", fallback=0),
-    )
-    solver = SolverConfig(
-        damping=cp.getfloat("solver", "damping", fallback=0.5),
-        init=cp.get("solver", "init", fallback="cold"),
-        eps_init=cp.getfloat("solver", "eps_init", fallback=1e-3),
-        tol=cp.getfloat("solver", "tol", fallback=1e-8),
-        max_iters=cp.getint("solver", "max_iters", fallback=500),
-        mc_plan=plan,
-        record_trajectory=cp.getboolean("solver", "record_trajectory", fallback=False),
-    )
-    alphas = tuple(
-        _floats(cp.get("sweep", "alphas", fallback=str(spec.dims.alpha)))
-    )
-    lambdas = tuple(
-        _floats(cp.get("sweep", "lambdas", fallback=str(spec.dims.lam)))
-    )
-    gamp = GampOptions(
-        d=cp.getint("gamp", "d", fallback=1000),
-        n=cp.getint("gamp", "n", fallback=0),
-        seeds=tuple(_ints(cp.get("gamp", "seeds", fallback="0"))),
-        max_iters=cp.getint("gamp", "max_iters", fallback=200),
-        tol=cp.getfloat("gamp", "tol", fallback=1e-8),
-        damping=cp.getfloat("gamp", "damping", fallback=0.3),
-    )
-    erm = ErmOptions(
-        d=cp.getint("erm", "d", fallback=500),
-        seeds=tuple(_ints(cp.get("erm", "seeds", fallback="0"))),
-        max_epochs=cp.getint("erm", "max_epochs", fallback=5000),
-        grad_tol=cp.getfloat("erm", "grad_tol", fallback=1e-6),
-        n_test=cp.getint("erm", "n_test", fallback=200_000),
-    )
-    out_dir = cp.get("output", "dir", fallback="out")
+
+def _option_fields(cls) -> dict[str, str]:
+    """The fields of an options dataclass that a config key can set."""
+    return {f.name: f.type for f in fields(cls) if f.type in _READERS}
+
+
+def _options(cp: configparser.ConfigParser, section: str, cls, **given):
+    """cls built from the keys of [section]; a key left out keeps cls's default."""
+    kwargs = dict(given)
+    types = _option_fields(cls)
+    for key in cp.options(section) if cp.has_section(section) else ():
+        kwargs[key] = _READERS[types[key]](cp, section, key)
+    return cls(**kwargs)
+
+
+# The keys each section accepts, lower-cased as the parser stores them.
+# None accepts any key: class tuples and atoms are one line each, and the
+# loss's keys are its constructor's parameters, checked by calling it.
+SECTION_KEYS = {
+    "model": {"instance", "name", "alpha", "lambda", "d"},
+    "dimensions": {"l", "r", "t", "k", "alpha", "lambda", "d"},
+    "class_law": None,
+    "spectral_measure": None,
+    "loss": None,
+    "mc": set(_option_fields(McPlan)),
+    "solver": set(_option_fields(SolverConfig)),
+    "sweep": {"alphas", "lambdas"},
+    "gamp": set(_option_fields(GampOptions)),
+    "erm": set(_option_fields(ErmOptions)),
+    "output": {"dir"},
+}
+
+
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    """Reject a section or key that nothing reads, e.g. a misspelled option."""
+    for section in cp.sections():
+        if section not in SECTION_KEYS:
+            raise SpecValidationError(
+                f"unknown config section [{section}]; known: {sorted(SECTION_KEYS)}"
+            )
+        known = SECTION_KEYS[section]
+        unknown = sorted(set(cp.options(section)) - known) if known is not None else []
+        if unknown:
+            raise SpecValidationError(
+                f"unknown key(s) in [{section}]: {', '.join(unknown)}; "
+                f"known: {sorted(known)}"
+            )
+
+
+def _read_experiment(path) -> ExperimentConfig:
+    cp = _parser(path)
+    _check_keys(cp)
+    spec = model_spec_from_parser(cp)
+    plan = _options(cp, "mc", McPlan)
     return ExperimentConfig(
         spec=spec,
-        mc_plan=plan,
-        solver=solver,
-        alphas=alphas,
-        lambdas=lambdas,
-        gamp=gamp,
-        erm=erm,
-        out_dir=out_dir,
+        solver=_options(cp, "solver", SolverConfig, mc_plan=plan),
+        alphas=tuple(_floats(cp.get("sweep", "alphas", fallback=str(spec.dims.alpha)))),
+        lambdas=tuple(_floats(cp.get("sweep", "lambdas", fallback=str(spec.dims.lam)))),
+        gamp=_options(cp, "gamp", GampOptions),
+        erm=_options(cp, "erm", ErmOptions),
+        out_dir=cp.get("output", "dir", fallback="out"),
         source_path=str(path),
     )
+
+
+def load_experiment(path) -> ExperimentConfig:
+    try:
+        return _read_experiment(path)
+    except (ValueError, configparser.Error) as exc:
+        # a malformed section header or a value of the wrong type
+        raise SpecValidationError(f"cannot read {path}: {exc}") from exc

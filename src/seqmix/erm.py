@@ -22,10 +22,7 @@ class TrainConfig:
     step_size: float = 1.0            # initial trial step for backtracking
     max_epochs: int = 5000
     grad_tol: float = 1e-7            # stop when ||grad||_inf falls below
-    init: str = "zero"                # zero | gaussian | warm
-    init_sigma: float = 1.0
-    warm_start: Optional[np.ndarray] = None
-    seed: int = 0
+    warm_start: Optional[np.ndarray] = None   # None starts from w = 0
 
     def violations(self) -> list[str]:
         out = []
@@ -33,10 +30,6 @@ class TrainConfig:
             out.append("TrainConfig: step size must be positive")
         if self.grad_tol <= 0:
             out.append("TrainConfig: gradient threshold must be positive")
-        if self.init not in ("zero", "gaussian", "warm"):
-            out.append(f"TrainConfig: unknown init {self.init!r}")
-        if self.init == "warm" and self.warm_start is None:
-            out.append("TrainConfig: warm init requires warm_start")
         return out
 
 
@@ -71,13 +64,7 @@ def erm_train(
     d = data.d
     r = spec.dims.r
 
-    if config.init == "zero":
-        w = np.zeros((d, r))
-    elif config.init == "gaussian":
-        rng = np.random.default_rng(config.seed)
-        w = config.init_sigma * rng.standard_normal((d, r))
-    else:
-        w = config.warm_start.copy()
+    w = np.zeros((d, r)) if config.warm_start is None else config.warm_start.copy()
 
     obj, grad = empirical_risk_and_grad(w, data, spec, loss)
     history = [obj]

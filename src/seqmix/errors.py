@@ -55,7 +55,9 @@ class LossBlowupError(SeqmixError):
 
 
 class SolverDivergenceError(SeqmixError):
-    """Fixed-point iteration diverged; carries the trajectory prefix."""
+    """An iteration diverged; carries the recorded prefix of its trajectory
+    (the `OrderParameters` of each iterate before the divergence, or None
+    when the run recorded none)."""
 
     def __init__(self, residual: float, trajectory=None):
         self.residual = residual

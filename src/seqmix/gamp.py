@@ -4,7 +4,9 @@ Implements the directed-message algorithm (rBP) and its single-index
 simplification with Onsager memory terms (GAMP), plus the dataset generator
 that realizes a discrete spectral measure at finite d and the empirical
 risk gradient used to verify that message-passing fixed points are critical
-points of gradient descent.
+points of gradient descent.  Both simulators record the empirical overlaps
+of every iterate as `OrderParameters`, the type the solver records for its
+sweeps, so the two trajectories compare and tabulate through one type.
 
 Cost model.  Every data contraction is a BLAS matmul over operands fixed for
 the run.  GAMP builds the squared design XX[n, p, i] = X[n, l, i] X[n, k, i]
@@ -24,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularSystemError, SolverDivergenceError, SpecValidationError
-from .model import LossModel, ModelSpec, SpectralMeasure
+from .model import LossModel, ModelSpec, OrderParameters, SpectralMeasure
 from .prox import prox_batch, prox_gain
 
 MESSAGE_SLOT_GUARD = 10_000_000
@@ -129,29 +131,22 @@ def generate_dataset(
     return Dataset(X=X, y=y, c=c, teacher=teacher, meta=meta)
 
 
-def empirical_statistics(w_hat: np.ndarray, data: Dataset) -> dict:
-    """Summary statistics of a weight matrix against the declared population.
+def empirical_statistics(w_hat: np.ndarray, c_hat: np.ndarray, data: Dataset) -> OrderParameters:
+    """Overlaps of an estimate against the declared population.
 
     q[(ell,k)] = w^T Sigma w / d, m[(ell,k)] = mu^T w / sqrt(d),
-    theta[(ell,k)] = w^T Sigma w* / d, v = w^T w / d.
+    theta[(ell,k)] = w^T Sigma w* / d, v = w^T w / d, and the noise-variance
+    statistic V[(ell,k)] = (1/d) sum_i Sigma_ii c_hat_i.
     """
     d = data.d
-    out = {"q": {}, "m": {}, "theta": {}}
+    stats = OrderParameters(q={}, V={}, m={}, theta={}, v=w_hat.T @ w_hat / d)
     for key, gam in data.meta.eigenvalues.items():
         wg = w_hat * gam[:, None]
-        out["q"][key] = wg.T @ w_hat / d
-        out["theta"][key] = wg.T @ data.teacher / d
-        out["m"][key] = data.meta.means[key] @ w_hat
-    out["v"] = w_hat.T @ w_hat / d
-    return out
-
-
-def population_v_blocks(c_hat: np.ndarray, data: Dataset) -> dict:
-    """V[(ell,k)] = (1/d) sum_i Sigma_ii c_hat_i, the noise-variance statistic."""
-    out = {}
-    for key, gam in data.meta.eigenvalues.items():
-        out[key] = np.einsum("i,iab->ab", gam, c_hat) / data.d
-    return out
+        stats.q[key] = wg.T @ w_hat / d
+        stats.V[key] = np.einsum("i,iab->ab", gam, c_hat) / d
+        stats.m[key] = data.meta.means[key] @ w_hat
+        stats.theta[key] = wg.T @ data.teacher / d
+    return stats
 
 
 # ----------------------------------------------------------------------
@@ -264,24 +259,11 @@ def _residual(w_new: np.ndarray, w_old: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 
 @dataclass
-class GampState:
-    w_hat: np.ndarray                 # (d, r)
-    c_hat: np.ndarray                 # (d, r, r)
-    f: np.ndarray                     # (n, L, r)
-    V: Optional[np.ndarray] = None    # (n, Lr, Lr)
-    omega: Optional[np.ndarray] = None
-    Gamma: Optional[np.ndarray] = None
-    A: Optional[np.ndarray] = None    # (d, r, r)
-    C: Optional[np.ndarray] = None    # (r, r)
-    b: Optional[np.ndarray] = None    # (d, r)
-    iteration: int = 0
-
-
-@dataclass
 class GampResult:
-    state: GampState
-    w_hat: np.ndarray
-    trajectory: list
+    w_hat: np.ndarray                 # (d, r)
+    c_hat: np.ndarray                 # (d, r, r), the last weight-system inverse
+    V: Optional[np.ndarray]           # (n, Lr, Lr), the last noise blocks
+    trajectory: list[OrderParameters]
     converged: bool
     residual_history: list = field(default_factory=list)
 
@@ -295,18 +277,16 @@ def gamp_run(
     damping: float = 0.3,
     onsager_omega: bool = True,
     onsager_b: bool = True,
-    record: bool = True,
 ) -> GampResult:
     """Run the single-index message-passing iteration to a fixed point.
 
-    Records the empirical summary statistics (q, m, theta, v and the noise
-    blocks V) after every weight update so the trajectory can be joined
-    against the solver's time-indexed output.  Disabling either Onsager
-    memory term is exposed for regression tests only.  Damping keeps a
-    fraction of the previous estimate and halves its step on residual
-    increase; use damping = 0 for the raw iteration.  A singular system
-    raises SingularSystemError and a non-finite estimate
-    SolverDivergenceError.
+    Records the empirical overlaps (`empirical_statistics`) after every
+    weight update, so the trajectory lines up with the solver's recorded
+    sweeps index for index.  Disabling either Onsager memory term is exposed
+    for regression tests only.  Damping keeps a fraction of the previous
+    estimate and halves its step on residual increase; use damping = 0 for
+    the raw iteration.  A singular system raises SingularSystemError and a
+    non-finite estimate SolverDivergenceError.
     """
     loss = loss or spec.loss
     dims = spec.dims
@@ -319,6 +299,7 @@ def gamp_run(
     w_hat = np.zeros((d, r))
     c_hat = np.broadcast_to(np.eye(r), (d, r, r)).copy()
     f = np.zeros((n, L, r))
+    V_full = None
     eye_lr = np.eye(L * r)
     eye_r = np.eye(r)
 
@@ -327,17 +308,15 @@ def gamp_run(
     converged = False
     step = 1.0 - damping
     prev_residual = np.inf
-    state = GampState(w_hat=w_hat, c_hat=c_hat, f=f)
 
-    for t in range(max_iters):
-        Gamma = w_hat.T @ w_hat / d
+    for _ in range(max_iters):
         if n == 0:
             V_full = np.zeros((0, L * r, L * r))
-            omega = np.zeros((0, L, r))
             A = np.zeros((d, r, r))
             C = np.zeros((r, r))
             b = np.zeros((d, r))
         else:
+            Gamma = w_hat.T @ w_hat / d
             V_full = _noise_blocks(XX, c_hat, L)
             omega = _project(X, w_hat)
             if onsager_omega:
@@ -373,22 +352,15 @@ def gamp_run(
         prev_residual = residual
         _check_finite(w_hat, residual, trajectory)
 
-        state = GampState(
-            w_hat=w_hat, c_hat=c_hat, f=f, V=V_full, omega=omega, Gamma=Gamma,
-            A=A, C=C, b=b, iteration=t + 1,
-        )
-        if record:
-            stats = empirical_statistics(w_hat, data)
-            stats["V"] = population_v_blocks(c_hat, data)
-            stats["iteration"] = t + 1
-            trajectory.append(stats)
+        trajectory.append(empirical_statistics(w_hat, c_hat, data))
         if residual <= tol:
             converged = True
             break
 
     return GampResult(
-        state=state,
         w_hat=w_hat,
+        c_hat=c_hat,
+        V=V_full,
         trajectory=trajectory,
         converged=converged,
         residual_history=residual_history,
@@ -405,8 +377,9 @@ def rbp_run(
     loss: Optional[LossModel] = None,
     max_iters: int = 200,
     tol: float = 1e-8,
-) -> tuple[np.ndarray, list]:
-    """Full directed-message iteration; returns final marginal means.
+) -> tuple[np.ndarray, list[OrderParameters]]:
+    """Full directed-message iteration; returns the final marginal means and
+    the empirical overlaps of the marginals after every iteration.
 
     Exclusion sums are exact: the full sum is computed once and the single
     excluded term subtracted.  Memory is n * d message slots, guarded.  A
@@ -435,7 +408,7 @@ def rbp_run(
     w_marg = np.zeros((d, r))
     trajectory = []
 
-    for t in range(max_iters):
+    for _ in range(max_iters):
         V_mi = _excluded_noise_blocks(XX, c_msg, L)           # (n, d, Lr, Lr)
         omega_full = X @ w_msg / sqd                          # (n, L, r)
         omega_mi = omega_full[:, None] - Xt[..., None] * w_msg[:, :, None, :] / sqd
@@ -477,10 +450,7 @@ def rbp_run(
         residual = _residual(w_marg_new, w_marg)
         w_marg = w_marg_new
         _check_finite(w_marg, residual, trajectory)
-        stats = empirical_statistics(w_marg, data)
-        stats["V"] = population_v_blocks(c_marg, data)
-        stats["iteration"] = t + 1
-        trajectory.append(stats)
+        trajectory.append(empirical_statistics(w_marg, c_marg, data))
         if residual <= tol:
             break
 

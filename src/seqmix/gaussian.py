@@ -181,15 +181,13 @@ class CondGaussianYGivenXi:
     """
 
     mean_maps: list[np.ndarray]     # per token, t x r
-    schur: list[np.ndarray]         # per token, t x t PSD
-    sqrt_schur: list[np.ndarray]
-    pinv_sqrt_schur: list[np.ndarray]
+    sqrt_schur: list[np.ndarray]    # per token, root of the t x t PSD covariance
 
     @staticmethod
     def build(
         params: OrderParameters, fixed: FixedStatistics, c: tuple
     ) -> "CondGaussianYGivenXi":
-        mean_maps, schur, roots, pinv_roots = [], [], [], []
+        mean_maps, roots = [], []
         for ell, k in enumerate(c):
             q = params.q[(ell, k)]
             theta = params.theta[(ell, k)]
@@ -208,10 +206,8 @@ class CondGaussianYGivenXi:
                     )
                 mean_maps.append(theta.T @ sym_pinv_sqrt(q))
                 S = psd_clip(rho - theta.T @ q_pinv @ theta)
-            schur.append(S)
             roots.append(sym_sqrt(S))
-            pinv_roots.append(sym_pinv_sqrt(S))
-        return CondGaussianYGivenXi(mean_maps, schur, roots, pinv_roots)
+        return CondGaussianYGivenXi(mean_maps, roots)
 
 
 @dataclass

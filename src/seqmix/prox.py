@@ -53,17 +53,6 @@ class ProxProblem:
             P[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = block
         return P
 
-    def violations(self) -> list[str]:
-        P = self.precision_full()
-        out = []
-        if np.max(np.abs(P - P.T)) > 1e-8 * (1.0 + np.max(np.abs(P))):
-            out.append("ProxProblem: precision not symmetric")
-        else:
-            w = np.linalg.eigvalsh(0.5 * (P + P.T))
-            if w.min() <= 1e-12:
-                out.append("ProxProblem: precision not positive definite")
-        return out
-
 
 @dataclass
 class ProxResult:

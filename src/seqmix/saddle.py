@@ -69,9 +69,9 @@ class SolverConfig:
 
     damping keeps a fraction of the previous iterate:
     x_new = (1 - damping) x_proposed + damping x_old.  record_trajectory
-    stores every (overlaps, hats) pair, which is the state-evolution reading
-    of the sweeps (use damping = 0 there so the map matches the algorithm's
-    dynamics exactly).
+    stores the overlaps after every sweep, which is the state-evolution
+    reading of the sweeps (use damping = 0 there so the map matches the
+    algorithm's dynamics exactly).
     """
 
     damping: float = 0.5
@@ -109,7 +109,7 @@ class FixedPointReport:
     test_error_stderr: float
     train_loss: float
     train_loss_stderr: float
-    trajectory: Optional[list[tuple[OrderParameters, ConjugateParameters]]] = None
+    trajectory: Optional[list[OrderParameters]] = None
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
@@ -515,7 +515,7 @@ def solve_fixed_point(
         residual = max(res_hat, res_par)
         residual_history.append(residual)
         if trajectory is not None:
-            trajectory.append((params.copy(), conj.copy()))
+            trajectory.append(params)
         if residual > DIVERGENCE_LIMIT or not np.isfinite(residual):
             raise SolverDivergenceError(residual, trajectory)
         if residual <= config.tol:

@@ -2,8 +2,9 @@
 learning curves (comma-separated tables with a metadata comment block).
 
 Tables carry their provenance in leading "# key = value" comment lines and
-are re-parseable by this module; solver and simulator trajectories share one
-column layout so they can be joined on the iteration index.
+are re-parseable by this module; solver and simulator trajectories are both
+lists of `OrderParameters`, written by one row builder in one column layout,
+so they can be joined on the iteration index.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Dimensions
+from .model import Dimensions, OrderParameters
 
 
 # ----------------------------------------------------------------------
@@ -129,40 +130,27 @@ def trajectory_header(dims: Dimensions) -> list[str]:
     return ["iteration"] + _stat_columns(dims) + ["residual"]
 
 
-def _stat_row(dims: Dimensions, q, m, theta, V, v) -> list[float]:
+def _stat_row(dims: Dimensions, stats: OrderParameters) -> list[float]:
     row: list[float] = []
     for key in dims.lk_pairs():
-        row.extend(np.asarray(q[key]).reshape(-1).tolist())
-        row.extend(np.asarray(m[key]).reshape(-1).tolist())
-        row.extend(np.asarray(theta[key]).reshape(-1).tolist())
-        row.extend(np.asarray(V[key]).reshape(-1).tolist())
-    row.extend(np.asarray(v).reshape(-1).tolist())
+        for block in (stats.q, stats.m, stats.theta, stats.V):
+            row.extend(np.asarray(block[key]).reshape(-1).tolist())
+    row.extend(np.asarray(stats.v).reshape(-1).tolist())
     return row
 
 
-def se_trajectory_rows(report, dims: Dimensions) -> list[list]:
-    """Flattened solver trajectory, one row per sweep."""
-    rows = []
-    for t, (params, _conj) in enumerate(report.trajectory or []):
-        residual = report.residual_history[t] if t < len(report.residual_history) else float("nan")
-        rows.append(
-            [t + 1]
-            + _stat_row(dims, params.q, params.m, params.theta, params.V, params.v)
-            + [residual]
-        )
-    return rows
+def trajectory_rows(
+    trajectory: list[OrderParameters], residuals: list[float], dims: Dimensions
+) -> list[list]:
+    """One row per recorded iteration of a solver or simulator trajectory.
 
-
-def gamp_trajectory_rows(trajectory: list, residuals: list, dims: Dimensions) -> list[list]:
-    """Flattened simulator trajectory in the same column layout."""
+    Iterations count from 1; the residual cell is nan where the run kept no
+    residual history (rBP).
+    """
     rows = []
     for t, stats in enumerate(trajectory):
         residual = residuals[t] if t < len(residuals) else float("nan")
-        rows.append(
-            [stats["iteration"]]
-            + _stat_row(dims, stats["q"], stats["m"], stats["theta"], stats["V"], stats["v"])
-            + [residual]
-        )
+        rows.append([t + 1] + _stat_row(dims, stats) + [residual])
     return rows
 
 

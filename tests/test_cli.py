@@ -7,6 +7,7 @@ import pytest
 
 from seqmix.cli import main
 from seqmix.config import load_experiment
+from seqmix.errors import SpecValidationError
 from seqmix.gaussian import McPlan
 from seqmix.saddle import solve_fixed_point, SolverConfig
 from seqmix.serialize import read_table, save_report, write_table
@@ -108,6 +109,44 @@ class TestModelConfig:
         assert cfg.erm.seeds == (0, 1)
         assert cfg.violations() == []
 
+    def test_every_documented_key_loads(self, tmp_path):
+        # each experiment key of the configuration reference, the benchmark's
+        # [model]/[mc]/[solver]/[sweep] keys among them
+        path = tmp_path / "full.ini"
+        path.write_text(
+            "[model]\ninstance = ridge\nalpha = 1.0\nlambda = 0.1\nd = 100\n\n"
+            "[mc]\nn_samples = 2000\nseed = 3\nantithetic = true\ncrn = true\ngh_order = 7\n\n"
+            "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 50\ninit = gamp\n"
+            "eps_init = 1e-3\nrecord_trajectory = true\n\n"
+            "[sweep]\nalphas = 0.5, 1.0\nlambdas = 0.1\n\n"
+            "[gamp]\nd = 50\nn = 40\nseeds = 0, 1\nmax_iters = 20\ntol = 1e-8\ndamping = 0.0\n\n"
+            "[erm]\nd = 40\nseeds = 2\nmax_epochs = 30\ngrad_tol = 1e-5\nn_test = 1000\n\n"
+            "[output]\ndir = elsewhere\n"
+        )
+        cfg = load_experiment(path)
+        assert cfg.solver.mc_plan == McPlan(n_samples=2000, seed=3, gh_order=7)
+        assert cfg.solver.record_trajectory and cfg.solver.init == "gamp"
+        assert (cfg.gamp.n, cfg.erm.n_test, cfg.out_dir) == (40, 1000, "elsewhere")
+
+    @pytest.mark.parametrize("text, named", [
+        # a misspelled key was ignored, and the run exited 0
+        (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iter = 3"), "max_iter"),
+        (RIDGE_EXPERIMENT + "\n[solvre]\ndamping = 0.3\n", "solvre"),
+        # square takes no parameters; coupling belongs to square_energy
+        (explicit_ini(ridge_instance()).replace("name = square\n", "name = square\ncoupling = 0.3\n"),
+         "coupling"),
+        (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = many"), "many"),
+        (RIDGE_EXPERIMENT.replace("[solver]", "[solver"), "[solver"),
+    ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header"])
+    def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(SpecValidationError):
+            load_experiment(path)
+        assert main(["solve-se", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and named in err
+
 
 class TestTables:
     def test_round_trip(self, tmp_path):
@@ -152,6 +191,28 @@ class TestCli:
         assert len(rows) == 3
         assert all(row[header.index("converged")] == "True" for row in rows)
         assert (out / "report_alpha0.5.json").exists()
+
+    def test_solve_se_trajectory_matches_simulator_layout(self, ridge_config, tmp_path):
+        text = ridge_config.read_text().replace(
+            "max_iters = 500", "max_iters = 500\nrecord_trajectory = true")
+        ridge_config.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve-se", "--config", str(ridge_config), "--out", str(out)]) == 0
+        assert main(["run-gamp", "--config", str(ridge_config), "--out", str(out)]) == 0
+        report = json.loads((out / "report_alpha1.0.json").read_text())
+        _, se_header, se_rows = read_table(out / "se_trajectory_alpha1.0.csv")
+        _, gamp_header, _ = read_table(out / "gamp_trajectory_seed0.csv")
+        assert se_header == gamp_header
+        assert len(se_rows) == report["iterations"]
+        assert [int(row[0]) for row in se_rows] == list(range(1, len(se_rows) + 1))
+        residuals = [float(row[se_header.index("residual")]) for row in se_rows]
+        assert residuals == report["residual_history"]
+
+    def test_zero_mc_samples_is_validation_error(self, ridge_config, tmp_path):
+        # 0 is a value, not "no override": it must reach McPlan's check
+        code = main(["solve-se", "--config", str(ridge_config),
+                     "--out", str(tmp_path / "out"), "--mc-samples", "0"])
+        assert code == 2
 
     def test_warm_start_saves_iterations(self, ridge_config, tmp_path):
         # the chain pays off once neighboring grid points are close

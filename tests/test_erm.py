@@ -69,7 +69,7 @@ class TestErmTrain:
         cold = erm_train(data, spec, config=TrainConfig(grad_tol=1e-7))
         warm = erm_train(
             data, spec,
-            config=TrainConfig(grad_tol=1e-7, init="warm", warm_start=res.w_hat),
+            config=TrainConfig(grad_tol=1e-7, warm_start=res.w_hat),
         )
         assert warm.iterations < cold.iterations
 
@@ -152,17 +152,17 @@ class TestSummaryStatistics:
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=100, n=10, seed=12)
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
-        stats = empirical_statistics(data.teacher, data)
-        np.testing.assert_allclose(stats["q"][(0, 0)], fixed.rho[(0, 0)], atol=1e-12)
-        np.testing.assert_allclose(stats["theta"][(0, 0)], fixed.rho[(0, 0)], atol=1e-12)
+        stats = empirical_statistics(data.teacher, np.zeros((100, 1, 1)), data)
+        np.testing.assert_allclose(stats.q[(0, 0)], fixed.rho[(0, 0)], atol=1e-12)
+        np.testing.assert_allclose(stats.theta[(0, 0)], fixed.rho[(0, 0)], atol=1e-12)
 
     def test_zero_weights(self):
         spec = gmm_instance()
         data = generate_dataset(spec, spec.nu, d=100, n=10, seed=13)
-        stats = empirical_statistics(np.zeros((100, 1)), data)
+        stats = empirical_statistics(np.zeros((100, 1)), np.zeros((100, 1, 1)), data)
         for key in spec.dims.lk_pairs():
-            assert stats["q"][key][0, 0] == 0.0
-            assert stats["m"][key][0] == 0.0
+            assert stats.q[key][0, 0] == 0.0
+            assert stats.m[key][0] == 0.0
 
     def test_concentration_across_seeds(self):
         # trained statistics fluctuate at the 1/sqrt(d) scale across seeds
@@ -175,5 +175,5 @@ class TestSummaryStatistics:
             w = np.linalg.solve(
                 X.T @ X / d + 0.1 * np.eye(d), X.T @ data.y[:, 0, 0] / np.sqrt(d)
             )
-            qs.append(empirical_statistics(w[:, None], data)["q"][(0, 0)][0, 0])
+            qs.append(empirical_statistics(w[:, None], np.zeros((d, 1, 1)), data).q[(0, 0)][0, 0])
         assert float(np.std(qs)) <= 5.0 / np.sqrt(1000)

@@ -106,16 +106,19 @@ class TestGenerateDataset:
         # plugging the teacher itself into the statistics recovers rho
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=100, n=10, seed=3)
-        stats = empirical_statistics(data.teacher, data)
-        assert stats["q"][(0, 0)][0, 0] == pytest.approx(1.0)
-        assert stats["theta"][(0, 0)][0, 0] == pytest.approx(1.0)
+        stats = empirical_statistics(data.teacher, np.ones((100, 1, 1)), data)
+        assert stats.q[(0, 0)][0, 0] == pytest.approx(1.0)
+        assert stats.theta[(0, 0)][0, 0] == pytest.approx(1.0)
+        # V is the eigenvalue-weighted mean of c_hat; ridge has unit eigenvalues
+        assert stats.V[(0, 0)][0, 0] == pytest.approx(1.0)
 
     def test_zero_weights_zero_statistics(self):
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=50, n=10, seed=4)
-        stats = empirical_statistics(np.zeros((50, 1)), data)
-        assert stats["q"][(0, 0)][0, 0] == 0.0
-        assert stats["v"][0, 0] == 0.0
+        stats = empirical_statistics(np.zeros((50, 1)), np.zeros((50, 1, 1)), data)
+        assert stats.q[(0, 0)][0, 0] == 0.0
+        assert stats.V[(0, 0)][0, 0] == 0.0
+        assert stats.v[0, 0] == 0.0
 
 
 class TestContractions:
@@ -216,9 +219,9 @@ class TestGamp:
             X=data.X[:0], y=data.y[:0], c=data.c[:0],
             teacher=data.teacher, meta=data.meta,
         )
-        res = gamp_run(empty, spec, max_iters=1, tol=1e-12, damping=0.0, record=False)
+        res = gamp_run(empty, spec, max_iters=1, tol=1e-12, damping=0.0)
         np.testing.assert_allclose(res.w_hat, 0.0)
-        np.testing.assert_allclose(res.state.c_hat, 1.0 / 0.5, atol=1e-12)
+        np.testing.assert_allclose(res.c_hat, 1.0 / 0.5, atol=1e-12)
 
     def test_matches_ridge_normal_equations(self):
         spec = ridge_instance(alpha=1.0, lam=0.1)
@@ -246,8 +249,8 @@ class TestGamp:
         rms = []
         for seed in range(10):
             data = generate_dataset(spec, spec.nu, d=1000, n=1000, seed=seed)
-            res = gamp_run(data, spec, max_iters=3, tol=1e-15, damping=0.0, record=False)
-            V = res.state.V.reshape(-1, 2, 2)
+            res = gamp_run(data, spec, max_iters=3, tol=1e-15, damping=0.0)
+            V = res.V.reshape(-1, 2, 2)
             rms.append(np.sqrt(np.mean(V[:, 0, 1] ** 2)))
         assert float(np.mean(rms)) <= 5.0 / np.sqrt(1000)
 
@@ -281,7 +284,7 @@ class TestRbp:
         w_bp, traj = rbp_run(data, spec, max_iters=500, tol=1e-11)
         rms = float(np.sqrt(np.mean((res.w_hat - w_bp) ** 2)))
         assert rms <= 5.0 / np.sqrt(d)
-        assert traj[-1]["iteration"] >= 1
+        assert len(traj) >= 1
 
     def test_duplicated_samples_get_identical_messages(self):
         d, n = 24, 8
@@ -302,7 +305,7 @@ class TestRbp:
         )
         _, traj2 = rbp_run(data2, spec, max_iters=8, tol=1e-15)
         np.testing.assert_allclose(
-            traj[-1]["q"][(0, 0)], traj2[-1]["q"][(0, 0)], atol=1e-12
+            traj[-1].q[(0, 0)], traj2[-1].q[(0, 0)], atol=1e-12
         )
 
     def test_message_guard(self):
