@@ -7,10 +7,14 @@ Not part of the test suite (it sits outside `testpaths`); run it explicitly:
 Each case times one layer on inputs built outside the timed call.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from seqmix import gamp, zoo
+from seqmix import gamp, saddle, zoo
+from seqmix.gaussian import McPlan
+from seqmix.model import compute_fixed_statistics
 from seqmix.verify import GMM_LAM, RIDGE_LAM
 
 SPECS = {
@@ -39,3 +43,33 @@ def test_risk_and_gradient(benchmark):
     w = np.random.default_rng(1).standard_normal((500, spec.dims.r))
     total, grad = benchmark(gamp.empirical_risk_and_grad, w, data, spec)
     assert np.isfinite(total) and np.all(np.isfinite(grad))
+
+
+# Expectation plans of the sweep cases: the Gauss-Hermite order the sweep
+# workloads use for logistic_gmm, and the curve-mc Monte Carlo plan
+# (1,000 antithetic samples with common random numbers).
+SWEEP_PLANS = {"gh51": McPlan(gh_order=51), "mc1000": McPlan(n_samples=1000)}
+
+
+@functools.lru_cache(maxsize=None)
+def _logistic_fixed_point(plan_name):
+    spec = zoo.gmm_instance(alpha=1.0, lam=GMM_LAM)
+    config = saddle.SolverConfig(damping=0.5, tol=1e-8, mc_plan=SWEEP_PLANS[plan_name])
+    report = saddle.solve_fixed_point(spec, spec.nu, config)
+    return spec, compute_fixed_statistics(spec.nu, spec.dims), report
+
+
+@pytest.mark.parametrize("plan", sorted(SWEEP_PLANS))
+def test_hat_sweep(benchmark, plan):
+    """One hat sweep on logistic_gmm at its fixed point."""
+    spec, fixed, report = _logistic_fixed_point(plan)
+    conj = benchmark(saddle.update_hats, report.params, fixed, spec, SWEEP_PLANS[plan])
+    assert all(np.all(np.isfinite(a)) for a in conj.blocks().values())
+
+
+@pytest.mark.parametrize("plan", sorted(SWEEP_PLANS))
+def test_overlap_sweep(benchmark, plan):
+    """One overlap sweep on logistic_gmm from the hats of its fixed point."""
+    spec, _, report = _logistic_fixed_point(plan)
+    params = benchmark(saddle.update_overlaps, report.conj, spec.nu, spec)
+    assert all(np.all(np.isfinite(a)) for a in params.blocks().values())

@@ -91,7 +91,7 @@ def _alpha_line(cfg: ExperimentConfig, lam: float) -> tuple[list[list], list]:
         spec = replace_spec(cfg.spec, alpha=alpha, lam=lam)
         solver = cfg.solver
         if warm is not None:
-            solver = replace(solver, init="warm", warm_start=warm)
+            solver = replace(solver, warm_start=warm)
         try:
             report = solve_fixed_point(spec, spec.nu, solver)
             warm = report.params

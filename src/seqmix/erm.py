@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SpecValidationError, StalledError
 from .gamp import Dataset, empirical_risk_and_grad
-from .model import LossModel, ModelSpec
+from .model import ModelSpec
 
 
 @dataclass
@@ -46,7 +46,6 @@ class TrainResult:
 def erm_train(
     data: Dataset,
     spec: ModelSpec,
-    loss: Optional[LossModel] = None,
     config: Optional[TrainConfig] = None,
 ) -> TrainResult:
     """Minimize the empirical risk by monotone full-batch gradient descent.
@@ -60,13 +59,12 @@ def erm_train(
     bad = config.violations()
     if bad:
         raise SpecValidationError("; ".join(bad))
-    loss = loss or spec.loss
     d = data.d
     r = spec.dims.r
 
     w = np.zeros((d, r)) if config.warm_start is None else config.warm_start.copy()
 
-    obj, grad = empirical_risk_and_grad(w, data, spec, loss)
+    obj, grad = empirical_risk_and_grad(w, data, spec)
     history = [obj]
     step = config.step_size
     stalls = 0
@@ -80,7 +78,7 @@ def erm_train(
         g2 = float(np.sum(grad * grad))
         for _ in range(60):
             w_new = w - t * grad
-            obj_new, grad_new = empirical_risk_and_grad(w_new, data, spec, loss)
+            obj_new, grad_new = empirical_risk_and_grad(w_new, data, spec)
             if obj_new <= obj - 1e-4 * t * g2:
                 accepted = True
                 break

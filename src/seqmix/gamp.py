@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularSystemError, SolverDivergenceError, SpecValidationError
-from .model import LossModel, ModelSpec, OrderParameters, SpectralMeasure
+from .model import ModelSpec, OrderParameters, SpectralMeasure
 from .prox import prox_batch, prox_gain
 
 MESSAGE_SLOT_GUARD = 10_000_000
@@ -271,7 +271,6 @@ class GampResult:
 def gamp_run(
     data: Dataset,
     spec: ModelSpec,
-    loss: Optional[LossModel] = None,
     max_iters: int = 200,
     tol: float = 1e-8,
     damping: float = 0.3,
@@ -288,7 +287,7 @@ def gamp_run(
     the raw iteration.  A singular system raises SingularSystemError and a
     non-finite estimate SolverDivergenceError.
     """
-    loss = loss or spec.loss
+    loss = spec.loss
     dims = spec.dims
     n, L, d = data.X.shape
     r = dims.r
@@ -374,7 +373,6 @@ def gamp_run(
 def rbp_run(
     data: Dataset,
     spec: ModelSpec,
-    loss: Optional[LossModel] = None,
     max_iters: int = 200,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, list[OrderParameters]]:
@@ -386,7 +384,7 @@ def rbp_run(
     singular system raises SingularSystemError and a non-finite marginal
     SolverDivergenceError.
     """
-    loss = loss or spec.loss
+    loss = spec.loss
     dims = spec.dims
     n, L, d = data.X.shape
     r = dims.r
@@ -462,14 +460,14 @@ def rbp_run(
 # ----------------------------------------------------------------------
 
 def empirical_risk_and_grad(
-    w: np.ndarray, data: Dataset, spec: ModelSpec, loss: Optional[LossModel] = None
+    w: np.ndarray, data: Dataset, spec: ModelSpec
 ) -> tuple[float, np.ndarray]:
     """R(w) and its exact gradient, including the weight-overlap channel.
 
     R(w) = sum_mu ell(y_mu, x_mu w / sqrt(d), w^T w / d, c_mu)
            + (lambda / 2) ||w||^2.
     """
-    loss = loss or spec.loss
+    loss = spec.loss
     d = data.d
     lam = spec.dims.lam
     Z = _project(data.X, w)
@@ -485,9 +483,7 @@ def empirical_risk_and_grad(
     return total, grad
 
 
-def gd_gradient_norm(
-    w: np.ndarray, data: Dataset, spec: ModelSpec, loss: Optional[LossModel] = None
-) -> float:
+def gd_gradient_norm(w: np.ndarray, data: Dataset, spec: ModelSpec) -> float:
     """Max-abs entry of the empirical risk gradient at w."""
-    _, grad = empirical_risk_and_grad(w, data, spec, loss)
+    _, grad = empirical_risk_and_grad(w, data, spec)
     return float(np.max(np.abs(grad)))

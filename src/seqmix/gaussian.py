@@ -188,26 +188,32 @@ class CondGaussianYGivenXi:
         params: OrderParameters, fixed: FixedStatistics, c: tuple
     ) -> "CondGaussianYGivenXi":
         mean_maps, roots = [], []
-        for ell, k in enumerate(c):
-            q = params.q[(ell, k)]
-            theta = params.theta[(ell, k)]
-            rho = fixed.rho[(ell, k)]
+        for key in enumerate(c):
+            q = params.q[key]
+            theta = params.theta[key]
             if np.max(np.abs(theta)) == 0.0:
                 # theta = 0: the xi-dependence vanishes and Y ~ N(0, rho)
                 mean_maps.append(np.zeros((theta.shape[1], theta.shape[0])))
-                S = psd_clip(rho)
             else:
-                q_pinv = sym_pinv(q)
                 # theta must lie in the range of q for q^{-1/2} to make sense
-                residual = theta - q @ q_pinv @ theta
+                residual = theta - q @ sym_pinv(q) @ theta
                 if np.max(np.abs(residual)) > 1e-8 * (1.0 + np.max(np.abs(theta))):
                     raise DegenerateOverlapError(
                         "singular q with teacher overlap outside its range"
                     )
                 mean_maps.append(theta.T @ sym_pinv_sqrt(q))
-                S = psd_clip(rho - theta.T @ q_pinv @ theta)
-            roots.append(sym_sqrt(S))
+            roots.append(sym_sqrt(schur_complement(params, fixed, key)))
         return CondGaussianYGivenXi(mean_maps, roots)
+
+
+def schur_complement(params: OrderParameters, fixed: FixedStatistics, key) -> np.ndarray:
+    """rho - theta^T q^+ theta clipped PSD (rho itself when theta = 0): the
+    label covariance left once the student channel is known."""
+    theta = params.theta[key]
+    rho = fixed.rho[key]
+    if np.max(np.abs(theta)) == 0.0:
+        return psd_clip(rho)
+    return psd_clip(rho - theta.T @ sym_pinv(params.q[key]) @ theta)
 
 
 @dataclass

@@ -6,9 +6,10 @@ c = (c_1, ..., c_L) follows an arbitrary discrete law.  All covariances share
 one eigenbasis, so in the large-d limit the data is summarized by a discrete
 spectral measure over (eigenvalue gamma, scaled mean projection tau, teacher
 projection pi) triples.  Trained weights are described by per-(token, cluster)
-overlap matrices; this module holds those types plus the pluggable loss
-interface consumed by the solver, the message-passing simulators and the
-gradient-descent lab.
+overlap matrices and their conjugates, two families of one block layout
+(`KeyedBlocks`: copy, zeros, named blocks and the damped mix); this module
+holds those types plus the pluggable loss interface consumed by the solver,
+the message-passing simulators and the gradient-descent lab.
 
 Index convention: tokens and clusters are 0-based, maps over (ell, k) are
 total, and iteration order is row-major in (ell, k).
@@ -16,7 +17,7 @@ total, and iteration order is row-major in (ell, k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +38,8 @@ class Dimensions:
 
     L: sequence length, r/t: student/teacher hidden units, K: clusters per
     token, alpha: sample complexity n/d, lam: l2 regularization strength.
-    d is only used by finite-dimensional modules (dataset generation, ERM).
+    d is a label for callers; no module reads it (dataset generation and ERM
+    take d as an argument).
     """
 
     L: int
@@ -211,8 +213,63 @@ def compute_fixed_statistics(nu: SpectralMeasure, dims: Dimensions) -> FixedStat
     return FixedStatistics(rho=rho, m_star=m_star)
 
 
+class KeyedBlocks:
+    """Shared body of the overlaps and their conjugates.
+
+    A subclass is a dataclass of four per-(ell, k) dicts of blocks followed
+    by one global r x r block, and every method walks those fields in
+    declaration order.  The two families have the same shapes field by
+    field: r x r, r x r, (r,), r x t per key, then r x r.
+    """
+
+    def _map(self, fn, *others):
+        """A new instance holding fn(block, *matching blocks of others)."""
+        *keyed, glob = (f.name for f in fields(self))
+        out = {
+            name: {key: fn(a, *(getattr(o, name)[key] for o in others))
+                   for key, a in getattr(self, name).items()}
+            for name in keyed
+        }
+        out[glob] = fn(getattr(self, glob), *(getattr(o, glob) for o in others))
+        return type(self)(**out)
+
+    def copy(self):
+        return self._map(lambda a: a.copy())
+
+    def mix(self, old, eta: float):
+        """(1 - eta) self + eta old, block by block.
+
+        self itself, not a copy, when eta == 0 or there is no previous iterate.
+        """
+        if eta == 0.0 or old is None:
+            return self
+        return self._map(lambda new, prev: (1 - eta) * new + eta * prev, old)
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        """Named view of every block, for residuals and reports: per key in
+        sorted order the keyed fields ("q_0_1", ...), then the global one."""
+        *keyed, glob = (f.name for f in fields(self))
+        out: dict[str, np.ndarray] = {}
+        for ell, k in sorted(getattr(self, keyed[0])):
+            for name in keyed:
+                out[f"{name}_{ell}_{k}"] = getattr(self, name)[(ell, k)]
+        out[glob] = getattr(self, glob)
+        return out
+
+    @classmethod
+    def zeros(cls, dims: Dimensions):
+        r, t = dims.r, dims.t
+        *keyed, glob = (f.name for f in fields(cls))
+        out = {
+            name: {key: np.zeros(shape) for key in dims.lk_pairs()}
+            for name, shape in zip(keyed, ((r, r), (r, r), (r,), (r, t)))
+        }
+        out[glob] = np.zeros((r, r))
+        return cls(**out)
+
+
 @dataclass
-class OrderParameters:
+class OrderParameters(KeyedBlocks):
     """RS overlaps: q, V, m, theta per (ell, k), plus the global v = w^T w / d.
 
     theta is stored r x t (student rows against teacher columns); transposes
@@ -225,27 +282,6 @@ class OrderParameters:
     theta: dict[Key, np.ndarray]
     v: np.ndarray
 
-    def copy(self) -> "OrderParameters":
-        return OrderParameters(
-            q={k: a.copy() for k, a in self.q.items()},
-            V={k: a.copy() for k, a in self.V.items()},
-            m={k: a.copy() for k, a in self.m.items()},
-            theta={k: a.copy() for k, a in self.theta.items()},
-            v=self.v.copy(),
-        )
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        """Named flat view of every block, for residuals and reports."""
-        out: dict[str, np.ndarray] = {}
-        for key in sorted(self.q):
-            ell, k = key
-            out[f"q_{ell}_{k}"] = self.q[key]
-            out[f"V_{ell}_{k}"] = self.V[key]
-            out[f"m_{ell}_{k}"] = self.m[key]
-            out[f"theta_{ell}_{k}"] = self.theta[key]
-        out["v"] = self.v
-        return out
-
     def max_asymmetry(self) -> float:
         worst = 0.0
         for blocks in (self.q, self.V):
@@ -257,14 +293,13 @@ class OrderParameters:
     @staticmethod
     def cold(dims: Dimensions, eps: float = 1e-3) -> "OrderParameters":
         """Uninformed start: q = eps I, V = I, m = 0, theta = 0, v = eps I."""
+        out = OrderParameters.zeros(dims)
         eye = np.eye(dims.r)
-        return OrderParameters(
-            q={key: eps * eye.copy() for key in dims.lk_pairs()},
-            V={key: eye.copy() for key in dims.lk_pairs()},
-            m={key: np.zeros(dims.r) for key in dims.lk_pairs()},
-            theta={key: np.zeros((dims.r, dims.t)) for key in dims.lk_pairs()},
-            v=eps * eye.copy(),
-        )
+        for key in dims.lk_pairs():
+            out.q[key] = eps * eye
+            out.V[key] = eye.copy()
+        out.v = eps * eye
+        return out
 
     @staticmethod
     def gamp_matched(dims: Dimensions, nu: SpectralMeasure) -> "OrderParameters":
@@ -273,18 +308,10 @@ class OrderParameters:
         q = m = theta = v = 0 and V_{ell,k} = (mean eigenvalue) I, which is
         what the first message-passing iteration sees before any update.
         """
-        eye = np.eye(dims.r)
-        V = {}
+        out = OrderParameters.zeros(dims)
         for key in dims.lk_pairs():
-            gbar = sum(a.weight * a.gamma[key] for a in nu.atoms)
-            V[key] = gbar * eye.copy()
-        return OrderParameters(
-            q={key: np.zeros((dims.r, dims.r)) for key in dims.lk_pairs()},
-            V=V,
-            m={key: np.zeros(dims.r) for key in dims.lk_pairs()},
-            theta={key: np.zeros((dims.r, dims.t)) for key in dims.lk_pairs()},
-            v=np.zeros((dims.r, dims.r)),
-        )
+            out.V[key] = sum(a.weight * a.gamma[key] for a in nu.atoms) * np.eye(dims.r)
+        return out
 
     @staticmethod
     def informed(dims: Dimensions, fixed: FixedStatistics, eps: float = 1e-3) -> "OrderParameters":
@@ -302,7 +329,7 @@ class OrderParameters:
 
 
 @dataclass
-class ConjugateParameters:
+class ConjugateParameters(KeyedBlocks):
     """Hatted (dual) parameters entering the spectral resolvent."""
 
     q_hat: dict[Key, np.ndarray]
@@ -310,36 +337,6 @@ class ConjugateParameters:
     m_hat: dict[Key, np.ndarray]
     theta_hat: dict[Key, np.ndarray]
     v_hat: np.ndarray
-
-    def copy(self) -> "ConjugateParameters":
-        return ConjugateParameters(
-            q_hat={k: a.copy() for k, a in self.q_hat.items()},
-            V_hat={k: a.copy() for k, a in self.V_hat.items()},
-            m_hat={k: a.copy() for k, a in self.m_hat.items()},
-            theta_hat={k: a.copy() for k, a in self.theta_hat.items()},
-            v_hat=self.v_hat.copy(),
-        )
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for key in sorted(self.q_hat):
-            ell, k = key
-            out[f"q_hat_{ell}_{k}"] = self.q_hat[key]
-            out[f"V_hat_{ell}_{k}"] = self.V_hat[key]
-            out[f"m_hat_{ell}_{k}"] = self.m_hat[key]
-            out[f"theta_hat_{ell}_{k}"] = self.theta_hat[key]
-        out["v_hat"] = self.v_hat
-        return out
-
-    @staticmethod
-    def zeros(dims: Dimensions) -> "ConjugateParameters":
-        return ConjugateParameters(
-            q_hat={key: np.zeros((dims.r, dims.r)) for key in dims.lk_pairs()},
-            V_hat={key: np.zeros((dims.r, dims.r)) for key in dims.lk_pairs()},
-            m_hat={key: np.zeros(dims.r) for key in dims.lk_pairs()},
-            theta_hat={key: np.zeros((dims.r, dims.t)) for key in dims.lk_pairs()},
-            v_hat=np.zeros((dims.r, dims.r)),
-        )
 
 
 @dataclass

@@ -59,7 +59,6 @@ class ProxResult:
     x_star: np.ndarray        # L x r
     value: float              # envelope value at the minimizer
     grad_norm: float          # stationarity residual
-    iterations: int = 0
 
 
 def _objective(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
@@ -101,7 +100,7 @@ def loss_hessian(loss: LossModel, Ys, Xs, v, cs) -> np.ndarray:
 
 
 def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
-    """Damped Newton on every sample at once; returns (X, iterations).
+    """Damped Newton on every sample at once; returns the minimizers X.
 
     Each sample keeps its own Levenberg shift, Armijo step and stopping
     test ||P (X - a) + grad ell|| <= tol (1 + ||a||); a sample that has not
@@ -123,12 +122,9 @@ def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
     obj = _objective(*at(everyone), X)
     res = _residual(*at(everyone), X)
     mu = np.zeros(S)
-    iterations = np.full(S, max_iters)
     live = np.ones(S, dtype=bool)
-    for it in range(max_iters):
-        done = live & (np.linalg.norm(res, axis=1) <= tols)
-        iterations[done] = it
-        live &= ~done
+    for _ in range(max_iters):
+        live &= ~(np.linalg.norm(res, axis=1) <= tols)
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
@@ -173,7 +169,7 @@ def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
     if failed.size:
         s = failed[0]
         raise ProxConvergenceError(X[s].reshape(L, r), float(rnorm[s]), max_iters)
-    return X.reshape(S, L, r), iterations
+    return X.reshape(S, L, r)
 
 
 def prox_batch(
@@ -187,7 +183,7 @@ def prox_batch(
     """
     if loss.prox is not None:
         return loss.prox(anchors, precisions, Ys, v, cs)
-    return _newton(loss, anchors, precisions, Ys, v, cs, tol, max_iters)[0]
+    return _newton(loss, anchors, precisions, Ys, v, cs, tol, max_iters)
 
 
 def prox_gain(loss: LossModel, Ys, Xs, P, v, cs) -> np.ndarray:
@@ -221,17 +217,7 @@ def moreau_prox(problem: ProxProblem, loss: LossModel) -> ProxResult:
     P = problem.precision_full()
     Ys = problem.y[None]
     cs = np.asarray([problem.c])
-    if loss.prox is not None:
-        X = loss.prox(problem.anchor[None], P, Ys, problem.v, cs)
-        iterations = 0
-    else:
-        X, its = _newton(loss, problem.anchor[None], P, Ys, problem.v, cs,
-                         problem.tol, problem.max_iters)
-        iterations = int(its[0])
+    X = prox_batch(loss, problem.anchor[None], P, Ys, problem.v, cs,
+                   problem.tol, problem.max_iters)
     at = (loss, problem.anchor.reshape(1, -1), P[None], Ys, problem.v, cs, X.reshape(1, -1))
-    return ProxResult(
-        X[0],
-        float(_objective(*at)[0]),
-        float(np.linalg.norm(_residual(*at))),
-        iterations=iterations,
-    )
+    return ProxResult(X[0], float(_objective(*at)[0]), float(np.linalg.norm(_residual(*at))))

@@ -20,6 +20,12 @@ gamma theta_hat pi) and kernel K = S S^T + sum gamma q_hat:
     V = int gamma R,  q = int gamma R K R,  m = int tau R S,
     theta = int gamma R S pi^T,  v = int R K R.
 
+The theta channel is whitened by the root of the label covariance left
+given the student channel, `gaussian.schur_complement`, the same matrix the
+energetic nodes draw their labels from.  Each proposal is damped toward the
+previous iterate by `mix`, the one linear combination of the two block
+families.
+
 Run with time indices recorded, the same sweeps are the state-evolution
 dynamics of the message-passing algorithm; run to self-consistency they
 characterize the trained estimator.
@@ -43,8 +49,7 @@ from .gaussian import (
     energetic_nodes,
     joint_xy_nodes,
     pairwise_sum,
-    psd_clip,
-    sym_pinv,
+    schur_complement,
     sym_pinv_sqrt,
     sym_sqrt,
     _weighted_mean_stderr,
@@ -68,14 +73,15 @@ class SolverConfig:
     """Iteration schedule for the fixed-point solve.
 
     damping keeps a fraction of the previous iterate:
-    x_new = (1 - damping) x_proposed + damping x_old.  record_trajectory
+    x_new = (1 - damping) x_proposed + damping x_old.  A warm_start, when
+    given, is the first iterate and init is not consulted.  record_trajectory
     stores the overlaps after every sweep, which is the state-evolution
     reading of the sweeps (use damping = 0 there so the map matches the
     algorithm's dynamics exactly).
     """
 
     damping: float = 0.5
-    init: str = "cold"              # cold | gamp | informed | warm
+    init: str = "cold"              # cold | gamp | informed
     warm_start: Optional[OrderParameters] = None
     eps_init: float = 1e-3
     tol: float = 1e-8
@@ -89,10 +95,8 @@ class SolverConfig:
             out.append("SolverConfig: damping must lie in [0, 1)")
         if self.tol <= 0:
             out.append("SolverConfig: tol must be positive")
-        if self.init not in ("cold", "gamp", "informed", "warm"):
+        if self.init not in ("cold", "gamp", "informed"):
             out.append(f"SolverConfig: unknown init {self.init!r}")
-        if self.init == "warm" and self.warm_start is None:
-            out.append("SolverConfig: warm init requires warm_start")
         return out
 
 
@@ -217,24 +221,13 @@ def update_hats(
 
     # scale, convert the theta channel through the Schur root, symmetrize
     for key in dims.lk_pairs():
-        cond_scale = _schur_pinv_sqrt(params, fixed, key)
+        cond_scale = sym_pinv_sqrt(schur_complement(params, fixed, key))
         out.m_hat[key] = alpha * out.m_hat[key]
         out.q_hat[key] = _sym(alpha * out.q_hat[key])
         out.theta_hat[key] = alpha * out.theta_hat[key] @ cond_scale
         out.V_hat[key] = -alpha * out.V_hat[key]
     out.v_hat = _sym(2.0 * alpha * vhat_acc) if loss.depends_on_v else np.zeros_like(out.v_hat)
     return out
-
-
-def _schur_pinv_sqrt(params: OrderParameters, fixed: FixedStatistics, key) -> np.ndarray:
-    """pinv sqrt of rho - theta^T q^+ theta; zero when the channel is degenerate."""
-    theta = params.theta[key]
-    rho = fixed.rho[key]
-    if np.max(np.abs(theta)) == 0.0:
-        S = psd_clip(rho)
-    else:
-        S = psd_clip(rho - theta.T @ sym_pinv(params.q[key]) @ theta)
-    return sym_pinv_sqrt(S)
 
 
 # ----------------------------------------------------------------------
@@ -287,52 +280,56 @@ def update_overlaps(
     """One overlap sweep: finite atom sums against the resolvent kernels."""
     dims = spec.dims
     kernels = spectral_kernels(conj, nu, dims, dims.lam)
-    q = {key: np.zeros((dims.r, dims.r)) for key in dims.lk_pairs()}
-    V = {key: np.zeros((dims.r, dims.r)) for key in dims.lk_pairs()}
-    m = {key: np.zeros(dims.r) for key in dims.lk_pairs()}
-    theta = {key: np.zeros((dims.r, dims.t)) for key in dims.lk_pairs()}
-    v = np.zeros((dims.r, dims.r))
+    out = OrderParameters.zeros(dims)
     for ker in kernels:
         RKR = ker.R @ ker.K @ ker.R
         RS = ker.R @ ker.S
-        v = v + ker.weight * RKR
+        out.v += ker.weight * RKR
         for key in dims.lk_pairs():
             g = ker.gamma[key]
-            V[key] += ker.weight * g * ker.R
-            q[key] += ker.weight * g * RKR
-            m[key] += ker.weight * ker.tau[key] * RS
-            theta[key] += ker.weight * g * np.outer(RS, ker.pi)
+            out.V[key] += ker.weight * g * ker.R
+            out.q[key] += ker.weight * g * RKR
+            out.m[key] += ker.weight * ker.tau[key] * RS
+            out.theta[key] += ker.weight * g * np.outer(RS, ker.pi)
     for key in dims.lk_pairs():
-        q[key] = _sym(q[key])
-        V[key] = _sym(V[key])
-    return OrderParameters(q=q, V=V, m=m, theta=theta, v=_sym(v))
+        out.q[key] = _sym(out.q[key])
+        out.V[key] = _sym(out.V[key])
+    out.v = _sym(out.v)
+    return out
 
 
 # ----------------------------------------------------------------------
 # Scalar functionals of a (params, conj) pair.
 # ----------------------------------------------------------------------
 
+def _class_mean(per_class, plan: McPlan) -> tuple[float, float]:
+    """sum_c p_c E_c[vals] and its stderr, from (p_c, weights, vals) per class."""
+    total = 0.0
+    var = 0.0
+    for pc, wts, vals in per_class:
+        mean_c, se_c = _weighted_mean_stderr(
+            wts, vals[:, None], plan.antithetic, plan.gh_order > 0
+        )
+        total += pc * float(mean_c[0])
+        var += (pc * float(se_c[0])) ** 2
+    return total, float(np.sqrt(var))
+
+
 def expected_envelope(
     params: OrderParameters,
     fixed: FixedStatistics,
     spec: ModelSpec,
     plan: McPlan,
-    iteration: int = 0,
 ) -> tuple[float, float]:
     """E_{c,Y,Xi} of the Moreau envelope value at the current overlaps."""
-    total = 0.0
-    var = 0.0
-    for nb in _node_batches(params, fixed, spec, plan, iteration):
-        S = len(nb.wts)
-        D = (nb.x_stars - nb.anchors).reshape(S, -1)
-        quad = 0.5 * np.einsum("si,ij,sj->s", D, nb.P_full, D)
-        vals = quad + spec.loss.eval(nb.y_loss, nb.x_stars, params.v, nb.cs)
-        mean_c, se_c = _weighted_mean_stderr(
-            nb.wts, vals[:, None], plan.antithetic, plan.gh_order > 0
-        )
-        total += nb.pc * float(mean_c[0])
-        var += (nb.pc * float(se_c[0])) ** 2
-    return total, float(np.sqrt(var))
+
+    def per_class():
+        for nb in _node_batches(params, fixed, spec, plan, iteration=0):
+            D = (nb.x_stars - nb.anchors).reshape(len(nb.wts), -1)
+            quad = 0.5 * np.einsum("si,ij,sj->s", D, nb.P_full, D)
+            yield nb.pc, nb.wts, quad + spec.loss.eval(nb.y_loss, nb.x_stars, params.v, nb.cs)
+
+    return _class_mean(per_class(), plan)
 
 
 def _trace_terms(params: OrderParameters, conj: ConjugateParameters) -> float:
@@ -393,7 +390,6 @@ def test_error(
     fixed: FixedStatistics,
     spec: ModelSpec,
     plan: McPlan,
-    iteration: int = 0,
 ) -> tuple[float, float]:
     """Class-weighted expectation of the test metric over the joint (X, Y) law.
 
@@ -404,41 +400,21 @@ def test_error(
     loss = spec.loss
     if plan.gh_order > 0 and not loss.test_metric_smooth:
         plan = replace(plan, gh_order=0)
-    total = 0.0
-    var = 0.0
-    for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
-        if pc == 0.0:
-            continue
-        wts, X, Y = joint_xy_nodes(
-            params, fixed, c, plan, iteration=iteration, c_index=c_index
-        )
-        cs = np.tile(np.asarray(c), (len(wts), 1))
-        vals = np.asarray(loss.test_eval(Y, X, params.v, cs), dtype=float)
-        mean_c, se_c = _weighted_mean_stderr(
-            wts, vals[:, None], plan.antithetic, plan.gh_order > 0
-        )
-        total += pc * float(mean_c[0])
-        var += (pc * float(se_c[0])) ** 2
-    return total, float(np.sqrt(var))
+
+    def per_class():
+        for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
+            if pc == 0.0:
+                continue
+            wts, X, Y = joint_xy_nodes(params, fixed, c, plan, c_index=c_index)
+            cs = np.tile(np.asarray(c), (len(wts), 1))
+            yield pc, wts, np.asarray(loss.test_eval(Y, X, params.v, cs), dtype=float)
+
+    return _class_mean(per_class(), plan)
 
 
 # ----------------------------------------------------------------------
 # The fixed-point loop.
 # ----------------------------------------------------------------------
-
-def _damp_struct(new, old, eta: float):
-    if eta == 0.0 or old is None:
-        return new
-    out = new.copy()
-    for name in out.__dict__:
-        nv = getattr(new, name)
-        ov = getattr(old, name)
-        if isinstance(nv, dict):
-            setattr(out, name, {k: (1 - eta) * nv[k] + eta * ov[k] for k in nv})
-        else:
-            setattr(out, name, (1 - eta) * nv + eta * ov)
-    return out
-
 
 def _block_residual(new, old, skip: tuple[str, ...] = ()) -> float:
     worst = 0.0
@@ -453,13 +429,13 @@ def _block_residual(new, old, skip: tuple[str, ...] = ()) -> float:
 
 
 def _initial_params(spec: ModelSpec, nu: SpectralMeasure, fixed, config: SolverConfig):
+    if config.warm_start is not None:
+        return config.warm_start.copy()
     if config.init == "cold":
         return OrderParameters.cold(spec.dims, config.eps_init)
     if config.init == "gamp":
         return OrderParameters.gamp_matched(spec.dims, nu)
-    if config.init == "informed":
-        return OrderParameters.informed(spec.dims, fixed, config.eps_init)
-    return config.warm_start.copy()
+    return OrderParameters.informed(spec.dims, fixed, config.eps_init)
 
 
 def solve_fixed_point(
@@ -506,11 +482,11 @@ def solve_fixed_point(
     for it in range(1, config.max_iters + 1):
         conj_prop = update_hats(params, fixed, spec, plan, iteration=it)
         res_hat = _block_residual(conj_prop, conj if conj is not None else conj_ref, skip=skip)
-        conj = _damp_struct(conj_prop, conj, config.damping)
+        conj = conj_prop.mix(conj, config.damping)
 
         params_prop = update_overlaps(conj, nu, spec)
         res_par = _block_residual(params_prop, params, skip=skip)
-        params = _damp_struct(params_prop, params, config.damping)
+        params = params_prop.mix(params, config.damping)
 
         residual = max(res_hat, res_par)
         residual_history.append(residual)

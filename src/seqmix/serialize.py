@@ -10,6 +10,7 @@ so they can be joined on the iteration index.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -27,8 +28,15 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": a.reshape(-1).tolist()}
 
 
-def _encode_keyed(blocks: dict) -> dict:
-    return {f"{k[0]},{k[1]}": _encode_array(v) for k, v in blocks.items()}
+def _encode_blocks(state) -> dict:
+    """Every field of an overlap or conjugate state, in declaration order;
+    keyed fields map "ell,k" to a matrix."""
+    out = {}
+    for f in fields(state):
+        val = getattr(state, f.name)
+        out[f.name] = ({f"{k[0]},{k[1]}": _encode_array(a) for k, a in val.items()}
+                       if isinstance(val, dict) else _encode_array(val))
+    return out
 
 
 def report_to_dict(report) -> dict:
@@ -42,20 +50,8 @@ def report_to_dict(report) -> dict:
         "test_error_stderr": float(report.test_error_stderr),
         "train_loss": float(report.train_loss),
         "train_loss_stderr": float(report.train_loss_stderr),
-        "params": {
-            "q": _encode_keyed(report.params.q),
-            "V": _encode_keyed(report.params.V),
-            "m": _encode_keyed(report.params.m),
-            "theta": _encode_keyed(report.params.theta),
-            "v": _encode_array(report.params.v),
-        },
-        "conj": {
-            "q_hat": _encode_keyed(report.conj.q_hat),
-            "V_hat": _encode_keyed(report.conj.V_hat),
-            "m_hat": _encode_keyed(report.conj.m_hat),
-            "theta_hat": _encode_keyed(report.conj.theta_hat),
-            "v_hat": _encode_array(report.conj.v_hat),
-        },
+        "params": _encode_blocks(report.params),
+        "conj": _encode_blocks(report.conj),
     }
 
 

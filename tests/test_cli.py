@@ -147,6 +147,13 @@ class TestModelConfig:
         err = capsys.readouterr().err
         assert "Traceback" not in err and named in err
 
+    def test_warm_init_is_validation_error(self, tmp_path, capsys):
+        # a warm start is set by passing the previous overlaps, not by init
+        path = tmp_path / "warm.ini"
+        path.write_text(RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = 500\ninit = warm"))
+        assert main(["solve-se", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown init 'warm'" in capsys.readouterr().err
+
 
 class TestTables:
     def test_round_trip(self, tmp_path):
@@ -169,17 +176,34 @@ class TestTables:
 
 class TestReportsAndDatasets:
     def test_report_round_trip(self, tmp_path):
-        spec = ridge_instance()
-        cfg = SolverConfig(damping=0.3, tol=1e-9, max_iters=300,
-                           mc_plan=McPlan(gh_order=7))
-        rep = solve_fixed_point(spec, spec.nu, cfg)
-        path = tmp_path / "rep.json"
-        save_report(rep, path)
-        doc = json.loads(path.read_text())
-        assert doc["converged"] is True
-        for got, want in ((doc["params"]["q"]["0,0"], rep.params.q[(0, 0)]),
-                          (doc["conj"]["q_hat"]["0,0"], rep.conj.q_hat[(0, 0)])):
-            np.testing.assert_array_equal(np.reshape(got["data"], got["shape"]), want)
+        for spec, keys in ((ridge_instance(), ["0,0"]),
+                           (two_token_instance(), ["0,0", "1,0"])):
+            cfg = SolverConfig(damping=0.3, tol=1e-9, max_iters=300,
+                               mc_plan=McPlan(gh_order=7))
+            rep = solve_fixed_point(spec, spec.nu, cfg)
+            path = tmp_path / f"{spec.name}.json"
+            save_report(rep, path)
+            doc = json.loads(path.read_text())
+            assert doc["converged"] is True
+            assert list(doc) == [
+                "converged", "iterations", "residual_history", "free_entropy",
+                "free_entropy_stderr", "test_error", "test_error_stderr",
+                "train_loss", "train_loss_stderr", "params", "conj",
+            ]
+            assert list(doc["params"]) == ["q", "V", "m", "theta", "v"]
+            assert list(doc["conj"]) == ["q_hat", "V_hat", "m_hat", "theta_hat", "v_hat"]
+            for state, section in ((rep.params, doc["params"]), (rep.conj, doc["conj"])):
+                *keyed, glob = section
+                for name in keyed:
+                    assert list(section[name]) == keys
+                    for key in keys:
+                        got = section[name][key]
+                        want = getattr(state, name)[tuple(map(int, key.split(",")))]
+                        np.testing.assert_array_equal(
+                            np.reshape(got["data"], got["shape"]), want)
+                got = section[glob]
+                np.testing.assert_array_equal(
+                    np.reshape(got["data"], got["shape"]), getattr(state, glob))
 
 
 class TestCli:

@@ -7,9 +7,11 @@ from seqmix.errors import SpecValidationError
 from seqmix.model import (
     ClassLaw,
     compute_fixed_statistics,
+    ConjugateParameters,
     Dimensions,
     make_atom,
     ModelSpec,
+    OrderParameters,
     SpectralAtom,
     SpectralMeasure,
     validate_spec,
@@ -163,3 +165,35 @@ class TestClassLaw:
         d = Dimensions(L=1, r=1, t=1, K=(2,), alpha=1.0, lam=0.1)
         law = ClassLaw(((0,), (2,)), (0.5, 0.5))
         assert any("outside" in s for s in law.violations(d))
+
+
+class TestKeyedBlocks:
+    @pytest.mark.parametrize("cls, names", [
+        (OrderParameters, ["q_0_0", "V_0_0", "m_0_0", "theta_0_0",
+                           "q_1_0", "V_1_0", "m_1_0", "theta_1_0", "v"]),
+        (ConjugateParameters, ["q_hat_0_0", "V_hat_0_0", "m_hat_0_0", "theta_hat_0_0",
+                               "q_hat_1_0", "V_hat_1_0", "m_hat_1_0", "theta_hat_1_0",
+                               "v_hat"]),
+    ])
+    def test_blocks_copy_and_mix_on_two_token(self, cls, names):
+        dims = two_token_instance().dims
+        rng = np.random.default_rng(8)
+        state = cls.zeros(dims)
+        blocks = state.blocks()
+        for a in blocks.values():
+            a[...] = rng.standard_normal(a.shape)
+        assert list(blocks) == names
+        assert [b.shape for b in blocks.values()] == [
+            (1, 1), (1, 1), (1,), (1, 1)] * 2 + [(1, 1)]
+
+        dup = state.copy()
+        assert type(dup) is cls
+        for name, a in dup.blocks().items():
+            np.testing.assert_array_equal(a, blocks[name])
+            assert not np.shares_memory(a, blocks[name])
+
+        assert state.mix(dup, 0.0) is state
+        assert state.mix(None, 0.5) is state
+        mixed = state.mix(cls.zeros(dims), 0.25)
+        for name, a in mixed.blocks().items():
+            np.testing.assert_array_equal(a, 0.75 * blocks[name])
