@@ -37,6 +37,16 @@ def test_gamp_iteration(benchmark, instance):
     assert np.all(np.isfinite(res.w_hat))
 
 
+@pytest.mark.parametrize("instance", sorted(SPECS))
+def test_squared_design(benchmark, instance):
+    """The squared-design build alone at d = 1000, the once-per-run part of
+    test_gamp_iteration."""
+    _, data = _dataset(instance, 1000)
+    XX = benchmark(gamp._squared_design, data.X)
+    n, L, d = data.X.shape
+    assert XX.shape == (n, L * (L + 1) // 2, d)
+
+
 def test_risk_and_gradient(benchmark):
     """One empirical risk and gradient evaluation at d = 500."""
     spec, data = _dataset("logistic_gmm", 500)

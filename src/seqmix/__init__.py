@@ -23,7 +23,6 @@ from .model import (
 )
 from .gaussian import (
     McPlan,
-    sample_energetic_measure,
     sym_pinv,
     sym_pinv_sqrt,
     sym_sqrt,
@@ -74,7 +73,6 @@ __all__ = [
     "OrderParameters",
     "ProxProblem",
     "rbp_run",
-    "sample_energetic_measure",
     "solve_fixed_point",
     "SolverConfig",
     "SpectralAtom",

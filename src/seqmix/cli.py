@@ -1,7 +1,8 @@
 """Config-driven command line: solver sweeps, simulator and training runs,
 and the cross-verification suite.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  `sweep`
+Exit codes: 0 success, 2 validation error, 3 numerical failure, which
+includes a solve or a per-seed fit that stops before converging.  `sweep`
 solves its lambdas in a process pool whose size defaults to the
 SEQMIX_WORKERS environment variable.
 """
@@ -12,8 +13,10 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .config import config_hash, ExperimentConfig, load_experiment
@@ -136,7 +139,7 @@ def cmd_solve_se(args) -> int:
                 write_table(
                     Path(cfg.out_dir) / f"se_trajectory_alpha{alpha}.csv",
                     trajectory_header(dims),
-                    trajectory_rows(report.trajectory, report.residual_history, dims),
+                    trajectory_rows(report, dims),
                     _metadata(cfg, {"alpha": alpha, "lam": lam}),
                 )
     out = Path(cfg.out_dir) / "learning_curve.csv"
@@ -170,108 +173,86 @@ def cmd_sweep(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# run-gamp / run-rbp
+# run-gamp / run-rbp / run-erm: one fit per dataset seed
 # ----------------------------------------------------------------------
 
-def _simulate(args, use_rbp: bool) -> int:
-    cfg = _load_and_validate(args)
-    dims = cfg.spec.dims
-    opts = cfg.gamp
-    n = opts.n or int(round(dims.alpha * opts.d))
-    ok = True
-    rows = []
-    for seed in opts.seeds:
-        data = generate_dataset(cfg.spec, cfg.spec.nu, d=opts.d, n=n, seed=seed)
-        name = "rbp" if use_rbp else "gamp"
-        try:
-            if use_rbp:
-                w_hat, traj = rbp_run(
-                    data, cfg.spec, max_iters=opts.max_iters, tol=opts.tol
-                )
-                residuals: list[float] = []
-                converged = True
-            else:
-                res = gamp_run(
-                    data, cfg.spec, max_iters=opts.max_iters, tol=opts.tol,
-                    damping=opts.damping,
-                )
-                w_hat, traj = res.w_hat, res.trajectory
-                residuals = res.residual_history
-                converged = res.converged
-                ok = ok and converged
-        except SeqmixError as exc:
-            print(f"  seed={seed}: {exc}", file=sys.stderr)
-            ok = False
-            continue
-        table = Path(cfg.out_dir) / f"{name}_trajectory_seed{seed}.csv"
-        write_table(
-            table,
-            trajectory_header(dims),
-            trajectory_rows(traj, residuals, dims),
-            _metadata(cfg, {"seed": seed, "d": opts.d, "n": n}),
-        )
-        gnorm = gd_gradient_norm(w_hat, data, cfg.spec)
-        eg, eg_se = empirical_test_error(
-            w_hat, data, cfg.spec, n_test=cfg.erm.n_test, seed=seed + 5000
-        )
-        rows.append(
-            curve_row(cfg.spec.name, dims.alpha, dims.lam, seed, eg, eg_se,
-                      float("nan"), gnorm, len(traj), converged)
-        )
-        print(f"wrote {table}")
-    out = Path(cfg.out_dir) / ("rbp_final.csv" if use_rbp else "gamp_final.csv")
-    write_table(out, CURVE_HEADER, rows, _metadata(cfg))
-    print(f"wrote {out}")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+def _fit_gamp(data, cfg: ExperimentConfig):
+    o = cfg.gamp
+    res = gamp_run(data, cfg.spec, max_iters=o.max_iters, tol=o.tol, damping=o.damping)
+    return res.w_hat, res, float("nan"), gd_gradient_norm(res.w_hat, data, cfg.spec)
 
 
-def cmd_run_gamp(args) -> int:
-    return _simulate(args, use_rbp=False)
+def _fit_rbp(data, cfg: ExperimentConfig):
+    w_hat, record = rbp_run(data, cfg.spec, max_iters=cfg.gamp.max_iters, tol=cfg.gamp.tol)
+    return w_hat, record, float("nan"), gd_gradient_norm(w_hat, data, cfg.spec)
 
 
-def cmd_run_rbp(args) -> int:
-    return _simulate(args, use_rbp=True)
-
-
-# ----------------------------------------------------------------------
-# run-erm
-# ----------------------------------------------------------------------
-
-def cmd_run_erm(args) -> int:
-    cfg = _load_and_validate(args)
-    dims = cfg.spec.dims
+def _fit_erm(data, cfg: ExperimentConfig):
     opts = cfg.erm
-    n = int(round(dims.alpha * opts.d))
-    rows = []
+    fit = erm_train(data, cfg.spec,
+                    config=TrainConfig(grad_tol=opts.grad_tol, max_epochs=opts.max_epochs))
+    return fit.w_hat, fit, fit.train_loss_per_d, fit.grad_norm
+
+
+@dataclass(frozen=True)
+class PerSeed:
+    """A per-seed command: the config section of its options, the stem of
+    its trajectory tables, its final table, the offset of the test-set seed
+    from the dataset seed, and the fit (data, cfg) -> (w_hat, RunRecord,
+    training loss per d, gradient sup-norm)."""
+
+    section: str
+    stem: str
+    final: str
+    test_seed_offset: int
+    fit: Callable
+
+
+PER_SEED = {
+    "run-gamp": PerSeed("gamp", "gamp", "gamp_final.csv", 5000, _fit_gamp),
+    "run-rbp": PerSeed("gamp", "rbp", "rbp_final.csv", 5000, _fit_rbp),
+    "run-erm": PerSeed("erm", "erm", "erm_curve.csv", 9000, _fit_erm),
+}
+
+
+def cmd_per_seed(args, command: PerSeed) -> int:
+    """Generate each seed's dataset, fit it, write the fit's trajectory when
+    it recorded one, and tabulate test error and how each fit stopped; exit
+    3 when a fit failed or stopped before converging."""
+    cfg = _load_and_validate(args)
+    dims = cfg.spec.dims
+    opts = getattr(cfg, command.section)
+    # [erm] has no n: its sample count is always round(alpha d)
+    n = getattr(opts, "n", 0) or int(round(dims.alpha * opts.d))
+    sizes = {"d": opts.d, "n": n}
     ok = True
+    rows = []
     for seed in opts.seeds:
         data = generate_dataset(cfg.spec, cfg.spec.nu, d=opts.d, n=n, seed=seed)
         try:
-            fit = erm_train(
-                data, cfg.spec,
-                config=TrainConfig(grad_tol=opts.grad_tol, max_epochs=opts.max_epochs),
-            )
+            w_hat, record, et, gnorm = command.fit(data, cfg)
         except SeqmixError as exc:
             print(f"  seed={seed}: {exc}", file=sys.stderr)
             ok = False
             continue
-        eg, eg_se = empirical_test_error(
-            fit.w_hat, data, cfg.spec, n_test=opts.n_test, seed=seed + 9000
-        )
-        rows.append(
-            curve_row(cfg.spec.name, dims.alpha, dims.lam, seed, eg, eg_se,
-                      fit.train_loss_per_d, fit.grad_norm, fit.iterations,
-                      fit.converged)
-        )
-        ok = ok and fit.converged
-    out = Path(cfg.out_dir) / "erm_curve.csv"
-    write_table(out, CURVE_HEADER, rows, _metadata(cfg, {"d": opts.d, "n": n}))
+        if record.trajectory is not None:
+            table = Path(cfg.out_dir) / f"{command.stem}_trajectory_seed{seed}.csv"
+            write_table(table, trajectory_header(dims), trajectory_rows(record, dims),
+                        _metadata(cfg, {"seed": seed, **sizes}))
+            print(f"wrote {table}")
+        eg, eg_se = empirical_test_error(w_hat, data, cfg.spec, n_test=cfg.erm.n_test,
+                                         seed=seed + command.test_seed_offset)
+        rows.append(curve_row(cfg.spec.name, dims.alpha, dims.lam, seed, eg, eg_se, et, gnorm,
+                              record.iterations, record.converged))
+        ok = ok and record.converged
+    out = Path(cfg.out_dir) / command.final
+    write_table(out, CURVE_HEADER, rows, _metadata(cfg, sizes))
     print(f"wrote {out}")
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 # ----------------------------------------------------------------------
-# solve-se trajectory emission + verify
+# verify
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
@@ -322,17 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: env SEQMIX_WORKERS or 1)")
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("run-gamp", help="simulate message passing on generated datasets")
-    common(p)
-    p.set_defaults(fn=cmd_run_gamp)
-
-    p = sub.add_parser("run-rbp", help="simulate the directed-message variant")
-    common(p)
-    p.set_defaults(fn=cmd_run_rbp)
-
-    p = sub.add_parser("run-erm", help="train by gradient descent over a seed list")
-    common(p)
-    p.set_defaults(fn=cmd_run_erm)
+    for name, help_text in (
+        ("run-gamp", "simulate message passing on generated datasets"),
+        ("run-rbp", "simulate the directed-message variant"),
+        ("run-erm", "train by gradient descent over a seed list"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.set_defaults(fn=partial(cmd_per_seed, command=PER_SEED[name]))
 
     p = sub.add_parser("verify", help="run the cross-verification suite")
     p.add_argument("--instance", default="all",

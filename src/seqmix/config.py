@@ -56,8 +56,6 @@ def model_spec_from_parser(cp: configparser.ConfigParser) -> ModelSpec:
             kwargs["alpha"] = cp.getfloat("model", "alpha")
         if cp.has_option("model", "lambda"):
             kwargs["lam"] = cp.getfloat("model", "lambda")
-        if cp.has_option("model", "d"):
-            kwargs["d"] = cp.getint("model", "d")
         try:
             return instance_by_name(name, **kwargs)
         except KeyError as exc:
@@ -74,7 +72,6 @@ def model_spec_from_parser(cp: configparser.ConfigParser) -> ModelSpec:
         K=tuple(_ints(cp.get("dimensions", "K"))),
         alpha=cp.getfloat("dimensions", "alpha"),
         lam=cp.getfloat("dimensions", "lambda"),
-        d=cp.getint("dimensions", "d") if cp.has_option("dimensions", "d") else None,
     )
 
     support, probs = [], []
@@ -204,8 +201,8 @@ def _options(cp: configparser.ConfigParser, section: str, cls, **given):
 # None accepts any key: class tuples and atoms are one line each, and the
 # loss's keys are its constructor's parameters, checked by calling it.
 SECTION_KEYS = {
-    "model": {"instance", "name", "alpha", "lambda", "d"},
-    "dimensions": {"l", "r", "t", "k", "alpha", "lambda", "d"},
+    "model": {"instance", "name", "alpha", "lambda"},
+    "dimensions": {"l", "r", "t", "k", "alpha", "lambda"},
     "class_law": None,
     "spectral_measure": None,
     "loss": None,
@@ -228,9 +225,11 @@ def _check_keys(cp: configparser.ConfigParser) -> None:
         known = SECTION_KEYS[section]
         unknown = sorted(set(cp.options(section)) - known) if known is not None else []
         if unknown:
+            # a model is size-free; each finite-d run reads its own d
+            hint = "; the dataset size is [gamp] d and [erm] d" if "d" in unknown else ""
             raise SpecValidationError(
                 f"unknown key(s) in [{section}]: {', '.join(unknown)}; "
-                f"known: {sorted(known)}"
+                f"known: {sorted(known)}{hint}"
             )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SpecValidationError, StalledError
 from .gamp import Dataset, empirical_risk_and_grad
-from .model import ModelSpec
+from .model import ModelSpec, RunRecord
 
 
 @dataclass
@@ -34,13 +34,15 @@ class TrainConfig:
 
 
 @dataclass
-class TrainResult:
+class TrainResult(RunRecord):
+    """A fit's record: residual_history[i] is the gradient sup-norm epoch
+    i + 1 starts from, converged is grad_norm <= grad_tol, and no overlap
+    trajectory is kept."""
+
     w_hat: np.ndarray
     train_loss_per_d: float           # R(w)/d including the regularizer
-    grad_norm: float
-    iterations: int
-    objective_history: list
-    converged: bool                   # final grad_norm <= grad_tol
+    grad_norm: float                  # at w_hat
+    objective_history: list           # R(w) at the start and after each accepted step
 
 
 def erm_train(
@@ -66,11 +68,12 @@ def erm_train(
 
     obj, grad = empirical_risk_and_grad(w, data, spec)
     history = [obj]
+    residuals = []
     step = config.step_size
     stalls = 0
-    it = 0
     for it in range(1, config.max_epochs + 1):
         gnorm = float(np.max(np.abs(grad)))
+        residuals.append(gnorm)
         if gnorm <= config.grad_tol:
             break
         accepted = False
@@ -101,9 +104,9 @@ def erm_train(
         w_hat=w,
         train_loss_per_d=obj / d,
         grad_norm=gnorm,
-        iterations=it,
         objective_history=history,
         converged=gnorm <= config.grad_tol,
+        residual_history=residuals,
     )
 
 

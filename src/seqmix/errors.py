@@ -55,9 +55,11 @@ class LossBlowupError(SeqmixError):
 
 
 class SolverDivergenceError(SeqmixError):
-    """An iteration diverged; carries the recorded prefix of its trajectory
-    (the `OrderParameters` of each iterate before the divergence, or None
-    when the run recorded none)."""
+    """An iteration diverged: its residual is NaN or above
+    `model.DIVERGENCE_LIMIT`, or its iterate is not finite.  Carries the
+    trajectory recorded so far (`OrderParameters` per iterate; the solver's
+    ends with the failing sweep, GAMP's and rBP's with the last finite
+    iterate), or None when the run recorded none."""
 
     def __init__(self, residual: float, trajectory=None):
         self.residual = residual

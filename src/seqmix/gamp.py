@@ -16,17 +16,32 @@ products against it and X (the noise blocks V, the Onsager blocks A, the
 projections omega and the back-projection b) plus batched L r x L r algebra
 per sample and r x r algebra per coordinate.  rBP uses the same squared
 design for its target-excluded blocks.
+
+Stopping.  Both loops return a `RunRecord` (GAMP's `GampResult` extends
+it) of the relative change of the estimate per iteration, converged once it
+falls to tol.  Each iteration passes `model.check_divergence`, and a
+singular system raises SingularSystemError.  Undamped rBP can grow without
+bound where GAMP converges, when the model is not walk-summable (Malioutov,
+Johnson and Willsky, JMLR 7, 2006); its relative change then stays bounded,
+and it ends not converged at max_iters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import SingularSystemError, SolverDivergenceError, SpecValidationError
-from .model import ModelSpec, OrderParameters, SpectralMeasure
+from .errors import SpecValidationError
+from .model import (
+    check_divergence,
+    inverse,
+    ModelSpec,
+    OrderParameters,
+    RunRecord,
+    SpectralMeasure,
+)
 from .prox import prox_batch, prox_gain
 
 MESSAGE_SLOT_GUARD = 10_000_000
@@ -235,18 +250,6 @@ def _onsager_contributions(XX: np.ndarray, g: np.ndarray, L: int) -> np.ndarray:
     return -(XX.transpose(0, 2, 1)[:, :, None, :] @ pairs).reshape(n, d, r, r) / d
 
 
-def _inverse(M: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{what} is singular") from exc
-
-
-def _check_finite(w: np.ndarray, residual: float, trajectory: list) -> None:
-    if not np.all(np.isfinite(w)):
-        raise SolverDivergenceError(residual, trajectory)
-
-
 def _residual(w_new: np.ndarray, w_old: np.ndarray) -> float:
     return float(
         np.max(np.linalg.norm(w_new - w_old, axis=1))
@@ -259,13 +262,10 @@ def _residual(w_new: np.ndarray, w_old: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 
 @dataclass
-class GampResult:
+class GampResult(RunRecord):
     w_hat: np.ndarray                 # (d, r)
     c_hat: np.ndarray                 # (d, r, r), the last weight-system inverse
     V: Optional[np.ndarray]           # (n, Lr, Lr), the last noise blocks
-    trajectory: list[OrderParameters]
-    converged: bool
-    residual_history: list = field(default_factory=list)
 
 
 def gamp_run(
@@ -284,8 +284,7 @@ def gamp_run(
     sweeps index for index.  Disabling either Onsager memory term is exposed
     for regression tests only.  Damping keeps a fraction of the previous
     estimate and halves its step on residual increase; use damping = 0 for
-    the raw iteration.  A singular system raises SingularSystemError and a
-    non-finite estimate SolverDivergenceError.
+    the raw iteration.
     """
     loss = spec.loss
     dims = spec.dims
@@ -321,7 +320,7 @@ def gamp_run(
             if onsager_omega:
                 omega = omega - (V_full @ f.reshape(n, L * r, 1)).reshape(n, L, r)
 
-            precisions = _inverse(V_full, "a GAMP noise block V")
+            precisions = inverse(V_full, "a GAMP noise block V")
             z = prox_batch(loss, omega, precisions, data.y, Gamma, data.c)
             resid = (z - omega).reshape(n, L * r, 1)
             f = (precisions @ resid).reshape(n, L, r)
@@ -337,7 +336,7 @@ def gamp_run(
             if onsager_b:
                 b = b + (A @ w_hat[..., None])[..., 0]
 
-        c_hat = _inverse(lam * eye_r + C + A, "the GAMP weight system M")
+        c_hat = inverse(lam * eye_r + C + A, "the GAMP weight system M")
         w_new = (c_hat @ b[..., None])[..., 0]
 
         residual = _residual(w_new, w_hat)
@@ -349,21 +348,15 @@ def gamp_run(
         else:
             w_hat = w_new
         prev_residual = residual
-        _check_finite(w_hat, residual, trajectory)
+        check_divergence(residual, trajectory, w_hat)
 
         trajectory.append(empirical_statistics(w_hat, c_hat, data))
         if residual <= tol:
             converged = True
             break
 
-    return GampResult(
-        w_hat=w_hat,
-        c_hat=c_hat,
-        V=V_full,
-        trajectory=trajectory,
-        converged=converged,
-        residual_history=residual_history,
-    )
+    return GampResult(w_hat=w_hat, c_hat=c_hat, V=V_full, converged=converged,
+                      residual_history=residual_history, trajectory=trajectory)
 
 
 # ----------------------------------------------------------------------
@@ -375,14 +368,13 @@ def rbp_run(
     spec: ModelSpec,
     max_iters: int = 200,
     tol: float = 1e-8,
-) -> tuple[np.ndarray, list[OrderParameters]]:
+) -> tuple[np.ndarray, RunRecord]:
     """Full directed-message iteration; returns the final marginal means and
-    the empirical overlaps of the marginals after every iteration.
+    the run's record, whose trajectory holds the empirical overlaps of the
+    marginals after every iteration.
 
     Exclusion sums are exact: the full sum is computed once and the single
-    excluded term subtracted.  Memory is n * d message slots, guarded.  A
-    singular system raises SingularSystemError and a non-finite marginal
-    SolverDivergenceError.
+    excluded term subtracted.  Memory is n * d message slots, guarded.
     """
     loss = spec.loss
     dims = spec.dims
@@ -405,6 +397,8 @@ def rbp_run(
     c_msg = np.broadcast_to(np.eye(r), (n, d, r, r)).copy()
     w_marg = np.zeros((d, r))
     trajectory = []
+    residual_history = []
+    converged = False
 
     for _ in range(max_iters):
         V_mi = _excluded_noise_blocks(XX, c_msg, L)           # (n, d, Lr, Lr)
@@ -414,7 +408,7 @@ def rbp_run(
         Gamma_mean = (w_msg.transpose(0, 2, 1) @ w_msg).mean(axis=0) / d
 
         flat_omega = omega_mi.reshape(n * d, L, r)
-        flat_prec = _inverse(V_mi.reshape(n * d, L * r, L * r), "an rBP noise block V")
+        flat_prec = inverse(V_mi.reshape(n * d, L * r, L * r), "an rBP noise block V")
         flat_y = np.repeat(data.y, d, axis=0)
         flat_c = np.repeat(data.c, d, axis=0)
         z = prox_batch(loss, flat_omega, flat_prec, flat_y, Gamma_mean, flat_c)
@@ -440,19 +434,23 @@ def rbp_run(
         b_all = contrib_b.sum(axis=0)
         b_msg = b_all[None, :] - contrib_b
 
-        c_msg = _inverse(lam * eye_r + C_msg + A_msg, "an rBP weight system M")
+        c_msg = inverse(lam * eye_r + C_msg + A_msg, "an rBP weight system M")
         w_msg = (c_msg @ b_msg[..., None])[..., 0]
 
-        c_marg = _inverse(lam * eye_r + C_all + A_all, "the rBP marginal system M")
+        c_marg = inverse(lam * eye_r + C_all + A_all, "the rBP marginal system M")
         w_marg_new = (c_marg @ b_all[..., None])[..., 0]
         residual = _residual(w_marg_new, w_marg)
+        residual_history.append(residual)
         w_marg = w_marg_new
-        _check_finite(w_marg, residual, trajectory)
+        check_divergence(residual, trajectory, w_marg)
         trajectory.append(empirical_statistics(w_marg, c_marg, data))
         if residual <= tol:
+            converged = True
             break
 
-    return w_marg, trajectory
+    return w_marg, RunRecord(
+        converged=converged, residual_history=residual_history, trajectory=trajectory
+    )
 
 
 # ----------------------------------------------------------------------

@@ -294,25 +294,6 @@ def energetic_nodes(
     return wts, Xi, Zeta, Y
 
 
-def sample_energetic_measure(
-    params: OrderParameters,
-    fixed: FixedStatistics,
-    c: tuple,
-    plan: McPlan,
-    iteration: int = 0,
-    c_index: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded stream (Xi, Y) from the conditional energetic measure.
-
-    Rows xi_ell are i.i.d. N(0, I_r); rows y_ell are centered labels with
-    mean theta^T q^{-1/2} xi_ell and covariance rho - theta^T q^{-1} theta.
-    """
-    _, Xi, _, Y = energetic_nodes(
-        params, fixed, c, plan, iteration=iteration, c_index=c_index, with_y=True
-    )
-    return Xi, Y
-
-
 def joint_xy_nodes(
     params: OrderParameters,
     fixed: FixedStatistics,

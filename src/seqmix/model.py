@@ -8,8 +8,11 @@ spectral measure over (eigenvalue gamma, scaled mean projection tau, teacher
 projection pi) triples.  Trained weights are described by per-(token, cluster)
 overlap matrices and their conjugates, two families of one block layout
 (`KeyedBlocks`: copy, zeros, named blocks and the damped mix); this module
-holds those types plus the pluggable loss interface consumed by the solver,
-the message-passing simulators and the gradient-descent lab.
+holds those types, the pluggable loss interface consumed by the solver,
+the message-passing simulators and the gradient-descent lab, and what the
+four iterative loops share: the `RunRecord` each returns, the divergence
+guard each iteration passes and the inverse that maps a singular system to
+`SingularSystemError`.
 
 Index convention: tokens and clusters are 0-based, maps over (ell, k) are
 total, and iteration order is row-major in (ell, k).
@@ -22,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import SingularSystemError, SolverDivergenceError, SpecValidationError
 
 Key = tuple[int, int]
 
@@ -30,6 +33,8 @@ Key = tuple[int, int]
 PROB_TOL = 1e-12
 SYM_TOL = 1e-10
 SCHUR_TOL = 1e-8
+# A relative residual above this ends an iteration as diverged.
+DIVERGENCE_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,8 @@ class Dimensions:
 
     L: sequence length, r/t: student/teacher hidden units, K: clusters per
     token, alpha: sample complexity n/d, lam: l2 regularization strength.
-    d is a label for callers; no module reads it (dataset generation and ERM
-    take d as an argument).
+    d is a label for Python callers (the zoo constructors take it); no module
+    reads it, and a config sets the simulated size in [gamp] d and [erm] d.
     """
 
     L: int
@@ -149,6 +154,13 @@ class SpectralMeasure:
                 out.append(f"SpectralMeasure: atom {i} has negative eigenvalue")
             if np.shape(a.pi) != (dims.t,):
                 out.append(f"SpectralMeasure: atom {i} pi has wrong shape")
+        if not out:
+            # V_{ell,k} = int gamma R is then zero, and the prox precision
+            # V^-1 does not exist
+            for key in dims.lk_pairs():
+                if sum(a.weight * a.gamma[key] for a in self.atoms) == 0.0:
+                    out.append(f"SpectralMeasure: (token, cluster) key {key} has zero "
+                               "eigenvalue mass sum_a w_a gamma_a")
         return out
 
 
@@ -337,6 +349,41 @@ class ConjugateParameters(KeyedBlocks):
     m_hat: dict[Key, np.ndarray]
     theta_hat: dict[Key, np.ndarray]
     v_hat: np.ndarray
+
+
+@dataclass(kw_only=True)
+class RunRecord:
+    """How an iterative loop stopped, shared by the solver, GAMP, rBP and ERM.
+
+    residual_history holds one residual per iteration, so `iterations` is
+    its length; converged is True when the loop met its tolerance before
+    its iteration cap.  trajectory holds the overlaps of every iterate, or None when
+    the loop recorded none.  A loop that fails raises instead of returning.
+    """
+
+    converged: bool
+    residual_history: list[float]
+    trajectory: Optional[list[OrderParameters]] = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+
+def check_divergence(residual: float, trajectory, *iterates: np.ndarray) -> None:
+    """Raise SolverDivergenceError(residual, trajectory) on a NaN residual,
+    one above DIVERGENCE_LIMIT, or a non-finite entry in any iterate."""
+    if not residual <= DIVERGENCE_LIMIT or not all(np.all(np.isfinite(a)) for a in iterates):
+        raise SolverDivergenceError(residual, trajectory)
+
+
+def inverse(M: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.inv of M (or of a stack of matrices); SingularSystemError
+    naming `what` when a matrix is singular."""
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"{what} is singular") from exc
 
 
 @dataclass

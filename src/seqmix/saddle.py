@@ -39,11 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    SingularResolventError,
-    SolverDivergenceError,
-    SpecValidationError,
-)
+from .errors import SingularResolventError, SpecValidationError
 from .gaussian import (
     McPlan,
     energetic_nodes,
@@ -55,17 +51,18 @@ from .gaussian import (
     _weighted_mean_stderr,
 )
 from .model import (
+    check_divergence,
     compute_fixed_statistics,
     ConjugateParameters,
     Dimensions,
     FixedStatistics,
+    inverse,
     ModelSpec,
     OrderParameters,
+    RunRecord,
     SpectralMeasure,
 )
 from .prox import prox_batch, prox_gain
-
-DIVERGENCE_LIMIT = 1e6
 
 
 @dataclass
@@ -101,19 +98,18 @@ class SolverConfig:
 
 
 @dataclass
-class FixedPointReport:
+class FixedPointReport(RunRecord):
+    """A solve's record (its residual is the largest raw per-block relative
+    change of a sweep) and the exact one-sweep image of its last iterate."""
+
     params: OrderParameters
     conj: ConjugateParameters
-    residual_history: list[float]
-    iterations: int
-    converged: bool
     free_entropy: float
     free_entropy_stderr: float
     test_error: float
     test_error_stderr: float
     train_loss: float
     train_loss_stderr: float
-    trajectory: Optional[list[OrderParameters]] = None
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
@@ -157,7 +153,7 @@ def _node_batches(
     dims = spec.dims
     r = dims.r
     sqrt_q = {key: sym_sqrt(params.q[key]) for key in dims.lk_pairs()}
-    V_inv = {key: np.linalg.inv(params.V[key]) for key in dims.lk_pairs()}
+    V_inv = {key: inverse(params.V[key], f"the overlap V{key}") for key in dims.lk_pairs()}
     for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
         if pc == 0.0:
             continue
@@ -477,7 +473,6 @@ def solve_fixed_point(
     residual_history: list[float] = []
     trajectory = [] if config.record_trajectory else None
     converged = False
-    it = 0
 
     for it in range(1, config.max_iters + 1):
         conj_prop = update_hats(params, fixed, spec, plan, iteration=it)
@@ -492,8 +487,7 @@ def solve_fixed_point(
         residual_history.append(residual)
         if trajectory is not None:
             trajectory.append(params)
-        if residual > DIVERGENCE_LIMIT or not np.isfinite(residual):
-            raise SolverDivergenceError(residual, trajectory)
+        check_divergence(residual, trajectory, *params.blocks().values())
         if residual <= config.tol:
             converged = True
             break
@@ -511,7 +505,6 @@ def solve_fixed_point(
         params=params,
         conj=conj,
         residual_history=residual_history,
-        iterations=it,
         converged=converged,
         free_entropy=phi,
         free_entropy_stderr=phi_se,

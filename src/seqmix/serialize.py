@@ -2,9 +2,10 @@
 learning curves (comma-separated tables with a metadata comment block).
 
 Tables carry their provenance in leading "# key = value" comment lines and
-are re-parseable by this module; solver and simulator trajectories are both
-lists of `OrderParameters`, written by one row builder in one column layout,
-so they can be joined on the iteration index.
+are re-parseable by this module.  Solver, GAMP and rBP runs all return a
+`RunRecord` whose trajectory is a list of `OrderParameters` with one
+residual per entry; one row builder writes any of them in one column layout,
+so the tables can be joined on the iteration index.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Dimensions, OrderParameters
+from .model import Dimensions, OrderParameters, RunRecord
 
 
 # ----------------------------------------------------------------------
@@ -135,19 +136,12 @@ def _stat_row(dims: Dimensions, stats: OrderParameters) -> list[float]:
     return row
 
 
-def trajectory_rows(
-    trajectory: list[OrderParameters], residuals: list[float], dims: Dimensions
-) -> list[list]:
-    """One row per recorded iteration of a solver or simulator trajectory.
-
-    Iterations count from 1; the residual cell is nan where the run kept no
-    residual history (rBP).
-    """
-    rows = []
-    for t, stats in enumerate(trajectory):
-        residual = residuals[t] if t < len(residuals) else float("nan")
-        rows.append([t + 1] + _stat_row(dims, stats) + [residual])
-    return rows
+def trajectory_rows(record: RunRecord, dims: Dimensions) -> list[list]:
+    """One row per recorded iteration of a run, counting from 1, with the
+    iteration's residual."""
+    pairs = zip(record.trajectory, record.residual_history, strict=True)
+    return [[t] + _stat_row(dims, stats) + [residual]
+            for t, (stats, residual) in enumerate(pairs, 1)]
 
 
 CURVE_HEADER = [

@@ -114,7 +114,7 @@ class TestModelConfig:
         # [model]/[mc]/[solver]/[sweep] keys among them
         path = tmp_path / "full.ini"
         path.write_text(
-            "[model]\ninstance = ridge\nalpha = 1.0\nlambda = 0.1\nd = 100\n\n"
+            "[model]\ninstance = ridge\nalpha = 1.0\nlambda = 0.1\n\n"
             "[mc]\nn_samples = 2000\nseed = 3\nantithetic = true\ncrn = true\ngh_order = 7\n\n"
             "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 50\ninit = gamp\n"
             "eps_init = 1e-3\nrecord_trajectory = true\n\n"
@@ -137,7 +137,12 @@ class TestModelConfig:
          "coupling"),
         (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = many"), "many"),
         (RIDGE_EXPERIMENT.replace("[solver]", "[solver"), "[solver"),
-    ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header"])
+        # a model is size-free: d was stored and read by nothing
+        (RIDGE_EXPERIMENT.replace("lambda = 0.1\n", "lambda = 0.1\nd = 100\n", 1), "[gamp] d"),
+        (explicit_ini(ridge_instance()).replace("[class_law]", "d = 100\n\n[class_law]"),
+         "[erm] d"),
+    ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
+            "model-d", "dimensions-d"])
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -264,21 +269,46 @@ class TestCli:
         assert code == 0
         meta, header, rows = read_table(out / "gamp_trajectory_seed0.csv")
         assert header[0] == "iteration" and len(rows) >= 1
-        _, fh, frows = read_table(out / "gamp_final.csv")
+        fmeta, fh, frows = read_table(out / "gamp_final.csv")
         assert frows[0][fh.index("converged")] == "True"
+        assert (fmeta["d"], fmeta["n"]) == ("80", "80")
 
     def test_run_rbp(self, ridge_config, tmp_path):
         out = tmp_path / "out"
         code = main(["run-rbp", "--config", str(ridge_config), "--out", str(out)])
         assert code == 0
-        assert (out / "rbp_trajectory_seed0.csv").exists()
+        _, header, rows = read_table(out / "rbp_trajectory_seed0.csv")
+        assert all(np.isfinite(float(row[header.index("residual")])) for row in rows)
+        fmeta, fh, frows = read_table(out / "rbp_final.csv")
+        assert frows[0][fh.index("converged")] == "True"
+        assert frows[0][fh.index("iterations")] == str(len(rows))
+        assert (fmeta["d"], fmeta["n"]) == ("80", "80")
+
+    def test_run_rbp_growth_is_numerical_failure(self, tmp_path, capsys):
+        # ridge, alpha = 2: GAMP converges on this dataset while undamped
+        # rBP's weights grow without bound; the run stops at max_iters
+        path = tmp_path / "rbp.ini"
+        path.write_text(
+            "[model]\ninstance = ridge\nalpha = 2.0\nlambda = 0.1\n\n"
+            "[gamp]\nd = 40\nn = 80\nseeds = 40000\nmax_iters = 500\ntol = 1e-11\n\n"
+            "[erm]\nn_test = 20000\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run-rbp", "--config", str(path), "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        _, fh, frows = read_table(out / "rbp_final.csv")
+        assert frows[0][fh.index("converged")] == "False"
+        assert frows[0][fh.index("iterations")] == "500"
+        _, header, rows = read_table(out / "rbp_trajectory_seed40000.csv")
+        residuals = [float(row[header.index("residual")]) for row in rows]
+        assert len(residuals) == 500 and all(np.isfinite(residuals))
 
     def test_run_erm(self, ridge_config, tmp_path):
         out = tmp_path / "out"
         code = main(["run-erm", "--config", str(ridge_config), "--out", str(out)])
         assert code == 0
-        _, header, rows = read_table(out / "erm_curve.csv")
-        assert len(rows) == 2
+        meta, header, rows = read_table(out / "erm_curve.csv")
+        assert len(rows) == 2 and (meta["d"], meta["n"]) == ("60", "60")
         eg = float(rows[0][header.index("eg")])
         assert 0.0 <= eg < 1.0
         assert all(r[header.index("converged")] == "True" for r in rows)
@@ -331,6 +361,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and "Gaussian quadrature" in err
+
+    def test_zero_mass_key_is_validation_error(self, tmp_path, capsys):
+        # cluster 1 has eigenvalue 0 on the only atom, so V_{0,1} = 0
+        path = tmp_path / "massless.ini"
+        path.write_text(
+            "[dimensions]\nL = 1\nr = 1\nt = 1\nK = 2\nalpha = 1.0\nlambda = 0.1\n\n"
+            "[class_law]\ntuple_0 = 0 : 0.5\ntuple_1 = 1 : 0.5\n\n"
+            "[spectral_measure]\natom_0 = 1.0 | 1.0 0.0 | 0.0 0.0 | 1.0\n\n"
+            "[loss]\nname = square\n\n[mc]\ngh_order = 7\n"
+        )
+        code = main(["solve-se", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and "zero eigenvalue mass" in err
 
     def test_verify_unknown_instance(self):
         assert main(["verify", "--instance", "nope"]) == 2

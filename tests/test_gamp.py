@@ -281,10 +281,10 @@ class TestRbp:
         spec = ridge_instance(alpha=n / d, lam=0.1)
         data = generate_dataset(spec, spec.nu, d=d, n=n, seed=10)
         res = gamp_run(data, spec, max_iters=500, tol=1e-11, damping=0.0)
-        w_bp, traj = rbp_run(data, spec, max_iters=500, tol=1e-11)
+        w_bp, record = rbp_run(data, spec, max_iters=500, tol=1e-11)
         rms = float(np.sqrt(np.mean((res.w_hat - w_bp) ** 2)))
         assert rms <= 5.0 / np.sqrt(d)
-        assert len(traj) >= 1
+        assert record.converged and len(record.trajectory) == record.iterations
 
     def test_duplicated_samples_get_identical_messages(self):
         d, n = 24, 8
@@ -294,7 +294,7 @@ class TestRbp:
         data.X[1] = data.X[0]
         data.y[1] = data.y[0]
         data.c[1] = data.c[0]
-        _, traj = rbp_run(data, spec, max_iters=8, tol=1e-15)
+        traj = rbp_run(data, spec, max_iters=8, tol=1e-15)[1].trajectory
         # identical factors receive and emit identical messages, so the
         # statistics are unchanged when the duplicates are swapped
         perm = np.arange(n)
@@ -303,7 +303,7 @@ class TestRbp:
             X=data.X[perm], y=data.y[perm], c=data.c[perm],
             teacher=data.teacher, meta=data.meta,
         )
-        _, traj2 = rbp_run(data2, spec, max_iters=8, tol=1e-15)
+        traj2 = rbp_run(data2, spec, max_iters=8, tol=1e-15)[1].trajectory
         np.testing.assert_allclose(
             traj[-1].q[(0, 0)], traj2[-1].q[(0, 0)], atol=1e-12
         )

@@ -14,7 +14,6 @@ from seqmix.gaussian import (
     gauss_hermite_nodes,
     joint_xy_nodes,
     McPlan,
-    sample_energetic_measure,
     standard_normals,
     sym_pinv_sqrt,
     sym_sqrt,
@@ -159,7 +158,7 @@ class TestEnergeticSampler:
         # q = 1, theta = 0.5, rho = 1: mean 0.5 xi, variance 0.75
         params = _scalar_params(q=1.0, theta=0.5)
         plan = McPlan(n_samples=400_000, seed=4)
-        Xi, Y = sample_energetic_measure(params, self.fixed, (0,), plan)
+        _, Xi, _, Y = energetic_nodes(params, self.fixed, (0,), plan)
         xi = Xi[:, 0, 0]
         y = Y[:, 0, 0]
         slope = float(np.mean(xi * y) / np.mean(xi * xi))
@@ -170,7 +169,7 @@ class TestEnergeticSampler:
     def test_theta_zero_decouples(self):
         params = _scalar_params(q=1.0, theta=0.0)
         plan = McPlan(n_samples=200_000, seed=5)
-        Xi, Y = sample_energetic_measure(params, self.fixed, (0,), plan)
+        _, Xi, _, Y = energetic_nodes(params, self.fixed, (0,), plan)
         corr = float(np.mean(Xi[:, 0, 0] * Y[:, 0, 0]))
         assert abs(corr) < 3.0 / np.sqrt(Xi.shape[0])
         assert abs(float(np.var(Y)) - 1.0) < 3.0 * 2.0 / np.sqrt(Xi.shape[0])
@@ -178,11 +177,11 @@ class TestEnergeticSampler:
     def test_singular_q_theta_out_of_range(self):
         params = _scalar_params(q=0.0, theta=0.5)
         with pytest.raises(DegenerateOverlapError):
-            sample_energetic_measure(params, self.fixed, (0,), McPlan(n_samples=8))
+            energetic_nodes(params, self.fixed, (0,), McPlan(n_samples=8))
 
     def test_singular_q_theta_zero_falls_back(self):
         params = _scalar_params(q=0.0, theta=0.0)
-        Xi, Y = sample_energetic_measure(
+        _, Xi, _, Y = energetic_nodes(
             params, self.fixed, (0,), McPlan(n_samples=200_000, seed=6)
         )
         assert abs(float(np.var(Y)) - 1.0) < 0.02
@@ -190,10 +189,10 @@ class TestEnergeticSampler:
     def test_deterministic_streams(self):
         params = _scalar_params(q=0.8, theta=0.3)
         plan = McPlan(n_samples=128, seed=11)
-        a = sample_energetic_measure(params, self.fixed, (0,), plan)
-        b = sample_energetic_measure(params, self.fixed, (0,), plan)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        a = energetic_nodes(params, self.fixed, (0,), plan)
+        b = energetic_nodes(params, self.fixed, (0,), plan)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestJointSampler:
