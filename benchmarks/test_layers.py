@@ -12,7 +12,7 @@ import functools
 import numpy as np
 import pytest
 
-from seqmix import gamp, saddle, zoo
+from seqmix import erm, gamp, saddle, zoo
 from seqmix.gaussian import McPlan
 from seqmix.model import compute_fixed_statistics
 from seqmix.verify import GMM_LAM, RIDGE_LAM
@@ -53,6 +53,15 @@ def test_risk_and_gradient(benchmark):
     w = np.random.default_rng(1).standard_normal((500, spec.dims.r))
     total, grad = benchmark(gamp.empirical_risk_and_grad, w, data, spec)
     assert np.isfinite(total) and np.all(np.isfinite(grad))
+
+
+def test_empirical_test_error(benchmark):
+    """The finite-d test error of a trained fit at d = 500 with the
+    200,000 test draws of each fit in the acceptance gate."""
+    spec, data = _dataset("logistic_gmm", 500)
+    fit = erm.erm_train(data, spec, config=erm.TrainConfig(grad_tol=1e-6))
+    eg, se = benchmark(erm.empirical_test_error, fit.w_hat, data, spec, n_test=200_000)
+    assert 0.0 < eg < 1.0 and se > 0.0
 
 
 # Expectation plans of the sweep cases: the Gauss-Hermite order the sweep

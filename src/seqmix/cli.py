@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import __version__
 from .config import config_hash, ExperimentConfig, load_experiment
-from .erm import empirical_test_error, erm_train, TrainConfig
+from .erm import empirical_test_error, erm_train
 from .errors import SeqmixError, SpecValidationError
 from .gamp import gamp_run, gd_gradient_norm, generate_dataset, rbp_run
 from .model import validate_spec
@@ -188,9 +188,7 @@ def _fit_rbp(data, cfg: ExperimentConfig):
 
 
 def _fit_erm(data, cfg: ExperimentConfig):
-    opts = cfg.erm
-    fit = erm_train(data, cfg.spec,
-                    config=TrainConfig(grad_tol=opts.grad_tol, max_epochs=opts.max_epochs))
+    fit = erm_train(data, cfg.spec, config=cfg.erm.train_config())
     return fit.w_hat, fit, fit.train_loss_per_d, fit.grad_norm
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .erm import holdout_plan, TrainConfig
 from .errors import SpecValidationError
 from .gaussian import GH_MAX_DIM, McPlan
 from .losses import loss_by_name
@@ -138,6 +139,9 @@ class ErmOptions:
     grad_tol: float = 1e-6
     n_test: int = 200_000
 
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(grad_tol=self.grad_tol, max_epochs=self.max_epochs)
+
 
 @dataclass
 class ExperimentConfig:
@@ -157,6 +161,13 @@ class ExperimentConfig:
         if not self.lambdas:
             out.append("ExperimentConfig: lambda grid is empty")
         out += self.solver.violations()
+        out += self.erm.train_config().violations()
+        # a test-error stderr needs two draws of each class tuple
+        if holdout_plan(self.spec, self.erm.n_test, 0).n_samples < 2:
+            out.append(
+                f"ExperimentConfig: [erm] n_test = {self.erm.n_test} leaves fewer "
+                "than 2 test draws per class tuple"
+            )
         if self.solver.mc_plan.gh_order > 0:
             # energetic nodes span (Xi, Zeta) and a smooth test metric is
             # integrated over the joint (X, Y) law; tensor quadrature caps both
@@ -252,7 +263,11 @@ def _read_experiment(path) -> ExperimentConfig:
 
 def load_experiment(path) -> ExperimentConfig:
     try:
-        return _read_experiment(path)
+        cfg = _read_experiment(path)
     except (ValueError, configparser.Error) as exc:
         # a malformed section header or a value of the wrong type
         raise SpecValidationError(f"cannot read {path}: {exc}") from exc
+    bad = cfg.violations()
+    if bad:
+        raise SpecValidationError(f"{path}: " + "; ".join(bad))
+    return cfg

@@ -2,7 +2,9 @@
 
 Armijo backtracking, no momentum; the claims being verified concern critical
 points of the risk, not optimizer trajectories, so the simplest monotone
-method keeps the message-passing comparison clean.
+method keeps the message-passing comparison clean.  A fit's test error is
+the solver's test-error functional at the fit's own overlaps, since a test
+token reaches the metric only through its Gaussian projections.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecValidationError, StalledError
-from .gamp import Dataset, empirical_risk_and_grad
-from .model import ModelSpec, RunRecord
+from .gamp import Dataset, empirical_risk_and_grad, empirical_statistics
+from .gaussian import McPlan
+from .model import FixedStatistics, ModelSpec, RunRecord
+from .saddle import test_error
 
 
 @dataclass
@@ -29,7 +33,7 @@ class TrainConfig:
         if self.step_size <= 0:
             out.append("TrainConfig: step size must be positive")
         if self.grad_tol <= 0:
-            out.append("TrainConfig: gradient threshold must be positive")
+            out.append("TrainConfig: grad_tol must be positive")
         return out
 
 
@@ -121,38 +125,23 @@ def empirical_test_error(
 
     Test tokens come from the generator's declared population (the same
     means, covariance diagonals and teacher the train set realized), but the
-    metric reads only the L x (r + t) projections of each token onto
-    W = [w_hat, teacher].  Given cluster (ell, k) those are exactly Gaussian,
-    with mean means[key] @ W / sqrt(d) and covariance W^T diag(gamma) W / d,
-    so they are drawn directly through an eigen root of that small
-    covariance (singular when w_hat is parallel to the teacher).  The
-    estimate has the law of one drawn from full d-dimensional test tokens,
-    at O(n_test (r + t)) cost instead of O(n_test d).
+    metric reads only the projections of each token onto [w_hat, teacher],
+    which given the cluster are Gaussian with the overlaps of w_hat and of
+    the teacher as mean and covariance.  So this is the solver's
+    `test_error` at the fit's own `empirical_statistics`, against the
+    teacher's realized rho and m*, with n_test draws split evenly over the
+    class tuples: the law of an estimate from full d-dimensional test
+    tokens, at O(n_test (r + t)) cost instead of O(n_test d).
     """
-    dims = spec.dims
-    d = data.d
-    r = w_hat.shape[1]
-    W = np.concatenate([w_hat, data.teacher], axis=1)
-    m = W.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E57]))
-    c = spec.class_law.sample(rng, n_test)
-    proj = np.empty((n_test, dims.L, m))
-    for ell in range(dims.L):
-        for k in range(dims.K[ell]):
-            mask = c[:, ell] == k
-            if not np.any(mask):
-                continue
-            key = (ell, k)
-            mean = data.meta.means[key] @ W / np.sqrt(d)
-            cov = W.T @ (data.meta.eigenvalues[key][:, None] * W) / d
-            evals, U = np.linalg.eigh(cov)
-            # rounding-level eigenvalues of a rank-deficient cov are zero:
-            # kept, their square roots would put ~sqrt(eps) noise between
-            # projections that are exactly equal
-            evals[evals <= m * np.finfo(float).eps * evals.max(initial=0.0)] = 0.0
-            root = U * np.sqrt(evals)
-            g = rng.standard_normal((int(mask.sum()), m))
-            proj[mask, ell, :] = mean + g @ root.T
-    v = w_hat.T @ w_hat / d
-    vals = np.asarray(spec.loss.test_eval(proj[..., r:], proj[..., :r], v, c), dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_test))
+    teacher = empirical_statistics(data.teacher, 0.0, data)
+    fixed = FixedStatistics(rho=teacher.q, m_star=teacher.m)
+    plan = holdout_plan(spec, n_test, seed)
+    return test_error(empirical_statistics(w_hat, 0.0, data), fixed, spec, plan)
+
+
+def holdout_plan(spec: ModelSpec, n_test: int, seed: int) -> McPlan:
+    """empirical_test_error's draws: n_test split evenly over the class
+    tuples of positive probability, unpaired (a metric even in the draw,
+    e.g. square loss at zero means, is equal on both draws of a pair)."""
+    n_classes = sum(pc > 0.0 for pc in spec.class_law.probs)
+    return McPlan(n_samples=n_test // n_classes, seed=seed, antithetic=False)

@@ -56,15 +56,12 @@ class GeneratorMetadata:
     """Population quantities the dataset was drawn from.
 
     Eigenbasis is canonical; eigenvalues[(ell, k)] is the d-vector of
-    covariance diagonals, means[(ell, k)] the unit-scale mean vector
-    (entries tau_i / sqrt(d)), atom_of[i] the atom realized by coordinate i.
+    covariance diagonals and means[(ell, k)] the unit-scale mean vector
+    (entries tau_i / sqrt(d)).
     """
 
-    seed: int
-    atom_of: np.ndarray
     eigenvalues: dict
     means: dict
-    class_probs: tuple
 
 
 @dataclass
@@ -136,13 +133,7 @@ def generate_dataset(
             np.add(z, means[key], out=z, where=rows)
         X[:, ell, :] = z
     y = np.einsum("nld,dt->nlt", X, teacher) / np.sqrt(d)
-    meta = GeneratorMetadata(
-        seed=seed,
-        atom_of=atom_of,
-        eigenvalues=eigenvalues,
-        means=means,
-        class_probs=spec.class_law.probs,
-    )
+    meta = GeneratorMetadata(eigenvalues=eigenvalues, means=means)
     return Dataset(X=X, y=y, c=c, teacher=teacher, meta=meta)
 
 
@@ -151,15 +142,20 @@ def empirical_statistics(w_hat: np.ndarray, c_hat: np.ndarray, data: Dataset) ->
 
     q[(ell,k)] = w^T Sigma w / d, m[(ell,k)] = mu^T w / sqrt(d),
     theta[(ell,k)] = w^T Sigma w* / d, v = w^T w / d, and the noise-variance
-    statistic V[(ell,k)] = (1/d) sum_i Sigma_ii c_hat_i.
+    statistic V[(ell,k)] = (1/d) sum_i Sigma_ii c_hat_i.  mu is the
+    unit-scale mean (entries tau_i / sqrt(d)), so m, q and theta are the
+    mean and covariance blocks of a cluster-(ell,k) token's projections
+    x [w, w*] / sqrt(d): the overlaps on the solver's scale.  c_hat is
+    (d, r, r) or broadcasts to it, e.g. 0 where no noise variance is kept.
     """
-    d = data.d
+    d, r = w_hat.shape
+    c_hat = np.broadcast_to(c_hat, (d, r, r))
     stats = OrderParameters(q={}, V={}, m={}, theta={}, v=w_hat.T @ w_hat / d)
     for key, gam in data.meta.eigenvalues.items():
         wg = w_hat * gam[:, None]
         stats.q[key] = wg.T @ w_hat / d
         stats.V[key] = np.einsum("i,iab->ab", gam, c_hat) / d
-        stats.m[key] = data.meta.means[key] @ w_hat
+        stats.m[key] = data.meta.means[key] @ w_hat / np.sqrt(d)
         stats.theta[key] = wg.T @ data.teacher / d
     return stats
 

@@ -413,15 +413,15 @@ def test_error(
 # ----------------------------------------------------------------------
 
 def _block_residual(new, old, skip: tuple[str, ...] = ()) -> float:
-    worst = 0.0
-    nb = new.blocks()
+    """Largest relative change over the blocks not skipped; NaN when any
+    block's is (an overflowed norm), so check_divergence sees it."""
     ob = old.blocks()
-    for name, arr in nb.items():
-        if name in skip:
-            continue
-        delta = np.linalg.norm(arr - ob[name])
-        worst = max(worst, float(delta / (1.0 + np.linalg.norm(ob[name]))))
-    return worst
+    changes = [
+        np.linalg.norm(arr - ob[name]) / (1.0 + np.linalg.norm(ob[name]))
+        for name, arr in new.blocks().items()
+        if name not in skip
+    ]
+    return float(np.max(changes, initial=0.0))
 
 
 def _initial_params(spec: ModelSpec, nu: SpectralMeasure, fixed, config: SolverConfig):
@@ -483,7 +483,7 @@ def solve_fixed_point(
         res_par = _block_residual(params_prop, params, skip=skip)
         params = params_prop.mix(params, config.damping)
 
-        residual = max(res_hat, res_par)
+        residual = float(np.maximum(res_hat, res_par))
         residual_history.append(residual)
         if trajectory is not None:
             trajectory.append(params)

@@ -141,8 +141,12 @@ class TestModelConfig:
         (RIDGE_EXPERIMENT.replace("lambda = 0.1\n", "lambda = 0.1\nd = 100\n", 1), "[gamp] d"),
         (explicit_ini(ridge_instance()).replace("[class_law]", "d = 100\n\n[class_law]"),
          "[erm] d"),
+        # an empty test set wrote eg = nan and exited 0
+        (RIDGE_EXPERIMENT.replace("n_test = 20000", "n_test = 0"), "n_test"),
+        # raised inside the per-seed fit, which reported it as exit 3
+        (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = -1"), "grad_tol"),
     ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
-            "model-d", "dimensions-d"])
+            "model-d", "dimensions-d", "erm-n-test", "erm-grad-tol"])
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -26,6 +26,7 @@ from seqmix.gamp import (
 )
 from seqmix.losses import square_loss_with_energy, zero_loss
 from seqmix.model import ModelSpec
+from seqmix.verify import _trajectory_deviation, GMM_LAM, SE_GAMP_REL_DEV
 from seqmix.zoo import INSTANCES, gmm_instance, ridge_instance, two_token_instance
 
 
@@ -51,7 +52,7 @@ def masked_generate_dataset(spec, nu, d, n, seed):
             key = (ell, k)
             X[mask, ell, :] = means[key] + z[mask] * np.sqrt(eigenvalues[key])
     y = np.einsum("nld,dt->nlt", X, teacher) / np.sqrt(d)
-    meta = GeneratorMetadata(seed, atom_of, eigenvalues, means, spec.class_law.probs)
+    meta = GeneratorMetadata(eigenvalues, means)
     return Dataset(X=X, y=y, c=c, teacher=teacher, meta=meta)
 
 
@@ -273,6 +274,12 @@ class TestGamp:
         assert res.converged
         bound = 1e-4 * (1.0 + gd_gradient_norm(np.zeros((80, 1)), data, spec))
         assert gd_gradient_norm(res.w_hat, data, spec) <= bound
+
+    def test_mixture_trajectory_tracks_state_evolution(self):
+        # the only trajectory bridge on nonzero cluster means, where m is
+        # nonzero: a sqrt(d) slip in the simulator's m read 30.8 here
+        dev = _trajectory_deviation(gmm_instance(alpha=1.0, lam=GMM_LAM), d=1000, n_seeds=5)
+        assert dev <= SE_GAMP_REL_DEV
 
 
 class TestRbp:

@@ -13,7 +13,7 @@ from seqmix.gamp import gamp_run, generate_dataset, rbp_run
 from seqmix.gaussian import McPlan
 from seqmix.model import ModelSpec, OrderParameters, RunRecord
 from seqmix.saddle import solve_fixed_point, SolverConfig
-from seqmix.zoo import ridge_instance
+from seqmix.zoo import gmm_instance, ridge_instance
 
 SPEC = ridge_instance(alpha=2.0, lam=0.1)
 
@@ -78,15 +78,24 @@ def test_max_iterations(loop):
 
 def test_solver_non_finite_iterate_raises_with_prefix():
     # from the 4th sweep on the prox returns NaN: q, m, theta and v turn NaN
-    # while V converges, and a max over block residuals skips NaN entries,
-    # so only the iterate itself shows the failure (GAMP and rBP:
-    # test_gamp.py::TestFailures)
+    # while V converges (GAMP and rBP: test_gamp.py::TestFailures)
     spec, _ = nan_after(SPEC, "prox", 3)
     with pytest.raises(SolverDivergenceError) as info:
         run_solver(spec, 20, 1e-8)
     prefix = info.value.trajectory
     assert len(prefix) == 4 and all(isinstance(s, OrderParameters) for s in prefix)
     assert all(np.all(np.isfinite(a)) for s in prefix[:3] for a in s.blocks().values())
+
+
+def test_solver_overflowed_residual_raises():
+    # undamped, this solve grows geometrically with bounded relative
+    # residuals until a block norm overflows; the NaN block residual of
+    # that sweep must stop it, where it used to run all 500 sweeps and
+    # return q = 3.7e164
+    spec = gmm_instance(loss="square")
+    cfg = SolverConfig(damping=0.0, init="gamp", max_iters=500, mc_plan=McPlan(gh_order=31))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverDivergenceError):
+        solve_fixed_point(spec, spec.nu, cfg)
 
 
 def test_erm_non_finite_objective_stalls():
