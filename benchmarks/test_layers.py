@@ -70,12 +70,26 @@ def test_empirical_test_error(benchmark):
 SWEEP_PLANS = {"gh51": McPlan(gh_order=51), "mc1000": McPlan(n_samples=1000)}
 
 
+def _logistic_solve(plan_name):
+    """logistic_gmm at alpha = 1 and the curve-mc solver settings."""
+    spec = zoo.gmm_instance(alpha=1.0, lam=GMM_LAM)
+    return spec, saddle.SolverConfig(damping=0.5, tol=1e-8, mc_plan=SWEEP_PLANS[plan_name])
+
+
 @functools.lru_cache(maxsize=None)
 def _logistic_fixed_point(plan_name):
-    spec = zoo.gmm_instance(alpha=1.0, lam=GMM_LAM)
-    config = saddle.SolverConfig(damping=0.5, tol=1e-8, mc_plan=SWEEP_PLANS[plan_name])
+    spec, config = _logistic_solve(plan_name)
     report = saddle.solve_fixed_point(spec, spec.nu, config)
     return spec, compute_fixed_statistics(spec.nu, spec.dims), report
+
+
+@pytest.mark.parametrize("plan", sorted(SWEEP_PLANS))
+def test_solve(benchmark, plan):
+    """One full cold solve of logistic_gmm: the sweeps, the exact one-sweep
+    image and the scalar functionals."""
+    spec, config = _logistic_solve(plan)
+    report = benchmark(saddle.solve_fixed_point, spec, spec.nu, config)
+    assert report.converged
 
 
 @pytest.mark.parametrize("plan", sorted(SWEEP_PLANS))

@@ -97,24 +97,28 @@ def _alpha_line(cfg: ExperimentConfig, lam: float) -> tuple[list[list], list]:
             solver = replace(solver, warm_start=warm)
         try:
             report = solve_fixed_point(spec, spec.nu, solver)
-            warm = report.params
-            reports.append(report)
-            rows.append(
-                curve_row(
-                    spec.name, alpha, lam, "-", report.test_error,
-                    report.test_error_stderr, report.train_loss, float("nan"),
-                    report.iterations, report.converged,
-                )
-                + [report.free_entropy]
-            )
         except SeqmixError as exc:
             reports.append(None)
             rows.append(
                 curve_row(spec.name, alpha, lam, "-", float("nan"), float("nan"),
-                          float("nan"), float("nan"), 0, False)
+                          float("nan"), float("nan"), getattr(exc, "iteration", 0), False)
                 + [float("nan")]
             )
             print(f"  alpha={alpha} lam={lam}: {exc}", file=sys.stderr)
+            continue
+        warm = report.params
+        reports.append(report)
+        rows.append(
+            curve_row(
+                spec.name, alpha, lam, "-", report.test_error,
+                report.test_error_stderr, report.train_loss, float("nan"),
+                report.iterations, report.converged,
+            )
+            + [report.free_entropy]
+        )
+        if not report.converged:
+            print(f"  alpha={alpha} lam={lam}: not converged after {report.iterations} "
+                  f"sweeps (residual {report.residual_history[-1]:.3e})", file=sys.stderr)
     return rows, reports
 
 

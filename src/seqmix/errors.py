@@ -59,12 +59,17 @@ class SolverDivergenceError(SeqmixError):
     `model.DIVERGENCE_LIMIT`, or its iterate is not finite.  Carries the
     trajectory recorded so far (`OrderParameters` per iterate; the solver's
     ends with the failing sweep, GAMP's and rBP's with the last finite
-    iterate), or None when the run recorded none."""
+    iterate), or None when the run recorded none, and the iteration (from 1)
+    at which the run stopped."""
 
-    def __init__(self, residual: float, trajectory=None):
+    def __init__(self, residual: float, trajectory, iteration: int):
         self.residual = residual
         self.trajectory = trajectory
-        super().__init__(f"fixed-point iteration diverged (residual {residual:.3e})")
+        self.iteration = iteration
+        super().__init__(
+            f"fixed-point iteration diverged at iteration {iteration} "
+            f"(residual {residual:.3e})"
+        )
 
 
 class StalledError(SeqmixError):

@@ -344,7 +344,7 @@ def gamp_run(
         else:
             w_hat = w_new
         prev_residual = residual
-        check_divergence(residual, trajectory, w_hat)
+        check_divergence(len(residual_history), residual, trajectory, w_hat)
 
         trajectory.append(empirical_statistics(w_hat, c_hat, data))
         if residual <= tol:
@@ -438,7 +438,7 @@ def rbp_run(
         residual = _residual(w_marg_new, w_marg)
         residual_history.append(residual)
         w_marg = w_marg_new
-        check_divergence(residual, trajectory, w_marg)
+        check_divergence(len(residual_history), residual, trajectory, w_marg)
         trajectory.append(empirical_statistics(w_marg, c_marg, data))
         if residual <= tol:
             converged = True

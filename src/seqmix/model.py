@@ -7,12 +7,12 @@ one eigenbasis, so in the large-d limit the data is summarized by a discrete
 spectral measure over (eigenvalue gamma, scaled mean projection tau, teacher
 projection pi) triples.  Trained weights are described by per-(token, cluster)
 overlap matrices and their conjugates, two families of one block layout
-(`KeyedBlocks`: copy, zeros, named blocks and the damped mix); this module
-holds those types, the pluggable loss interface consumed by the solver,
-the message-passing simulators and the gradient-descent lab, and what the
-four iterative loops share: the `RunRecord` each returns, the divergence
-guard each iteration passes and the inverse that maps a singular system to
-`SingularSystemError`.
+(`KeyedBlocks`: copy, zeros, named blocks, the flat vector and the damped
+mix); this module holds those types, the pluggable loss interface consumed
+by the solver, the message-passing simulators and the gradient-descent lab,
+and what the four iterative loops share: the `RunRecord` each returns, the
+divergence guard each iteration passes and the inverse that maps a singular
+system to `SingularSystemError`.
 
 Index convention: tokens and clusters are 0-based, maps over (ell, k) are
 total, and iteration order is row-major in (ell, k).
@@ -257,6 +257,20 @@ class KeyedBlocks:
             return self
         return self._map(lambda new, prev: (1 - eta) * new + eta * prev, old)
 
+    def flat(self) -> np.ndarray:
+        """Every block raveled into one vector, in `blocks()` order."""
+        return np.concatenate([a.ravel() for a in self.blocks().values()])
+
+    def from_flat(self, vec: np.ndarray):
+        """A new instance of this layout holding the entries of `vec`, the
+        inverse of `flat()`."""
+        out = self.copy()
+        start = 0
+        for a in out.blocks().values():
+            a[...] = vec[start:start + a.size].reshape(a.shape)
+            start += a.size
+        return out
+
     def blocks(self) -> dict[str, np.ndarray]:
         """Named view of every block, for residuals and reports: per key in
         sorted order the keyed fields ("q_0_1", ...), then the global one."""
@@ -370,11 +384,14 @@ class RunRecord:
         return len(self.residual_history)
 
 
-def check_divergence(residual: float, trajectory, *iterates: np.ndarray) -> None:
-    """Raise SolverDivergenceError(residual, trajectory) on a NaN residual,
-    one above DIVERGENCE_LIMIT, or a non-finite entry in any iterate."""
+def check_divergence(
+    iteration: int, residual: float, trajectory, *iterates: np.ndarray
+) -> None:
+    """Raise SolverDivergenceError(residual, trajectory, iteration) on a NaN
+    residual, one above DIVERGENCE_LIMIT, or a non-finite entry in any
+    iterate; iteration counts the loop's iterations from 1."""
     if not residual <= DIVERGENCE_LIMIT or not all(np.all(np.isfinite(a)) for a in iterates):
-        raise SolverDivergenceError(residual, trajectory)
+        raise SolverDivergenceError(residual, trajectory, iteration)
 
 
 def inverse(M: np.ndarray, what: str) -> np.ndarray:

@@ -45,6 +45,7 @@ def report_to_dict(report) -> dict:
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
         "residual_history": [float(x) for x in report.residual_history],
+        "rejected_steps": int(report.rejected_steps),
         "free_entropy": float(report.free_entropy),
         "free_entropy_stderr": float(report.free_entropy_stderr),
         "test_error": float(report.test_error),

@@ -1,6 +1,7 @@
 """Config parsing, file formats, and the command-line driver."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestReportsAndDatasets:
             doc = json.loads(path.read_text())
             assert doc["converged"] is True
             assert list(doc) == [
-                "converged", "iterations", "residual_history", "free_entropy",
+                "converged", "iterations", "residual_history", "rejected_steps", "free_entropy",
                 "free_entropy_stderr", "test_error", "test_error_stderr",
                 "train_loss", "train_loss_stderr", "params", "conj",
             ]
@@ -266,6 +267,38 @@ class TestCli:
             cold.append(solve_fixed_point(spec, spec.nu, cfg).iterations)
         saved = sum(w <= c for w, c in zip(iters_warm, cold))
         assert saved >= 0.8 * len(cold)
+
+    @staticmethod
+    def _square_gmm_config(tmp_path, lam, max_iters):
+        # undamped from the message-passing start, this solve grows
+        # geometrically; at lam = 0.05 a block norm overflows
+        path = tmp_path / "square.ini"
+        path.write_text(
+            f"[model]\ninstance = square_gmm\nlambda = {lam}\n\n[mc]\ngh_order = 31\n\n"
+            f"[solver]\ndamping = 0.0\ninit = gamp\nmax_iters = {max_iters}\n\n"
+            f"[sweep]\nalphas = 1.0\nlambdas = {lam}\n"
+        )
+        return path
+
+    def test_diverging_solve_names_its_sweep(self, tmp_path, capsys):
+        path = self._square_gmm_config(tmp_path, 0.05, 500)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve-se", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        _, header, rows = read_table(out / "learning_curve.csv")
+        sweeps = int(rows[0][header.index("iterations")])
+        assert 0 < sweeps < 500
+        assert f"alpha=1.0 lam=0.05: fixed-point iteration diverged at iteration {sweeps} " in err
+
+    def test_unconverged_solve_is_reported(self, tmp_path, capsys):
+        path = self._square_gmm_config(tmp_path, 0.1, 40)
+        assert main(["solve-se", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "alpha=1.0 lam=0.1: not converged after 40 sweeps (residual " in err
 
     def test_run_gamp(self, ridge_config, tmp_path):
         out = tmp_path / "out"

@@ -191,7 +191,7 @@ class TestFailures:
         with pytest.raises(SolverDivergenceError) as info:
             self.RUNS[run](data, nan_prox_after(spec, 3))
         assert np.isnan(info.value.residual)
-        assert len(info.value.trajectory) == 3
+        assert len(info.value.trajectory) == 3 and info.value.iteration == 4
 
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_singular_weight_system_raises(self, run):

@@ -84,7 +84,17 @@ def test_solver_non_finite_iterate_raises_with_prefix():
         run_solver(spec, 20, 1e-8)
     prefix = info.value.trajectory
     assert len(prefix) == 4 and all(isinstance(s, OrderParameters) for s in prefix)
+    assert info.value.iteration == 4
     assert all(np.all(np.isfinite(a)) for s in prefix[:3] for a in s.blocks().values())
+
+
+def test_damped_solver_non_finite_image_raises():
+    # the Anderson-mixed solve meets the NaN image with a full history
+    spec, _ = nan_after(SPEC, "prox", 5)
+    cfg = SolverConfig(damping=0.3, tol=1e-8, max_iters=50, mc_plan=McPlan(gh_order=7))
+    with pytest.raises(SolverDivergenceError) as info:
+        solve_fixed_point(spec, spec.nu, cfg)
+    assert info.value.iteration == 6
 
 
 def test_solver_overflowed_residual_raises():

@@ -13,6 +13,7 @@ from seqmix.model import (
 from seqmix.losses import zero_loss
 from seqmix.oracles import ridge_asymptotics
 from seqmix.saddle import (
+    _block_residual,
     _node_batches,
     expected_envelope,
     free_entropy,
@@ -256,6 +257,60 @@ class TestSolveFixedPoint:
         with pytest.raises(SolverDivergenceError) as err:
             solve_fixed_point(bad, bad.nu, cfg)
         assert err.value.trajectory  # carries the prefix for diagnosis
+
+
+class TestAndersonMixing:
+    def test_cold_logistic_solve_takes_few_sweeps(self):
+        # plain damped iteration takes 49 sweeps here
+        spec = gmm_instance(alpha=4.0)
+        plan = McPlan(gh_order=51)
+        cfg = SolverConfig(damping=0.3, tol=1e-10, max_iters=500, mc_plan=plan)
+        rep = solve_fixed_point(spec, spec.nu, cfg)
+        assert rep.converged and rep.iterations <= 20
+        fixed = compute_fixed_statistics(spec.nu, spec.dims)
+        image = update_overlaps(update_hats(rep.params, fixed, spec, plan), spec.nu, spec)
+        assert _block_residual(image, rep.params) <= 10 * cfg.tol
+
+    def test_ridge_line_needs_the_schur_safeguard(self):
+        # extrapolated iterates of this warm-started line leave the PSD cone
+        # of the joint [[q, theta], [theta^T, rho]]; the safeguard takes the
+        # plain step there
+        rejected = 0
+        for lam in (0.05, 0.1):
+            warm = None
+            for alpha in (0.5, 1.0, 2.0, 4.0):
+                spec = ridge_instance(alpha=alpha, lam=lam)
+                cfg = SolverConfig(damping=0.3, tol=1e-10, max_iters=2000,
+                                   mc_plan=McPlan(gh_order=31), warm_start=warm)
+                rep = solve_fixed_point(spec, spec.nu, cfg)
+                warm = rep.params
+                oracle = ridge_asymptotics(alpha, lam)
+                assert rep.converged
+                assert rep.params.q[(0, 0)][0, 0] == pytest.approx(oracle.q, abs=1e-8)
+                assert rep.params.theta[(0, 0)][0, 0] == pytest.approx(oracle.theta, abs=1e-8)
+                assert rep.test_error == pytest.approx(oracle.test_error, abs=1e-8)
+                rejected += rep.rejected_steps
+        assert rejected >= 1
+
+    @pytest.mark.parametrize("case", ["undamped", "redrawn-mc"])
+    def test_plain_map_is_unaccelerated(self, case):
+        # damping 0 (the state-evolution dynamics) and Monte Carlo nodes
+        # redrawn every sweep keep the plain damped step, bit for bit
+        if case == "undamped":
+            spec, damping, plan = two_token_instance(), 0.0, GH
+        else:
+            spec, damping, plan = gmm_instance(alpha=0.8), 0.5, McPlan(n_samples=500, crn=False)
+        cfg = SolverConfig(damping=damping, tol=1e-15, max_iters=12, init="gamp",
+                           mc_plan=plan, record_trajectory=True)
+        rep = solve_fixed_point(spec, spec.nu, cfg)
+        fixed = compute_fixed_statistics(spec.nu, spec.dims)
+        params = OrderParameters.gamp_matched(spec.dims, spec.nu)
+        for it, recorded in enumerate(rep.trajectory, 1):
+            conj = update_hats(params, fixed, spec, plan, iteration=it)
+            params = update_overlaps(conj, spec.nu, spec).mix(params, damping)
+            for name, block in params.blocks().items():
+                np.testing.assert_array_equal(recorded.blocks()[name], block)
+        assert len(rep.trajectory) == 12 and rep.rejected_steps == 0
 
 
 class TestScalarFunctionals:
