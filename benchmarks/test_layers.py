@@ -12,9 +12,10 @@ import functools
 import numpy as np
 import pytest
 
-from seqmix import erm, gamp, saddle, zoo
+from seqmix import erm, gamp, gaussian, saddle, zoo
 from seqmix.gaussian import McPlan
 from seqmix.model import compute_fixed_statistics
+from seqmix.prox import prox_batch, prox_gain
 from seqmix.verify import GMM_LAM, RIDGE_LAM
 
 SPECS = {
@@ -106,3 +107,38 @@ def test_overlap_sweep(benchmark, plan):
     spec, _, report = _logistic_fixed_point(plan)
     params = benchmark(saddle.update_overlaps, report.conj, spec.nu, spec)
     assert all(np.all(np.isfinite(a)) for a in params.blocks().values())
+
+
+@pytest.mark.parametrize("plan", sorted(SWEEP_PLANS))
+def test_node_generation(benchmark, plan):
+    """Node generation on logistic_gmm at its fixed point: the key laws and
+    the energetic nodes of both class tuples."""
+    spec, fixed, report = _logistic_fixed_point(plan)
+
+    def generate():
+        laws = gaussian.token_laws(report.params, fixed)
+        return [
+            gaussian.energetic_nodes(laws, c, SWEEP_PLANS[plan], c_index=c_index,
+                                     with_y=spec.loss.depends_on_y)
+            for c_index, c in enumerate(spec.class_law.support)
+        ]
+
+    batches = benchmark(generate)
+    assert all(np.all(np.isfinite(nodes[3])) for nodes in batches)
+
+
+@pytest.mark.parametrize("plan", sorted(SWEEP_PLANS))
+def test_batched_prox(benchmark, plan):
+    """One batched prox and its gain over the first class tuple's nodes on
+    logistic_gmm at its fixed point."""
+    spec, fixed, report = _logistic_fixed_point(plan)
+    params = report.params
+    laws = gaussian.token_laws(params, fixed)
+    nb = next(saddle._node_batches(params, laws, spec, SWEEP_PLANS[plan], 0))
+
+    def prox():
+        x_stars = prox_batch(spec.loss, nb.anchors, nb.P_full, nb.y_loss, params.v, nb.cs)
+        return x_stars, prox_gain(spec.loss, nb.y_loss, x_stars, nb.P_full, params.v, nb.cs)
+
+    x_stars, gain = benchmark(prox)
+    assert np.all(np.isfinite(x_stars)) and np.all(np.isfinite(gain))

@@ -130,6 +130,17 @@ class GampOptions:
     tol: float = 1e-8
     damping: float = 0.3
 
+    def violations(self) -> list[str]:
+        rules = {
+            "d must be >= 1": self.d >= 1,
+            "n must be >= 0 (0 means round(alpha d))": self.n >= 0,
+            "seeds must be >= 0": min(self.seeds, default=0) >= 0,
+            "max_iters must be >= 1": self.max_iters >= 1,
+            "tol must be positive": self.tol > 0,
+            "damping must lie in [0, 1)": 0.0 <= self.damping < 1.0,
+        }
+        return [f"[gamp] {rule}" for rule, ok in rules.items() if not ok]
+
 
 @dataclass
 class ErmOptions:
@@ -141,6 +152,10 @@ class ErmOptions:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(grad_tol=self.grad_tol, max_epochs=self.max_epochs)
+
+    def violations(self) -> list[str]:
+        seeds_ok = min(self.seeds, default=0) >= 0
+        return self.train_config().violations() + ([] if seeds_ok else ["[erm] seeds must be >= 0"])
 
 
 @dataclass
@@ -161,7 +176,8 @@ class ExperimentConfig:
         if not self.lambdas:
             out.append("ExperimentConfig: lambda grid is empty")
         out += self.solver.violations()
-        out += self.erm.train_config().violations()
+        out += self.gamp.violations()
+        out += self.erm.violations()
         # a test-error stderr needs two draws of each class tuple
         if holdout_plan(self.spec, self.erm.n_test, 0).n_samples < 2:
             out.append(

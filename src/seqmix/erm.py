@@ -34,6 +34,8 @@ class TrainConfig:
             out.append("TrainConfig: step size must be positive")
         if self.grad_tol <= 0:
             out.append("TrainConfig: grad_tol must be positive")
+        if self.max_epochs < 1:
+            out.append("TrainConfig: max_epochs must be >= 1")
         return out
 
 

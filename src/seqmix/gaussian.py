@@ -1,11 +1,19 @@
-"""Gaussian machinery: symmetric matrix roots, the conditional measure over
-(Y, Xi) entering the energetic expectations, joint (X, Y) nodes for the
-test error, and the weighted reductions the solver averages them with.
+"""Gaussian machinery: the law of a token's projections given its cluster,
+the standard cores every expectation draws its nodes from, and the weighted
+reductions the solver averages them with.
 
-Nodes come either from seeded Monte Carlo (antithetic variates, common
-random numbers across solver iterations) or, for small Gaussian dimension,
-from tensor Gauss-Hermite quadrature.  Samplers are pure functions of
-(seed, class index, iteration), so runs are bit-reproducible.
+Given cluster k, token ell's projections onto student and teacher are
+jointly normal with mean (m, m*) and covariance [[q, theta], [theta^T, rho]].
+`token_laws` builds that law once per (token, cluster) key as the
+triangular factor X = m + q^{1/2} xi, Y = m* + theta^T q^{+1/2} xi +
+S^{1/2} zeta of standard normal cores (xi, zeta), S = rho - theta^T q^+ theta.
+
+`standard_cores` draws the cores and holds the only choice between seeded
+Monte Carlo (antithetic variates, common random numbers across solver
+sweeps), a pure function of (seed, stream, iteration), and tensor
+Gauss-Hermite quadrature for small Gaussian dimension.  Class tuple c_index
+draws xi from stream c_index and zeta from c_index + ZETA_STREAM; the test
+error shifts both by TEST_STREAM.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from .model import FixedStatistics, OrderParameters
 EIG_CLIP = 1e-12          # eigenvalues below this are treated as exactly zero
 NEG_EIG_TOL = 1e-8        # more negative than this signals corrupted matrices
 GH_MAX_DIM = 6            # tensor quadrature allowed up to this Gaussian dimension
+ZETA_STREAM = 1_000_003   # offset of the zeta stream from the xi stream
+TEST_STREAM = 7_000_009   # offset of the test error's streams from the energetic ones
 
 
 # ----------------------------------------------------------------------
@@ -33,16 +43,16 @@ GH_MAX_DIM = 6            # tensor quadrature allowed up to this Gaussian dimens
 # can be singular early in solver iterations.
 # ----------------------------------------------------------------------
 
-def _check_symmetric(A: np.ndarray, tol: float = 1e-10) -> None:
+def _sym(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + A.T)
+
+
+def _clipped_eigh(A: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InconsistentOverlapsError(f"expected a square matrix, got shape {A.shape}")
-    if np.max(np.abs(A - A.T)) > tol:
+    if np.max(np.abs(A - A.T)) > sym_tol:
         raise InconsistentOverlapsError("matrix is not symmetric within tolerance")
-
-
-def _clipped_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _check_symmetric(A)
-    w, U = np.linalg.eigh(0.5 * (A + A.T))
+    w, U = np.linalg.eigh(_sym(A))
     if w.min(initial=0.0) < -NEG_EIG_TOL:
         raise InconsistentOverlapsError(
             f"matrix has eigenvalue {w.min():.3e} below -{NEG_EIG_TOL:.0e}; "
@@ -51,42 +61,41 @@ def _clipped_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(w, 0.0, None), U
 
 
+def sym_roots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A^{1/2}, A^{+1/2}, A^+) of a symmetric PSD A from one
+    eigendecomposition; the pseudo-inverses map zero eigenvalues to zero."""
+    w, U = _clipped_eigh(A)
+    live = w > EIG_CLIP
+    spectra = (
+        np.sqrt(w),
+        np.where(live, 1.0 / np.sqrt(np.maximum(w, EIG_CLIP)), 0.0),
+        np.where(live, 1.0 / np.maximum(w, EIG_CLIP), 0.0),
+    )
+    return tuple(_sym((U * f) @ U.T) for f in spectra)
+
+
 def sym_sqrt(A: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root B with B @ B = A."""
-    w, U = _clipped_eigh(A)
-    B = (U * np.sqrt(w)) @ U.T
-    return 0.5 * (B + B.T)
+    return sym_roots(A)[0]
 
 
 def sym_pinv_sqrt(A: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root: zero eigenvalues map to zero."""
-    w, U = _clipped_eigh(A)
-    inv = np.where(w > EIG_CLIP, 1.0 / np.sqrt(np.maximum(w, EIG_CLIP)), 0.0)
-    B = (U * inv) @ U.T
-    return 0.5 * (B + B.T)
+    return sym_roots(A)[1]
 
 
 def sym_pinv(A: np.ndarray) -> np.ndarray:
-    w, U = _clipped_eigh(A)
-    inv = np.where(w > EIG_CLIP, 1.0 / np.maximum(w, EIG_CLIP), 0.0)
-    B = (U * inv) @ U.T
-    return 0.5 * (B + B.T)
+    return sym_roots(A)[2]
 
 
-def psd_clip(A: np.ndarray, neg_tol: float = NEG_EIG_TOL) -> np.ndarray:
-    """Project to the PSD cone; eigenvalues below -neg_tol raise."""
-    _check_symmetric(A, tol=1e-8)
-    w, U = np.linalg.eigh(0.5 * (A + A.T))
-    if w.min(initial=0.0) < -neg_tol:
-        raise InconsistentOverlapsError(
-            f"matrix has eigenvalue {w.min():.3e}, indefinite beyond tolerance"
-        )
-    B = (U * np.clip(w, 0.0, None)) @ U.T
-    return 0.5 * (B + B.T)
+def psd_clip(A: np.ndarray) -> np.ndarray:
+    """Project to the PSD cone; eigenvalues below -NEG_EIG_TOL raise."""
+    w, U = _clipped_eigh(A, sym_tol=1e-8)
+    return _sym((U * w) @ U.T)
 
 
 # ----------------------------------------------------------------------
-# Expectation plans.
+# Expectation plans and standard cores.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -168,42 +177,52 @@ def gauss_hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return wts, pts
 
 
-# ----------------------------------------------------------------------
-# Conditional measures built from order parameters.
-# ----------------------------------------------------------------------
+def standard_cores(
+    plan: McPlan,
+    shape: tuple[int, int, int],
+    stream: int,
+    iteration: int = 0,
+    with_zeta: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights and standard normal cores Xi (S, L, r) and Zeta (S, L, t),
+    for shape = (L, r, t).
 
-@dataclass
-class CondGaussianYGivenXi:
-    """Per-token law of the centered label channel given the Gaussian core.
-
-    Given class tuple c, row ell of Y has mean theta^T q^{-1/2} xi_ell and
-    covariance rho - theta^T q^+ theta (clipped PSD).
+    With gh_order > 0 the cores are the tensor Gauss-Hermite nodes over
+    L r (+ L t) dimensions, Xi's first; otherwise n_samples seeded draws, Xi
+    from `stream` and Zeta from stream + ZETA_STREAM.  Without with_zeta,
+    Zeta is zero and spans no quadrature dimension.
     """
+    L, r, t = shape
+    if plan.gh_order > 0:
+        wts, pts = gauss_hermite_nodes(L * r + (L * t if with_zeta else 0), plan.gh_order)
+        S = len(wts)
+        Xi = pts[:, : L * r].reshape(S, L, r)
+        Zeta = pts[:, L * r :].reshape(S, L, t) if with_zeta else np.zeros((S, L, t))
+        return wts, Xi, Zeta
+    S = plan.n_samples
+    Xi = standard_normals(plan, stream, iteration, (L, r))
+    Zeta = (standard_normals(plan, stream + ZETA_STREAM, iteration, (L, t)) if with_zeta
+            else np.zeros((S, L, t)))
+    return np.full(S, 1.0 / S), Xi, Zeta
 
-    mean_maps: list[np.ndarray]     # per token, t x r
-    sqrt_schur: list[np.ndarray]    # per token, root of the t x t PSD covariance
 
-    @staticmethod
-    def build(
-        params: OrderParameters, fixed: FixedStatistics, c: tuple
-    ) -> "CondGaussianYGivenXi":
-        mean_maps, roots = [], []
-        for key in enumerate(c):
-            q = params.q[key]
-            theta = params.theta[key]
-            if np.max(np.abs(theta)) == 0.0:
-                # theta = 0: the xi-dependence vanishes and Y ~ N(0, rho)
-                mean_maps.append(np.zeros((theta.shape[1], theta.shape[0])))
-            else:
-                # theta must lie in the range of q for q^{-1/2} to make sense
-                residual = theta - q @ sym_pinv(q) @ theta
-                if np.max(np.abs(residual)) > 1e-8 * (1.0 + np.max(np.abs(theta))):
-                    raise DegenerateOverlapError(
-                        "singular q with teacher overlap outside its range"
-                    )
-                mean_maps.append(theta.T @ sym_pinv_sqrt(q))
-            roots.append(sym_sqrt(schur_complement(params, fixed, key)))
-        return CondGaussianYGivenXi(mean_maps, roots)
+# ----------------------------------------------------------------------
+# The per-key law and the nodes drawn through it.
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TokenLaw:
+    """One (token, cluster) key's law as the triangular factor of its
+    covariance: X = m + q_root xi and Y = m_star + mean_map xi + S_root zeta,
+    with mean_map = theta^T q^{+1/2} (t x r) and S_root = S^{1/2}.
+    S_pinv_root = S^{+1/2} whitens the label channel of theta_hat."""
+
+    m: np.ndarray
+    m_star: np.ndarray
+    q_root: np.ndarray
+    mean_map: np.ndarray
+    S_root: np.ndarray
+    S_pinv_root: np.ndarray
 
 
 def schur_complement(params: OrderParameters, fixed: FixedStatistics, key) -> np.ndarray:
@@ -216,112 +235,70 @@ def schur_complement(params: OrderParameters, fixed: FixedStatistics, key) -> np
     return psd_clip(rho - theta.T @ sym_pinv(params.q[key]) @ theta)
 
 
-@dataclass
-class JointXYStats:
-    """Per-token joint normal of (x_ell, y_ell) used for the test error."""
+def token_laws(params: OrderParameters, fixed: FixedStatistics) -> dict:
+    """The TokenLaw of every key, from one eigendecomposition of q and one
+    of the clipped Schur complement S.
 
-    means: list[np.ndarray]         # per token, (r + t,)
-    factors: list[np.ndarray]       # per token, (r + t) x (r + t) PSD roots
-
-    @staticmethod
-    def build(
-        params: OrderParameters, fixed: FixedStatistics, c: tuple
-    ) -> "JointXYStats":
-        means, factors = [], []
-        for ell, k in enumerate(c):
-            q = params.q[(ell, k)]
-            theta = params.theta[(ell, k)]
-            rho = fixed.rho[(ell, k)]
-            r, t = theta.shape
-            cov = np.zeros((r + t, r + t))
-            cov[:r, :r] = q
-            cov[:r, r:] = theta
-            cov[r:, :r] = theta.T
-            cov[r:, r:] = rho
-            cov = psd_clip(cov)
-            means.append(np.concatenate([params.m[(ell, k)], fixed.m_star[(ell, k)]]))
-            factors.append(sym_sqrt(cov))
-        return JointXYStats(means, factors)
+    theta must lie in the range of q, as it does at every overlap sweep's
+    output; a singular q with theta outside its range raises
+    DegenerateOverlapError.
+    """
+    laws = {}
+    for key, q in params.q.items():
+        theta, rho = params.theta[key], fixed.rho[key]
+        q_root, q_pinv_root, q_pinv = sym_roots(q)
+        residual = theta - q @ q_pinv @ theta
+        if np.max(np.abs(residual)) > 1e-8 * (1.0 + np.max(np.abs(theta))):
+            raise DegenerateOverlapError(f"singular q{key} with teacher overlap outside its range")
+        S_root, S_pinv_root, _ = sym_roots(psd_clip(rho - theta.T @ q_pinv @ theta))
+        laws[key] = TokenLaw(params.m[key], fixed.m_star[key], q_root,
+                             theta.T @ q_pinv_root, S_root, S_pinv_root)
+    return laws
 
 
-# ----------------------------------------------------------------------
-# Node generation for the energetic measure: (weights, Xi, Zeta, Y).
-# Zeta is the standard core of the label channel: Y = mean_map xi + S^{1/2} zeta.
-# ----------------------------------------------------------------------
+def _through_laws(
+    laws: dict, c: tuple, Xi: np.ndarray, Zeta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) nodes from the cores, token ell through the law of (ell, c_ell)."""
+    tokens = [(Xi[:, ell, :], Zeta[:, ell, :], laws[(ell, k)]) for ell, k in enumerate(c)]
+    X = np.stack([xi @ law.q_root.T + law.m for xi, _, law in tokens], axis=1)
+    Y = np.stack([xi @ law.mean_map.T + zeta @ law.S_root.T + law.m_star
+                  for xi, zeta, law in tokens], axis=1)
+    return X, Y
+
+
+def _core_shape(laws: dict, c: tuple) -> tuple[int, int, int]:
+    t, r = laws[(0, c[0])].mean_map.shape
+    return len(c), r, t
+
 
 def energetic_nodes(
-    params: OrderParameters,
-    fixed: FixedStatistics,
+    laws: dict,
     c: tuple,
     plan: McPlan,
     iteration: int = 0,
     c_index: int = 0,
     with_y: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weights and (Xi, Zeta, Y) states for one class tuple.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, cores and (X, Y) nodes of class tuple c for the hat sweep and
+    the envelope.
 
-    Shapes: weights (S,), Xi (S, L, r), Zeta (S, L, t), Y (S, L, t); Y is the
-    centered label channel (teacher means not added).
+    Shapes: weights (S,), Xi and X (S, L, r), Zeta and Y (S, L, t).  X holds
+    the student projections (the prox anchors) and Y the labels, teacher
+    means included.  Without with_y the label noise zeta is dropped, for a
+    loss that does not read Y.
     """
-    L = len(c)
-    r = params.v.shape[0]
-    t = fixed.m_star[(0, c[0])].shape[0]
-    cond = CondGaussianYGivenXi.build(params, fixed, c)
-
-    if plan.gh_order > 0:
-        dim = L * r + (L * t if with_y else 0)
-        wts, pts = gauss_hermite_nodes(dim, plan.gh_order)
-        S = len(wts)
-        Xi = pts[:, : L * r].reshape(S, L, r)
-        if with_y:
-            Zeta = pts[:, L * r :].reshape(S, L, t)
-        else:
-            Zeta = np.zeros((S, L, t))
-    else:
-        S = plan.n_samples
-        wts = np.full(S, 1.0 / S)
-        Xi = standard_normals(plan, c_index, iteration, (L, r))
-        if with_y:
-            Zeta = standard_normals(plan, c_index + 1_000_003, iteration, (L, t))
-        else:
-            Zeta = np.zeros((S, L, t))
-
-    Y = np.empty((S, L, t))
-    for ell in range(L):
-        Y[:, ell, :] = Xi[:, ell, :] @ cond.mean_maps[ell].T
-        if with_y:
-            Y[:, ell, :] += Zeta[:, ell, :] @ cond.sqrt_schur[ell].T
-    return wts, Xi, Zeta, Y
+    wts, Xi, Zeta = standard_cores(plan, _core_shape(laws, c), c_index, iteration, with_y)
+    return (wts, Xi, Zeta, *_through_laws(laws, c, Xi, Zeta))
 
 
 def joint_xy_nodes(
-    params: OrderParameters,
-    fixed: FixedStatistics,
-    c: tuple,
-    plan: McPlan,
-    iteration: int = 0,
-    c_index: int = 0,
+    laws: dict, c: tuple, plan: McPlan, c_index: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weights, X, Y) nodes of the joint law, honoring the plan's method."""
-    joint = JointXYStats.build(params, fixed, c)
-    L = len(c)
-    r = params.v.shape[0]
-    t = joint.means[0].shape[0] - r
-    if plan.gh_order > 0:
-        wts, pts = gauss_hermite_nodes(L * (r + t), plan.gh_order)
-        S = len(pts)
-        Z = pts.reshape(S, L, r + t)
-    else:
-        Z = standard_normals(plan, c_index + 7_000_009, iteration, (L, r + t))
-        S = plan.n_samples
-        wts = np.full(S, 1.0 / S)
-    X = np.empty((S, L, r))
-    Y = np.empty((S, L, t))
-    for ell in range(L):
-        zl = Z[:, ell, :] @ joint.factors[ell].T + joint.means[ell]
-        X[:, ell, :] = zl[:, :r]
-        Y[:, ell, :] = zl[:, r:]
-    return wts, X, Y
+    """(weights, X, Y) nodes of class tuple c for the test error: the
+    energetic nodes' law on the test error's own streams."""
+    wts, Xi, Zeta = standard_cores(plan, _core_shape(laws, c), c_index + TEST_STREAM)
+    return (wts, *_through_laws(laws, c, Xi, Zeta))
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +317,7 @@ def pairwise_sum(values: np.ndarray) -> np.ndarray:
 
 
 def _weighted_mean_stderr(
-    wts: np.ndarray, vals: np.ndarray, antithetic: bool, quadrature: bool
+    wts: np.ndarray, vals: np.ndarray, plan: McPlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and a standard-error estimate per output entry.
 
@@ -350,10 +327,10 @@ def _weighted_mean_stderr(
     mean = pairwise_sum(wts[:, None] * vals.reshape(len(wts), -1)).reshape(
         vals.shape[1:]
     )
-    if quadrature:
+    if plan.gh_order > 0:
         return mean, np.zeros_like(mean)
     units = vals.reshape(len(wts), -1)
-    if antithetic:
+    if plan.antithetic:
         units = 0.5 * (units[0::2] + units[1::2])
     n = units.shape[0]
     if n < 2:

@@ -1,13 +1,14 @@
 """Fixed-point solver for the overlap self-consistency equations.
 
 One sweep alternates two closed blocks.  The hat update evaluates Gaussian
-expectations of prox displacements under the conditional (Y, Xi) measure:
+expectations of prox displacements over each key's law, built once per
+sweep by `gaussian.token_laws`:
 
     q_hat = alpha E[delta V^-1 D D^T V^-1]         D = prox - q^{1/2} xi - m
     m_hat = alpha E[delta V^-1 D]
-    theta_hat = alpha E[delta V^-1 D (y - theta^T q^{-1/2} xi)^T Schur^-1]
+    theta_hat = alpha E[delta V^-1 D zeta^T] S^{+1/2}
     V_hat = -alpha E[delta V^-1 (dprox/danchor - I)]
-    v_hat = 2 alpha E[d3(Y + m*, prox, v, c)]
+    v_hat = 2 alpha E[d3(Y, prox, v, c)]
 
 (the V_hat form above is the anchor-sensitivity one; unlike the equivalent
 Stein-lemma form theta_hat theta^T q^-1 - alpha E[V^-1 D xi^T q^{-1/2}], it
@@ -20,9 +21,9 @@ gamma theta_hat pi) and kernel K = S S^T + sum gamma q_hat:
     V = int gamma R,  q = int gamma R K R,  m = int tau R S,
     theta = int gamma R S pi^T,  v = int R K R.
 
-The theta channel is whitened by the root of the label covariance left
-given the student channel, `gaussian.schur_complement`, the same matrix the
-energetic nodes draw their labels from.
+The theta channel is whitened by S^{+1/2}, S = rho - theta^T q^+ theta
+being the label covariance the nodes draw their labels from.  The envelope
+and the test error take their nodes through the same laws.
 
 The solve iterates the overlaps x through the map G(x) =
 update_overlaps(update_hats(x)).  With damping in (0, 1) it takes
@@ -51,8 +52,8 @@ from .gaussian import (
     pairwise_sum,
     psd_clip,
     schur_complement,
-    sym_pinv_sqrt,
-    sym_sqrt,
+    token_laws,
+    _sym,
     _weighted_mean_stderr,
 )
 from .model import (
@@ -105,6 +106,8 @@ class SolverConfig:
             out.append("SolverConfig: damping must lie in [0, 1)")
         if self.tol <= 0:
             out.append("SolverConfig: tol must be positive")
+        if self.max_iters < 1:
+            out.append("SolverConfig: max_iters must be >= 1")
         if self.init not in ("cold", "gamp", "informed"):
             out.append(f"SolverConfig: unknown init {self.init!r}")
         return out
@@ -126,10 +129,6 @@ class FixedPointReport(RunRecord):
     train_loss: float
     train_loss_stderr: float
     rejected_steps: int
-
-
-def _sym(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + A.T)
 
 
 # ----------------------------------------------------------------------
@@ -160,33 +159,26 @@ class NodeBatch:
 
 def _node_batches(
     params: OrderParameters,
-    fixed: FixedStatistics,
+    laws: dict,
     spec: ModelSpec,
     plan: McPlan,
     iteration: int,
 ):
-    """NodeBatch for every class tuple of positive probability, in law order."""
-    dims = spec.dims
-    r = dims.r
-    sqrt_q = {key: sym_sqrt(params.q[key]) for key in dims.lk_pairs()}
-    V_inv = {key: inverse(params.V[key], f"the overlap V{key}") for key in dims.lk_pairs()}
+    """NodeBatch for every class tuple of positive probability, in law order,
+    with nodes drawn through the keys' `gaussian.token_laws`."""
+    r = spec.dims.r
+    V_inv = {key: inverse(V, f"the overlap V{key}") for key, V in params.V.items()}
     for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
         if pc == 0.0:
             continue
-        wts, Xi, Zeta, Y = energetic_nodes(
-            params, fixed, c, plan, iteration=iteration, c_index=c_index,
+        wts, Xi, Zeta, anchors, y_loss = energetic_nodes(
+            laws, c, plan, iteration=iteration, c_index=c_index,
             with_y=spec.loss.depends_on_y,
         )
-        S = len(wts)
-        anchors = np.empty((S, dims.L, r))
-        P_full = np.zeros((dims.L * r, dims.L * r))
-        for ell in range(dims.L):
-            key = (ell, c[ell])
-            anchors[:, ell, :] = Xi[:, ell, :] @ sqrt_q[key].T + params.m[key]
-            P_full[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = V_inv[key]
-        m_star_c = np.stack([fixed.m_star[(ell, c[ell])] for ell in range(dims.L)])
-        y_loss = Y + m_star_c
-        cs = np.tile(np.asarray(c), (S, 1))
+        P_full = np.zeros((len(c) * r, len(c) * r))
+        for ell, k in enumerate(c):
+            P_full[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = V_inv[(ell, k)]
+        cs = np.tile(np.asarray(c), (len(wts), 1))
         x_stars = prox_batch(spec.loss, anchors, P_full, y_loss, params.v, cs)
         yield NodeBatch(c, pc, wts, Xi, Zeta, anchors, y_loss, cs, P_full, x_stars)
 
@@ -198,17 +190,25 @@ def update_hats(
     plan: McPlan,
     iteration: int = 0,
 ) -> ConjugateParameters:
-    """One hat sweep: class-weighted Gaussian expectations of prox statistics."""
+    """One hat sweep: class-weighted Gaussian expectations of prox statistics.
+
+    Each key's per-node statistics [VD, VD VD^T, VD zeta^T, J block, 1] are
+    reduced by one pairwise sum.
+    """
     dims = spec.dims
     loss = spec.loss
     alpha = dims.alpha
-    r = dims.r
+    r, t = dims.r, dims.t
     out = ConjugateParameters.zeros(dims)
+    laws = token_laws(params, fixed)
 
     vhat_acc = np.zeros((r, r))
     eye_r = np.eye(r)
-    for nb in _node_batches(params, fixed, spec, plan, iteration):
+    # column offsets of the statistics, in the order of the split below
+    cuts = np.cumsum([r, r * r, r * t, r * r])
+    for nb in _node_batches(params, laws, spec, plan, iteration):
         c, pc, wts = nb.c, nb.pc, nb.wts
+        S = len(wts)
         D = nb.x_stars - nb.anchors
         J = prox_gain(loss, nb.y_loss, nb.x_stars, nb.P_full, params.v, nb.cs)
 
@@ -217,26 +217,25 @@ def update_hats(
             blk = slice(ell * r, (ell + 1) * r)
             Vinv = nb.P_full[blk, blk]
             VD = D[:, ell, :] @ Vinv.T
-            w_col = wts[:, None]
-            out.m_hat[key] += pc * pairwise_sum(w_col * VD)
-            out.q_hat[key] += pc * pairwise_sum(
-                wts[:, None, None] * np.einsum("si,sj->sij", VD, VD)
-            )
-            out.theta_hat[key] += pc * pairwise_sum(
-                wts[:, None, None] * np.einsum("si,sj->sij", VD, nb.Zeta[:, ell, :])
-            )
-            avg_J = pairwise_sum(wts[:, None, None] * J[:, blk, blk])
-            out.V_hat[key] += pc * (Vinv @ (avg_J - pairwise_sum(wts) * eye_r))
+            zeta = nb.Zeta[:, ell, :]
+            stats = np.hstack([VD, (VD[:, :, None] * VD[:, None, :]).reshape(S, -1),
+                               (VD[:, :, None] * zeta[:, None, :]).reshape(S, -1),
+                               J[:, blk, blk].reshape(S, -1), np.ones((S, 1))])
+            sums = pairwise_sum(wts[:, None] * stats)
+            m_hat, q_hat, theta_hat, avg_J, mass = np.split(sums, cuts)
+            out.m_hat[key] += pc * m_hat
+            out.q_hat[key] += pc * q_hat.reshape(r, r)
+            out.theta_hat[key] += pc * theta_hat.reshape(r, t)
+            out.V_hat[key] += pc * (Vinv @ (avg_J.reshape(r, r) - mass[0] * eye_r))
         if loss.depends_on_v:
             d3 = np.asarray(loss.d3(nb.y_loss, nb.x_stars, params.v, nb.cs), dtype=float)
             vhat_acc += pc * np.einsum("s,sij->ij", wts, d3)
 
-    # scale, convert the theta channel through the Schur root, symmetrize
-    for key in dims.lk_pairs():
-        cond_scale = sym_pinv_sqrt(schur_complement(params, fixed, key))
+    # scale, whiten the theta channel by S^{+1/2}, symmetrize
+    for key, law in laws.items():
         out.m_hat[key] = alpha * out.m_hat[key]
         out.q_hat[key] = _sym(alpha * out.q_hat[key])
-        out.theta_hat[key] = alpha * out.theta_hat[key] @ cond_scale
+        out.theta_hat[key] = alpha * out.theta_hat[key] @ law.S_pinv_root
         out.V_hat[key] = -alpha * out.V_hat[key]
     out.v_hat = _sym(2.0 * alpha * vhat_acc) if loss.depends_on_v else np.zeros_like(out.v_hat)
     return out
@@ -319,9 +318,7 @@ def _class_mean(per_class, plan: McPlan) -> tuple[float, float]:
     total = 0.0
     var = 0.0
     for pc, wts, vals in per_class:
-        mean_c, se_c = _weighted_mean_stderr(
-            wts, vals[:, None], plan.antithetic, plan.gh_order > 0
-        )
+        mean_c, se_c = _weighted_mean_stderr(wts, vals[:, None], plan)
         total += pc * float(mean_c[0])
         var += (pc * float(se_c[0])) ** 2
     return total, float(np.sqrt(var))
@@ -336,7 +333,8 @@ def expected_envelope(
     """E_{c,Y,Xi} of the Moreau envelope value at the current overlaps."""
 
     def per_class():
-        for nb in _node_batches(params, fixed, spec, plan, iteration=0):
+        laws = token_laws(params, fixed)
+        for nb in _node_batches(params, laws, spec, plan, iteration=0):
             D = (nb.x_stars - nb.anchors).reshape(len(nb.wts), -1)
             quad = 0.5 * np.einsum("si,ij,sj->s", D, nb.P_full, D)
             yield nb.pc, nb.wts, quad + spec.loss.eval(nb.y_loss, nb.x_stars, params.v, nb.cs)
@@ -414,10 +412,11 @@ def test_error(
         plan = replace(plan, gh_order=0)
 
     def per_class():
+        laws = token_laws(params, fixed)
         for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
             if pc == 0.0:
                 continue
-            wts, X, Y = joint_xy_nodes(params, fixed, c, plan, c_index=c_index)
+            wts, X, Y = joint_xy_nodes(laws, c, plan, c_index=c_index)
             cs = np.tile(np.asarray(c), (len(wts), 1))
             yield pc, wts, np.asarray(loss.test_eval(Y, X, params.v, cs), dtype=float)
 
@@ -533,7 +532,9 @@ def solve_fixed_point(
 
     Hats go first (overlaps come from the initialization) and are never
     damped.  Convergence is declared on the raw change of a sweep, relative
-    per block: the hats against the previous sweep's, and G(x) against x.  The
+    per block: the hats against the previous sweep's (none at the first
+    sweep, so a solve started at its fixed point stops there), and G(x)
+    against x.  The
     reported pair is the exact one-sweep image of the converged iterate, so
     identities that hold at exact fixed points hold for the report up to
     floating point.
@@ -566,14 +567,15 @@ def solve_fixed_point(
         config.damping, fixed,
         accelerate=config.damping > 0.0 and (plan.gh_order > 0 or plan.crn),
     )
-    conj = ConjugateParameters.zeros(dims)
+    conj = None
     residual_history: list[float] = []
     trajectory = [] if config.record_trajectory else None
     converged = False
 
     for it in range(1, config.max_iters + 1):
         conj_prev, conj = conj, update_hats(params, fixed, spec, plan, iteration=it)
-        res_hat = _block_residual(conj, conj_prev, skip=skip)
+        # the first sweep's hats have no predecessor to change from
+        res_hat = 0.0 if conj_prev is None else _block_residual(conj, conj_prev, skip=skip)
 
         image = update_overlaps(conj, nu, spec)
         res_par = _block_residual(image, params, skip=skip)

@@ -333,7 +333,7 @@ def check_two_token() -> CheckResult:
 @_timed
 def check_unit_properties() -> CheckResult:
     from .losses import logistic_gmm_loss
-    from .gaussian import energetic_nodes
+    from .gaussian import energetic_nodes, token_laws
     from .model import (
         check_loss_gradients,
         ConjugateParameters,
@@ -387,7 +387,7 @@ def check_unit_properties() -> CheckResult:
     fixed3 = compute_fixed_statistics(spec3.nu, spec3.dims)
     params3 = OrderParameters.informed(spec3.dims, fixed3, eps=0.2)
     plan = McPlan(n_samples=200_000, seed=3, antithetic=False)
-    _, Xi, _, Y = energetic_nodes(params3, fixed3, (0,), plan)
+    _, Xi, _, _, Y = energetic_nodes(token_laws(params3, fixed3), (0,), plan)
     n_draws = Xi.shape[0]
     sig = abs(float(np.mean(Xi))) / (1.0 / np.sqrt(n_draws))
     prod = Xi[:, 0, 0] * Y[:, 0, 0]

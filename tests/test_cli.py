@@ -146,8 +146,23 @@ class TestModelConfig:
         (RIDGE_EXPERIMENT.replace("n_test = 20000", "n_test = 0"), "n_test"),
         # raised inside the per-seed fit, which reported it as exit 3
         (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = -1"), "grad_tol"),
+        # an empty solve indexed its empty residual history
+        (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = 0"), "SolverConfig: max_iters"),
+        (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = -3"), "SolverConfig: max_iters"),
+        # raised a bare ValueError from the dataset or its seed
+        (RIDGE_EXPERIMENT.replace("d = 80\n", "d = 80\nn = -5\n"), "[gamp] n"),
+        (RIDGE_EXPERIMENT.replace("d = 80\nseeds = 0", "d = 80\nseeds = -1"), "[gamp] seeds"),
+        (RIDGE_EXPERIMENT.replace("seeds = 0, 1", "seeds = -1"), "[erm] seeds"),
+        # ran, then exited 3
+        (RIDGE_EXPERIMENT.replace("damping = 0.0", "damping = 1.5"), "[gamp] damping"),
+        (RIDGE_EXPERIMENT.replace("max_iters = 200", "max_iters = 0"), "[gamp] max_iters"),
+        (RIDGE_EXPERIMENT.replace("tol = 1e-9\ndamping", "tol = -1\ndamping"), "[gamp] tol"),
+        (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = 1e-6\nmax_epochs = 0"),
+         "max_epochs"),
     ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
-            "model-d", "dimensions-d", "erm-n-test", "erm-grad-tol"])
+            "model-d", "dimensions-d", "erm-n-test", "erm-grad-tol", "solver-max-iters-0",
+            "solver-max-iters-negative", "gamp-n", "gamp-seeds", "erm-seeds", "gamp-damping",
+            "gamp-max-iters", "gamp-tol", "erm-max-epochs"])
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)

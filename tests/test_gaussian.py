@@ -17,8 +17,9 @@ from seqmix.gaussian import (
     standard_normals,
     sym_pinv_sqrt,
     sym_sqrt,
+    token_laws,
 )
-from seqmix.model import compute_fixed_statistics, OrderParameters
+from seqmix.model import compute_fixed_statistics, FixedStatistics, OrderParameters
 from seqmix.zoo import ridge_instance, two_token_instance
 
 
@@ -149,6 +150,52 @@ def _scalar_params(q, theta, m=0.0, V=1.0, v=0.0):
     )
 
 
+def _joint_law(q, theta, rho):
+    """The TokenLaw of one key with joint covariance [[q, theta], [theta^T, rho]]."""
+    r, t = theta.shape
+    key = (0, 0)
+    params = OrderParameters(q={key: q}, V={key: np.eye(r)}, m={key: np.zeros(r)},
+                             theta={key: theta}, v=np.eye(r))
+    fixed = FixedStatistics(rho={key: rho}, m_star={key: np.zeros(t)})
+    return token_laws(params, fixed)[key]
+
+
+class TestTokenLaw:
+    R, T = 3, 2
+
+    def _random_joint(self, rng, case):
+        """A random PSD joint covariance as G G^T, G = [[A], [B]]."""
+        k = self.R + self.T + 2
+        A = rng.standard_normal((self.R, k))
+        B = rng.standard_normal((self.T, k))
+        if case == "singular-q":
+            # rank-one q; theta = A B^T lies in its range
+            A = np.outer(rng.standard_normal(self.R), rng.standard_normal(k))
+        q, theta, rho = A @ A.T, A @ B.T, B @ B.T
+        if case == "theta-zero":
+            theta = np.zeros_like(theta)
+        return q, theta, rho
+
+    @pytest.mark.parametrize("case", ["full-rank-q", "singular-q", "theta-zero"])
+    def test_factor_reproduces_joint_covariance(self, case):
+        # [[q^{1/2}, 0], [theta^T q^{+1/2}, S^{1/2}]] times its transpose
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            q, theta, rho = self._random_joint(rng, case)
+            law = _joint_law(q, theta, rho)
+            F = np.block([[law.q_root, np.zeros((self.R, self.T))],
+                          [law.mean_map, law.S_root]])
+            np.testing.assert_allclose(
+                F @ F.T, np.block([[q, theta], [theta.T, rho]]), rtol=0, atol=1e-12
+            )
+
+    def test_theta_outside_range_of_singular_q_raises(self):
+        q = np.diag([1.0, 2.0, 0.0])
+        theta = np.array([[0.1, 0.0], [0.0, 0.2], [0.5, 0.3]])
+        with pytest.raises(DegenerateOverlapError):
+            _joint_law(q, theta, np.eye(self.T))
+
+
 class TestEnergeticSampler:
     def setup_method(self):
         spec = ridge_instance()
@@ -158,7 +205,7 @@ class TestEnergeticSampler:
         # q = 1, theta = 0.5, rho = 1: mean 0.5 xi, variance 0.75
         params = _scalar_params(q=1.0, theta=0.5)
         plan = McPlan(n_samples=400_000, seed=4)
-        _, Xi, _, Y = energetic_nodes(params, self.fixed, (0,), plan)
+        _, Xi, _, _, Y = energetic_nodes(token_laws(params, self.fixed), (0,), plan)
         xi = Xi[:, 0, 0]
         y = Y[:, 0, 0]
         slope = float(np.mean(xi * y) / np.mean(xi * xi))
@@ -169,7 +216,7 @@ class TestEnergeticSampler:
     def test_theta_zero_decouples(self):
         params = _scalar_params(q=1.0, theta=0.0)
         plan = McPlan(n_samples=200_000, seed=5)
-        _, Xi, _, Y = energetic_nodes(params, self.fixed, (0,), plan)
+        _, Xi, _, _, Y = energetic_nodes(token_laws(params, self.fixed), (0,), plan)
         corr = float(np.mean(Xi[:, 0, 0] * Y[:, 0, 0]))
         assert abs(corr) < 3.0 / np.sqrt(Xi.shape[0])
         assert abs(float(np.var(Y)) - 1.0) < 3.0 * 2.0 / np.sqrt(Xi.shape[0])
@@ -177,20 +224,20 @@ class TestEnergeticSampler:
     def test_singular_q_theta_out_of_range(self):
         params = _scalar_params(q=0.0, theta=0.5)
         with pytest.raises(DegenerateOverlapError):
-            energetic_nodes(params, self.fixed, (0,), McPlan(n_samples=8))
+            energetic_nodes(token_laws(params, self.fixed), (0,), McPlan(n_samples=8))
 
     def test_singular_q_theta_zero_falls_back(self):
         params = _scalar_params(q=0.0, theta=0.0)
-        _, Xi, _, Y = energetic_nodes(
-            params, self.fixed, (0,), McPlan(n_samples=200_000, seed=6)
+        _, Xi, _, _, Y = energetic_nodes(
+            token_laws(params, self.fixed), (0,), McPlan(n_samples=200_000, seed=6)
         )
         assert abs(float(np.var(Y)) - 1.0) < 0.02
 
     def test_deterministic_streams(self):
         params = _scalar_params(q=0.8, theta=0.3)
         plan = McPlan(n_samples=128, seed=11)
-        a = energetic_nodes(params, self.fixed, (0,), plan)
-        b = energetic_nodes(params, self.fixed, (0,), plan)
+        a = energetic_nodes(token_laws(params, self.fixed), (0,), plan)
+        b = energetic_nodes(token_laws(params, self.fixed), (0,), plan)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -203,7 +250,7 @@ class TestJointSampler:
     def test_uncorrelated_when_theta_zero(self):
         params = _scalar_params(q=0.7, theta=0.0)
         _, X, Y = joint_xy_nodes(
-            params, self.fixed, (0,), McPlan(n_samples=400_000, seed=7)
+            token_laws(params, self.fixed), (0,), McPlan(n_samples=400_000, seed=7)
         )
         n = X.shape[0]
         assert abs(float(np.mean(X[:, 0, 0] * Y[:, 0, 0]))) < 3.0 / np.sqrt(n)
@@ -212,14 +259,14 @@ class TestJointSampler:
     def test_perfect_correlation(self):
         params = _scalar_params(q=1.0, theta=1.0)
         _, X, Y = joint_xy_nodes(
-            params, self.fixed, (0,), McPlan(n_samples=10_000, seed=8)
+            token_laws(params, self.fixed), (0,), McPlan(n_samples=10_000, seed=8)
         )
         np.testing.assert_allclose(X, Y, atol=1e-8)
 
     def test_cross_covariance_matches_theta(self):
         params = _scalar_params(q=1.0, theta=0.6)
         _, X, Y = joint_xy_nodes(
-            params, self.fixed, (0,), McPlan(n_samples=400_000, seed=9)
+            token_laws(params, self.fixed), (0,), McPlan(n_samples=400_000, seed=9)
         )
         n = X.shape[0]
         cov = float(np.mean(X[:, 0, 0] * Y[:, 0, 0]))
@@ -231,8 +278,8 @@ def _expect(f, spec, params, fixed, plan):
     the reduction the solver's envelope uses."""
     total, var = 0.0, 0.0
     for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
-        wts, Xi, _, Y = energetic_nodes(params, fixed, c, plan, c_index=c_index)
-        mean, se = _weighted_mean_stderr(wts, f(Xi, Y), plan.antithetic, plan.gh_order > 0)
+        wts, Xi, _, _, Y = energetic_nodes(token_laws(params, fixed), c, plan, c_index=c_index)
+        mean, se = _weighted_mean_stderr(wts, f(Xi, Y), plan)
         total, var = total + pc * mean, var + (pc * se) ** 2
     return total, np.sqrt(var)
 

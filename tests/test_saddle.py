@@ -1,9 +1,11 @@
 """Fixed-point solver: sweep algebra, convergence, scalar functionals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from seqmix.gaussian import McPlan, sym_pinv, sym_pinv_sqrt
+from seqmix.gaussian import McPlan, sym_pinv, sym_pinv_sqrt, token_laws
 from seqmix.model import (
     compute_fixed_statistics,
     ConjugateParameters,
@@ -36,7 +38,7 @@ def stein_vhat(params, fixed, spec, plan, theta_hat):
     dims = spec.dims
     r = dims.r
     acc = {key: np.zeros((r, r)) for key in dims.lk_pairs()}
-    for nb in _node_batches(params, fixed, spec, plan, 0):
+    for nb in _node_batches(params, token_laws(params, fixed), spec, plan, 0):
         for ell in range(dims.L):
             blk = slice(ell * r, (ell + 1) * r)
             VD = (nb.x_stars - nb.anchors)[:, ell, :] @ nb.P_full[blk, blk].T
@@ -203,6 +205,15 @@ class TestSolveFixedPoint:
         cfg = SolverConfig(damping=0.3, tol=1e-9, max_iters=500, mc_plan=GH)
         rep = solve_fixed_point(spec, spec.nu, cfg)
         assert rep.converged and rep.residual_history[-1] <= 1e-9
+
+    def test_warm_start_at_fixed_point_stops_at_first_sweep(self):
+        # the first sweep's hats have no predecessor to change from; measured
+        # against zero hats, this re-solve took a second sweep
+        spec = gmm_instance(alpha=1.0)
+        cfg = SolverConfig(damping=0.5, tol=1e-8, max_iters=500, mc_plan=McPlan(gh_order=51))
+        rep = solve_fixed_point(spec, spec.nu, cfg)
+        warm = solve_fixed_point(spec, spec.nu, replace(cfg, warm_start=rep.params))
+        assert warm.converged and warm.iterations == 1
 
     def test_lambda_zero_gate(self):
         from seqmix.errors import SpecValidationError
