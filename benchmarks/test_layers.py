@@ -65,6 +65,17 @@ def test_empirical_test_error(benchmark):
     assert 0.0 < eg < 1.0 and se > 0.0
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_erm_fit(benchmark, alpha):
+    """One ERM fit of logistic_gmm at d = 500 and the acceptance gate's
+    training settings, at the two alphas of the erm-ref workload."""
+    spec = zoo.gmm_instance(alpha=alpha, lam=GMM_LAM)
+    data = gamp.generate_dataset(spec, spec.nu, d=500, n=int(round(alpha * 500)), seed=0)
+    train = erm.TrainConfig(grad_tol=1e-6, max_epochs=6000)
+    fit = benchmark(erm.erm_train, data, spec, config=train)
+    assert fit.converged
+
+
 # Expectation plans of the sweep cases: the Gauss-Hermite order the sweep
 # workloads use for logistic_gmm, and the curve-mc Monte Carlo plan
 # (1,000 antithetic samples with common random numbers).

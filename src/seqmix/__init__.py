@@ -3,7 +3,7 @@
 Three coupled surfaces over one problem definition: a fixed-point solver for
 the overlap self-consistency equations (also usable as time-indexed state
 evolution), finite-dimensional message-passing simulators (rBP and GAMP),
-and a gradient-descent baseline lab, plus a harness that cross-checks all
+and an ERM baseline, plus a harness that cross-checks all
 three against each other at desk scale.
 """
 

@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Asymptotic learning curves for sequence models on correlated "
             "Gaussian mixtures: fixed-point solver, message-passing simulators, "
-            "gradient-descent lab, and a cross-verification suite."
+            "ERM baseline, and a cross-verification suite."
         ),
     )
     parser.add_argument("--version", action="version", version=f"seqmix {__version__}")
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("run-gamp", "simulate message passing on generated datasets"),
         ("run-rbp", "simulate the directed-message variant"),
-        ("run-erm", "train by gradient descent over a seed list"),
+        ("run-erm", "train by ERM (L-BFGS) over a seed list"),
     ):
         p = sub.add_parser(name, help=help_text)
         common(p)

@@ -154,8 +154,13 @@ class ErmOptions:
         return TrainConfig(grad_tol=self.grad_tol, max_epochs=self.max_epochs)
 
     def violations(self) -> list[str]:
-        seeds_ok = min(self.seeds, default=0) >= 0
-        return self.train_config().violations() + ([] if seeds_ok else ["[erm] seeds must be >= 0"])
+        rules = {
+            "d must be >= 1": self.d >= 1,
+            "seeds must be >= 0": min(self.seeds, default=0) >= 0,
+        }
+        return self.train_config().violations() + [
+            f"[erm] {rule}" for rule, ok in rules.items() if not ok
+        ]
 
 
 @dataclass

@@ -73,4 +73,5 @@ class SolverDivergenceError(SeqmixError):
 
 
 class StalledError(SeqmixError):
-    """Gradient descent failed to decrease the objective repeatedly."""
+    """ERM's line search failed to decrease the objective in `erm.MAX_STALLS`
+    consecutive epochs."""

@@ -9,7 +9,7 @@ projection pi) triples.  Trained weights are described by per-(token, cluster)
 overlap matrices and their conjugates, two families of one block layout
 (`KeyedBlocks`: copy, zeros, named blocks, the flat vector and the damped
 mix); this module holds those types, the pluggable loss interface consumed
-by the solver, the message-passing simulators and the gradient-descent lab,
+by the solver, the message-passing simulators and the ERM baseline,
 and what the four iterative loops share: the `RunRecord` each returns, the
 divergence guard each iteration passes and the inverse that maps a singular
 system to `SingularSystemError`.

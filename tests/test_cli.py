@@ -159,10 +159,12 @@ class TestModelConfig:
         (RIDGE_EXPERIMENT.replace("tol = 1e-9\ndamping", "tol = -1\ndamping"), "[gamp] tol"),
         (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = 1e-6\nmax_epochs = 0"),
          "max_epochs"),
+        # failed only when the dataset was generated, without the section
+        (RIDGE_EXPERIMENT.replace("d = 60", "d = 0"), "[erm] d"),
     ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
             "model-d", "dimensions-d", "erm-n-test", "erm-grad-tol", "solver-max-iters-0",
             "solver-max-iters-negative", "gamp-n", "gamp-seeds", "erm-seeds", "gamp-damping",
-            "gamp-max-iters", "gamp-tol", "erm-max-epochs"])
+            "gamp-max-iters", "gamp-tol", "erm-max-epochs", "erm-d"])
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -376,6 +378,19 @@ class TestCli:
         _, header, rows = read_table(out / "erm_curve.csv")
         assert len(rows) == 2
         assert all(r[header.index("converged")] == "False" for r in rows)
+
+    def test_run_erm_divergence_is_numerical_failure(self, tmp_path, capsys):
+        # a negative energy coupling makes the risk unbounded below
+        base = explicit_ini(ridge_instance(alpha=1.0, lam=0.05))
+        path = tmp_path / "unbounded.ini"
+        path.write_text(
+            base.replace("name = square\n", "name = square_energy\ncoupling = -0.5\n")
+            + "\n[erm]\nd = 100\nseeds = 2\ngrad_tol = 1e-8\nmax_epochs = 3000\nn_test = 2000\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run-erm", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "seed=2" in err and "diverged" in err
 
     def test_retired_flags_are_usage_errors(self, ridge_config):
         assert main(["verify", "--fast"]) == 2

@@ -1,12 +1,15 @@
-"""Gradient-descent baseline: training, test error, summary statistics."""
+"""ERM baseline: L-BFGS training, test error, summary statistics."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+from seqmix import erm, losses
 from seqmix.erm import empirical_test_error, erm_train, TrainConfig
-from seqmix.errors import SpecValidationError
+from seqmix.errors import SolverDivergenceError, SpecValidationError
 from seqmix.gamp import empirical_statistics, gamp_run, generate_dataset
-from seqmix.model import compute_fixed_statistics
+from seqmix.model import compute_fixed_statistics, ModelSpec
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
 
@@ -38,16 +41,30 @@ def dense_test_error(w_hat, data, spec, n_test, seed):
 
 
 class TestErmTrain:
-    def test_matches_ridge_normal_equations(self):
+    def test_matches_ridge_normal_equations(self, monkeypatch):
+        evals = [0]
+        risk = erm.empirical_risk_and_grad
+
+        def counted(*args):
+            evals[0] += 1
+            return risk(*args)
+
+        monkeypatch.setattr(erm, "empirical_risk_and_grad", counted)
         spec = ridge_instance(alpha=1.5, lam=0.2)
         d, n = 60, 90
-        data = generate_dataset(spec, spec.nu, d=d, n=n, seed=0)
-        fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-10, max_epochs=20000))
-        X = data.X[:, 0, :]
-        w_exact = np.linalg.solve(
-            X.T @ X / d + 0.2 * np.eye(d), X.T @ data.y[:, 0, 0] / np.sqrt(d)
-        )
-        np.testing.assert_allclose(fit.w_hat[:, 0], w_exact, atol=1e-8)
+        # without the roundoff clause of the step test, a fit at its
+        # minimizer to working precision rejects every useful step: on
+        # seed 2 it ran all 20,000 epochs and stopped unconverged
+        for seed in (0, 2):
+            evals[0] = 0
+            data = generate_dataset(spec, spec.nu, d=d, n=n, seed=seed)
+            fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-10, max_epochs=20000))
+            X = data.X[:, 0, :]
+            w_exact = np.linalg.solve(
+                X.T @ X / d + 0.2 * np.eye(d), X.T @ data.y[:, 0, 0] / np.sqrt(d)
+            )
+            np.testing.assert_allclose(fit.w_hat[:, 0], w_exact, atol=1e-8)
+            assert fit.converged and evals[0] <= 200
 
     def test_huge_regularizer_kills_weights(self):
         spec = ridge_instance(alpha=1.0, lam=1e6)
@@ -91,6 +108,19 @@ class TestErmTrain:
         data = generate_dataset(spec, spec.nu, d=10, n=10, seed=0)
         with pytest.raises(SpecValidationError, match="step size"):
             erm_train(data, spec, config=TrainConfig(step_size=-1.0))
+
+    def test_unbounded_objective_raises_divergence(self):
+        # a negative energy coupling makes the risk unbounded below; the
+        # fit used to run all 3,000 epochs with numpy overflow warnings to
+        # |w| = 3.8e153 and return converged = False
+        base = ridge_instance(alpha=1.0, lam=0.05)
+        spec = ModelSpec(base.dims, base.class_law, base.nu, losses.square_loss_with_energy(-0.5))
+        data = generate_dataset(spec, spec.nu, d=100, n=100, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverDivergenceError) as info:
+                erm_train(data, spec, config=TrainConfig(grad_tol=1e-8, max_epochs=3000))
+        assert info.value.iteration < 100
 
     def test_inconsistent_gradient_stalls(self):
         from seqmix.errors import StalledError
