@@ -8,10 +8,14 @@ Each case times one layer on inputs built outside the timed call.
 """
 
 import functools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqmix
 from seqmix import erm, gamp, gaussian, saddle, zoo
 from seqmix.gaussian import McPlan
 from seqmix.model import compute_fixed_statistics
@@ -22,6 +26,15 @@ SPECS = {
     "logistic_gmm": lambda d: zoo.gmm_instance(alpha=1.0, lam=GMM_LAM, d=d),
     "two_token": lambda d: zoo.two_token_instance(alpha=1.2, lam=RIDGE_LAM, d=d),
 }
+
+
+def test_cold_import(benchmark):
+    """A fresh interpreter importing seqmix.cli, interpreter start included:
+    the start-up every CLI command pays before its first computation."""
+    src = str(Path(seqmix.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); import seqmix.cli"]
+    done = benchmark(subprocess.run, cmd, check=True)
+    assert done.returncode == 0
 
 
 def _dataset(instance, d, seed=0):

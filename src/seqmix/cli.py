@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -157,6 +156,9 @@ def cmd_sweep(args) -> int:
     workers = args.workers or int(os.environ.get("SEQMIX_WORKERS", "1"))
     lines: list[list[list]] = []
     if workers > 1 and len(cfg.lambdas) > 1 and cfg.source_path:
+        # imported here so that a serial run does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
@@ -219,8 +221,9 @@ PER_SEED = {
 
 def cmd_per_seed(args, command: PerSeed) -> int:
     """Generate each seed's dataset, fit it, write the fit's trajectory when
-    it recorded one, and tabulate test error and how each fit stopped; exit
-    3 when a fit failed or stopped before converging."""
+    it recorded one, and tabulate test error and how each fit stopped (a fit
+    that raised gets a row of NaN errors); exit 3 when a fit failed or
+    stopped before converging."""
     cfg = _load_and_validate(args)
     dims = cfg.spec.dims
     opts = getattr(cfg, command.section)
@@ -235,6 +238,9 @@ def cmd_per_seed(args, command: PerSeed) -> int:
             w_hat, record, et, gnorm = command.fit(data, cfg)
         except SeqmixError as exc:
             print(f"  seed={seed}: {exc}", file=sys.stderr)
+            nan = float("nan")
+            rows.append(curve_row(cfg.spec.name, dims.alpha, dims.lam, seed, nan, nan, nan, nan,
+                                  getattr(exc, "iteration", 0), False))
             ok = False
             continue
         if record.trajectory is not None:

@@ -17,6 +17,14 @@ projections omega and the back-projection b) plus batched L r x L r algebra
 per sample and r x r algebra per coordinate.  rBP uses the same squared
 design for its target-excluded blocks.
 
+Memory.  X and the squared design live in anonymous maps of their own
+(`_mapped_empty`), not in malloc's heap.  They are tens of MB and short-lived.
+From malloc they come from the heap once glibc has raised its mmap threshold;
+small allocations then split the holes they leave, and repeating the same
+calls grows the heap, and the peak memory with it, by whole design matrices at
+points that differ from process to process.  A map of its own is returned to
+the system when its array is freed.
+
 Stopping.  Both loops return a `RunRecord` (GAMP's `GampResult` extends
 it) of the relative change of the estimate per iteration, converged once it
 falls to tol.  Each iteration passes `model.check_divergence`, and a
@@ -28,6 +36,7 @@ and it ends not converged at max_iters.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,6 +94,20 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _mapped_empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array in a private anonymous map of its own,
+    unmapped when the array is freed (see the module docstring)."""
+    nbytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
+    if nbytes == 0:
+        return np.empty(shape)
+    block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # the 2 MB pages numpy asks for on its own large arrays; fresh 4 kB
+        # pages fault several times slower
+        block.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(block, dtype=np.float64).reshape(shape)
+
+
 def _atom_counts(weights: np.ndarray, d: int) -> np.ndarray:
     """Quantize atom weights to multiples of 1/d, remainder to the largest."""
     counts = np.floor(weights * d).astype(int)
@@ -123,15 +146,18 @@ def generate_dataset(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     c = spec.class_law.sample(rng, n)
-    X = np.empty((n, dims.L, d))
+    X = _mapped_empty((n, dims.L, d))
+    # each token's draw goes into one (n, d) buffer, X itself when L = 1
+    z = X.reshape(n, d) if dims.L == 1 else np.empty((n, d))
     for ell in range(dims.L):
-        z = rng.standard_normal((n, d))
+        rng.standard_normal(out=z)
         for k in range(dims.K[ell]):
             rows = (c[:, ell] == k)[:, None]
             key = (ell, k)
             np.multiply(z, np.sqrt(eigenvalues[key]), out=z, where=rows)
             np.add(z, means[key], out=z, where=rows)
-        X[:, ell, :] = z
+        if dims.L > 1:
+            X[:, ell, :] = z
     y = np.einsum("nld,dt->nlt", X, teacher) / np.sqrt(d)
     meta = GeneratorMetadata(eigenvalues=eigenvalues, means=means)
     return Dataset(X=X, y=y, c=c, teacher=teacher, meta=meta)
@@ -180,7 +206,7 @@ def _squared_design(X: np.ndarray) -> np.ndarray:
     """XX[n, p, i] = X[n, l, i] X[n, k, i] over the pairs (l, k) of triu_indices(L)."""
     n, L, d = X.shape
     ls, ks = np.triu_indices(L)
-    XX = np.empty((n, len(ls), d))
+    XX = _mapped_empty((n, len(ls), d))
     for p, (ell, k) in enumerate(zip(ls, ks)):
         np.multiply(X[:, ell], X[:, k], out=XX[:, p])
     return XX

@@ -23,6 +23,8 @@ Two routes that never touch the fixed-point solver:
    models for beta ensembles", J. Math. Phys. 43, 2002).  Every error of
    the fit depends on X only through the tridiagonal T = B^T B, so one fit
    is an O(d) banded solve.
+
+seqmix uses scipy only for that solve, and imports it on the first fit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import SpecValidationError
 
@@ -86,6 +87,10 @@ def ridge_asymptotics(alpha: float, lam: float, rho: float = 1.0) -> RidgeAsympt
 
 
 def _one_ridge_fit(alpha: float, lam: float, d: int, seed: int) -> tuple[float, float]:
+    # imported here, not at the top: importing scipy.linalg takes longer
+    # than the rest of seqmix's start-up, and this solve is its only use
+    from scipy.linalg import solveh_banded
+
     # X = U B V^T with V e1 = e1 and B upper bidiagonal (Dumitriu-Edelman):
     # row i of B holds a_i ~ chi_{n-i} on the diagonal and b_i ~ chi_{d-1-i}
     # right of it, for the first min(n, d) rows; when n < d the last row

@@ -1,11 +1,15 @@
 """Config parsing, file formats, and the command-line driver."""
 
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqmix
 from seqmix.cli import main
 from seqmix.config import load_experiment
 from seqmix.errors import SpecValidationError
@@ -391,6 +395,12 @@ class TestCli:
         assert main(["run-erm", "--config", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and "seed=2" in err and "diverged" in err
+        # the failed fit still gets its row, with the epoch it diverged at
+        _, header, rows = read_table(out / "erm_curve.csv")
+        assert len(rows) == 1
+        row = dict(zip(header, rows[0]))
+        assert (row["seed"], row["iterations"], row["converged"]) == ("2", "11", "False")
+        assert all(row[k] == "nan" for k in ("eg", "eg_stderr", "et", "grad_norm"))
 
     def test_retired_flags_are_usage_errors(self, ridge_config):
         assert main(["verify", "--fast"]) == 2
@@ -485,3 +495,31 @@ class TestCli:
             tables.append(read_table(out / "sweep.csv"))
         assert len(tables[0][2]) == 4
         assert tables[0] == tables[1]
+
+
+# A fresh interpreter: imports the seqmix this module imported, lists what
+# the import pulled in, then runs one finite-d ridge fit.
+COLD_IMPORT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import seqmix, seqmix.cli, seqmix.verify, seqmix.oracles
+loaded = sorted(m for m in sys.modules
+                if m.startswith("scipy") or m == "concurrent.futures.process")
+ridge = seqmix.oracles.finite_d_ridge(0.5, 0.1, 50, range(3))
+print(json.dumps({"file": seqmix.__file__, "loaded": loaded,
+                  "ridge": [x.hex() for x in ridge]}))
+"""
+
+
+def test_cold_import_leaves_out_scipy_and_process_pool():
+    # scipy.linalg is the finite-d ridge oracle's alone and is imported on
+    # its first fit; the process pool only by a parallel sweep
+    src = Path(seqmix.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", COLD_IMPORT, str(src)],
+                          capture_output=True, text=True, check=True)
+    out = json.loads(done.stdout)
+    assert Path(out["file"]).resolve() == Path(seqmix.__file__).resolve()
+    assert out["loaded"] == []
+    # the values the oracle gave with scipy imported at module load
+    assert out["ridge"] == ["0x1.cdc0f79b43efdp-3", "0x1.83851c049c4b1p-6",
+                            "0x1.8f81b00a66e4bp-6", "0x1.3c74b56b86d78p-9"]

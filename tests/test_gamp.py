@@ -1,6 +1,7 @@
 """Dataset generation, message passing, and the gradient bridge."""
 
 import dataclasses
+import mmap
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ class TestGenerateDataset:
             ref = masked_generate_dataset(spec, spec.nu, d=d, n=n, seed=seed)
             for name in ("X", "y", "c", "teacher"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_design_matrices_in_maps_of_their_own(self):
+        # X and the squared design bypass malloc, so freeing them leaves no
+        # hole in the heap; an empty design needs no map
+        spec = two_token_instance()
+        data = generate_dataset(spec, spec.nu, d=40, n=30, seed=0)
+        for array in (data.X, _squared_design(data.X)):
+            base = array
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base.obj, mmap.mmap)
+        empty = generate_dataset(spec, spec.nu, d=40, n=0, seed=0)
+        assert empty.X.shape == (0, 2, 40)
+        assert _squared_design(empty.X).shape == (0, 3, 40)
 
     def test_d_smaller_than_atoms_rejected(self):
         spec = two_token_instance()
