@@ -51,6 +51,15 @@ def test_gamp_iteration(benchmark, instance):
     assert np.all(np.isfinite(res.w_hat))
 
 
+def test_rbp_run(benchmark):
+    """rBP to convergence on ridge at the rbp-vs-gamp size (d = 40, n = 80):
+    n d target-excluded 1 x 1 blocks inverted and solved per iteration."""
+    spec = zoo.ridge_instance(alpha=2.0, lam=RIDGE_LAM, d=40)
+    data = gamp.generate_dataset(spec, spec.nu, d=40, n=80, seed=0)
+    _, record = benchmark(gamp.rbp_run, data, spec, max_iters=500, tol=1e-11)
+    assert record.converged
+
+
 @pytest.mark.parametrize("instance", sorted(SPECS))
 def test_squared_design(benchmark, instance):
     """The squared-design build alone at d = 1000, the once-per-run part of

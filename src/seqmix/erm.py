@@ -155,7 +155,8 @@ def erm_train(
         w, obj, grad = w_new, obj_new, grad_new
         gnorm = float(np.max(np.abs(grad)))
         history.append(obj)
-        check_divergence(it, gnorm, None, w, grad)
+        check_divergence(it, gnorm, None, w, grad,
+                         loop="ERM", step="epoch", measure="gradient sup-norm")
     return TrainResult(
         w_hat=w,
         train_loss_per_d=obj / d,

@@ -60,15 +60,17 @@ class SolverDivergenceError(SeqmixError):
     trajectory recorded so far (`OrderParameters` per iterate; the solver's
     ends with the failing sweep, GAMP's and rBP's with the last finite
     iterate), or None when the run recorded none, and the iteration (from 1)
-    at which the run stopped."""
+    at which the run stopped.  The message names the loop, its step and what
+    its residual measures, e.g. "ERM diverged at epoch 11 (gradient sup-norm
+    1.047e+06)"."""
 
-    def __init__(self, residual: float, trajectory, iteration: int):
+    def __init__(self, residual: float, trajectory, iteration: int, *,
+                 loop: str, step: str, measure: str):
         self.residual = residual
         self.trajectory = trajectory
         self.iteration = iteration
         super().__init__(
-            f"fixed-point iteration diverged at iteration {iteration} "
-            f"(residual {residual:.3e})"
+            f"{loop} diverged at {step} {iteration} ({measure} {residual:.3e})"
         )
 
 

@@ -14,8 +14,13 @@ over the token pairs p = (l, k), l <= k, once: n L (L + 1) / 2 d floats held
 for the run, the size of X when L = 1.  Each iteration is then four matrix
 products against it and X (the noise blocks V, the Onsager blocks A, the
 projections omega and the back-projection b) plus batched L r x L r algebra
-per sample and r x r algebra per coordinate.  rBP uses the same squared
-design for its target-excluded blocks.
+per sample and r x r algebra per coordinate.  The inverses of those blocks
+and the prox gain's solves go through `model.inverse` / `model.solve`, which
+take 1 x 1 and 2 x 2 blocks (L r <= 2, as in every zoo instance) in closed
+form instead of one LAPACK call per block.  rBP uses the same squared design
+for its target-excluded blocks; its n d blocks per iteration make it the
+loop that gains most from the closed forms.  The token-pair indices are
+built once per L.
 
 Memory.  X and the squared design live in anonymous maps of their own
 (`_mapped_empty`), not in malloc's heap.  They are tens of MB and short-lived.
@@ -36,6 +41,7 @@ and it ends not converged at max_iters.
 
 from __future__ import annotations
 
+import functools
 import mmap
 from dataclasses import dataclass
 from typing import Optional
@@ -202,10 +208,19 @@ def _backproject(X: np.ndarray, f: np.ndarray) -> np.ndarray:
     return X.reshape(n * L, d).T @ f.reshape(n * L, f.shape[2]) / np.sqrt(d)
 
 
-def _squared_design(X: np.ndarray) -> np.ndarray:
-    """XX[n, p, i] = X[n, l, i] X[n, k, i] over the pairs (l, k) of triu_indices(L)."""
-    n, L, d = X.shape
+@functools.lru_cache(maxsize=None)
+def _token_pairs(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The token pairs p = (l, k), l <= k, as the index arrays of
+    triu_indices(L), built once per L and read-only."""
     ls, ks = np.triu_indices(L)
+    ls.flags.writeable = ks.flags.writeable = False
+    return ls, ks
+
+
+def _squared_design(X: np.ndarray) -> np.ndarray:
+    """XX[n, p, i] = X[n, l, i] X[n, k, i] over the token pairs (l, k)."""
+    n, L, d = X.shape
+    ls, ks = _token_pairs(L)
     XX = _mapped_empty((n, len(ls), d))
     for p, (ell, k) in enumerate(zip(ls, ks)):
         np.multiply(X[:, ell], X[:, k], out=XX[:, p])
@@ -216,7 +231,9 @@ def _unfold_pairs(blocks: np.ndarray, L: int) -> np.ndarray:
     """(..., P, r, r) pair blocks -> (..., Lr, Lr), block (l, k) = block (k, l)."""
     r = blocks.shape[-1]
     lead = blocks.shape[:-3]
-    ls, ks = np.triu_indices(L)
+    if L == 1:
+        return blocks.reshape(lead + (r, r))
+    ls, ks = _token_pairs(L)
     full = np.empty(lead + (L, L, r, r))
     full[..., ls, ks, :, :] = blocks
     full[..., ks, ls, :, :] = blocks
@@ -230,8 +247,10 @@ def _fold_pairs(g: np.ndarray, L: int) -> np.ndarray:
     against X[n, l, i] X[n, k, i] over every ordered token pair.
     """
     r = g.shape[-1] // L
+    if L == 1:
+        return g.reshape(g.shape[:-2] + (1, r, r))
     blocks = g.reshape(g.shape[:-2] + (L, r, L, r)).swapaxes(-3, -2)
-    ls, ks = np.triu_indices(L)
+    ls, ks = _token_pairs(L)
     out = blocks[..., ls, ks, :, :]
     off = ls != ks
     out[..., off, :, :] += blocks[..., ks[off], ls[off], :, :]
@@ -370,7 +389,8 @@ def gamp_run(
         else:
             w_hat = w_new
         prev_residual = residual
-        check_divergence(len(residual_history), residual, trajectory, w_hat)
+        check_divergence(len(residual_history), residual, trajectory, w_hat,
+                         loop="GAMP", step="iteration", measure="relative change")
 
         trajectory.append(empirical_statistics(w_hat, c_hat, data))
         if residual <= tol:
@@ -464,7 +484,8 @@ def rbp_run(
         residual = _residual(w_marg_new, w_marg)
         residual_history.append(residual)
         w_marg = w_marg_new
-        check_divergence(len(residual_history), residual, trajectory, w_marg)
+        check_divergence(len(residual_history), residual, trajectory, w_marg,
+                         loop="rBP", step="iteration", measure="relative change")
         trajectory.append(empirical_statistics(w_marg, c_marg, data))
         if residual <= tol:
             converged = True

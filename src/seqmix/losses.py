@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import LossModel
+from .model import LossModel, solve
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -63,7 +63,7 @@ def square_loss() -> LossModel:
         if P.ndim == 2:
             P = np.broadcast_to(P, (n, L * r, L * r))
         rhs = np.einsum("nij,nj->ni", P, anchors.reshape(n, -1)) + Ys.reshape(n, -1)
-        X = np.linalg.solve(P + np.eye(L * r), rhs[..., None])[..., 0]
+        X = solve(P + np.eye(L * r), rhs[..., None], "the square-loss prox system P + I")[..., 0]
         return X.reshape(n, L, r)
 
     return LossModel(

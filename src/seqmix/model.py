@@ -11,8 +11,9 @@ overlap matrices and their conjugates, two families of one block layout
 mix); this module holds those types, the pluggable loss interface consumed
 by the solver, the message-passing simulators and the ERM baseline,
 and what the four iterative loops share: the `RunRecord` each returns, the
-divergence guard each iteration passes and the inverse that maps a singular
-system to `SingularSystemError`.
+divergence guard each iteration passes, and the one small-system path,
+`inverse` and `solve`, that takes 1 x 1 and 2 x 2 systems in closed form and
+maps a singular system to `SingularSystemError`.
 
 Index convention: tokens and clusters are 0-based, maps over (ell, k) are
 total, and iteration order is row-major in (ell, k).
@@ -385,22 +386,94 @@ class RunRecord:
 
 
 def check_divergence(
-    iteration: int, residual: float, trajectory, *iterates: np.ndarray
+    iteration: int, residual: float, trajectory, *iterates: np.ndarray,
+    loop: str, step: str, measure: str,
 ) -> None:
-    """Raise SolverDivergenceError(residual, trajectory, iteration) on a NaN
-    residual, one above DIVERGENCE_LIMIT, or a non-finite entry in any
-    iterate; iteration counts the loop's iterations from 1."""
+    """Raise SolverDivergenceError on a NaN residual, one above
+    DIVERGENCE_LIMIT, or a non-finite entry in any iterate; iteration counts
+    the loop's steps from 1.  loop, step and measure name the loop, its step
+    and its residual in the message (see SolverDivergenceError)."""
     if not residual <= DIVERGENCE_LIMIT or not all(np.all(np.isfinite(a)) for a in iterates):
-        raise SolverDivergenceError(residual, trajectory, iteration)
+        raise SolverDivergenceError(residual, trajectory, iteration,
+                                    loop=loop, step=step, measure=measure)
+
+
+# Small systems.  The message-passing blocks, prox precisions and weight
+# systems are 1 x 1 or 2 x 2 whenever L r <= 2, and a batched LAPACK call
+# spends more per matrix in dispatch than those sizes take in arithmetic.
+# They are solved in closed form here, larger ones by LAPACK; every batched
+# inverse and solve of the package goes through `inverse` or `solve`.
+
+def _singular(what: str) -> SingularSystemError:
+    return SingularSystemError(f"{what} is singular")
+
+
+def _scaled_2x2(A: np.ndarray, what: str):
+    """Entries of each 2 x 2 matrix in A divided by its largest magnitude s,
+    their determinant, and det * s.  Scaling keeps the determinant in range
+    where the raw a d - b c underflows or overflows.  Only an exactly zero
+    (scaled) determinant is singular, as only an exactly zero pivot is for
+    LAPACK; a NaN matrix passes and yields NaN."""
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    # elementwise maxima: an axis reduction over the block costs four times more
+    s = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    if np.any(s == 0.0):
+        raise _singular(what)
+    a, b, c, d = a / s, b / s, c / s, d / s
+    det = a * d - b * c
+    if np.any(det == 0.0):
+        raise _singular(what)
+    return a, b, c, d, det * s
 
 
 def inverse(M: np.ndarray, what: str) -> np.ndarray:
-    """np.linalg.inv of M (or of a stack of matrices); SingularSystemError
-    naming `what` when a matrix is singular."""
+    """Inverse of M (..., n, n), one matrix or a stack; SingularSystemError
+    naming `what` when a matrix is singular.
+
+    n = 1 is 1 / M, the bits of LAPACK's inverse; n = 2 is the adjugate over
+    the determinant (Cramer's rule, forward stable at n = 2: Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 1.10.1),
+    within a few cond(M) eps of LAPACK's; larger n is np.linalg.inv.
+    """
+    n = M.shape[-1]
+    if n == 1:
+        if np.any(M == 0.0):
+            raise _singular(what)
+        return 1.0 / M
+    if n == 2:
+        with np.errstate(all="ignore"):   # LAPACK is silent on inf and NaN too
+            a, b, c, d, det = _scaled_2x2(M, what)
+            adj = np.stack([d, -b, -c, a], axis=-1) / det[..., None]
+        return adj.reshape(M.shape)
     try:
         return np.linalg.inv(M)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{what} is singular") from exc
+        raise _singular(what) from exc
+
+
+def solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+    """X with A X = B for A (..., n, n) and B (..., n, k), leading axes
+    broadcast; SingularSystemError naming `what` when a matrix is singular.
+
+    n = 1 is B / A, correctly rounded: LAPACK's bits for one column of B,
+    where for more columns LAPACK takes B * (1 / A); n = 2 is Cramer's rule
+    on the columns of B (see `inverse`); larger n is np.linalg.solve.
+    """
+    n = A.shape[-1]
+    if n == 1:
+        if np.any(A == 0.0):
+            raise _singular(what)
+        return B / A
+    if n == 2:
+        with np.errstate(all="ignore"):
+            a, b, c, d, det = _scaled_2x2(A, what)
+            a, b, c, d, det = (x[..., None] for x in (a, b, c, d, det))
+            B0, B1 = B[..., 0, :], B[..., 1, :]
+            return np.stack([(d * B0 - b * B1) / det, (a * B1 - c * B0) / det], axis=-2)
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise _singular(what) from exc
 
 
 @dataclass

@@ -16,7 +16,9 @@ specialized prox when it registers one and otherwise runs damped Newton
 the batch with every sample checked on its own.  `loss_hessian` supplies
 hess_X or central differences of grad_X, and `prox_gain` is the sensitivity
 dX/danchor = (P + H)^-1 P shared by the solver, GAMP and rBP.
-`moreau_prox` is the single-problem view.
+`moreau_prox` is the single-problem view.  The Newton steps and the gain
+are batched solves of Lr x Lr systems through `model.solve`, in closed form
+when Lr <= 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import LossBlowupError, ProxConvergenceError, SingularSystemError
-from .model import LossModel
+from .model import LossModel, solve
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100
@@ -131,8 +133,8 @@ def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
         H = loss_hessian(loss, Ys[idx], X[idx].reshape(-1, L, r), v, cs[idx])
         M = P[idx] + H + mu[idx, None, None] * eye
         try:
-            step = np.linalg.solve(M, -res[idx][..., None])[..., 0]
-        except np.linalg.LinAlgError:
+            step = solve(M, -res[idx][..., None], "the prox Newton system")[..., 0]
+        except SingularSystemError:
             mu[idx] = np.maximum(10.0 * mu[idx], 1e-6)
             continue
         # Armijo backtracking on the envelope objective, per sample.  Near
@@ -194,17 +196,13 @@ def prox_gain(loss: LossModel, Ys, Xs, P, v, cs) -> np.ndarray:
     P + H raises SingularSystemError.
     """
     S = Xs.shape[0]
-    try:
-        if loss.hess_is_constant:
-            H = loss_hessian(loss, Ys[:1], Xs[:1], v, cs[:1])[0]
-            J = np.linalg.solve(P + H, P)
-            return np.broadcast_to(J, (S,) + J.shape[-2:]) if P.ndim == 2 else J
-        H = loss_hessian(loss, Ys, Xs, v, cs)
-        return np.linalg.solve(P + H, np.broadcast_to(P, H.shape))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"prox sensitivity of loss {loss.name!r} is undefined: P + H is singular"
-        ) from exc
+    what = f"P + H in the prox sensitivity of loss {loss.name!r}"
+    if loss.hess_is_constant:
+        H = loss_hessian(loss, Ys[:1], Xs[:1], v, cs[:1])[0]
+        J = solve(P + H, P, what)
+        return np.broadcast_to(J, (S,) + J.shape[-2:]) if P.ndim == 2 else J
+    H = loss_hessian(loss, Ys, Xs, v, cs)
+    return solve(P + H, np.broadcast_to(P, H.shape), what)
 
 
 def moreau_prox(problem: ProxProblem, loss: LossModel) -> ProxResult:

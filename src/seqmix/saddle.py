@@ -272,7 +272,7 @@ def spectral_kernels(
         smin = np.linalg.svd(A, compute_uv=False)[-1]
         if smin < 1e-12:
             raise SingularResolventError(a_idx, float(smin))
-        R = np.linalg.inv(A)
+        R = inverse(A, f"the resolvent at atom {a_idx}")
         S = np.zeros(dims.r)
         K = np.zeros((dims.r, dims.r))
         for key in dims.lk_pairs():
@@ -585,7 +585,8 @@ def solve_fixed_point(
         residual_history.append(residual)
         if trajectory is not None:
             trajectory.append(params)
-        check_divergence(it, residual, trajectory, *params.blocks().values())
+        check_divergence(it, residual, trajectory, *params.blocks().values(),
+                         loop="fixed-point iteration", step="iteration", measure="residual")
         if residual <= config.tol:
             converged = True
             break

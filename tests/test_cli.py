@@ -394,7 +394,8 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run-erm", "--config", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "seed=2" in err and "diverged" in err
+        assert "Traceback" not in err and "seed=2" in err
+        assert "ERM diverged at epoch 11 (gradient sup-norm " in err
         # the failed fit still gets its row, with the epoch it diverged at
         _, header, rows = read_table(out / "erm_curve.csv")
         assert len(rows) == 1

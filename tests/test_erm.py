@@ -121,6 +121,8 @@ class TestErmTrain:
             with pytest.raises(SolverDivergenceError) as info:
                 erm_train(data, spec, config=TrainConfig(grad_tol=1e-8, max_epochs=3000))
         assert info.value.iteration < 100
+        assert str(info.value).startswith(
+            f"ERM diverged at epoch {info.value.iteration} (gradient sup-norm ")
 
     def test_inconsistent_gradient_stalls(self):
         from seqmix.errors import StalledError

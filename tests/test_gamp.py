@@ -207,6 +207,8 @@ class TestFailures:
             self.RUNS[run](data, nan_prox_after(spec, 3))
         assert np.isnan(info.value.residual)
         assert len(info.value.trajectory) == 3 and info.value.iteration == 4
+        name = {"gamp": "GAMP", "rbp": "rBP"}[run]
+        assert str(info.value) == f"{name} diverged at iteration 4 (relative change nan)"
 
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_singular_weight_system_raises(self, run):
