@@ -21,13 +21,7 @@ from .model import (
     SpectralMeasure,
     validate_spec,
 )
-from .gaussian import (
-    McPlan,
-    sym_pinv,
-    sym_pinv_sqrt,
-    sym_sqrt,
-)
-from .prox import moreau_prox, ProxProblem
+from .gaussian import McPlan
 from .saddle import (
     FixedPointReport,
     free_entropy,
@@ -69,17 +63,12 @@ __all__ = [
     "make_atom",
     "McPlan",
     "ModelSpec",
-    "moreau_prox",
     "OrderParameters",
-    "ProxProblem",
     "rbp_run",
     "solve_fixed_point",
     "SolverConfig",
     "SpectralAtom",
     "SpectralMeasure",
-    "sym_pinv",
-    "sym_pinv_sqrt",
-    "sym_sqrt",
     "test_error",
     "train_loss",
     "TrainConfig",

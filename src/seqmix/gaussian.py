@@ -47,10 +47,13 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _clipped_eigh(A: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def sym_roots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A^{1/2}, A^{+1/2}, A^+) of a symmetric PSD A from one
+    eigendecomposition.  Eigenvalues down to -NEG_EIG_TOL are clipped to
+    zero, and the pseudo-inverses map zero eigenvalues to zero."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InconsistentOverlapsError(f"expected a square matrix, got shape {A.shape}")
-    if np.max(np.abs(A - A.T)) > sym_tol:
+    if np.max(np.abs(A - A.T)) > 1e-10:
         raise InconsistentOverlapsError("matrix is not symmetric within tolerance")
     w, U = np.linalg.eigh(_sym(A))
     if w.min(initial=0.0) < -NEG_EIG_TOL:
@@ -58,13 +61,7 @@ def _clipped_eigh(A: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray, np
             f"matrix has eigenvalue {w.min():.3e} below -{NEG_EIG_TOL:.0e}; "
             "order parameters are corrupted"
         )
-    return np.clip(w, 0.0, None), U
-
-
-def sym_roots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A^{1/2}, A^{+1/2}, A^+) of a symmetric PSD A from one
-    eigendecomposition; the pseudo-inverses map zero eigenvalues to zero."""
-    w, U = _clipped_eigh(A)
+    w = np.clip(w, 0.0, None)
     live = w > EIG_CLIP
     spectra = (
         np.sqrt(w),
@@ -72,26 +69,6 @@ def sym_roots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.where(live, 1.0 / np.maximum(w, EIG_CLIP), 0.0),
     )
     return tuple(_sym((U * f) @ U.T) for f in spectra)
-
-
-def sym_sqrt(A: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root B with B @ B = A."""
-    return sym_roots(A)[0]
-
-
-def sym_pinv_sqrt(A: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root: zero eigenvalues map to zero."""
-    return sym_roots(A)[1]
-
-
-def sym_pinv(A: np.ndarray) -> np.ndarray:
-    return sym_roots(A)[2]
-
-
-def psd_clip(A: np.ndarray) -> np.ndarray:
-    """Project to the PSD cone; eigenvalues below -NEG_EIG_TOL raise."""
-    w, U = _clipped_eigh(A, sym_tol=1e-8)
-    return _sym((U * w) @ U.T)
 
 
 # ----------------------------------------------------------------------
@@ -225,20 +202,12 @@ class TokenLaw:
     S_pinv_root: np.ndarray
 
 
-def schur_complement(params: OrderParameters, fixed: FixedStatistics, key) -> np.ndarray:
-    """rho - theta^T q^+ theta clipped PSD (rho itself when theta = 0): the
-    label covariance left once the student channel is known."""
-    theta = params.theta[key]
-    rho = fixed.rho[key]
-    if np.max(np.abs(theta)) == 0.0:
-        return psd_clip(rho)
-    return psd_clip(rho - theta.T @ sym_pinv(params.q[key]) @ theta)
-
-
 def token_laws(params: OrderParameters, fixed: FixedStatistics) -> dict:
     """The TokenLaw of every key, from one eigendecomposition of q and one
-    of the clipped Schur complement S.
+    of the Schur complement S = rho - theta^T q^+ theta.
 
+    It also decides whether a sweep can start from params.  A q or an S
+    with an eigenvalue below -NEG_EIG_TOL raises InconsistentOverlapsError.
     theta must lie in the range of q, as it does at every overlap sweep's
     output; a singular q with theta outside its range raises
     DegenerateOverlapError.
@@ -250,7 +219,7 @@ def token_laws(params: OrderParameters, fixed: FixedStatistics) -> dict:
         residual = theta - q @ q_pinv @ theta
         if np.max(np.abs(residual)) > 1e-8 * (1.0 + np.max(np.abs(theta))):
             raise DegenerateOverlapError(f"singular q{key} with teacher overlap outside its range")
-        S_root, S_pinv_root, _ = sym_roots(psd_clip(rho - theta.T @ q_pinv @ theta))
+        S_root, S_pinv_root, _ = sym_roots(_sym(rho - theta.T @ q_pinv @ theta))
         laws[key] = TokenLaw(params.m[key], fixed.m_star[key], q_root,
                              theta.T @ q_pinv_root, S_root, S_pinv_root)
     return laws

@@ -30,10 +30,8 @@ from .errors import SingularSystemError, SolverDivergenceError, SpecValidationEr
 
 Key = tuple[int, int]
 
-# Tolerances used by structural invariants.
+# How far class probabilities and spectral weights may sum from 1.
 PROB_TOL = 1e-12
-SYM_TOL = 1e-10
-SCHUR_TOL = 1e-8
 # A relative residual above this ends an iteration as diverged.
 DIVERGENCE_LIMIT = 1e6
 

@@ -15,16 +15,13 @@ specialized prox when it registers one and otherwise runs damped Newton
 (Levenberg shift on the loss Hessian, Armijo backtracking), vectorized over
 the batch with every sample checked on its own.  `loss_hessian` supplies
 hess_X or central differences of grad_X, and `prox_gain` is the sensitivity
-dX/danchor = (P + H)^-1 P shared by the solver, GAMP and rBP.
-`moreau_prox` is the single-problem view.  The Newton steps and the gain
-are batched solves of Lr x Lr systems through `model.solve`, in closed form
-when Lr <= 2.
+dX/danchor = (P + H)^-1 P shared by the solver, GAMP and rBP.  A single
+problem is a batch of one.  The Newton steps and the gain are batched
+solves of Lr x Lr systems through `model.solve`, in closed form when
+Lr <= 2.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -33,34 +30,6 @@ from .model import LossModel, solve
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100
-
-
-@dataclass
-class ProxProblem:
-    anchor: np.ndarray                                   # L x r
-    precision: Union[np.ndarray, Sequence[np.ndarray]]   # full Lr x Lr or per-token r x r list
-    y: np.ndarray                                        # L x t, passed to the loss as-is
-    v: np.ndarray                                        # r x r constant slot
-    c: tuple
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-
-    def precision_full(self) -> np.ndarray:
-        if isinstance(self.precision, np.ndarray) and self.precision.ndim == 2 \
-                and self.precision.shape[0] == self.anchor.size:
-            return self.precision
-        L, r = self.anchor.shape
-        P = np.zeros((L * r, L * r))
-        for ell, block in enumerate(self.precision):
-            P[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = block
-        return P
-
-
-@dataclass
-class ProxResult:
-    x_star: np.ndarray        # L x r
-    value: float              # envelope value at the minimizer
-    grad_norm: float          # stationarity residual
 
 
 def _objective(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
@@ -203,19 +172,3 @@ def prox_gain(loss: LossModel, Ys, Xs, P, v, cs) -> np.ndarray:
         return np.broadcast_to(J, (S,) + J.shape[-2:]) if P.ndim == 2 else J
     H = loss_hessian(loss, Ys, Xs, v, cs)
     return solve(P + H, np.broadcast_to(P, H.shape), what)
-
-
-def moreau_prox(problem: ProxProblem, loss: LossModel) -> ProxResult:
-    """Minimizer, envelope value, and stationarity residual of one problem.
-
-    For convex losses the returned point is the global minimizer; the
-    residual postcondition ||P (X - anchor) + grad ell|| <= tol (1 + ||anchor||)
-    holds on every return.
-    """
-    P = problem.precision_full()
-    Ys = problem.y[None]
-    cs = np.asarray([problem.c])
-    X = prox_batch(loss, problem.anchor[None], P, Ys, problem.v, cs,
-                   problem.tol, problem.max_iters)
-    at = (loss, problem.anchor.reshape(1, -1), P[None], Ys, problem.v, cs, X.reshape(1, -1))
-    return ProxResult(X[0], float(_objective(*at)[0]), float(np.linalg.norm(_residual(*at))))

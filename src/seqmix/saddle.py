@@ -2,7 +2,7 @@
 
 One sweep alternates two closed blocks.  The hat update evaluates Gaussian
 expectations of prox displacements over each key's law, built once per
-sweep by `gaussian.token_laws`:
+iterate by `gaussian.token_laws`:
 
     q_hat = alpha E[delta V^-1 D D^T V^-1]         D = prox - q^{1/2} xi - m
     m_hat = alpha E[delta V^-1 D]
@@ -29,11 +29,13 @@ The solve iterates the overlaps x through the map G(x) =
 update_overlaps(update_hats(x)).  With damping in (0, 1) it takes
 Anderson-mixed steps of size 1 - damping (`_AndersonMixer`), which reach the
 fixed point in about a fifth of the sweeps of plain damped iteration.
-With damping 0, or Monte Carlo nodes redrawn every sweep (no common random
-numbers, so G is random), every step is the plain one, `mix` of G(x)
-toward x.  Run undamped with time indices recorded, the sweeps are the
-state-evolution dynamics of the message-passing algorithm; run to
-self-consistency they characterize the trained estimator.
+An extrapolated iterate is accepted only when its laws can be built, and
+the next sweep draws its nodes through those laws.  With damping 0, or
+Monte Carlo nodes redrawn every sweep (no common random numbers, so G is
+random), every step is the plain one, `mix` of G(x) toward x.  Run
+undamped with time indices recorded, the sweeps are the state-evolution
+dynamics of the message-passing algorithm; run to self-consistency they
+characterize the trained estimator.
 """
 
 from __future__ import annotations
@@ -44,14 +46,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentOverlapsError, SingularResolventError, SpecValidationError
+from .errors import (DegenerateOverlapError, InconsistentOverlapsError,
+                     SingularResolventError, SpecValidationError)
 from .gaussian import (
     McPlan,
+    NEG_EIG_TOL,
     energetic_nodes,
     joint_xy_nodes,
     pairwise_sum,
-    psd_clip,
-    schur_complement,
     token_laws,
     _sym,
     _weighted_mean_stderr,
@@ -185,12 +187,13 @@ def _node_batches(
 
 def update_hats(
     params: OrderParameters,
-    fixed: FixedStatistics,
+    laws: dict,
     spec: ModelSpec,
     plan: McPlan,
     iteration: int = 0,
 ) -> ConjugateParameters:
-    """One hat sweep: class-weighted Gaussian expectations of prox statistics.
+    """One hat sweep: class-weighted Gaussian expectations of prox statistics,
+    with nodes drawn through laws = `gaussian.token_laws(params, fixed)`.
 
     Each key's per-node statistics [VD, VD VD^T, VD zeta^T, J block, 1] are
     reduced by one pairwise sum.
@@ -200,7 +203,6 @@ def update_hats(
     alpha = dims.alpha
     r, t = dims.r, dims.t
     out = ConjugateParameters.zeros(dims)
-    laws = token_laws(params, fixed)
 
     vhat_acc = np.zeros((r, r))
     eye_r = np.eye(r)
@@ -440,20 +442,19 @@ def _block_residual(new, old, skip: tuple[str, ...] = ()) -> float:
     return float(np.max(changes, initial=0.0))
 
 
-def _admissible(params: OrderParameters, fixed: FixedStatistics) -> bool:
-    """Whether a sweep can start from params: q and v PSD, V positive
-    definite, and every key's joint [[q, theta], [theta^T, rho]] PSD, i.e.
-    its Schur complement within `gaussian.schur_complement`'s tolerance."""
+def _admissible(params: OrderParameters, fixed: FixedStatistics) -> Optional[dict]:
+    """The keys' laws when a sweep can start from params, else None: V must
+    be positive definite, v PSD, and `gaussian.token_laws` must accept
+    every key (q and S = rho - theta^T q^+ theta PSD, theta in the range of
+    q)."""
+    if any(np.linalg.eigvalsh(V)[0] <= 0.0 for V in params.V.values()):
+        return None
+    if np.linalg.eigvalsh(params.v)[0] < -NEG_EIG_TOL:
+        return None
     try:
-        for key in params.q:
-            schur_complement(params, fixed, key)
-            if np.linalg.eigvalsh(params.V[key])[0] <= 0.0:
-                return False
-        for A in (*params.q.values(), params.v):
-            psd_clip(A)
-    except InconsistentOverlapsError:
-        return False
-    return True
+        return token_laws(params, fixed)
+    except (InconsistentOverlapsError, DegenerateOverlapError):
+        return None
 
 
 class _AndersonMixer:
@@ -466,10 +467,11 @@ class _AndersonMixer:
     least-squares solution of dF gamma = f.  With an empty history that is
     the plain damped step `mix`, and a mixer built with accelerate False
     keeps its history empty.  The oldest differences are dropped while dF is
-    conditioned worse than ANDERSON_COND_LIMIT.  A degenerate last
-    difference, or an extrapolated iterate that is not `_admissible`, takes
-    the plain step and restarts the history from (x, f); `rejected` counts
-    those steps.
+    conditioned worse than ANDERSON_COND_LIMIT.  `step` returns the next
+    iterate and, for an extrapolated one, the laws `_admissible` built for
+    it (None for a plain step).  A degenerate last difference, or an
+    extrapolated iterate without laws, takes the plain step and restarts
+    the history from (x, f); `rejected` counts those steps.
     """
 
     def __init__(self, damping: float, fixed: FixedStatistics, accelerate: bool):
@@ -480,8 +482,8 @@ class _AndersonMixer:
         self.fs: list[np.ndarray] = []
         self.rejected = 0
 
-    def step(self, params: OrderParameters, image: OrderParameters) -> OrderParameters:
-        plain = image.mix(params, self.damping)
+    def step(self, params: OrderParameters, image: OrderParameters) -> tuple:
+        plain = image.mix(params, self.damping), None
         if not self.accelerate:
             return plain
         x = params.flat()
@@ -505,11 +507,12 @@ class _AndersonMixer:
         gamma = Wt.T @ ((U.T @ f) / sv)
         beta = 1.0 - self.damping
         mixed = params.from_flat(x + beta * f - (dX + beta * dF) @ gamma)
-        if not _admissible(mixed, self.fixed):
+        laws = _admissible(mixed, self.fixed)
+        if laws is None:
             return self._restart(plain)
-        return mixed
+        return mixed, laws
 
-    def _restart(self, plain: OrderParameters) -> OrderParameters:
+    def _restart(self, plain: tuple) -> tuple:
         self.xs, self.fs = self.xs[-1:], self.fs[-1:]
         self.rejected += 1
         return plain
@@ -560,6 +563,7 @@ def solve_fixed_point(
     skip = () if spec.loss.depends_on_v else ("v", "v_hat")
 
     params = _initial_params(spec, nu, fixed, config)
+    laws = token_laws(params, fixed)
     # the undamped map is the state-evolution dynamics, and redrawn Monte
     # Carlo nodes make it random: both keep the history empty, so every
     # step is the plain damped one
@@ -573,13 +577,13 @@ def solve_fixed_point(
     converged = False
 
     for it in range(1, config.max_iters + 1):
-        conj_prev, conj = conj, update_hats(params, fixed, spec, plan, iteration=it)
+        conj_prev, conj = conj, update_hats(params, laws, spec, plan, iteration=it)
         # the first sweep's hats have no predecessor to change from
         res_hat = 0.0 if conj_prev is None else _block_residual(conj, conj_prev, skip=skip)
 
         image = update_overlaps(conj, nu, spec)
         res_par = _block_residual(image, params, skip=skip)
-        params = mixer.step(params, image)
+        params, laws = mixer.step(params, image)
 
         residual = float(np.maximum(res_hat, res_par))
         residual_history.append(residual)
@@ -587,13 +591,17 @@ def solve_fixed_point(
             trajectory.append(params)
         check_divergence(it, residual, trajectory, *params.blocks().values(),
                          loop="fixed-point iteration", step="iteration", measure="residual")
+        # an accepted Anderson step comes with its laws; any other iterate
+        # gets them once check_divergence has seen it
+        if laws is None:
+            laws = token_laws(params, fixed)
         if residual <= config.tol:
             converged = True
             break
 
     # exact one-sweep image: hats from the converged overlaps, overlaps from
     # those hats, undamped
-    conj = update_hats(params, fixed, spec, plan, iteration=0)
+    conj = update_hats(params, laws, spec, plan, iteration=0)
     params = update_overlaps(conj, nu, spec)
 
     envelope = expected_envelope(params, fixed, spec, plan)

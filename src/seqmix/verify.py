@@ -17,7 +17,7 @@ import numpy as np
 
 from .erm import empirical_test_error, erm_train, TrainConfig
 from .gamp import gamp_run, gd_gradient_norm, generate_dataset, rbp_run
-from .gaussian import McPlan, sym_sqrt
+from .gaussian import McPlan, sym_roots, token_laws
 from .model import compute_fixed_statistics, ModelSpec
 from .oracles import finite_d_ridge, ridge_asymptotics
 from .saddle import (
@@ -307,7 +307,7 @@ def check_two_token() -> CheckResult:
              McPlan(n_samples=20000, seed=202, crn=False)]
     sweeps = []
     for plan in plans:
-        conj = update_hats(rep.params, fixed, spec, plan)
+        conj = update_hats(rep.params, token_laws(rep.params, fixed), spec, plan)
         sweeps.append(update_overlaps(conj, spec.nu, spec))
     noise = _block_residual(sweeps[0], sweeps[1])
     move = max(_block_residual(s, rep.params) for s in sweeps)
@@ -333,7 +333,7 @@ def check_two_token() -> CheckResult:
 @_timed
 def check_unit_properties() -> CheckResult:
     from .losses import logistic_gmm_loss
-    from .gaussian import energetic_nodes, token_laws
+    from .gaussian import energetic_nodes
     from .model import (
         check_loss_gradients,
         ConjugateParameters,
@@ -341,7 +341,7 @@ def check_unit_properties() -> CheckResult:
         SpectralAtom,
         SpectralMeasure,
     )
-    from .prox import moreau_prox, ProxProblem
+    from .prox import prox_batch
 
     rng = np.random.default_rng(8)
     notes = []
@@ -352,13 +352,14 @@ def check_unit_properties() -> CheckResult:
     worst_res = 0.0
     generic = logistic_gmm_loss()
     generic.prox = None
+    y, v = np.zeros((1, 1, 1)), np.zeros((1, 1))
     for _ in range(50):
-        anchor = rng.standard_normal((1, 1))
+        anchor = rng.standard_normal((1, 1, 1))
         prec = np.array([[np.exp(rng.uniform(-1.5, 1.5))]])
-        problem = ProxProblem(anchor, prec, np.zeros((1, 1)), np.zeros((1, 1)),
-                              (int(rng.integers(2)),))
-        out = moreau_prox(problem, generic)
-        worst_res = max(worst_res, out.grad_norm / (1.0 + abs(float(anchor[0, 0]))))
+        cs = np.array([[int(rng.integers(2))]])
+        X = prox_batch(generic, anchor, prec, y, v, cs)
+        res = np.linalg.norm(prec @ (X - anchor)[0, 0] + generic.grad_X(y, X, v, cs)[0, 0])
+        worst_res = max(worst_res, float(res) / (1.0 + abs(float(anchor[0, 0, 0]))))
     ok = ok and worst_res <= PROX_STATIONARITY
     notes.append(f"prox residual {worst_res:.1e}")
 
@@ -377,7 +378,7 @@ def check_unit_properties() -> CheckResult:
     for _ in range(20):
         M = rng.standard_normal((3, 3))
         A = M.T @ M
-        B = sym_sqrt(A)
+        B = sym_roots(A)[0]
         worst = max(worst, float(np.linalg.norm(B @ B - A) / np.linalg.norm(A)))
     ok = ok and worst <= SYM_SQRT_TOL
     notes.append(f"sqrt round-trip {worst:.1e}")

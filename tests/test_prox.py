@@ -5,18 +5,23 @@ import pytest
 
 from seqmix.losses import LOSSES, logistic_gmm_loss, square_loss, zero_loss
 from seqmix.model import LossModel
-from seqmix.prox import moreau_prox, prox_batch, prox_gain, ProxProblem
+from seqmix.prox import DEFAULT_TOL, prox_batch, prox_gain
 
 
-def scalar_problem(anchor, V, y=0.0, c=(0,), tol=1e-10):
-    return ProxProblem(
-        anchor=np.array([[float(anchor)]]),
-        precision=np.array([[1.0 / V]]),
-        y=np.array([[float(y)]]),
-        v=np.zeros((1, 1)),
-        c=c,
-        tol=tol,
-    )
+def scalar_batch(anchor, V, y=0.0, c=0):
+    """(anchors, P, Ys, v, cs) of one scalar problem with precision 1 / V."""
+    return (np.full((1, 1, 1), float(anchor)), np.array([[1.0 / V]]),
+            np.full((1, 1, 1), float(y)), np.zeros((1, 1)), np.array([[c]]))
+
+
+def scalar_prox(loss: LossModel, anchor, V, y=0.0, c=0) -> float:
+    return float(prox_batch(loss, *scalar_batch(anchor, V, y, c))[0, 0, 0])
+
+
+def scalar_gain(loss: LossModel, x, anchor, V, y=0.0, c=0) -> float:
+    """prox_gain of one scalar problem at the point x."""
+    _, P, Ys, v, cs = scalar_batch(anchor, V, y, c)
+    return float(prox_gain(loss, Ys, np.full((1, 1, 1), x), P, v, cs)[0, 0, 0])
 
 
 def _strip_specialized(loss: LossModel) -> LossModel:
@@ -24,37 +29,29 @@ def _strip_specialized(loss: LossModel) -> LossModel:
     return loss
 
 
-def _gain(problem: ProxProblem, loss: LossModel, x_star: np.ndarray) -> np.ndarray:
-    """prox_gain of a single problem."""
-    return prox_gain(loss, problem.y[None], x_star[None], problem.precision_full(),
-                     problem.v, np.asarray([problem.c]))[0]
-
-
 class TestMoreauProx:
     def test_zero_loss_identity(self):
-        problem = scalar_problem(anchor=1.7, V=2.0)
-        out = moreau_prox(problem, zero_loss())
-        assert out.x_star[0, 0] == pytest.approx(1.7)
-        assert out.value == pytest.approx(0.0)
+        loss = zero_loss()
+        x = scalar_prox(loss, anchor=1.7, V=2.0)
+        assert x == pytest.approx(1.7)
+        _, _, Ys, v, cs = scalar_batch(1.7, 2.0)
+        value = (x - 1.7) ** 2 / 4.0 + loss.eval(Ys, np.full((1, 1, 1), x), v, cs)[0]
+        assert value == pytest.approx(0.0)
 
     def test_scalar_square_stationarity(self):
         # V = 2, anchor = 1, y = 3: (x - 1)/2 + (x - 3) = 0 so x = 7/3
-        problem = scalar_problem(anchor=1.0, V=2.0, y=3.0)
-        out = moreau_prox(problem, square_loss())
-        assert out.x_star[0, 0] == pytest.approx(7.0 / 3.0, abs=1e-12)
+        x = scalar_prox(square_loss(), anchor=1.0, V=2.0, y=3.0)
+        assert x == pytest.approx(7.0 / 3.0, abs=1e-12)
 
     def test_generic_newton_matches_closed_form(self):
         rng = np.random.default_rng(12)
         closed = square_loss()
         generic = _strip_specialized(square_loss())
         for _ in range(10):
-            problem = scalar_problem(
-                anchor=rng.standard_normal(), V=np.exp(rng.uniform(-1, 1)),
-                y=rng.standard_normal(),
-            )
-            a = moreau_prox(problem, closed)
-            b = moreau_prox(problem, generic)
-            np.testing.assert_allclose(a.x_star, b.x_star, atol=1e-9)
+            problem = scalar_batch(rng.standard_normal(), np.exp(rng.uniform(-1, 1)),
+                                   y=rng.standard_normal())
+            np.testing.assert_allclose(prox_batch(closed, *problem),
+                                       prox_batch(generic, *problem), atol=1e-9)
 
     def test_logistic_against_grid_search(self):
         rng = np.random.default_rng(5)
@@ -62,24 +59,26 @@ class TestMoreauProx:
         for _ in range(5):
             anchor = rng.uniform(-2, 2)
             V = np.exp(rng.uniform(-1, 1))
-            c = (int(rng.integers(2)),)
-            problem = scalar_problem(anchor, V, c=c)
-            out = moreau_prox(problem, loss)
+            c = int(rng.integers(2))
+            x = scalar_prox(loss, anchor, V, c=c)
             # brute-force oracle on a fine grid around the anchor
             grid = np.linspace(anchor - 4.0, anchor + 4.0, 160_001)
-            s = 1.0 if c[0] == 0 else -1.0
+            s = 1.0 if c == 0 else -1.0
             objective = (grid - anchor) ** 2 / (2 * V) + np.logaddexp(0.0, -s * grid)
             x_grid = grid[np.argmin(objective)]
-            assert abs(out.x_star[0, 0] - x_grid) < 1e-4
+            assert abs(x - x_grid) < 1e-4
 
     def test_stationarity_postcondition(self):
+        # the generic Newton stops at |P (x - a) + grad ell| <= tol (1 + |a|)
         rng = np.random.default_rng(6)
         loss = _strip_specialized(logistic_gmm_loss())
         for _ in range(20):
-            problem = scalar_problem(rng.standard_normal(), np.exp(rng.uniform(-2, 2)))
-            out = moreau_prox(problem, loss)
-            bound = problem.tol * (1.0 + float(np.linalg.norm(problem.anchor)))
-            assert out.grad_norm <= bound
+            anchors, P, Ys, v, cs = scalar_batch(rng.standard_normal(),
+                                                 np.exp(rng.uniform(-2, 2)))
+            X = prox_batch(loss, anchors, P, Ys, v, cs)
+            residual = P[0, 0] * (X - anchors) + loss.grad_X(Ys, X, v, cs)
+            bound = DEFAULT_TOL * (1.0 + abs(float(anchors[0, 0, 0])))
+            assert abs(float(residual[0, 0, 0])) <= bound
 
     def test_lipschitz_in_anchor(self):
         # convex loss: ||X(a1) - X(a2)||_{V^-1} <= ||a1 - a2||_{V^-1}
@@ -88,32 +87,22 @@ class TestMoreauProx:
         for _ in range(10):
             V = np.exp(rng.uniform(-1, 1))
             a1, a2 = rng.standard_normal(2) * 2.0
-            x1 = moreau_prox(scalar_problem(a1, V), loss).x_star[0, 0]
-            x2 = moreau_prox(scalar_problem(a2, V), loss).x_star[0, 0]
+            x1 = scalar_prox(loss, a1, V)
+            x2 = scalar_prox(loss, a2, V)
             assert abs(x1 - x2) <= abs(a1 - a2) + 1e-9
 
     def test_envelope_value_reported(self):
-        problem = scalar_problem(anchor=1.0, V=2.0, y=3.0)
-        out = moreau_prox(problem, square_loss())
-        x = out.x_star[0, 0]
+        # the envelope value at the minimizer, formed from the loss's eval
+        loss = square_loss()
+        anchors, P, Ys, v, cs = scalar_batch(1.0, 2.0, y=3.0)
+        X = prox_batch(loss, anchors, P, Ys, v, cs)
+        x = float(X[0, 0, 0])
+        value = 0.5 * P[0, 0] * (x - 1.0) ** 2 + float(loss.eval(Ys, X, v, cs)[0])
         expected = (x - 1.0) ** 2 / 4.0 + 0.5 * (3.0 - x) ** 2
-        assert out.value == pytest.approx(expected)
+        assert value == pytest.approx(expected)
 
 
 class TestGampResolvent:
-    def test_block_diagonal_reduces_to_moreau(self):
-        rng = np.random.default_rng(8)
-        loss = square_loss()
-        anchor = rng.standard_normal((2, 1))
-        y = rng.standard_normal((2, 1))
-        blocks = [np.array([[2.0]]), np.array([[0.5]])]
-        p_blocks = ProxProblem(anchor, blocks, y, np.zeros((1, 1)), (0, 0))
-        full = np.diag([2.0, 0.5])
-        p_full = ProxProblem(anchor, full, y, np.zeros((1, 1)), (0, 0))
-        a = moreau_prox(p_blocks, loss).x_star
-        b = moreau_prox(p_full, loss).x_star
-        np.testing.assert_array_equal(a, b)
-
     def test_quadratic_closed_form(self):
         rng = np.random.default_rng(9)
         loss = square_loss()
@@ -122,8 +111,8 @@ class TestGampResolvent:
         P = M @ M.T + np.eye(L * r)
         anchor = rng.standard_normal((L, r))
         y = rng.standard_normal((L, r))
-        problem = ProxProblem(anchor, P, y, np.zeros((r, r)), (0, 0))
-        got = moreau_prox(problem, loss).x_star
+        got = prox_batch(loss, anchor[None], P, y[None], np.zeros((r, r)),
+                         np.zeros((1, L), dtype=int))[0]
         expected = np.linalg.solve(
             P + np.eye(L * r), P @ anchor.reshape(-1) + y.reshape(-1)
         ).reshape(L, r)
@@ -152,7 +141,7 @@ class TestGampResolvent:
         for _ in range(20):
             a = rng.uniform(-1, 3)
             V = np.exp(rng.uniform(-1, 1))
-            x = moreau_prox(scalar_problem(a, V), hinge).x_star[0, 0]
+            x = scalar_prox(hinge, a, V)
             # 0 must lie in (x - a)/V + [subdifferential of the hinge at x]
             quad = (x - a) / V
             if x < 1.0:
@@ -167,36 +156,25 @@ class TestGampResolvent:
 class TestProxJacobians:
     def test_quadratic_anchor_jacobian(self):
         V = 2.0
-        problem = scalar_problem(anchor=0.3, V=V, y=1.0)
         loss = square_loss()
-        out = moreau_prox(problem, loss)
+        x = scalar_prox(loss, anchor=0.3, V=V, y=1.0)
         expected = (1.0 / V) / (1.0 / V + 1.0)
-        assert _gain(problem, loss, out.x_star)[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert scalar_gain(loss, x, 0.3, V, y=1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_loss_jacobians(self):
-        problem = scalar_problem(anchor=0.3, V=2.0)
         loss = zero_loss()
-        out = moreau_prox(problem, loss)
-        assert _gain(problem, loss, out.x_star)[0, 0] == pytest.approx(1.0)
+        x = scalar_prox(loss, anchor=0.3, V=2.0)
+        assert scalar_gain(loss, x, 0.3, 2.0) == pytest.approx(1.0)
 
     def test_logistic_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         loss = logistic_gmm_loss()
         for _ in range(5):
-            problem = scalar_problem(rng.standard_normal(), np.exp(rng.uniform(-1, 1)))
-            out = moreau_prox(problem, loss)
-            jac = _gain(problem, loss, out.x_star)
+            a, V = rng.standard_normal(), np.exp(rng.uniform(-1, 1))
+            jac = scalar_gain(loss, scalar_prox(loss, a, V), a, V)
             h = 1e-6
-            xp = moreau_prox(
-                scalar_problem(problem.anchor[0, 0] + h, 1.0 / problem.precision[0, 0]),
-                loss,
-            ).x_star[0, 0]
-            xm = moreau_prox(
-                scalar_problem(problem.anchor[0, 0] - h, 1.0 / problem.precision[0, 0]),
-                loss,
-            ).x_star[0, 0]
-            fd = (xp - xm) / (2 * h)
-            assert abs(jac[0, 0] - fd) < 1e-4
+            fd = (scalar_prox(loss, a + h, V) - scalar_prox(loss, a - h, V)) / (2 * h)
+            assert abs(jac - fd) < 1e-4
 
     def test_singular_system_raises(self):
         from seqmix.errors import SeqmixError
@@ -204,9 +182,8 @@ class TestProxJacobians:
         # a concave loss whose curvature cancels the precision exactly
         loss = square_loss()
         loss.hess_X = lambda Y, X, v, c: -np.ones((len(X), 1, 1))
-        problem = scalar_problem(anchor=0.3, V=1.0)
         with pytest.raises(SeqmixError):
-            _gain(problem, loss, problem.anchor)
+            scalar_gain(loss, 0.3, 0.3, 1.0)
 
 
 def _spd(rng, n: int) -> np.ndarray:

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqmix.gaussian import McPlan, sym_pinv, sym_pinv_sqrt, token_laws
+from seqmix.errors import DegenerateOverlapError
+from seqmix.gaussian import McPlan, sym_roots, token_laws
 from seqmix.model import (
     compute_fixed_statistics,
     ConjugateParameters,
@@ -15,6 +16,7 @@ from seqmix.model import (
 from seqmix.losses import zero_loss
 from seqmix.oracles import ridge_asymptotics
 from seqmix.saddle import (
+    _admissible,
     _block_residual,
     _node_batches,
     expected_envelope,
@@ -45,11 +47,12 @@ def stein_vhat(params, fixed, spec, plan, theta_hat):
             acc[(ell, nb.c[ell])] += nb.pc * np.einsum(
                 "s,si,sj->ij", nb.wts, VD, nb.Xi[:, ell, :]
             )
-    return {
-        key: theta_hat[key] @ params.theta[key].T @ sym_pinv(params.q[key])
-        - dims.alpha * acc[key] @ sym_pinv_sqrt(params.q[key])
-        for key in acc
-    }
+    out = {}
+    for key in acc:
+        _, q_pinv_root, q_pinv = sym_roots(params.q[key])
+        out[key] = (theta_hat[key] @ params.theta[key].T @ q_pinv
+                    - dims.alpha * acc[key] @ q_pinv_root)
+    return out
 
 
 class TestUpdateHats:
@@ -58,7 +61,7 @@ class TestUpdateHats:
         zspec = ModelSpec(spec.dims, spec.class_law, spec.nu, zero_loss())
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         params = OrderParameters.cold(spec.dims, eps=0.3)
-        conj = update_hats(params, fixed, zspec, GH)
+        conj = update_hats(params, token_laws(params, fixed), zspec, GH)
         for key in spec.dims.lk_pairs():
             np.testing.assert_allclose(conj.q_hat[key], 0.0, atol=1e-12)
             np.testing.assert_allclose(conj.m_hat[key], 0.0, atol=1e-12)
@@ -70,7 +73,7 @@ class TestUpdateHats:
         spec = ridge_instance(alpha=1e-300)
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         params = OrderParameters.cold(spec.dims, eps=0.3)
-        conj = update_hats(params, fixed, spec, GH)
+        conj = update_hats(params, token_laws(params, fixed), spec, GH)
         for key in spec.dims.lk_pairs():
             assert abs(conj.q_hat[key][0, 0]) < 1e-290
             assert abs(conj.V_hat[key][0, 0]) < 1e-290
@@ -83,7 +86,7 @@ class TestUpdateHats:
                            (gmm_instance(alpha=1.3), McPlan(gh_order=31))):
             fixed = compute_fixed_statistics(spec.nu, spec.dims)
             params = OrderParameters.informed(spec.dims, fixed, eps=0.4)
-            a = update_hats(params, fixed, spec, plan)
+            a = update_hats(params, token_laws(params, fixed), spec, plan)
             b = stein_vhat(params, fixed, spec, plan, a.theta_hat)
             for key in spec.dims.lk_pairs():
                 np.testing.assert_allclose(a.V_hat[key], b[key], rtol=0, atol=1e-12)
@@ -92,7 +95,7 @@ class TestUpdateHats:
         spec = two_token_instance()
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         params = OrderParameters.informed(spec.dims, fixed, eps=0.3)
-        conj = update_hats(params, fixed, spec, GH)
+        conj = update_hats(params, token_laws(params, fixed), spec, GH)
         for key in spec.dims.lk_pairs():
             assert np.max(np.abs(conj.q_hat[key] - conj.q_hat[key].T)) <= 1e-10
         assert np.max(np.abs(conj.v_hat - conj.v_hat.T)) <= 1e-10
@@ -279,7 +282,8 @@ class TestAndersonMixing:
         rep = solve_fixed_point(spec, spec.nu, cfg)
         assert rep.converged and rep.iterations <= 20
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
-        image = update_overlaps(update_hats(rep.params, fixed, spec, plan), spec.nu, spec)
+        laws = token_laws(rep.params, fixed)
+        image = update_overlaps(update_hats(rep.params, laws, spec, plan), spec.nu, spec)
         assert _block_residual(image, rep.params) <= 10 * cfg.tol
 
     def test_ridge_line_needs_the_schur_safeguard(self):
@@ -303,6 +307,20 @@ class TestAndersonMixing:
                 rejected += rep.rejected_steps
         assert rejected >= 1
 
+    @pytest.mark.parametrize("q", [0.0, -5e-9])
+    def test_safeguard_rejects_theta_outside_the_range_of_q(self, q):
+        # a singular q (within the PSD tolerance) with theta = 1e-3 passes
+        # every PSD test, but no law draws nodes from it; an extrapolated
+        # iterate there must take the plain step rather than end the solve
+        spec = ridge_instance(alpha=1.0, lam=0.1)
+        fixed = compute_fixed_statistics(spec.nu, spec.dims)
+        params = OrderParameters.cold(spec.dims, eps=0.3)
+        params.q[(0, 0)] = np.array([[q]])
+        params.theta[(0, 0)] = np.array([[1e-3]])
+        assert _admissible(params, fixed) is None
+        with pytest.raises(DegenerateOverlapError):
+            token_laws(params, fixed)
+
     @pytest.mark.parametrize("case", ["undamped", "redrawn-mc"])
     def test_plain_map_is_unaccelerated(self, case):
         # damping 0 (the state-evolution dynamics) and Monte Carlo nodes
@@ -317,7 +335,7 @@ class TestAndersonMixing:
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         params = OrderParameters.gamp_matched(spec.dims, spec.nu)
         for it, recorded in enumerate(rep.trajectory, 1):
-            conj = update_hats(params, fixed, spec, plan, iteration=it)
+            conj = update_hats(params, token_laws(params, fixed), spec, plan, iteration=it)
             params = update_overlaps(conj, spec.nu, spec).mix(params, damping)
             for name, block in params.blocks().items():
                 np.testing.assert_array_equal(recorded.blocks()[name], block)
