@@ -87,6 +87,18 @@ def test_empirical_test_error(benchmark):
     assert 0.0 < eg < 1.0 and se > 0.0
 
 
+def test_holdout_nodes(benchmark):
+    """The nodes of one class tuple of the finite-d test error: logistic_gmm
+    at its fixed point, 100,000 draws (the acceptance gate's 200,000 test
+    draws split over two class tuples), key laws built outside."""
+    spec, fixed, report = _logistic_fixed_point("gh51")
+    laws = gaussian.token_laws(report.params, fixed)
+    plan = erm.holdout_plan(spec, 200_000, seed=1)
+    wts, X, Y = benchmark(gaussian.joint_xy_nodes, laws, (0,), plan,
+                          with_y=spec.loss.depends_on_y)
+    assert X.shape == (100_000, 1, 1) and np.all(np.isfinite(X))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
 def test_erm_fit(benchmark, alpha):
     """One ERM fit of logistic_gmm at d = 500 and the acceptance gate's

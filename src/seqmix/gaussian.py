@@ -13,7 +13,10 @@ Monte Carlo (antithetic variates, common random numbers across solver
 sweeps), a pure function of (seed, stream, iteration), and tensor
 Gauss-Hermite quadrature for small Gaussian dimension.  Class tuple c_index
 draws xi from stream c_index and zeta from c_index + ZETA_STREAM; the test
-error shifts both by TEST_STREAM.
+error shifts both by TEST_STREAM.  For a loss that reads no labels
+(`LossModel.depends_on_y` False) no zeta is drawn and no Y is built, in the
+hat sweep, the envelope and the test error alike: its hooks receive a
+read-only zero label channel, and the xi draws are unchanged.
 """
 
 from __future__ import annotations
@@ -166,21 +169,24 @@ def standard_cores(
 
     With gh_order > 0 the cores are the tensor Gauss-Hermite nodes over
     L r (+ L t) dimensions, Xi's first; otherwise n_samples seeded draws, Xi
-    from `stream` and Zeta from stream + ZETA_STREAM.  Without with_zeta,
-    Zeta is zero and spans no quadrature dimension.
+    from `stream` and Zeta from stream + ZETA_STREAM, with equal weights.
+    Without with_zeta, Zeta is not drawn: it is a read-only zero view that
+    spans no quadrature dimension.  The weights are read-only too.
     """
     L, r, t = shape
     if plan.gh_order > 0:
         wts, pts = gauss_hermite_nodes(L * r + (L * t if with_zeta else 0), plan.gh_order)
         S = len(wts)
         Xi = pts[:, : L * r].reshape(S, L, r)
-        Zeta = pts[:, L * r :].reshape(S, L, t) if with_zeta else np.zeros((S, L, t))
-        return wts, Xi, Zeta
-    S = plan.n_samples
-    Xi = standard_normals(plan, stream, iteration, (L, r))
-    Zeta = (standard_normals(plan, stream + ZETA_STREAM, iteration, (L, t)) if with_zeta
-            else np.zeros((S, L, t)))
-    return np.full(S, 1.0 / S), Xi, Zeta
+        if with_zeta:
+            return wts, Xi, pts[:, L * r :].reshape(S, L, t)
+    else:
+        S = plan.n_samples
+        wts = np.broadcast_to(1.0 / S, (S,))
+        Xi = standard_normals(plan, stream, iteration, (L, r))
+        if with_zeta:
+            return wts, Xi, standard_normals(plan, stream + ZETA_STREAM, iteration, (L, t))
+    return wts, Xi, np.broadcast_to(0.0, (S, L, t))
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +232,23 @@ def token_laws(params: OrderParameters, fixed: FixedStatistics) -> dict:
 
 
 def _through_laws(
-    laws: dict, c: tuple, Xi: np.ndarray, Zeta: np.ndarray
+    laws: dict, c: tuple, Xi: np.ndarray, Zeta: np.ndarray, with_y: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) nodes from the cores, token ell through the law of (ell, c_ell)."""
-    tokens = [(Xi[:, ell, :], Zeta[:, ell, :], laws[(ell, k)]) for ell, k in enumerate(c)]
-    X = np.stack([xi @ law.q_root.T + law.m for xi, _, law in tokens], axis=1)
-    Y = np.stack([xi @ law.mean_map.T + zeta @ law.S_root.T + law.m_star
-                  for xi, zeta, law in tokens], axis=1)
+    """(X, Y) nodes from the cores, token ell through the law of (ell, c_ell),
+    each written straight into one (S, L, .) array.  Without with_y, Y is
+    the zero label channel Zeta itself.
+
+    (A @ xi^T)^T is bit for bit xi @ A^T, and cheaper for a tall xi.
+    """
+    X = np.empty(Xi.shape)
+    Y = np.empty(Zeta.shape) if with_y else Zeta
+    for ell, k in enumerate(c):
+        law = laws[(ell, k)]
+        xi = Xi[:, ell, :].T
+        np.add((law.q_root @ xi).T, law.m, out=X[:, ell, :])
+        if with_y:
+            label = law.mean_map @ xi + law.S_root @ Zeta[:, ell, :].T
+            np.add(label.T, law.m_star, out=Y[:, ell, :])
     return X, Y
 
 
@@ -254,20 +270,23 @@ def energetic_nodes(
 
     Shapes: weights (S,), Xi and X (S, L, r), Zeta and Y (S, L, t).  X holds
     the student projections (the prox anchors) and Y the labels, teacher
-    means included.  Without with_y the label noise zeta is dropped, for a
-    loss that does not read Y.
+    means included.  Without with_y, for a loss that does not read Y, no
+    label noise zeta is drawn and Zeta and Y are one read-only zero view.
     """
     wts, Xi, Zeta = standard_cores(plan, _core_shape(laws, c), c_index, iteration, with_y)
-    return (wts, Xi, Zeta, *_through_laws(laws, c, Xi, Zeta))
+    return (wts, Xi, Zeta, *_through_laws(laws, c, Xi, Zeta, with_y))
 
 
 def joint_xy_nodes(
-    laws: dict, c: tuple, plan: McPlan, c_index: int = 0
+    laws: dict, c: tuple, plan: McPlan, c_index: int = 0, with_y: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(weights, X, Y) nodes of class tuple c for the test error: the
-    energetic nodes' law on the test error's own streams."""
-    wts, Xi, Zeta = standard_cores(plan, _core_shape(laws, c), c_index + TEST_STREAM)
-    return (wts, *_through_laws(laws, c, Xi, Zeta))
+    energetic nodes' law on the test error's own streams.  Without with_y,
+    for a metric that does not read Y, no zeta is drawn and Y is a
+    read-only zero view; X's draws are the same either way."""
+    wts, Xi, Zeta = standard_cores(plan, _core_shape(laws, c), c_index + TEST_STREAM,
+                                   with_zeta=with_y)
+    return (wts, *_through_laws(laws, c, Xi, Zeta, with_y))
 
 
 # ----------------------------------------------------------------------

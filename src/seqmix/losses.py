@@ -20,12 +20,11 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, from one
+    exp(-|z|), which never overflows.  -|z| is taken as min(z, -z), which
+    keeps the sign of a NaN."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _zero_d3(Ys, Xs, v, cs):

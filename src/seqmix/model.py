@@ -500,9 +500,11 @@ class LossModel:
     d3: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     test_eval: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     depends_on_v: bool = False
-    # False for losses that never read the label channel (e.g. mixture
-    # classification, where supervision comes from the class tuple); the
-    # solver then freezes theta_hat at zero and skips label sampling.
+    # False for losses whose hooks, test_eval included, never read the
+    # label channel (e.g. mixture classification, where supervision comes
+    # from the class tuple); the solver then freezes theta_hat at zero, and
+    # the hat sweep, envelope and test error draw no label noise and hand
+    # every hook a zero label channel.
     depends_on_y: bool = True
     # False when test_eval is discontinuous (an indicator such as
     # misclassification): quadrature is unreliable there and the test-error

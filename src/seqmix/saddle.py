@@ -142,8 +142,9 @@ class NodeBatch:
     """Energetic nodes of one class tuple and the prox minimizers at them.
 
     wts (S,), Xi (S, L, r), Zeta (S, L, t); anchors and x_stars (S, L, r);
-    y_loss (S, L, t) is the label channel with teacher means added; cs
-    (S, L) repeats the class tuple c; P_full is the block-diagonal prox
+    y_loss (S, L, t) is the label channel with teacher means added (a zero
+    view for a loss that reads no labels); cs (S, L) is a read-only view
+    repeating the class tuple c; P_full is the block-diagonal prox
     precision with blocks V_{ell, c_ell}^-1.
     """
 
@@ -180,7 +181,7 @@ def _node_batches(
         P_full = np.zeros((len(c) * r, len(c) * r))
         for ell, k in enumerate(c):
             P_full[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = V_inv[(ell, k)]
-        cs = np.tile(np.asarray(c), (len(wts), 1))
+        cs = np.broadcast_to(c, (len(wts), len(c)))
         x_stars = prox_batch(spec.loss, anchors, P_full, y_loss, params.v, cs)
         yield NodeBatch(c, pc, wts, Xi, Zeta, anchors, y_loss, cs, P_full, x_stars)
 
@@ -231,7 +232,9 @@ def update_hats(
             out.V_hat[key] += pc * (Vinv @ (avg_J.reshape(r, r) - mass[0] * eye_r))
         if loss.depends_on_v:
             d3 = np.asarray(loss.d3(nb.y_loss, nb.x_stars, params.v, nb.cs), dtype=float)
-            vhat_acc += pc * np.einsum("s,sij->ij", wts, d3)
+            # einsum factors a stride-0 operand out of its sum, which rounds
+            # differently, so equal Monte Carlo weights are materialized here
+            vhat_acc += pc * np.einsum("s,sij->ij", np.ascontiguousarray(wts), d3)
 
     # scale, whiten the theta channel by S^{+1/2}, symmetrize
     for key, law in laws.items():
@@ -407,7 +410,9 @@ def test_error(
 
     Quadrature plans are honored only for smooth metrics; indicator metrics
     (misclassification) are integrated by Monte Carlo regardless, since
-    polynomial quadrature on a discontinuous integrand is unreliable.
+    polynomial quadrature on a discontinuous integrand is unreliable.  For a
+    loss that reads no labels no label noise is drawn, and test_eval gets a
+    zero label channel.
     """
     loss = spec.loss
     if plan.gh_order > 0 and not loss.test_metric_smooth:
@@ -418,8 +423,9 @@ def test_error(
         for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
             if pc == 0.0:
                 continue
-            wts, X, Y = joint_xy_nodes(laws, c, plan, c_index=c_index)
-            cs = np.tile(np.asarray(c), (len(wts), 1))
+            wts, X, Y = joint_xy_nodes(laws, c, plan, c_index=c_index,
+                                       with_y=loss.depends_on_y)
+            cs = np.broadcast_to(c, (len(wts), len(c)))
             yield pc, wts, np.asarray(loss.test_eval(Y, X, params.v, cs), dtype=float)
 
     return _class_mean(per_class(), plan)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seqmix.losses import LOSSES, logistic_gmm_loss, square_loss, zero_loss
+from seqmix.losses import _sigmoid, LOSSES, logistic_gmm_loss, square_loss, zero_loss
 from seqmix.model import LossModel
 from seqmix.prox import DEFAULT_TOL, prox_batch, prox_gain
 
@@ -238,3 +238,24 @@ def test_generic_newton_random_logistic_sweep():
     X = prox_batch(loss, anchors, P, Ys, v, cs)
     resid = P[:, 0, 0] * (X - anchors)[:, 0, 0] + loss.grad_X(Ys, X, v, cs)[:, 0, 0]
     assert np.all(np.abs(resid) <= 1e-10 * (1.0 + np.abs(anchors[:, 0, 0])))
+
+
+def test_sigmoid_matches_two_branch_formula():
+    # the masked two-branch form, 1 / (1 + e^-z) for z >= 0 and
+    # e^z / (1 + e^z) below, bit for bit, signed zeros, infinities, NaNs of
+    # either sign and overflowing exponents included
+    def two_branch(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(18)
+    z = np.concatenate([
+        rng.standard_normal(5000), 40.0 * rng.standard_normal(5000),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+         709.8, -709.8, 745.2, -745.2, 1e-300, -1e-300],
+    ])
+    np.testing.assert_array_equal(_sigmoid(z).view(np.int64), two_branch(z).view(np.int64))

@@ -5,8 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from seqmix import gaussian
+from seqmix.erm import holdout_plan
 from seqmix.errors import DegenerateOverlapError
-from seqmix.gaussian import McPlan, sym_roots, token_laws
+from seqmix.gaussian import (McPlan, pairwise_sum, standard_normals, sym_roots, TEST_STREAM,
+                             token_laws, ZETA_STREAM)
 from seqmix.model import (
     compute_fixed_statistics,
     ConjugateParameters,
@@ -28,7 +31,7 @@ from seqmix.saddle import (
     update_overlaps,
 )
 from seqmix.saddle import test_error as solver_test_error
-from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
+from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance, INSTANCES
 
 
 GH = McPlan(gh_order=7)
@@ -420,3 +423,65 @@ class TestScalarFunctionals:
         )
         pooled = np.hypot(se1, se2)
         assert abs(em1 - em2) <= 3.0 * pooled
+
+
+def _solved(instance):
+    """A zoo instance and its overlaps at a Gauss-Hermite fixed point."""
+    spec = INSTANCES[instance](alpha=1.0)
+    plan = McPlan(gh_order=7 if spec.dims.L > 1 else 31)
+    rep = solve_fixed_point(spec, spec.nu, SolverConfig(damping=0.3, tol=1e-8, mc_plan=plan))
+    return spec, compute_fixed_statistics(spec.nu, spec.dims), rep.params
+
+
+def _rebuilt_test_error(params, fixed, spec, plan):
+    """saddle.test_error by hand: xi from each class tuple's test stream, the
+    laws' m + q^{1/2} xi and, for a loss that reads labels, m* + theta^T
+    q^{+1/2} xi + S^{1/2} zeta with zeta from the label stream; class means
+    by pairwise sums of the equally weighted metric."""
+    L, r, t = spec.dims.L, spec.dims.r, spec.dims.t
+    laws = token_laws(params, fixed)
+    total, var = 0.0, 0.0
+    for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
+        Xi = standard_normals(plan, c_index + TEST_STREAM, 0, (L, r))
+        n = len(Xi)
+        tokens = [(Xi[:, ell], laws[(ell, k)]) for ell, k in enumerate(c)]
+        X = np.stack([xi @ law.q_root.T + law.m for xi, law in tokens], axis=1)
+        Y = np.zeros((n, L, t))
+        if spec.loss.depends_on_y:
+            Zeta = standard_normals(plan, c_index + TEST_STREAM + ZETA_STREAM, 0, (L, t))
+            Y = np.stack([xi @ law.mean_map.T + Zeta[:, ell] @ law.S_root.T + law.m_star
+                          for ell, (xi, law) in enumerate(tokens)], axis=1)
+        vals = spec.loss.test_eval(Y, X, params.v, np.tile(c, (n, 1)))
+        total += pc * float(pairwise_sum((1.0 / n) * vals))
+        var += pc ** 2 * float(np.var(vals, ddof=1)) / n
+    return total, np.sqrt(var)
+
+
+class TestHoldoutNodes:
+    """The test error's nodes: no label draws for a metric that reads no
+    labels, and the same xi stream either way."""
+
+    @pytest.mark.parametrize("instance, calls_per_class", [
+        ("logistic_gmm", 1), ("square_gmm", 1), ("ridge", 2), ("two_token", 2)])
+    def test_label_cores_drawn_only_when_read(self, monkeypatch, instance, calls_per_class):
+        spec, fixed, params = _solved(instance)
+        streams = []
+
+        def counted(plan, c_index, iteration, shape):
+            streams.append(c_index)
+            return standard_normals(plan, c_index, iteration, shape)
+
+        monkeypatch.setattr(gaussian, "standard_normals", counted)
+        solver_test_error(params, fixed, spec, holdout_plan(spec, 20_000, 3))
+        n_classes = len(spec.class_law.support)
+        assert len(streams) == calls_per_class * n_classes
+        assert sorted(streams)[:n_classes] == [TEST_STREAM + i for i in range(n_classes)]
+
+    @pytest.mark.parametrize("instance", ["logistic_gmm", "two_token"])
+    def test_estimate_is_the_xi_stream_rebuilt(self, instance):
+        spec, fixed, params = _solved(instance)
+        plan = holdout_plan(spec, 200_000, 1001)
+        eg, se = solver_test_error(params, fixed, spec, plan)
+        ref_eg, ref_se = _rebuilt_test_error(params, fixed, spec, plan)
+        assert eg.hex() == ref_eg.hex()
+        assert se == pytest.approx(ref_se, rel=1e-12)
