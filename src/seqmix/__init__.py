@@ -23,12 +23,11 @@ from .model import (
 )
 from .gaussian import McPlan
 from .saddle import (
+    energies,
     FixedPointReport,
-    free_entropy,
     solve_fixed_point,
     SolverConfig,
     test_error,
-    train_loss,
     update_hats,
     update_overlaps,
 )
@@ -51,10 +50,10 @@ __all__ = [
     "Dataset",
     "Dimensions",
     "empirical_test_error",
+    "energies",
     "erm_train",
     "FixedPointReport",
     "FixedStatistics",
-    "free_entropy",
     "gamp_run",
     "gd_gradient_norm",
     "generate_dataset",
@@ -70,7 +69,6 @@ __all__ = [
     "SpectralAtom",
     "SpectralMeasure",
     "test_error",
-    "train_loss",
     "TrainConfig",
     "update_hats",
     "update_overlaps",

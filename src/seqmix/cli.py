@@ -138,11 +138,10 @@ def cmd_solve_se(args) -> int:
         if report is not None:
             save_report(report, Path(cfg.out_dir) / f"report_alpha{alpha}.json")
             if report.trajectory:
-                dims = cfg.spec.dims
                 write_table(
                     Path(cfg.out_dir) / f"se_trajectory_alpha{alpha}.csv",
-                    trajectory_header(dims),
-                    trajectory_rows(report, dims),
+                    trajectory_header(cfg.spec.dims),
+                    trajectory_rows(report),
                     _metadata(cfg, {"alpha": alpha, "lam": lam}),
                 )
     out = Path(cfg.out_dir) / "learning_curve.csv"
@@ -245,7 +244,7 @@ def cmd_per_seed(args, command: PerSeed) -> int:
             continue
         if record.trajectory is not None:
             table = Path(cfg.out_dir) / f"{command.stem}_trajectory_seed{seed}.csv"
-            write_table(table, trajectory_header(dims), trajectory_rows(record, dims),
+            write_table(table, trajectory_header(dims), trajectory_rows(record),
                         _metadata(cfg, {"seed": seed, **sizes}))
             print(f"wrote {table}")
         eg, eg_se = empirical_test_error(w_hat, data, cfg.spec, n_test=cfg.erm.n_test,

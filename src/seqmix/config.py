@@ -190,12 +190,10 @@ class ExperimentConfig:
                 "than 2 test draws per class tuple"
             )
         if self.solver.mc_plan.gh_order > 0:
-            # energetic nodes span (Xi, Zeta) and a smooth test metric is
-            # integrated over the joint (X, Y) law; tensor quadrature caps both
+            # the energetic nodes and a smooth test metric's nodes span Xi,
+            # and Zeta for a loss that reads labels; tensor quadrature caps both
             dims, loss = self.spec.dims, self.spec.loss
             gh_dim = dims.L * (dims.r + (dims.t if loss.depends_on_y else 0))
-            if loss.test_metric_smooth:
-                gh_dim = max(gh_dim, dims.L * (dims.r + dims.t))
             if gh_dim > GH_MAX_DIM:
                 out.append(
                     f"ExperimentConfig: gh_order > 0 needs a {gh_dim}-dimensional "

@@ -36,15 +36,12 @@ MAX_STALLS = 50         # consecutive stalled epochs before StalledError
 
 @dataclass
 class TrainConfig:
-    step_size: float = 1.0            # scale of -grad in the first trial step and after a reset
     max_epochs: int = 5000
     grad_tol: float = 1e-7            # stop when ||grad||_inf falls below
     warm_start: Optional[np.ndarray] = None   # None starts from w = 0
 
     def violations(self) -> list[str]:
         out = []
-        if self.step_size <= 0:
-            out.append("TrainConfig: step size must be positive")
         if self.grad_tol <= 0:
             out.append("TrainConfig: grad_tol must be positive")
         if self.max_epochs < 1:
@@ -87,9 +84,9 @@ def erm_train(
 ) -> TrainResult:
     """Minimize the empirical risk by L-BFGS with Armijo backtracking.
 
-    The first trial step is step_size * (-grad) on the first epoch and after
-    every reset (a direction that does not descend, or a stalled epoch,
-    which also clears the memory), and the unit L-BFGS step otherwise.
+    The first trial step is -grad on the first epoch and after every reset
+    (a direction that does not descend, or a stalled epoch, which also
+    clears the memory), and the unit L-BFGS step otherwise.
     Returns the iterate with ||grad||_inf <= grad_tol (converged), or the
     last one reached within max_epochs (not converged); raises
     SolverDivergenceError when an accepted iterate or its gradient is not
@@ -116,11 +113,11 @@ def erm_train(
         residuals.append(gnorm)
         if gnorm <= config.grad_tol:
             break
-        step = _lbfgs_step(grad, pairs) if pairs else -config.step_size * grad
+        step = _lbfgs_step(grad, pairs) if pairs else -grad
         slope = np.vdot(grad, step)
         if not slope < 0.0:         # not a descent direction: restart from -grad
             pairs.clear()
-            step = -config.step_size * grad
+            step = -grad
             slope = np.vdot(grad, step)
         # below roundoff the Armijo decrease cannot be seen; the approximate
         # Wolfe test then accepts a step that keeps R within its rounding
@@ -184,7 +181,8 @@ def empirical_test_error(
     `test_error` at the fit's own `empirical_statistics`, against the
     teacher's realized rho and m*, with n_test draws split evenly over the
     class tuples: the law of an estimate from full d-dimensional test
-    tokens, at O(n_test (r + t)) cost instead of O(n_test d).
+    tokens, at O(n_test L (r + t)) cost instead of O(n_test L d), and
+    O(n_test L r) for a metric that reads no labels.
     """
     teacher = empirical_statistics(data.teacher, 0.0, data)
     fixed = FixedStatistics(rho=teacher.q, m_star=teacher.m)

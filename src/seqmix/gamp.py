@@ -88,16 +88,8 @@ class Dataset:
     meta: GeneratorMetadata
 
     @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def d(self) -> int:
         return self.X.shape[2]
-
-    @property
-    def L(self) -> int:
-        return self.X.shape[1]
 
 
 def _mapped_empty(shape: tuple) -> np.ndarray:

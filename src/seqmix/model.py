@@ -484,14 +484,13 @@ class LossModel:
     self-overlap slot and cs (S, L) the class tuples; a single point is a
     batch of one.  Per sample, eval and test_eval return (S,), grad_X
     (S, L, r), d3 = d ell / dv (S, r, r) and hess_X the flattened X-Hessian
-    (S, Lr, Lr).  grad_X and d3 are the exact partials used by the solver;
-    test_eval is the metric reported as test error.
+    (S, Lr, Lr).  grad_X, hess_X and d3 are the exact partials used by the
+    solver; test_eval is the metric reported as test error.
 
     The optional prox(anchors (S, L, r), precisions, Ys, v, cs) returns the
     minimizers (S, L, r) of (1/2)(X - a)^T P (X - a) + ell with precisions
     either one shared (Lr, Lr) matrix or per-sample (S, Lr, Lr).  Without
-    it, `prox.prox_batch` runs a generic damped Newton; without hess_X,
-    Hessians come from finite differences of grad_X.
+    it, `prox.prox_batch` runs a generic damped Newton on hess_X.
     """
 
     name: str
@@ -499,6 +498,7 @@ class LossModel:
     grad_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     d3: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     test_eval: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    hess_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     depends_on_v: bool = False
     # False for losses whose hooks, test_eval included, never read the
     # label channel (e.g. mixture classification, where supervision comes
@@ -513,7 +513,6 @@ class LossModel:
     # strong convexity in X keeps the spectral resolvent invertible at
     # lambda = 0; losses without it require a positive regularizer
     strongly_convex: bool = False
-    hess_X: Optional[Callable] = None
     # True when hess_X does not depend on (Y, X): prox sensitivities are then
     # shared across expectation nodes.
     hess_is_constant: bool = False
@@ -575,9 +574,8 @@ def check_loss_gradients(
 
     compare("grad_X", loss.grad_X(Ys, Xs, v, cs),
             _finite_diff(lambda Z: loss.eval(Ys, Z, v, cs), Xs, 2))
-    if loss.hess_X is not None:
-        H_fd = _finite_diff(lambda Z: np.reshape(loss.grad_X(Ys, Z, v, cs), (S, n)), Xs, 2)
-        compare("hess_X", loss.hess_X(Ys, Xs, v, cs), H_fd.reshape(S, n, n))
+    H_fd = _finite_diff(lambda Z: np.reshape(loss.grad_X(Ys, Z, v, cs), (S, n)), Xs, 2)
+    compare("hess_X", loss.hess_X(Ys, Xs, v, cs), H_fd.reshape(S, n, n))
 
     d3 = np.asarray(loss.d3(Ys, Xs, v, cs), dtype=float)
     if loss.depends_on_v:

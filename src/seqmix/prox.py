@@ -12,13 +12,12 @@ loss's v-derivative is evaluated at the minimizer afterward.
 
 This module is the one place that solves it.  `prox_batch` takes the loss's
 specialized prox when it registers one and otherwise runs damped Newton
-(Levenberg shift on the loss Hessian, Armijo backtracking), vectorized over
-the batch with every sample checked on its own.  `loss_hessian` supplies
-hess_X or central differences of grad_X, and `prox_gain` is the sensitivity
-dX/danchor = (P + H)^-1 P shared by the solver, GAMP and rBP.  A single
-problem is a batch of one.  The Newton steps and the gain are batched
-solves of Lr x Lr systems through `model.solve`, in closed form when
-Lr <= 2.
+(Levenberg shift on the loss's hess_X, Armijo backtracking), vectorized
+over the batch with every sample checked on its own.  `prox_gain` is the
+sensitivity dX/danchor = (P + H)^-1 P, H = hess_X, shared by the solver,
+GAMP and rBP.  A single problem is a batch of one.  The Newton steps and
+the gain are batched solves of Lr x Lr systems through `model.solve`, in
+closed form when Lr <= 2.
 """
 
 from __future__ import annotations
@@ -51,25 +50,6 @@ def _residual(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
     return np.einsum("sij,sj->si", P, X - a) + np.reshape(g, X.shape)
 
 
-def loss_hessian(loss: LossModel, Ys, Xs, v, cs) -> np.ndarray:
-    """X-Hessians (S, Lr, Lr): hess_X when the loss has one, otherwise
-    symmetrized central differences of grad_X (the problem is tiny)."""
-    if loss.hess_X is not None:
-        return np.asarray(loss.hess_X(Ys, Xs, v, cs), dtype=float)
-    S, L, r = Xs.shape
-    n = L * r
-    flat = Xs.reshape(S, n)
-    h = 1e-6 * (1.0 + np.max(np.abs(flat), axis=1, initial=0.0))
-    H = np.empty((S, n, n))
-    for j in range(n):
-        E = np.zeros((S, n))
-        E[:, j] = h
-        gp = loss.grad_X(Ys, (flat + E).reshape(S, L, r), v, cs).reshape(S, n)
-        gm = loss.grad_X(Ys, (flat - E).reshape(S, L, r), v, cs).reshape(S, n)
-        H[:, :, j] = (gp - gm) / (2 * h[:, None])
-    return 0.5 * (H + H.transpose(0, 2, 1))
-
-
 def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
     """Damped Newton on every sample at once; returns the minimizers X.
 
@@ -99,7 +79,7 @@ def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
-        H = loss_hessian(loss, Ys[idx], X[idx].reshape(-1, L, r), v, cs[idx])
+        H = loss.hess_X(Ys[idx], X[idx].reshape(-1, L, r), v, cs[idx])
         M = P[idx] + H + mu[idx, None, None] * eye
         try:
             step = solve(M, -res[idx][..., None], "the prox Newton system")[..., 0]
@@ -167,8 +147,8 @@ def prox_gain(loss: LossModel, Ys, Xs, P, v, cs) -> np.ndarray:
     S = Xs.shape[0]
     what = f"P + H in the prox sensitivity of loss {loss.name!r}"
     if loss.hess_is_constant:
-        H = loss_hessian(loss, Ys[:1], Xs[:1], v, cs[:1])[0]
+        H = loss.hess_X(Ys[:1], Xs[:1], v, cs[:1])[0]
         J = solve(P + H, P, what)
         return np.broadcast_to(J, (S,) + J.shape[-2:]) if P.ndim == 2 else J
-    H = loss_hessian(loss, Ys, Xs, v, cs)
+    H = loss.hess_X(Ys, Xs, v, cs)
     return solve(P + H, np.broadcast_to(P, H.shape), what)

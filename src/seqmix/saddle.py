@@ -96,7 +96,6 @@ class SolverConfig:
     damping: float = 0.5
     init: str = "cold"              # cold | gamp | informed
     warm_start: Optional[OrderParameters] = None
-    eps_init: float = 1e-3
     tol: float = 1e-8
     max_iters: int = 500
     mc_plan: McPlan = field(default_factory=McPlan)
@@ -360,44 +359,33 @@ def _trace_terms(params: OrderParameters, conj: ConjugateParameters) -> float:
     return total
 
 
-def free_entropy(
+def energies(
     params: OrderParameters,
     conj: ConjugateParameters,
     fixed: FixedStatistics,
     nu: SpectralMeasure,
     spec: ModelSpec,
     plan: McPlan,
-    envelope: Optional[tuple[float, float]] = None,
-) -> tuple[float, float]:
-    """Extremized low-dimensional functional; its negative is the training loss."""
+) -> tuple[float, float, float]:
+    """(free entropy, training loss, stderr) at a fixed point, from one
+    kernel build and one envelope expectation.
+
+    The free entropy is the extremized low-dimensional functional, and its
+    negative is the training loss: per dimension, regularizer included.
+    Both carry the envelope's stderr, scaled by alpha.
+    """
     dims = spec.dims
     kernels = spectral_kernels(conj, nu, dims, dims.lam)
+    em, se = expected_envelope(params, fixed, spec, plan)
     spectral = 0.5 * sum(k.weight * float(np.trace(k.R @ k.K)) for k in kernels)
-    em, se = envelope if envelope is not None else expected_envelope(params, fixed, spec, plan)
-    value = _trace_terms(params, conj) + spectral - dims.alpha * em
-    return value, dims.alpha * se
-
-
-def train_loss(
-    params: OrderParameters,
-    conj: ConjugateParameters,
-    fixed: FixedStatistics,
-    nu: SpectralMeasure,
-    spec: ModelSpec,
-    plan: McPlan,
-    envelope: Optional[tuple[float, float]] = None,
-) -> tuple[float, float]:
-    """Per-dimension training loss (regularizer included) at the fixed point."""
-    dims = spec.dims
-    kernels = spectral_kernels(conj, nu, dims, dims.lam)
+    phi = _trace_terms(params, conj) + spectral - dims.alpha * em
     ridge_term = 0.5 * dims.lam * sum(
         k.weight * float(np.trace(k.R @ k.R @ k.K)) for k in kernels
     )
     hat_term = 0.5 * sum(
         float(np.trace(conj.q_hat[key] @ params.V[key])) for key in params.q
     )
-    em, se = envelope if envelope is not None else expected_envelope(params, fixed, spec, plan)
-    return ridge_term + dims.alpha * em - hat_term, dims.alpha * se
+    return phi, ridge_term + dims.alpha * em - hat_term, dims.alpha * se
 
 
 def test_error(
@@ -528,10 +516,10 @@ def _initial_params(spec: ModelSpec, nu: SpectralMeasure, fixed, config: SolverC
     if config.warm_start is not None:
         return config.warm_start.copy()
     if config.init == "cold":
-        return OrderParameters.cold(spec.dims, config.eps_init)
+        return OrderParameters.cold(spec.dims)
     if config.init == "gamp":
         return OrderParameters.gamp_matched(spec.dims, nu)
-    return OrderParameters.informed(spec.dims, fixed, config.eps_init)
+    return OrderParameters.informed(spec.dims, fixed)
 
 
 def solve_fixed_point(
@@ -610,9 +598,7 @@ def solve_fixed_point(
     conj = update_hats(params, laws, spec, plan, iteration=0)
     params = update_overlaps(conj, nu, spec)
 
-    envelope = expected_envelope(params, fixed, spec, plan)
-    phi, phi_se = free_entropy(params, conj, fixed, nu, spec, plan, envelope=envelope)
-    et, et_se = train_loss(params, conj, fixed, nu, spec, plan, envelope=envelope)
+    phi, et, energy_se = energies(params, conj, fixed, nu, spec, plan)
     eg, eg_se = test_error(params, fixed, spec, plan)
     return FixedPointReport(
         params=params,
@@ -620,11 +606,11 @@ def solve_fixed_point(
         residual_history=residual_history,
         converged=converged,
         free_entropy=phi,
-        free_entropy_stderr=phi_se,
+        free_entropy_stderr=energy_se,
         test_error=eg,
         test_error_stderr=eg_se,
         train_loss=et,
-        train_loss_stderr=et_se,
+        train_loss_stderr=energy_se,
         trajectory=trajectory,
         rejected_steps=mixer.rejected,
     )

@@ -4,8 +4,9 @@ learning curves (comma-separated tables with a metadata comment block).
 Tables carry their provenance in leading "# key = value" comment lines and
 are re-parseable by this module.  Solver, GAMP and rBP runs all return a
 `RunRecord` whose trajectory is a list of `OrderParameters` with one
-residual per entry; one row builder writes any of them in one column layout,
-so the tables can be joined on the iteration index.
+residual per entry; one row builder writes any of them in the layout of
+`KeyedBlocks.blocks()` / `flat()` (per key q, V, m, theta, then v), so the
+tables can be joined on the iteration index.
 """
 
 from __future__ import annotations
@@ -104,44 +105,21 @@ def read_table(path) -> tuple[dict, list[str], list[list[str]]]:
     return metadata, header, rows
 
 
-def _stat_columns(dims: Dimensions) -> list[str]:
-    cols = []
-    for ell, k in dims.lk_pairs():
-        for i in range(dims.r):
-            for j in range(dims.r):
-                cols.append(f"q_{ell}_{k}_{i}{j}")
-        for i in range(dims.r):
-            cols.append(f"m_{ell}_{k}_{i}")
-        for i in range(dims.r):
-            for j in range(dims.t):
-                cols.append(f"theta_{ell}_{k}_{i}{j}")
-        for i in range(dims.r):
-            for j in range(dims.r):
-                cols.append(f"V_{ell}_{k}_{i}{j}")
-    for i in range(dims.r):
-        for j in range(dims.r):
-            cols.append(f"v_{i}{j}")
-    return cols
-
-
 def trajectory_header(dims: Dimensions) -> list[str]:
-    return ["iteration"] + _stat_columns(dims) + ["residual"]
+    """The columns of `trajectory_rows`: the iteration, every entry of
+    `OrderParameters.blocks()` named by its block and index (q_0_1_00,
+    m_0_1_0, v_00, ...), then the residual."""
+    cols = [f"{name}_{''.join(map(str, idx))}"
+            for name, a in OrderParameters.zeros(dims).blocks().items()
+            for idx in np.ndindex(a.shape)]
+    return ["iteration"] + cols + ["residual"]
 
 
-def _stat_row(dims: Dimensions, stats: OrderParameters) -> list[float]:
-    row: list[float] = []
-    for key in dims.lk_pairs():
-        for block in (stats.q, stats.m, stats.theta, stats.V):
-            row.extend(np.asarray(block[key]).reshape(-1).tolist())
-    row.extend(np.asarray(stats.v).reshape(-1).tolist())
-    return row
-
-
-def trajectory_rows(record: RunRecord, dims: Dimensions) -> list[list]:
-    """One row per recorded iteration of a run, counting from 1, with the
-    iteration's residual."""
+def trajectory_rows(record: RunRecord) -> list[list]:
+    """One row per recorded iteration of a run, counting from 1: the
+    iterate's `flat()` entries and the iteration's residual."""
     pairs = zip(record.trajectory, record.residual_history, strict=True)
-    return [[t] + _stat_row(dims, stats) + [residual]
+    return [[t] + stats.flat().tolist() + [residual]
             for t, (stats, residual) in enumerate(pairs, 1)]
 
 

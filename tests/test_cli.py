@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import seqmix
+from seqmix import gaussian
 from seqmix.cli import main
 from seqmix.config import load_experiment
 from seqmix.errors import SpecValidationError
+from seqmix.gamp import gamp_run, generate_dataset, rbp_run
 from seqmix.gaussian import McPlan
 from seqmix.saddle import solve_fixed_point, SolverConfig
 from seqmix.serialize import read_table, save_report, write_table
@@ -122,7 +124,7 @@ class TestModelConfig:
             "[model]\ninstance = ridge\nalpha = 1.0\nlambda = 0.1\n\n"
             "[mc]\nn_samples = 2000\nseed = 3\nantithetic = true\ncrn = true\ngh_order = 7\n\n"
             "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 50\ninit = gamp\n"
-            "eps_init = 1e-3\nrecord_trajectory = true\n\n"
+            "record_trajectory = true\n\n"
             "[sweep]\nalphas = 0.5, 1.0\nlambdas = 0.1\n\n"
             "[gamp]\nd = 50\nn = 40\nseeds = 0, 1\nmax_iters = 20\ntol = 1e-8\ndamping = 0.0\n\n"
             "[erm]\nd = 40\nseeds = 2\nmax_epochs = 30\ngrad_tol = 1e-5\nn_test = 1000\n\n"
@@ -235,6 +237,45 @@ class TestReportsAndDatasets:
                 got = section[glob]
                 np.testing.assert_array_equal(
                     np.reshape(got["data"], got["shape"]), getattr(state, glob))
+
+    def test_trajectory_tables_read_back_block_by_block(self, tmp_path):
+        # solver, GAMP and rBP tables of an L = 2 run, against the iterates
+        # each run recorded, rebuilt in process from the same config
+        path = tmp_path / "two_token.ini"
+        path.write_text(
+            "[model]\ninstance = two_token\nalpha = 1.0\nlambda = 0.1\n\n[mc]\ngh_order = 7\n\n"
+            "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 500\nrecord_trajectory = true\n\n"
+            "[gamp]\nd = 40\nseeds = 0\nmax_iters = 200\ntol = 1e-9\ndamping = 0.0\n\n"
+            "[erm]\nn_test = 2000\n"
+        )
+        out = tmp_path / "out"
+        for command in ("solve-se", "run-gamp", "run-rbp"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        cfg = load_experiment(path)
+        spec, o = cfg.spec, cfg.gamp
+        data = generate_dataset(spec, spec.nu, d=o.d, n=40, seed=0)
+        records = {
+            "se_trajectory_alpha1.0.csv": solve_fixed_point(spec, spec.nu, cfg.solver),
+            "gamp_trajectory_seed0.csv": gamp_run(data, spec, max_iters=o.max_iters, tol=o.tol,
+                                                  damping=o.damping),
+            "rbp_trajectory_seed0.csv": rbp_run(data, spec, max_iters=o.max_iters, tol=o.tol)[1],
+        }
+        expected = ["iteration",
+                    "q_0_0_00", "V_0_0_00", "m_0_0_0", "theta_0_0_00",
+                    "q_1_0_00", "V_1_0_00", "m_1_0_0", "theta_1_0_00",
+                    "v_00", "residual"]
+        for table, record in records.items():
+            _, header, rows = read_table(out / table)
+            assert header == expected
+            assert len(rows) == len(record.trajectory) > 1
+            for t, (row, stats) in enumerate(zip(rows, record.trajectory), 1):
+                cells = dict(zip(header, row))
+                assert int(cells.pop("iteration")) == t
+                assert float(cells.pop("residual")) == record.residual_history[t - 1]
+                for name, block in stats.blocks().items():
+                    for idx in np.ndindex(block.shape):
+                        assert float(cells.pop(f"{name}_{''.join(map(str, idx))}")) == block[idx]
+                assert cells == {}
 
 
 class TestCli:
@@ -439,6 +480,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and "Gaussian quadrature" in err
+
+    def test_label_free_loss_quadrature_counts_no_labels(self, tmp_path, monkeypatch):
+        # a loss that reads no labels draws no label cores, so L = 4 tokens
+        # with r = t = 1 need 4-dimensional nodes, not L (r + t) = 8
+        path = tmp_path / "label_free.ini"
+        path.write_text(
+            "[dimensions]\nL = 4\nr = 1\nt = 1\nK = 1 1 1 1\nalpha = 1.0\nlambda = 0.1\n\n"
+            "[class_law]\ntuple_0 = 0 0 0 0 : 1.0\n\n"
+            "[spectral_measure]\natom_0 = 1.0 | 1.0 1.0 1.0 1.0 | 0.0 0.0 0.0 0.0 | 1.0\n\n"
+            "[loss]\nname = zero\n\n[mc]\ngh_order = 5\n\n[sweep]\nalphas = 1.0\n"
+        )
+        dims = []
+        nodes = gaussian.gauss_hermite_nodes
+
+        def spy(dim, order):
+            dims.append(dim)
+            return nodes(dim, order)
+
+        monkeypatch.setattr(gaussian, "gauss_hermite_nodes", spy)
+        out = tmp_path / "o"
+        assert main(["solve-se", "--config", str(path), "--out", str(out)]) == 0
+        _, header, rows = read_table(out / "learning_curve.csv")
+        assert rows[0][header.index("converged")] == "True"
+        assert set(dims) == {4}
 
     def test_zero_mass_key_is_validation_error(self, tmp_path, capsys):
         # cluster 1 has eigenvalue 0 on the only atom, so V_{0,1} = 0

@@ -69,7 +69,7 @@ class TestErmTrain:
     def test_huge_regularizer_kills_weights(self):
         spec = ridge_instance(alpha=1.0, lam=1e6)
         data = generate_dataset(spec, spec.nu, d=40, n=40, seed=1)
-        fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-9, step_size=1e-6))
+        fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-9))
         assert float(np.max(np.abs(fit.w_hat))) < 1e-3
 
     def test_monotone_objective(self):
@@ -106,8 +106,8 @@ class TestErmTrain:
     def test_config_violation_is_validation_error(self):
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=10, n=10, seed=0)
-        with pytest.raises(SpecValidationError, match="step size"):
-            erm_train(data, spec, config=TrainConfig(step_size=-1.0))
+        with pytest.raises(SpecValidationError, match="grad_tol"):
+            erm_train(data, spec, config=TrainConfig(grad_tol=-1.0))
 
     def test_unbounded_objective_raises_divergence(self):
         # a negative energy coupling makes the risk unbounded below; the

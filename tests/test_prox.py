@@ -134,6 +134,8 @@ class TestGampResolvent:
             grad_X=lambda Y, X, v, c: np.where(X < 1.0, -1.0, 0.0),
             d3=lambda Y, X, v, c: np.zeros((len(X), 1, 1)),
             test_eval=lambda Y, X, v, c: np.zeros(len(X)),
+            # zero away from the kink, where the hinge has no Hessian
+            hess_X=lambda Y, X, v, c: np.zeros((len(X), 1, 1)),
             depends_on_y=False,
             prox=hinge_prox,
         )

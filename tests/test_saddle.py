@@ -22,11 +22,10 @@ from seqmix.saddle import (
     _admissible,
     _block_residual,
     _node_batches,
+    energies,
     expected_envelope,
-    free_entropy,
     solve_fixed_point,
     SolverConfig,
-    train_loss,
     update_hats,
     update_overlaps,
 )
@@ -353,7 +352,7 @@ class TestScalarFunctionals:
         params = OrderParameters.cold(spec.dims, eps=0.0)
         # q = v = 0, theta = m = 0, hats all zero
         conj = ConjugateParameters.zeros(spec.dims)
-        phi, _ = free_entropy(params, conj, fixed, spec.nu, zspec, GH)
+        phi, _, _ = energies(params, conj, fixed, spec.nu, zspec, GH)
         assert phi == pytest.approx(0.0, abs=1e-14)
 
     def test_train_loss_zero_at_alpha_zero(self):
