@@ -188,8 +188,8 @@ def test_batched_prox(benchmark, plan):
     nb = next(saddle._node_batches(params, laws, spec, SWEEP_PLANS[plan], 0))
 
     def prox():
-        x_stars = prox_batch(spec.loss, nb.anchors, nb.P_full, nb.y_loss, params.v, nb.cs)
-        return x_stars, prox_gain(spec.loss, nb.y_loss, x_stars, nb.P_full, params.v, nb.cs)
+        x_stars = prox_batch(spec.loss, nb.anchors, nb.P, nb.y_loss, params.v, nb.cs)
+        return x_stars, prox_gain(spec.loss, nb.y_loss, x_stars, nb.P, params.v, nb.cs)
 
     x_stars, gain = benchmark(prox)
     assert np.all(np.isfinite(x_stars)) and np.all(np.isfinite(gain))

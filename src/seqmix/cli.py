@@ -23,7 +23,7 @@ from .erm import empirical_test_error, erm_train
 from .errors import SeqmixError, SpecValidationError
 from .gamp import gamp_run, gd_gradient_norm, generate_dataset, rbp_run
 from .model import validate_spec
-from .saddle import solve_fixed_point
+from .saddle import lambda_violations, solve_fixed_point
 from .serialize import (
     CURVE_HEADER,
     curve_row,
@@ -63,13 +63,16 @@ def _load_with_overrides(
     return cfg
 
 
-def _load_and_validate(args) -> ExperimentConfig:
+def _load_and_validate(args, solved: slice = slice(0)) -> ExperimentConfig:
+    """The config of args, validated, with the `solved` part of its lambda
+    grid checked against the solver's rule on lambda."""
     if not args.config or not Path(args.config).exists():
         raise SpecValidationError(f"config file not found: {args.config!r}")
     cfg = _load_with_overrides(args.config, args.mc_samples, args.seed)
     if args.out:
         cfg.out_dir = args.out
     bad = cfg.violations() + validate_spec(cfg.spec)
+    bad += lambda_violations(cfg.spec.loss, cfg.lambdas[solved])
     if bad:
         raise SpecValidationError("; ".join(bad))
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
@@ -131,7 +134,7 @@ def _alpha_line_from_path(
 
 
 def cmd_solve_se(args) -> int:
-    cfg = _load_and_validate(args)
+    cfg = _load_and_validate(args, solved=slice(1))
     lam = cfg.lambdas[0]
     rows, reports = _alpha_line(cfg, lam)
     for alpha, report in zip(cfg.alphas, reports):
@@ -151,7 +154,7 @@ def cmd_solve_se(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_and_validate(args)
+    cfg = _load_and_validate(args, solved=slice(None))
     workers = args.workers or int(os.environ.get("SEQMIX_WORKERS", "1"))
     lines: list[list[list]] = []
     if workers > 1 and len(cfg.lambdas) > 1 and cfg.source_path:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .erm import holdout_plan, TrainConfig
 from .errors import SpecValidationError
-from .gaussian import GH_MAX_DIM, McPlan
+from .gaussian import GH_MAX_DIM, McPlan, quadrature_dim
 from .losses import loss_by_name
 from .model import ClassLaw, Dimensions, make_atom, ModelSpec, SpectralMeasure
 from .saddle import SolverConfig
@@ -190,10 +190,9 @@ class ExperimentConfig:
                 "than 2 test draws per class tuple"
             )
         if self.solver.mc_plan.gh_order > 0:
-            # the energetic nodes and a smooth test metric's nodes span Xi,
-            # and Zeta for a loss that reads labels; tensor quadrature caps both
-            dims, loss = self.spec.dims, self.spec.loss
-            gh_dim = dims.L * (dims.r + (dims.t if loss.depends_on_y else 0))
+            # tensor quadrature caps the dimension of every node set
+            dims = self.spec.dims
+            gh_dim = quadrature_dim((dims.L, dims.r, dims.t), self.spec.loss.depends_on_y)
             if gh_dim > GH_MAX_DIM:
                 out.append(
                     f"ExperimentConfig: gh_order > 0 needs a {gh_dim}-dimensional "

@@ -294,6 +294,20 @@ def _residual(w_new: np.ndarray, w_old: np.ndarray) -> float:
 # GAMP.
 # ----------------------------------------------------------------------
 
+def _output_channel(loss, omega, V, y, Gamma, c, what: str):
+    """The proximal output channel (GAMP's g_out) of GAMP and rBP at anchors
+    omega (m, L, r) with noise blocks V (m, Lr, Lr): with P = V^-1, z the
+    prox minimizers and J their gain, f = P (z - omega) (m, L, r),
+    g = P (J - I) (m, Lr, Lr), and d3 at z (m, r, r), None for a loss
+    that does not read v.  `what` names V in a singular-system error."""
+    m, L, r = omega.shape
+    P = inverse(V, what)
+    z = prox_batch(loss, omega, P, y, Gamma, c)
+    f = (P @ (z - omega).reshape(m, L * r, 1)).reshape(m, L, r)
+    g = P @ (prox_gain(loss, y, z, P, Gamma, c) - np.eye(L * r))
+    return f, g, loss.d3(y, z, Gamma, c) if loss.depends_on_v else None
+
+
 @dataclass
 class GampResult(RunRecord):
     w_hat: np.ndarray                 # (d, r)
@@ -331,7 +345,6 @@ def gamp_run(
     c_hat = np.broadcast_to(np.eye(r), (d, r, r)).copy()
     f = np.zeros((n, L, r))
     V_full = None
-    eye_lr = np.eye(L * r)
     eye_r = np.eye(r)
 
     trajectory = []
@@ -353,17 +366,10 @@ def gamp_run(
             if onsager_omega:
                 omega = omega - (V_full @ f.reshape(n, L * r, 1)).reshape(n, L, r)
 
-            precisions = inverse(V_full, "a GAMP noise block V")
-            z = prox_batch(loss, omega, precisions, data.y, Gamma, data.c)
-            resid = (z - omega).reshape(n, L * r, 1)
-            f = (precisions @ resid).reshape(n, L, r)
-
-            J = prox_gain(loss, data.y, z, precisions, Gamma, data.c)
-            A = _onsager_blocks(XX, precisions @ (J - eye_lr), L)
-
-            C = np.zeros((r, r))
-            if loss.depends_on_v:
-                C = 2.0 * np.sum(loss.d3(data.y, z, Gamma, data.c), axis=0) / d
+            f, g, eta = _output_channel(loss, omega, V_full, data.y, Gamma, data.c,
+                                        "a GAMP noise block V")
+            A = _onsager_blocks(XX, g, L)
+            C = np.zeros((r, r)) if eta is None else 2.0 * np.sum(eta, axis=0) / d
 
             b = _backproject(X, f)
             if onsager_b:
@@ -424,7 +430,6 @@ def rbp_run(
     Xt = X.transpose(0, 2, 1)                                # (n, d, L)
     sqd = np.sqrt(d)
     eye_r = np.eye(r)
-    eye_lr = np.eye(L * r)
 
     # messages indexed [mu, i]: w/c flow i -> mu, f flows mu -> i
     w_msg = np.zeros((n, d, r))
@@ -441,20 +446,14 @@ def rbp_run(
 
         Gamma_mean = (w_msg.transpose(0, 2, 1) @ w_msg).mean(axis=0) / d
 
-        flat_omega = omega_mi.reshape(n * d, L, r)
-        flat_prec = inverse(V_mi.reshape(n * d, L * r, L * r), "an rBP noise block V")
-        flat_y = np.repeat(data.y, d, axis=0)
-        flat_c = np.repeat(data.c, d, axis=0)
-        z = prox_batch(loss, flat_omega, flat_prec, flat_y, Gamma_mean, flat_c)
-        resid = (z - flat_omega).reshape(n * d, L * r, 1)
-        f_msg = (flat_prec @ resid).reshape(n, d, L, r)
-
-        J = prox_gain(loss, flat_y, z, flat_prec, Gamma_mean, flat_c)
-        g = (flat_prec @ (J - eye_lr)).reshape(n, d, L * r, L * r)
-
-        eta = np.zeros((n, d, r, r))
-        if loss.depends_on_v:
-            eta = np.reshape(loss.d3(flat_y, z, Gamma_mean, flat_c), (n, d, r, r))
+        f, g, eta = _output_channel(
+            loss, omega_mi.reshape(n * d, L, r), V_mi.reshape(n * d, L * r, L * r),
+            np.repeat(data.y, d, axis=0), Gamma_mean, np.repeat(data.c, d, axis=0),
+            "an rBP noise block V",
+        )
+        f_msg = f.reshape(n, d, L, r)
+        g = g.reshape(n, d, L * r, L * r)
+        eta = np.zeros((n, d, r, r)) if eta is None else np.reshape(eta, (n, d, r, r))
 
         contrib_A = _onsager_contributions(XX, g, L)
         A_all = contrib_A.sum(axis=0)                         # (d, r, r)

@@ -157,6 +157,13 @@ def gauss_hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return wts, pts
 
 
+def quadrature_dim(shape: tuple[int, int, int], with_zeta: bool) -> int:
+    """Gaussian dimension of the cores for shape = (L, r, t): L r for Xi,
+    plus L t for Zeta when it is drawn."""
+    L, r, t = shape
+    return L * r + (L * t if with_zeta else 0)
+
+
 def standard_cores(
     plan: McPlan,
     shape: tuple[int, int, int],
@@ -175,7 +182,7 @@ def standard_cores(
     """
     L, r, t = shape
     if plan.gh_order > 0:
-        wts, pts = gauss_hermite_nodes(L * r + (L * t if with_zeta else 0), plan.gh_order)
+        wts, pts = gauss_hermite_nodes(quadrature_dim(shape, with_zeta), plan.gh_order)
         S = len(wts)
         Xi = pts[:, : L * r].reshape(S, L, r)
         if with_zeta:

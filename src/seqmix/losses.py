@@ -27,17 +27,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _zero_d3(Ys, Xs, v, cs):
-    return np.zeros((Xs.shape[0],) + v.shape)
-
-
-def _scalar_precisions(precisions: np.ndarray, n: int) -> np.ndarray:
-    """Per-sample inverse precision V of a 1 x 1 prox, shared or not."""
-    if precisions.ndim == 2:
-        return np.full(n, 1.0 / precisions[0, 0])
-    return 1.0 / precisions.reshape(n)
-
-
 # ----------------------------------------------------------------------
 # Square loss (teacher-student regression), any L, requires r == t.
 # ----------------------------------------------------------------------
@@ -55,12 +44,9 @@ def square_loss() -> LossModel:
         n = Xs.shape[-2] * Xs.shape[-1]
         return np.broadcast_to(np.eye(n), (Xs.shape[0], n, n))
 
-    def prox(anchors, precisions, Ys, v, cs):
+    def prox(anchors, P, Ys, v, cs):
         # stationarity: P (X - a) + (X - Y) = 0  =>  (P + I) X = P a + Y
         n, L, r = anchors.shape
-        P = precisions
-        if P.ndim == 2:
-            P = np.broadcast_to(P, (n, L * r, L * r))
         rhs = np.einsum("nij,nj->ni", P, anchors.reshape(n, -1)) + Ys.reshape(n, -1)
         X = solve(P + np.eye(L * r), rhs[..., None], "the square-loss prox system P + I")[..., 0]
         return X.reshape(n, L, r)
@@ -70,12 +56,8 @@ def square_loss() -> LossModel:
         strongly_convex=True,
         eval=ev,
         grad_X=grad,
-        d3=_zero_d3,
         test_eval=ev,
-        depends_on_v=False,
-        depends_on_y=True,
         hess_X=hess,
-        hess_is_constant=True,
         prox=prox,
     )
 
@@ -114,7 +96,7 @@ def logistic_gmm_loss() -> LossModel:
         # scalar Newton on x + V s'(x) = a, vectorized over the batch
         n = anchors.shape[0]
         a = anchors.reshape(n)
-        V = _scalar_precisions(precisions, n)
+        V = 1.0 / precisions.reshape(n)
         s = _signs_of(cs)
         x = a.copy()
         for _ in range(80):
@@ -131,9 +113,7 @@ def logistic_gmm_loss() -> LossModel:
         name="logistic_gmm",
         eval=ev,
         grad_X=grad,
-        d3=_zero_d3,
         test_eval=misclassification,
-        depends_on_v=False,
         depends_on_y=False,
         test_metric_smooth=False,
         hess_X=hess,
@@ -153,12 +133,12 @@ def square_gmm_loss() -> LossModel:
         return (Xs[..., 0, 0] - s)[..., None, None]
 
     def hess(Ys, Xs, v, cs):
-        return np.ones((Xs.shape[0], 1, 1))
+        return np.broadcast_to(1.0, (Xs.shape[0], 1, 1))
 
     def prox(anchors, precisions, Ys, v, cs):
         n = anchors.shape[0]
         a = anchors.reshape(n)
-        V = _scalar_precisions(precisions, n)
+        V = 1.0 / precisions.reshape(n)
         s = _signs_of(cs)
         # (1/V)(x - a) + (x - s) = 0
         x = (a + V * s) / (1.0 + V)
@@ -169,13 +149,10 @@ def square_gmm_loss() -> LossModel:
         strongly_convex=True,
         eval=ev,
         grad_X=grad,
-        d3=_zero_d3,
         test_eval=misclassification,
-        depends_on_v=False,
         depends_on_y=False,
         test_metric_smooth=False,
         hess_X=hess,
-        hess_is_constant=True,
         prox=prox,
     )
 
@@ -202,12 +179,8 @@ def square_loss_with_energy(coupling: float = 0.3) -> LossModel:
         grad_X=base.grad_X,
         d3=d3,
         test_eval=base.test_eval,
-        depends_on_v=True,
-        depends_on_y=True,
         hess_X=base.hess_X,
-        hess_is_constant=True,
         prox=base.prox,
-        params={"coupling": coupling},
     )
 
 
@@ -222,7 +195,7 @@ def zero_loss() -> LossModel:
 
     def hess(Ys, Xs, v, cs):
         n = Xs.shape[-2] * Xs.shape[-1]
-        return np.zeros((Xs.shape[0], n, n))
+        return np.broadcast_to(0.0, (Xs.shape[0], n, n))
 
     def prox(anchors, precisions, Ys, v, cs):
         return anchors.copy()
@@ -231,12 +204,9 @@ def zero_loss() -> LossModel:
         name="zero",
         eval=ev,
         grad_X=grad,
-        d3=_zero_d3,
         test_eval=ev,
-        depends_on_v=False,
         depends_on_y=False,
         hess_X=hess,
-        hess_is_constant=True,
         prox=prox,
     )
 

@@ -21,7 +21,7 @@ total, and iteration order is row-major in (ell, k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -483,23 +483,26 @@ class LossModel:
     included), Xs (S, L, r) the student channel, v the shared r x r weight
     self-overlap slot and cs (S, L) the class tuples; a single point is a
     batch of one.  Per sample, eval and test_eval return (S,), grad_X
-    (S, L, r), d3 = d ell / dv (S, r, r) and hess_X the flattened X-Hessian
-    (S, Lr, Lr).  grad_X, hess_X and d3 are the exact partials used by the
-    solver; test_eval is the metric reported as test error.
+    (S, L, r) and hess_X the flattened X-Hessian (S, Lr, Lr).  grad_X and
+    hess_X are the exact partials used by the solver; test_eval is the
+    metric reported as test error.  A hook may return a read-only view, a
+    stride-0 one included (a Hessian that is the same matrix at every
+    sample is best returned as `np.broadcast_to` of it, which lets
+    `prox.prox_gain` take one solve for the whole batch).
 
-    The optional prox(anchors (S, L, r), precisions, Ys, v, cs) returns the
-    minimizers (S, L, r) of (1/2)(X - a)^T P (X - a) + ell with precisions
-    either one shared (Lr, Lr) matrix or per-sample (S, Lr, Lr).  Without
-    it, `prox.prox_batch` runs a generic damped Newton on hess_X.
+    The optional d3 = d ell / dv returns (S, r, r); None means the loss
+    does not read v (`depends_on_v` is False).  The optional prox(anchors
+    (S, L, r), precisions (S, Lr, Lr), Ys, v, cs) returns the minimizers
+    (S, L, r) of (1/2)(X - a)^T P (X - a) + ell, one precision per sample;
+    without it, `prox.prox_batch` runs a generic damped Newton on hess_X.
     """
 
     name: str
     eval: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     grad_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     test_eval: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     hess_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    depends_on_v: bool = False
+    d3: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     # False for losses whose hooks, test_eval included, never read the
     # label channel (e.g. mixture classification, where supervision comes
     # from the class tuple); the solver then freezes theta_hat at zero, and
@@ -513,11 +516,12 @@ class LossModel:
     # strong convexity in X keeps the spectral resolvent invertible at
     # lambda = 0; losses without it require a positive regularizer
     strongly_convex: bool = False
-    # True when hess_X does not depend on (Y, X): prox sensitivities are then
-    # shared across expectation nodes.
-    hess_is_constant: bool = False
     prox: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
+
+    @property
+    def depends_on_v(self) -> bool:
+        """Whether the loss reads the weight self-overlap v: it has a d3."""
+        return self.d3 is not None
 
 
 @dataclass
@@ -547,7 +551,8 @@ def check_loss_gradients(
     loss: LossModel, dims: Dimensions, classes, rng: np.random.Generator,
     rel_tol: float = 1e-5,
 ) -> list[str]:
-    """Spot-check grad_X, hess_X and d3 against central finite differences.
+    """Spot-check grad_X, hess_X and d3, when the loss has one, against
+    central finite differences.
 
     The hooks are called on a batch of at least two random points that
     cycle through `classes`, so a hook that ignores or mixes the sample
@@ -577,12 +582,9 @@ def check_loss_gradients(
     H_fd = _finite_diff(lambda Z: np.reshape(loss.grad_X(Ys, Z, v, cs), (S, n)), Xs, 2)
     compare("hess_X", loss.hess_X(Ys, Xs, v, cs), H_fd.reshape(S, n, n))
 
-    d3 = np.asarray(loss.d3(Ys, Xs, v, cs), dtype=float)
     if loss.depends_on_v:
         d3_fd = _finite_diff(lambda vv: loss.eval(Ys, Xs, 0.5 * (vv + vv.T), cs), v, 2)
-        compare("d3", d3, 0.5 * (d3_fd + d3_fd.transpose(0, 2, 1)))
-    elif np.any(d3 != 0.0):
-        out.append(f"LossModel {loss.name}: d3 must be identically zero when depends_on_v is false")
+        compare("d3", loss.d3(Ys, Xs, v, cs), 0.5 * (d3_fd + d3_fd.transpose(0, 2, 1)))
     return out
 
 

@@ -5,10 +5,11 @@ The inner problem, per sample s, is
     min_X  (1/2) (X - a_s)^T P_s (X - a_s) + ell(Y_s, X, v, c_s)
 
 with X an L x r matrix flattened to length Lr and P_s a positive-definite
-precision: either one Lr x Lr matrix shared by the batch (block-diagonal per
-token in the solver) or one per sample (the full blocks of message
-passing).  The minimization is over X only; the v slot is a constant and the
-loss's v-derivative is evaluated at the minimizer afterward.
+Lr x Lr precision, given per sample as one (S, Lr, Lr) array: the full
+blocks of message passing, or in the solver a stride-0 view repeating its
+block-diagonal precision.  The minimization is over X only; the v slot is
+a constant and the loss's v-derivative is evaluated at the minimizer
+afterward.
 
 This module is the one place that solves it.  `prox_batch` takes the loss's
 specialized prox when it registers one and otherwise runs damped Newton
@@ -50,18 +51,18 @@ def _residual(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
     return np.einsum("sij,sj->si", P, X - a) + np.reshape(g, X.shape)
 
 
-def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
+def _newton(loss: LossModel, anchors, P, Ys, v, cs):
     """Damped Newton on every sample at once; returns the minimizers X.
 
     Each sample keeps its own Levenberg shift, Armijo step and stopping
-    test ||P (X - a) + grad ell|| <= tol (1 + ||a||); a sample that has not
-    met it when the iterations run out raises ProxConvergenceError.
+    test ||P (X - a) + grad ell|| <= DEFAULT_TOL (1 + ||a||); a sample that
+    has not met it after DEFAULT_MAX_ITERS iterations raises
+    ProxConvergenceError.
     """
     S, L, r = anchors.shape
     n = L * r
     a = anchors.reshape(S, n)
-    P = np.broadcast_to(precisions, (S, n, n))
-    tols = tol * (1.0 + np.linalg.norm(a, axis=1))
+    tols = DEFAULT_TOL * (1.0 + np.linalg.norm(a, axis=1))
     shift_floor = 1e-6 * (1.0 + np.trace(P, axis1=1, axis2=2) / n)
     eye = np.eye(n)
 
@@ -74,7 +75,7 @@ def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
     res = _residual(*at(everyone), X)
     mu = np.zeros(S)
     live = np.ones(S, dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         live &= ~(np.linalg.norm(res, axis=1) <= tols)
         idx = np.flatnonzero(live)
         if idx.size == 0:
@@ -119,36 +120,33 @@ def _newton(loss: LossModel, anchors, precisions, Ys, v, cs, tol, max_iters):
     failed = np.flatnonzero(rnorm > tols)
     if failed.size:
         s = failed[0]
-        raise ProxConvergenceError(X[s].reshape(L, r), float(rnorm[s]), max_iters)
+        raise ProxConvergenceError(X[s].reshape(L, r), float(rnorm[s]), DEFAULT_MAX_ITERS)
     return X.reshape(S, L, r)
 
 
-def prox_batch(
-    loss: LossModel, anchors, precisions, Ys, v, cs,
-    tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-) -> np.ndarray:
-    """Prox minimizers (S, L, r) of a batch of anchors (S, L, r).
+def prox_batch(loss: LossModel, anchors, precisions, Ys, v, cs) -> np.ndarray:
+    """Prox minimizers (S, L, r) of a batch of anchors (S, L, r) under
+    per-sample precisions (S, Lr, Lr).
 
-    precisions is one shared (Lr, Lr) matrix or per-sample (S, Lr, Lr).
     For convex losses the returned points are the global minimizers.
     """
     if loss.prox is not None:
         return loss.prox(anchors, precisions, Ys, v, cs)
-    return _newton(loss, anchors, precisions, Ys, v, cs, tol, max_iters)
+    return _newton(loss, anchors, precisions, Ys, v, cs)
 
 
 def prox_gain(loss: LossModel, Ys, Xs, P, v, cs) -> np.ndarray:
     """Anchor sensitivity dX/danchor = (P + H)^-1 P at the minimizers Xs.
 
-    Returns (S, Lr, Lr); P is shared (Lr, Lr) or per-sample (S, Lr, Lr).
-    With a constant loss Hessian the shared case is one solve.  A singular
-    P + H raises SingularSystemError.
+    Returns (S, Lr, Lr) for per-sample precisions P (S, Lr, Lr).  When P
+    and the loss Hessian are both stride-0 views of one matrix, as in the
+    solver with a loss of constant curvature, the gain is one solve
+    returned as a stride-0 view; otherwise it is one solve per sample.
+    A singular P + H raises SingularSystemError.
     """
-    S = Xs.shape[0]
-    what = f"P + H in the prox sensitivity of loss {loss.name!r}"
-    if loss.hess_is_constant:
-        H = loss.hess_X(Ys[:1], Xs[:1], v, cs[:1])[0]
-        J = solve(P + H, P, what)
-        return np.broadcast_to(J, (S,) + J.shape[-2:]) if P.ndim == 2 else J
     H = loss.hess_X(Ys, Xs, v, cs)
-    return solve(P + H, np.broadcast_to(P, H.shape), what)
+    what = f"P + H in the prox sensitivity of loss {loss.name!r}"
+    # a stride-0 view repeats one matrix over the batch
+    if P.strides[0] == 0 and H.strides[0] == 0:
+        return np.broadcast_to(solve(P[0] + H[0], P[0], what), P.shape)
+    return solve(P + H, P, what)

@@ -65,6 +65,7 @@ from .model import (
     Dimensions,
     FixedStatistics,
     inverse,
+    LossModel,
     ModelSpec,
     OrderParameters,
     RunRecord,
@@ -143,8 +144,9 @@ class NodeBatch:
     wts (S,), Xi (S, L, r), Zeta (S, L, t); anchors and x_stars (S, L, r);
     y_loss (S, L, t) is the label channel with teacher means added (a zero
     view for a loss that reads no labels); cs (S, L) is a read-only view
-    repeating the class tuple c; P_full is the block-diagonal prox
-    precision with blocks V_{ell, c_ell}^-1.
+    repeating the class tuple c; P (S, Lr, Lr) is the read-only view
+    repeating per node the block-diagonal prox precision P_full, whose
+    blocks are V_{ell, c_ell}^-1.
     """
 
     c: tuple
@@ -155,8 +157,12 @@ class NodeBatch:
     anchors: np.ndarray
     y_loss: np.ndarray
     cs: np.ndarray
-    P_full: np.ndarray
+    P: np.ndarray
     x_stars: np.ndarray
+
+    @property
+    def P_full(self) -> np.ndarray:
+        return self.P[0]
 
 
 def _node_batches(
@@ -181,8 +187,9 @@ def _node_batches(
         for ell, k in enumerate(c):
             P_full[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = V_inv[(ell, k)]
         cs = np.broadcast_to(c, (len(wts), len(c)))
-        x_stars = prox_batch(spec.loss, anchors, P_full, y_loss, params.v, cs)
-        yield NodeBatch(c, pc, wts, Xi, Zeta, anchors, y_loss, cs, P_full, x_stars)
+        P = np.broadcast_to(P_full, (len(wts),) + P_full.shape)
+        x_stars = prox_batch(spec.loss, anchors, P, y_loss, params.v, cs)
+        yield NodeBatch(c, pc, wts, Xi, Zeta, anchors, y_loss, cs, P, x_stars)
 
 
 def update_hats(
@@ -212,7 +219,7 @@ def update_hats(
         c, pc, wts = nb.c, nb.pc, nb.wts
         S = len(wts)
         D = nb.x_stars - nb.anchors
-        J = prox_gain(loss, nb.y_loss, nb.x_stars, nb.P_full, params.v, nb.cs)
+        J = prox_gain(loss, nb.y_loss, nb.x_stars, nb.P, params.v, nb.cs)
 
         for ell in range(dims.L):
             key = (ell, c[ell])
@@ -522,6 +529,18 @@ def _initial_params(spec: ModelSpec, nu: SpectralMeasure, fixed, config: SolverC
     return OrderParameters.informed(spec.dims, fixed)
 
 
+def lambda_violations(loss: LossModel, lambdas) -> list[str]:
+    """The regularizers of `lambdas` that the solver rejects for `loss`.
+
+    The resolvent is lambda I + v_hat + sum gamma V_hat; at lambda = 0
+    only a strongly convex loss keeps it away from singular.
+    """
+    if loss.strongly_convex or 0.0 not in lambdas:
+        return []
+    return [f"lambda = 0 with loss {loss.name!r}, which is not strongly convex; "
+            "the spectral resolvent may be singular"]
+
+
 def solve_fixed_point(
     spec: ModelSpec, nu: SpectralMeasure, config: SolverConfig
 ) -> FixedPointReport:
@@ -536,18 +555,11 @@ def solve_fixed_point(
     identities that hold at exact fixed points hold for the report up to
     floating point.
     """
-    bad = config.violations()
+    dims = spec.dims
+    bad = config.violations() + lambda_violations(spec.loss, (dims.lam,))
     if bad:
         raise SpecValidationError("; ".join(bad))
-    dims = spec.dims
     if dims.lam == 0.0:
-        # the resolvent is lambda I + v_hat + sum gamma V_hat; without a
-        # strongly convex loss nothing keeps it away from singular
-        if not spec.loss.strongly_convex:
-            raise SpecValidationError(
-                f"lambda = 0 with loss {spec.loss.name!r}, which is not "
-                "strongly convex; the spectral resolvent may be singular"
-            )
         warnings.warn(
             "lambda = 0: resolvent invertibility rests on the loss curvature",
             stacklevel=2,

@@ -355,10 +355,10 @@ def check_unit_properties() -> CheckResult:
     y, v = np.zeros((1, 1, 1)), np.zeros((1, 1))
     for _ in range(50):
         anchor = rng.standard_normal((1, 1, 1))
-        prec = np.array([[np.exp(rng.uniform(-1.5, 1.5))]])
+        prec = np.full((1, 1, 1), np.exp(rng.uniform(-1.5, 1.5)))
         cs = np.array([[int(rng.integers(2))]])
         X = prox_batch(generic, anchor, prec, y, v, cs)
-        res = np.linalg.norm(prec @ (X - anchor)[0, 0] + generic.grad_X(y, X, v, cs)[0, 0])
+        res = np.linalg.norm(prec[0] @ (X - anchor)[0, 0] + generic.grad_X(y, X, v, cs)[0, 0])
         worst_res = max(worst_res, float(res) / (1.0 + abs(float(anchor[0, 0, 0]))))
     ok = ok and worst_res <= PROX_STATIONARITY
     notes.append(f"prox residual {worst_res:.1e}")

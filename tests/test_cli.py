@@ -77,7 +77,6 @@ def explicit_ini(spec) -> str:
     lines += [f"atom_{i} = {float(a.weight)!r} | {row(a.gamma[k] for k in keys)} | "
               f"{row(a.tau[k] for k in keys)} | {row(a.pi)}" for i, a in enumerate(spec.nu.atoms)]
     lines += ["", "[loss]", f"name = {spec.loss.name}"]
-    lines += [f"{k} = {float(v)!r}" for k, v in spec.loss.params.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -518,6 +517,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and "zero eigenvalue mass" in err
+
+    @pytest.mark.parametrize("command", ["solve-se", "sweep"])
+    def test_lambda_zero_without_strong_convexity_is_validation_error(
+        self, tmp_path, capsys, command,
+    ):
+        # logistic_gmm is not strongly convex: lambda = 0 in the grid is
+        # rejected at load time, before anything is solved or written
+        path = tmp_path / "lam0.ini"
+        path.write_text("[model]\ninstance = logistic_gmm\n\n[mc]\ngh_order = 21\n\n"
+                        "[sweep]\nalphas = 1.0\nlambdas = 0.0\n")
+        out = tmp_path / "o"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and "not strongly convex" in err
+        assert not out.exists()
 
     def test_verify_unknown_instance(self):
         assert main(["verify", "--instance", "nope"]) == 2

@@ -14,6 +14,7 @@ from seqmix.model import (
     ConjugateParameters,
     Dimensions,
     inverse,
+    LossModel,
     make_atom,
     ModelSpec,
     OrderParameters,
@@ -307,3 +308,53 @@ class TestSmallSystems:
         np.testing.assert_array_equal(solve(A, B, "A"), np.linalg.solve(A, B))
         with pytest.raises(SingularSystemError, match="A3 is singular"):
             solve(np.ones((3, 3)), B[0], "A3")
+
+
+class TestMinimalLoss:
+    """A user loss with only the required hooks: no d3 (it does not read v)
+    and no prox (the generic Newton solves it)."""
+
+    @staticmethod
+    def _minimal_square(spec) -> ModelSpec:
+        def ev(Ys, Xs, v, cs):
+            return 0.5 * np.sum((Ys - Xs) ** 2, axis=(-2, -1))
+
+        def hess(Ys, Xs, v, cs):
+            n = Xs.shape[-2] * Xs.shape[-1]
+            return np.tile(np.eye(n), (len(Xs), 1, 1))
+
+        loss = LossModel(name="minimal_square", eval=ev, grad_X=lambda Ys, Xs, v, cs: Xs - Ys,
+                         test_eval=ev, hess_X=hess)
+        return ModelSpec(spec.dims, spec.class_law, spec.nu, loss, "minimal")
+
+    def test_runs_every_pipeline_as_the_shipped_square_loss(self):
+        from seqmix.erm import erm_train, TrainConfig
+        from seqmix.gamp import gamp_run, generate_dataset, rbp_run
+        from seqmix.gaussian import McPlan
+        from seqmix.saddle import solve_fixed_point, SolverConfig
+
+        shipped = two_token_instance(alpha=1.5, lam=0.1)
+        minimal = self._minimal_square(shipped)
+        assert not minimal.loss.depends_on_v
+        assert validate_spec(minimal) == []
+
+        cfg = SolverConfig(damping=0.3, tol=1e-10, max_iters=500, mc_plan=McPlan(gh_order=7))
+        a, b = (solve_fixed_point(s, s.nu, cfg) for s in (minimal, shipped))
+        assert a.converged
+        np.testing.assert_allclose(a.params.flat(), b.params.flat(), atol=1e-8)
+
+        data = generate_dataset(shipped, shipped.nu, d=60, n=90, seed=3)
+        a, b = (gamp_run(data, s, max_iters=300, tol=1e-10, damping=0.3)
+                for s in (minimal, shipped))
+        assert a.converged
+        np.testing.assert_allclose(a.w_hat, b.w_hat, atol=1e-8)
+
+        small = generate_dataset(shipped, shipped.nu, d=20, n=30, seed=4)
+        (w_a, rec), (w_b, _) = (rbp_run(small, s, max_iters=300, tol=1e-11)
+                                for s in (minimal, shipped))
+        assert rec.converged
+        np.testing.assert_allclose(w_a, w_b, atol=1e-8)
+
+        fit = erm_train(data, minimal, config=TrainConfig(grad_tol=1e-8))
+        assert fit.converged
+        np.testing.assert_allclose(fit.w_hat, b.w_hat, atol=1e-6)

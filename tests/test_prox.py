@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from seqmix.losses import _sigmoid, LOSSES, logistic_gmm_loss, square_loss, zero_loss
-from seqmix.model import LossModel
+from seqmix.model import LossModel, solve
 from seqmix.prox import DEFAULT_TOL, prox_batch, prox_gain
 
 
 def scalar_batch(anchor, V, y=0.0, c=0):
     """(anchors, P, Ys, v, cs) of one scalar problem with precision 1 / V."""
-    return (np.full((1, 1, 1), float(anchor)), np.array([[1.0 / V]]),
+    return (np.full((1, 1, 1), float(anchor)), np.full((1, 1, 1), 1.0 / V),
             np.full((1, 1, 1), float(y)), np.zeros((1, 1)), np.array([[c]]))
 
 
@@ -76,7 +76,7 @@ class TestMoreauProx:
             anchors, P, Ys, v, cs = scalar_batch(rng.standard_normal(),
                                                  np.exp(rng.uniform(-2, 2)))
             X = prox_batch(loss, anchors, P, Ys, v, cs)
-            residual = P[0, 0] * (X - anchors) + loss.grad_X(Ys, X, v, cs)
+            residual = P[0, 0, 0] * (X - anchors) + loss.grad_X(Ys, X, v, cs)
             bound = DEFAULT_TOL * (1.0 + abs(float(anchors[0, 0, 0])))
             assert abs(float(residual[0, 0, 0])) <= bound
 
@@ -97,7 +97,7 @@ class TestMoreauProx:
         anchors, P, Ys, v, cs = scalar_batch(1.0, 2.0, y=3.0)
         X = prox_batch(loss, anchors, P, Ys, v, cs)
         x = float(X[0, 0, 0])
-        value = 0.5 * P[0, 0] * (x - 1.0) ** 2 + float(loss.eval(Ys, X, v, cs)[0])
+        value = 0.5 * P[0, 0, 0] * (x - 1.0) ** 2 + float(loss.eval(Ys, X, v, cs)[0])
         expected = (x - 1.0) ** 2 / 4.0 + 0.5 * (3.0 - x) ** 2
         assert value == pytest.approx(expected)
 
@@ -111,7 +111,7 @@ class TestGampResolvent:
         P = M @ M.T + np.eye(L * r)
         anchor = rng.standard_normal((L, r))
         y = rng.standard_normal((L, r))
-        got = prox_batch(loss, anchor[None], P, y[None], np.zeros((r, r)),
+        got = prox_batch(loss, anchor[None], P[None], y[None], np.zeros((r, r)),
                          np.zeros((1, L), dtype=int))[0]
         expected = np.linalg.solve(
             P + np.eye(L * r), P @ anchor.reshape(-1) + y.reshape(-1)
@@ -123,7 +123,7 @@ class TestGampResolvent:
         # optimality condition is interval-valued
         def hinge_prox(anchors, P, Ys, v, cs):
             a = anchors[:, 0, 0]
-            V = 1.0 / P[0, 0]
+            V = 1.0 / P[:, 0, 0]
             # flat region (gradient 0), linear region (gradient -1), kink
             x = np.where(a > 1.0, a, np.where(a < 1.0 - V, a + V, 1.0))
             return x[:, None, None]
@@ -132,7 +132,6 @@ class TestGampResolvent:
             name="hinge",
             eval=lambda Y, X, v, c: np.maximum(0.0, 1.0 - X[:, 0, 0]),
             grad_X=lambda Y, X, v, c: np.where(X < 1.0, -1.0, 0.0),
-            d3=lambda Y, X, v, c: np.zeros((len(X), 1, 1)),
             test_eval=lambda Y, X, v, c: np.zeros(len(X)),
             # zero away from the kink, where the hinge has no Hessian
             hess_X=lambda Y, X, v, c: np.zeros((len(X), 1, 1)),
@@ -196,8 +195,9 @@ def _spd(rng, n: int) -> np.ndarray:
 @pytest.mark.parametrize("name", sorted(LOSSES))
 def test_batched_prox_matches_generic_newton(name):
     """Specialized prox against the generic batched Newton, and prox_gain
-    against central differences of the prox map, in the shared-precision
-    (solver) and per-sample-precision (message passing) shapes."""
+    against central differences of the prox map, with one precision
+    repeated over the batch as a stride-0 view (the solver) and one
+    precision per sample (message passing)."""
     rng = np.random.default_rng(sorted(LOSSES).index(name))
     loss = LOSSES[name]()
     generic = _strip_specialized(LOSSES[name]())
@@ -207,7 +207,8 @@ def test_batched_prox_matches_generic_newton(name):
     Ys = rng.standard_normal((S, L, r))
     cs = rng.integers(0, 2, size=(S, L))
     v = _spd(rng, r)
-    shapes = {"shared": _spd(rng, n), "per-sample": np.stack([_spd(rng, n) for _ in range(S)])}
+    shapes = {"shared": np.broadcast_to(_spd(rng, n), (S, n, n)),
+              "per-sample": np.stack([_spd(rng, n) for _ in range(S)])}
     for shape, P in shapes.items():
         X = prox_batch(loss, anchors, P, Ys, v, cs)
         np.testing.assert_allclose(
@@ -224,6 +225,25 @@ def test_batched_prox_matches_generic_newton(name):
         np.testing.assert_allclose(
             prox_gain(loss, Ys, X, P, v, cs), fd, atol=1e-6, err_msg=shape
         )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_repeated_gain_is_the_batched_solve(n):
+    """prox_gain on stride-0 P and hess_X takes one solve for the batch; it
+    equals, bit for bit, the per-sample solve on materialized copies."""
+    rng = np.random.default_rng(20 + n)
+    S = 16
+    P = np.broadcast_to(_spd(rng, n), (S, n, n))
+    H = np.broadcast_to(_spd(rng, n), (S, n, n))
+    loss = square_loss()
+    loss.hess_X = lambda Ys, Xs, v, cs: H[: len(Xs)]
+    Ys, Xs = rng.standard_normal((2, S, n, 1))
+    v, cs = np.zeros((1, 1)), np.zeros((S, n), dtype=int)
+    J = prox_gain(loss, Ys, Xs, P, v, cs)
+    assert J.shape == (S, n, n) and J.strides[0] == 0
+    batched = solve(P.copy() + H.copy(), P.copy(), "P + H")
+    np.testing.assert_array_equal(J, batched)
+    np.testing.assert_array_equal(prox_gain(loss, Ys, Xs, P.copy(), v, cs), batched)
 
 
 def test_generic_newton_random_logistic_sweep():
