@@ -3,14 +3,13 @@ and the cross-verification suite.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, which
 includes a solve or a per-seed fit that stops before converging.  `sweep`
-solves its lambdas in a process pool whose size defaults to the
-SEQMIX_WORKERS environment variable.
+solves its lambdas in a pool of `--workers` processes (default 1), never
+more processes than lambdas.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -83,17 +82,13 @@ def _load_and_validate(args, solved: slice = slice(0)) -> ExperimentConfig:
 # solve-se / sweep
 # ----------------------------------------------------------------------
 
-def replace_spec(spec, alpha: float, lam: float):
-    return replace(spec, dims=replace(spec.dims, alpha=alpha, lam=lam))
-
-
 def _alpha_line(cfg: ExperimentConfig, lam: float) -> tuple[list[list], list]:
     """Solve the alpha grid at one lambda, warm-starting along it."""
     rows = []
     reports = []
     warm = None
     for alpha in cfg.alphas:
-        spec = replace_spec(cfg.spec, alpha=alpha, lam=lam)
+        spec = replace(cfg.spec, dims=replace(cfg.spec.dims, alpha=alpha, lam=lam))
         solver = cfg.solver
         if warm is not None:
             solver = replace(solver, warm_start=warm)
@@ -154,10 +149,13 @@ def cmd_solve_se(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise SpecValidationError(f"--workers must be >= 1, got {args.workers}")
     cfg = _load_and_validate(args, solved=slice(None))
-    workers = args.workers or int(os.environ.get("SEQMIX_WORKERS", "1"))
+    # a fork-started pool forks all its workers at the first submit
+    workers = min(args.workers, len(cfg.lambdas))
     lines: list[list[list]] = []
-    if workers > 1 and len(cfg.lambdas) > 1 and cfg.source_path:
+    if workers > 1 and cfg.source_path:
         # imported here so that a serial run does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
@@ -308,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="solve the full alpha x lambda grid")
     common(p)
-    p.add_argument("--workers", type=int, default=None,
-                   help="processes solving lambdas in parallel "
-                        "(default: env SEQMIX_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes solving lambdas in parallel, at most one "
+                        "per lambda (default: 1)")
     p.set_defaults(fn=cmd_sweep)
 
     for name, help_text in (

@@ -38,7 +38,6 @@ MAX_STALLS = 50         # consecutive stalled epochs before StalledError
 class TrainConfig:
     max_epochs: int = 5000
     grad_tol: float = 1e-7            # stop when ||grad||_inf falls below
-    warm_start: Optional[np.ndarray] = None   # None starts from w = 0
 
     def violations(self) -> list[str]:
         out = []
@@ -99,9 +98,7 @@ def erm_train(
     if bad:
         raise SpecValidationError("; ".join(bad))
     d = data.d
-    r = spec.dims.r
-
-    w = np.zeros((d, r)) if config.warm_start is None else config.warm_start.copy()
+    w = np.zeros((d, spec.dims.r))
 
     obj, grad = empirical_risk_and_grad(w, data, spec)
     gnorm = float(np.max(np.abs(grad)))

@@ -17,23 +17,12 @@ class InconsistentOverlapsError(SeqmixError):
     """Joint (X, Y) covariance block is indefinite beyond tolerance."""
 
 
-class SingularResolventError(SeqmixError):
-    """The spectral resolvent is singular at an atom of the measure."""
-
-    def __init__(self, atom_index: int, min_singular_value: float):
-        self.atom_index = atom_index
-        self.min_singular_value = min_singular_value
-        super().__init__(
-            f"resolvent singular at atom {atom_index} "
-            f"(min singular value {min_singular_value:.3e})"
-        )
-
-
 class ProxConvergenceError(SeqmixError):
     """Inner prox solver ran out of iterations.
 
-    Carries the last iterate and residual so the caller can retry with
-    more damping.
+    Carries the first failing sample's last iterate `x_last` (L, r), its
+    stationarity residual norm `residual`, and `iterations`, the Newton
+    iteration limit.
     """
 
     def __init__(self, x_last, residual: float, iterations: int):
@@ -47,7 +36,8 @@ class ProxConvergenceError(SeqmixError):
 
 
 class SingularSystemError(SeqmixError):
-    """A linear system inside an iteration is singular."""
+    """A linear system inside an iteration is singular, the solver's
+    spectral resolvent at an atom of the measure included."""
 
 
 class LossBlowupError(SeqmixError):

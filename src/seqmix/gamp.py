@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import mmap
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -312,7 +311,6 @@ def _output_channel(loss, omega, V, y, Gamma, c, what: str):
 class GampResult(RunRecord):
     w_hat: np.ndarray                 # (d, r)
     c_hat: np.ndarray                 # (d, r, r), the last weight-system inverse
-    V: Optional[np.ndarray]           # (n, Lr, Lr), the last noise blocks
 
 
 def gamp_run(
@@ -344,7 +342,6 @@ def gamp_run(
     w_hat = np.zeros((d, r))
     c_hat = np.broadcast_to(np.eye(r), (d, r, r)).copy()
     f = np.zeros((n, L, r))
-    V_full = None
     eye_r = np.eye(r)
 
     trajectory = []
@@ -355,7 +352,6 @@ def gamp_run(
 
     for _ in range(max_iters):
         if n == 0:
-            V_full = np.zeros((0, L * r, L * r))
             A = np.zeros((d, r, r))
             C = np.zeros((r, r))
             b = np.zeros((d, r))
@@ -395,7 +391,7 @@ def gamp_run(
             converged = True
             break
 
-    return GampResult(w_hat=w_hat, c_hat=c_hat, V=V_full, converged=converged,
+    return GampResult(w_hat=w_hat, c_hat=c_hat, converged=converged,
                       residual_history=residual_history, trajectory=trajectory)
 
 

@@ -216,8 +216,7 @@ def compute_fixed_statistics(nu: SpectralMeasure, dims: Dimensions) -> FixedStat
         r_acc = np.zeros((dims.t, dims.t))
         m_acc = np.zeros(dims.t)
         for a in nu.atoms:
-            outer = np.outer(a.pi, a.pi)
-            r_acc += a.weight * a.gamma[key] * 0.5 * (outer + outer.T)
+            r_acc += a.weight * a.gamma[key] * np.outer(a.pi, a.pi)
             m_acc += a.weight * a.tau[key] * a.pi
         rho[key] = r_acc
         m_star[key] = m_acc
@@ -535,9 +534,10 @@ class ModelSpec:
     name: str = ""
 
 
-def _finite_diff(f, X: np.ndarray, ndim: int, h: float = 1e-6) -> np.ndarray:
+def _finite_diff(f, X: np.ndarray, ndim: int) -> np.ndarray:
     """Central differences of f along every entry of the last `ndim` axes
     of X, perturbed in all samples at once; the entry axes come last."""
+    h = 1e-6
     shape = X.shape[X.ndim - ndim:]
     cols = []
     for idx in np.ndindex(shape):

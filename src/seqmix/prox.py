@@ -36,7 +36,7 @@ def _objective(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
     """Envelope objective per sample; a and X are flat (S, Lr), P (S, Lr, Lr)."""
     d = X - a
     val = 0.5 * np.einsum("si,sij,sj->s", d, P, d) + loss.eval(
-        Ys, X.reshape(Ys.shape[0], -1, v.shape[0]), v, cs
+        Ys, X.reshape(Ys.shape[:2] + v.shape[:1]), v, cs
     )
     bad = ~np.isfinite(val)
     if np.any(bad):
@@ -47,7 +47,7 @@ def _objective(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
 
 def _residual(loss: LossModel, a, P, Ys, v, cs, X) -> np.ndarray:
     """Stationarity residual P (X - a) + grad ell per sample, flat (S, Lr)."""
-    g = loss.grad_X(Ys, X.reshape(Ys.shape[0], -1, v.shape[0]), v, cs)
+    g = loss.grad_X(Ys, X.reshape(Ys.shape[:2] + v.shape[:1]), v, cs)
     return np.einsum("sij,sj->si", P, X - a) + np.reshape(g, X.shape)
 
 

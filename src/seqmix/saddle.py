@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DegenerateOverlapError, InconsistentOverlapsError,
-                     SingularResolventError, SpecValidationError)
+                     SingularSystemError, SpecValidationError)
 from .gaussian import (
     McPlan,
     NEG_EIG_TOL,
@@ -69,6 +69,7 @@ from .model import (
     ModelSpec,
     OrderParameters,
     RunRecord,
+    SpectralAtom,
     SpectralMeasure,
 )
 from .prox import prox_batch, prox_gain
@@ -256,24 +257,13 @@ def update_hats(
 # Overlap updates (spectral integrals).
 # ----------------------------------------------------------------------
 
-@dataclass
-class AtomKernels:
-    weight: float
-    gamma: dict
-    tau: dict
-    pi: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
-    K: np.ndarray
-
-
 def spectral_kernels(
     conj: ConjugateParameters,
     nu: SpectralMeasure,
     dims: Dimensions,
     lam: float,
-) -> list[AtomKernels]:
-    """Resolvent, source and kernel at every atom of the measure."""
+) -> list[tuple[SpectralAtom, np.ndarray, np.ndarray, np.ndarray]]:
+    """(atom, resolvent R, source S, kernel K) at every atom of the measure."""
     out = []
     eye = np.eye(dims.r)
     for a_idx, atom in enumerate(nu.atoms):
@@ -282,7 +272,8 @@ def spectral_kernels(
             A = A + atom.gamma[key] * conj.V_hat[key]
         smin = np.linalg.svd(A, compute_uv=False)[-1]
         if smin < 1e-12:
-            raise SingularResolventError(a_idx, float(smin))
+            raise SingularSystemError(
+                f"resolvent singular at atom {a_idx} (min singular value {smin:.3e})")
         R = inverse(A, f"the resolvent at atom {a_idx}")
         S = np.zeros(dims.r)
         K = np.zeros((dims.r, dims.r))
@@ -292,7 +283,7 @@ def spectral_kernels(
             )
             K = K + atom.gamma[key] * conj.q_hat[key]
         K = K + np.outer(S, S)
-        out.append(AtomKernels(atom.weight, atom.gamma, atom.tau, atom.pi, R, S, K))
+        out.append((atom, R, S, K))
     return out
 
 
@@ -301,18 +292,17 @@ def update_overlaps(
 ) -> OrderParameters:
     """One overlap sweep: finite atom sums against the resolvent kernels."""
     dims = spec.dims
-    kernels = spectral_kernels(conj, nu, dims, dims.lam)
     out = OrderParameters.zeros(dims)
-    for ker in kernels:
-        RKR = ker.R @ ker.K @ ker.R
-        RS = ker.R @ ker.S
-        out.v += ker.weight * RKR
+    for atom, R, S, K in spectral_kernels(conj, nu, dims, dims.lam):
+        RKR = R @ K @ R
+        RS = R @ S
+        out.v += atom.weight * RKR
         for key in dims.lk_pairs():
-            g = ker.gamma[key]
-            out.V[key] += ker.weight * g * ker.R
-            out.q[key] += ker.weight * g * RKR
-            out.m[key] += ker.weight * ker.tau[key] * RS
-            out.theta[key] += ker.weight * g * np.outer(RS, ker.pi)
+            g = atom.gamma[key]
+            out.V[key] += atom.weight * g * R
+            out.q[key] += atom.weight * g * RKR
+            out.m[key] += atom.weight * atom.tau[key] * RS
+            out.theta[key] += atom.weight * g * np.outer(RS, atom.pi)
     for key in dims.lk_pairs():
         out.q[key] = _sym(out.q[key])
         out.V[key] = _sym(out.V[key])
@@ -384,10 +374,10 @@ def energies(
     dims = spec.dims
     kernels = spectral_kernels(conj, nu, dims, dims.lam)
     em, se = expected_envelope(params, fixed, spec, plan)
-    spectral = 0.5 * sum(k.weight * float(np.trace(k.R @ k.K)) for k in kernels)
+    spectral = 0.5 * sum(atom.weight * float(np.trace(R @ K)) for atom, R, _, K in kernels)
     phi = _trace_terms(params, conj) + spectral - dims.alpha * em
     ridge_term = 0.5 * dims.lam * sum(
-        k.weight * float(np.trace(k.R @ k.R @ k.K)) for k in kernels
+        atom.weight * float(np.trace(R @ R @ K)) for atom, R, _, K in kernels
     )
     hat_term = 0.5 * sum(
         float(np.trace(conj.q_hat[key] @ params.V[key])) for key in params.q

@@ -73,13 +73,8 @@ def _timed(fn):
     return wrapper
 
 
-def _solve(spec: ModelSpec, gh_order: int = 7, tol: float = 1e-10,
-           damping: float = 0.3, max_iters: int = 2000,
-           record: bool = False, init: str = "cold") -> FixedPointReport:
-    cfg = SolverConfig(
-        damping=damping, tol=tol, max_iters=max_iters, init=init,
-        mc_plan=McPlan(gh_order=gh_order), record_trajectory=record,
-    )
+def _solve(spec: ModelSpec, gh_order: int = 7, tol: float = 1e-10) -> FixedPointReport:
+    cfg = SolverConfig(damping=0.3, tol=tol, max_iters=2000, mc_plan=McPlan(gh_order=gh_order))
     return solve_fixed_point(spec, spec.nu, cfg)
 
 
@@ -448,7 +443,7 @@ ALL_CHECKS = {
     "onsager-mutation": check_onsager_mutation,
 }
 
-def run_checks(instance: str = "all", printer=print) -> list[CheckResult]:
+def run_checks(instance: str = "all") -> list[CheckResult]:
     """Run the acceptance checks for one zoo instance (or all of them)."""
     if instance == "all":
         names = list(ALL_CHECKS)
@@ -462,5 +457,5 @@ def run_checks(instance: str = "all", printer=print) -> list[CheckResult]:
     for name in names:
         result = ALL_CHECKS[name]()
         results.append(result)
-        printer(result.line())
+        print(result.line())
     return results

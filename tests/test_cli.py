@@ -1,6 +1,8 @@
 """Config parsing, file formats, and the command-line driver."""
 
+import concurrent.futures
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,7 @@ import pytest
 import seqmix
 from seqmix import gaussian
 from seqmix.cli import main
-from seqmix.config import load_experiment
+from seqmix.config import load_experiment, SECTION_KEYS
 from seqmix.errors import SpecValidationError
 from seqmix.gamp import gamp_run, generate_dataset, rbp_run
 from seqmix.gaussian import McPlan
@@ -133,6 +135,24 @@ class TestModelConfig:
         assert cfg.solver.mc_plan == McPlan(n_samples=2000, seed=3, gh_order=7)
         assert cfg.solver.record_trajectory and cfg.solver.init == "gamp"
         assert (cfg.gamp.n, cfg.erm.n_test, cfg.out_dir) == (40, 1000, "elsewhere")
+
+    def test_readme_reference_lists_every_accepted_key(self):
+        # the INI blocks of the README and the reader accept the same keys in
+        # every section whose key set is fixed
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        documented: dict[str, set] = {}
+        for block in re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S):
+            for line in block.splitlines():
+                header = re.match(r"\[(\w+)\]", line)
+                key = re.match(r"(\w+)\s*=", line)
+                if header:
+                    section = header.group(1)
+                    documented.setdefault(section, set())
+                elif key:
+                    documented[section].add(key.group(1).lower())
+        assert set(documented) <= set(SECTION_KEYS)
+        fixed = {name: keys for name, keys in SECTION_KEYS.items() if keys is not None}
+        assert {name: documented.get(name, set()) for name in fixed} == fixed
 
     @pytest.mark.parametrize("text, named", [
         # a misspelled key was ignored, and the run exited 0
@@ -576,6 +596,47 @@ class TestCli:
             tables.append(read_table(out / "sweep.csv"))
         assert len(tables[0][2]) == 4
         assert tables[0] == tables[1]
+
+    def test_sweep_pool_is_no_larger_than_the_grid(self, ridge_config, tmp_path, monkeypatch):
+        # a fork-started pool forks all max_workers processes at the first
+        # submit; the stand-in records the size and runs each submission
+        # here, so no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        ridge_config.write_text(ridge_config.read_text().replace("lambdas = 0.1",
+                                                                 "lambdas = 0.1, 0.5"))
+        code = main(["sweep", "--config", str(ridge_config), "--out", str(tmp_path / "out"),
+                     "--workers", "64"])
+        assert code == 0
+        assert sizes == [2]
+        _, _, rows = read_table(tmp_path / "out" / "sweep.csv")
+        assert len(rows) == 6
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_workers_below_one_is_validation_error(self, ridge_config, tmp_path,
+                                                         capsys, workers):
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(ridge_config), "--out", str(out),
+                     "--workers", workers])
+        assert code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # A fresh interpreter: imports the seqmix this module imported, lists what

@@ -8,7 +8,7 @@ import pytest
 from seqmix import erm, losses
 from seqmix.erm import empirical_test_error, erm_train, TrainConfig
 from seqmix.errors import SolverDivergenceError, SpecValidationError
-from seqmix.gamp import empirical_statistics, gamp_run, generate_dataset
+from seqmix.gamp import empirical_statistics, generate_dataset
 from seqmix.model import compute_fixed_statistics, ModelSpec
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
@@ -78,17 +78,6 @@ class TestErmTrain:
         fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-6))
         diffs = np.diff(np.asarray(fit.objective_history))
         assert np.all(diffs <= 1e-12)
-
-    def test_warm_start_is_faster(self):
-        spec = gmm_instance(alpha=1.0, lam=0.05)
-        data = generate_dataset(spec, spec.nu, d=100, n=100, seed=3)
-        res = gamp_run(data, spec, max_iters=400, tol=1e-10, damping=0.0)
-        cold = erm_train(data, spec, config=TrainConfig(grad_tol=1e-7))
-        warm = erm_train(
-            data, spec,
-            config=TrainConfig(grad_tol=1e-7, warm_start=res.w_hat),
-        )
-        assert warm.iterations < cold.iterations
 
     def test_gradient_at_solution_small(self):
         spec = gmm_instance(alpha=1.0, lam=0.05)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seqmix.errors import LossBlowupError, ProxConvergenceError
 from seqmix.losses import _sigmoid, LOSSES, logistic_gmm_loss, square_loss, zero_loss
 from seqmix.model import LossModel, solve
 from seqmix.prox import DEFAULT_TOL, prox_batch, prox_gain
@@ -27,6 +28,24 @@ def scalar_gain(loss: LossModel, x, anchor, V, y=0.0, c=0) -> float:
 def _strip_specialized(loss: LossModel) -> LossModel:
     loss.prox = None
     return loss
+
+
+def _flat_loss(value: float) -> LossModel:
+    """A loss with no prox whose eval is `value` and grad_X is 1 everywhere:
+    the gradient promises a decrease that the objective never shows."""
+    return LossModel(
+        name="flat",
+        eval=lambda Y, X, v, c: np.full(len(X), value),
+        grad_X=lambda Y, X, v, c: np.ones_like(X),
+        test_eval=lambda Y, X, v, c: np.zeros(len(X)),
+        hess_X=lambda Y, X, v, c: np.zeros((len(X), 1, 1)),
+    )
+
+
+def _three_samples():
+    """(anchors, P, Ys, v, cs) of three scalar problems at anchor 0, P = 1."""
+    return (np.zeros((3, 1, 1)), np.ones((3, 1, 1)), np.zeros((3, 1, 1)),
+            np.zeros((1, 1)), np.zeros((3, 1), dtype=int))
 
 
 class TestMoreauProx:
@@ -100,6 +119,18 @@ class TestMoreauProx:
         value = 0.5 * P[0, 0, 0] * (x - 1.0) ** 2 + float(loss.eval(Ys, X, v, cs)[0])
         expected = (x - 1.0) ** 2 / 4.0 + 0.5 * (3.0 - x) ** 2
         assert value == pytest.approx(expected)
+
+    def test_no_accepted_step_is_prox_convergence_error(self):
+        # no sample accepts a step in any iteration, so the set of samples
+        # whose residual is refreshed is empty
+        with pytest.raises(ProxConvergenceError) as info:
+            prox_batch(_flat_loss(0.0), *_three_samples())
+        assert info.value.residual == 1.0
+        assert info.value.x_last.shape == (1, 1)
+
+    def test_non_finite_objective_is_loss_blowup(self):
+        with pytest.raises(LossBlowupError, match="non-finite envelope objective"):
+            prox_batch(_flat_loss(np.inf), *_three_samples())
 
 
 class TestGampResolvent:

@@ -7,7 +7,7 @@ import pytest
 
 from seqmix import gaussian
 from seqmix.erm import holdout_plan
-from seqmix.errors import DegenerateOverlapError
+from seqmix.errors import DegenerateOverlapError, SingularSystemError
 from seqmix.gaussian import (McPlan, pairwise_sum, standard_normals, sym_roots, TEST_STREAM,
                              token_laws, ZETA_STREAM)
 from seqmix.model import (
@@ -128,6 +128,13 @@ class TestUpdateOverlaps:
         assert params.theta[(0, 0)][0, 0] == 0.0
         # V = mean eigenvalue / lambda
         assert params.V[(0, 0)][0, 0] == pytest.approx(1.0 / 0.25)
+
+    def test_singular_resolvent_is_singular_system_error(self):
+        # lambda = 0 with all hats zero leaves the resolvent lambda I + ... = 0
+        spec = ridge_instance(lam=0.0)
+        conj = ConjugateParameters.zeros(spec.dims)
+        with pytest.raises(SingularSystemError, match="resolvent singular at atom 0"):
+            update_overlaps(conj, spec.nu, spec)
 
     def test_two_atom_measure_is_weighted_sum(self):
         spec = two_token_instance(lam=0.3)
