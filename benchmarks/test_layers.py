@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import seqmix
-from seqmix import erm, gamp, gaussian, saddle, zoo
+from seqmix import erm, gamp, gaussian, oracles, saddle, zoo
 from seqmix.gaussian import McPlan
 from seqmix.model import compute_fixed_statistics
 from seqmix.prox import prox_batch, prox_gain
@@ -108,6 +108,13 @@ def test_erm_fit(benchmark, alpha):
     train = erm.TrainConfig(grad_tol=1e-6, max_epochs=6000)
     fit = benchmark(erm.erm_train, data, spec, config=train)
     assert fit.converged
+
+
+def test_ridge_fit(benchmark):
+    """One finite-d ridge fit at the erm-ref workload's d = 4000 (alpha = 1):
+    the chi draws, the tridiagonal solve and the two errors."""
+    eg, et = benchmark(oracles._one_ridge_fit, 1.0, RIDGE_LAM, 4000, 0)
+    assert 0.0 < eg < 1.0 and et > 0.0
 
 
 # Expectation plans of the sweep cases: the Gauss-Hermite order the sweep

@@ -21,8 +21,9 @@ class ProxConvergenceError(SeqmixError):
     """Inner prox solver ran out of iterations.
 
     Carries the first failing sample's last iterate `x_last` (L, r), its
-    stationarity residual norm `residual`, and `iterations`, the Newton
-    iteration limit.
+    stationarity residual norm `residual`, and `iterations`, the number of
+    Newton iterations run before the solver gave up: the iteration limit, or
+    fewer once every unconverged sample's Levenberg shift passed its cap.
     """
 
     def __init__(self, x_last, residual: float, iterations: int):

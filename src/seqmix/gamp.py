@@ -137,9 +137,9 @@ def generate_dataset(
     eigenvalues = {}
     means = {}
     for key in dims.lk_pairs():
-        eigenvalues[key] = np.array([nu.atoms[a].gamma[key] for a in atom_of])
-        means[key] = np.array([nu.atoms[a].tau[key] for a in atom_of]) / np.sqrt(d)
-    teacher = np.stack([nu.atoms[a].pi for a in atom_of])  # (d, t)
+        eigenvalues[key] = np.array([a.gamma[key] for a in nu.atoms])[atom_of]
+        means[key] = np.array([a.tau[key] for a in nu.atoms])[atom_of] / np.sqrt(d)
+    teacher = np.stack([a.pi for a in nu.atoms])[atom_of]  # (d, t)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     c = spec.class_law.sample(rng, n)

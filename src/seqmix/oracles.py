@@ -22,13 +22,14 @@ Two routes that never touch the fixed-point solver:
    bidiagonalization of a Gaussian matrix; Dumitriu & Edelman, "Matrix
    models for beta ensembles", J. Math. Phys. 43, 2002).  Every error of
    the fit depends on X only through the tridiagonal T = B^T B, so one fit
-   is an O(d) banded solve.
-
-seqmix uses scipy only for that solve, and imports it on the first fit.
+   is an O(d) tridiagonal solve, done in Python floats in the order of
+   LAPACK's ptsv, so it gives the bits scipy.linalg.solveh_banded gives
+   without loading scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +87,41 @@ def ridge_asymptotics(alpha: float, lam: float, rho: float = 1.0) -> RidgeAsympt
     )
 
 
-def _one_ridge_fit(alpha: float, lam: float, d: int, seed: int) -> tuple[float, float]:
-    # imported here, not at the top: importing scipy.linalg takes longer
-    # than the rest of seqmix's start-up, and this solve is its only use
-    from scipy.linalg import solveh_banded
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x = A^-1 rhs for the symmetric positive definite tridiagonal A with
+    diagonal `diag` and off-diagonal `off`, by LAPACK's own operations in
+    its own order, so the bits equal scipy.linalg.solveh_banded's.
 
+    For d >= 2 that is ptsv: pttrf's A = L D L^T (l_i = e_i / d_i, then
+    d_{i+1} -= l_i e_i) fused with ptts2's forward sweep, then ptts2's back
+    substitution.  For d = 1 it is pbsv's Cholesky route, two divisions by
+    sqrt(A).  The caller ensures A is positive definite.
+    """
+    if len(diag) == 1:
+        root = math.sqrt(float(diag[0]))
+        return np.array([float(rhs[0]) / root / root])
+    # Python floats: per-element numpy indexing would be several times slower.
+    # pttrf's factorization fused with ptts2's forward sweep L y = rhs
+    D, E, b = diag.tolist(), off.tolist(), rhs.tolist()
+    piv, y = D[0], b[0]
+    pivots, ls, ys = [piv], [], [y]
+    for di, ei, bi in zip(D[1:], E, b[1:]):
+        li = ei / piv
+        piv = di - li * ei
+        y = bi - y * li
+        pivots.append(piv)
+        ls.append(li)
+        ys.append(y)
+    # ptts2's back substitution D L^T x = y, last row first
+    xi = y / piv
+    x = [xi]
+    for yi, di, li in zip(ys[-2::-1], pivots[-2::-1], reversed(ls)):
+        xi = yi / di - xi * li
+        x.append(xi)
+    return np.array(x[::-1])
+
+
+def _one_ridge_fit(alpha: float, lam: float, d: int, seed: int) -> tuple[float, float]:
     # X = U B V^T with V e1 = e1 and B upper bidiagonal (Dumitriu-Edelman):
     # row i of B holds a_i ~ chi_{n-i} on the diagonal and b_i ~ chi_{d-1-i}
     # right of it, for the first min(n, d) rows; when n < d the last row
@@ -117,9 +148,7 @@ def _one_ridge_fit(alpha: float, lam: float, d: int, seed: int) -> tuple[float, 
     # u = (T/d + lam)^-1 T e1 / d is w / sqrt(d) in the rotated frame
     e1 = np.zeros(d)
     e1[0] = 1.0
-    band = np.vstack([np.concatenate([[0.0], off]), diag + lam * d])
-    # scipy's tridiagonal path rejects d = 1, where the band is the diagonal
-    u = solveh_banded(band[-min(d, 2):], T(e1))
+    u = _solve_tridiagonal(diag + lam * d, off, T(e1))
     e = u - e1
     eg = 0.5 * float(e @ e)
     et = (0.5 * float(e @ T(e)) + 0.5 * lam * d * float(u @ u)) / d
@@ -139,7 +168,15 @@ def finite_d_ridge(
     bidiagonal model: with u = (T/d + lam)^-1 T e1 / d,
         eg = (1/2) ||u - e1||^2,
         et = ((1/2) (u - e1)^T T (u - e1) + (1/2) lam d ||u||^2) / d.
+    lam > 0 keeps every system positive definite, and the stderrs need at
+    least two seeds; anything else raises SpecValidationError.
     """
+    if not lam > 0:
+        raise SpecValidationError(f"finite-d ridge requires lam > 0, got {lam}")
+    if len(seeds) < 2:
+        raise SpecValidationError(
+            f"finite-d ridge needs at least 2 seeds for its stderrs, got {len(seeds)}"
+        )
     pairs = [_one_ridge_fit(alpha, lam, d, s) for s in seeds]
     egs = np.asarray([p[0] for p in pairs])
     ets = np.asarray([p[1] for p in pairs])

@@ -55,9 +55,10 @@ def _newton(loss: LossModel, anchors, P, Ys, v, cs):
     """Damped Newton on every sample at once; returns the minimizers X.
 
     Each sample keeps its own Levenberg shift, Armijo step and stopping
-    test ||P (X - a) + grad ell|| <= DEFAULT_TOL (1 + ||a||); a sample that
-    has not met it after DEFAULT_MAX_ITERS iterations raises
-    ProxConvergenceError.
+    test ||P (X - a) + grad ell|| <= DEFAULT_TOL (1 + ||a||).  A sample
+    whose shift passes 1e12 gives up; the loop ends after DEFAULT_MAX_ITERS
+    iterations or once no sample is live, and a sample that has not met the
+    test then raises ProxConvergenceError with the iterations run.
     """
     S, L, r = anchors.shape
     n = L * r
@@ -75,11 +76,13 @@ def _newton(loss: LossModel, anchors, P, Ys, v, cs):
     res = _residual(*at(everyone), X)
     mu = np.zeros(S)
     live = np.ones(S, dtype=bool)
+    iterations = 0
     for _ in range(DEFAULT_MAX_ITERS):
         live &= ~(np.linalg.norm(res, axis=1) <= tols)
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
+        iterations += 1
         H = loss.hess_X(Ys[idx], X[idx].reshape(-1, L, r), v, cs[idx])
         M = P[idx] + H + mu[idx, None, None] * eye
         try:
@@ -120,7 +123,7 @@ def _newton(loss: LossModel, anchors, P, Ys, v, cs):
     failed = np.flatnonzero(rnorm > tols)
     if failed.size:
         s = failed[0]
-        raise ProxConvergenceError(X[s].reshape(L, r), float(rnorm[s]), DEFAULT_MAX_ITERS)
+        raise ProxConvergenceError(X[s].reshape(L, r), float(rnorm[s]), iterations)
     return X.reshape(S, L, r)
 
 

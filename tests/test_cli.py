@@ -648,20 +648,22 @@ import seqmix, seqmix.cli, seqmix.verify, seqmix.oracles
 loaded = sorted(m for m in sys.modules
                 if m.startswith("scipy") or m == "concurrent.futures.process")
 ridge = seqmix.oracles.finite_d_ridge(0.5, 0.1, 50, range(3))
-print(json.dumps({"file": seqmix.__file__, "loaded": loaded,
+after_fit = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"file": seqmix.__file__, "loaded": loaded, "after_fit": after_fit,
                   "ridge": [x.hex() for x in ridge]}))
 """
 
 
 def test_cold_import_leaves_out_scipy_and_process_pool():
-    # scipy.linalg is the finite-d ridge oracle's alone and is imported on
-    # its first fit; the process pool only by a parallel sweep
+    # seqmix never imports scipy, not even for the finite-d ridge oracle's
+    # tridiagonal solve; the process pool is imported only by a parallel sweep
     src = Path(seqmix.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", COLD_IMPORT, str(src)],
                           capture_output=True, text=True, check=True)
     out = json.loads(done.stdout)
     assert Path(out["file"]).resolve() == Path(seqmix.__file__).resolve()
     assert out["loaded"] == []
-    # the values the oracle gave with scipy imported at module load
+    assert out["after_fit"] == []
+    # the values the oracle gave with scipy.linalg.solveh_banded
     assert out["ridge"] == ["0x1.cdc0f79b43efdp-3", "0x1.83851c049c4b1p-6",
                             "0x1.8f81b00a66e4bp-6", "0x1.3c74b56b86d78p-9"]

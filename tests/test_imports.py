@@ -1,4 +1,5 @@
-"""Every module-level import in the package binds a name its module uses."""
+"""Every module-level import in the package binds a name its module uses,
+and no import anywhere in it names scipy, a test-only dependency."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,22 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_level_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level packages that any import in `source` names, imports
+    inside functions included."""
+    tops = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return tops
+
+
+def test_no_module_imports_scipy():
+    assert "scipy" in imported_packages("def f():\n    from scipy.linalg import solve\n")
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if "scipy" in imported_packages(p.read_text())]
+    assert importers == []

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import blas, cho_solve, cholesky
+from scipy.linalg import blas, cho_solve, cholesky, solveh_banded
 
+from seqmix import oracles
 from seqmix.errors import SpecValidationError
-from seqmix.oracles import _one_ridge_fit, finite_d_ridge, resolvent_trace
+from seqmix.oracles import _one_ridge_fit, _solve_tridiagonal, finite_d_ridge, resolvent_trace
 
 
 def dense_ridge_fit(alpha: float, lam: float, d: int, seed: int) -> tuple[float, float]:
@@ -35,6 +36,13 @@ def dense_ridge_fit(alpha: float, lam: float, d: int, seed: int) -> tuple[float,
     return eg, et
 
 
+def scipy_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The same system through scipy's banded solver (LAPACK ptsv, or pbsv
+    for d = 1, where the band is the diagonal alone)."""
+    band = np.vstack([np.concatenate([[0.0], off]), diag])
+    return solveh_banded(band[-min(len(diag), 2):], rhs)
+
+
 def _mean_and_std_sigmas(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Differences of sample means and of sample stds between two
     independent samples, in pooled standard errors.  The std's standard
@@ -62,7 +70,50 @@ class TestResolventTrace:
             resolvent_trace(1.0, 0.0)
 
 
+class TestSolveTridiagonal:
+    @pytest.mark.parametrize("d", [1, 2, 3, 50, 4000])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+    def test_oracle_systems_match_scipy_bit_for_bit(self, monkeypatch, alpha, d):
+        systems = []
+
+        def recording(diag, off, rhs):
+            x = _solve_tridiagonal(diag, off, rhs)
+            systems.append((diag, off, rhs, x))
+            return x
+
+        monkeypatch.setattr(oracles, "_solve_tridiagonal", recording)
+        for seed in range(4):
+            _one_ridge_fit(alpha, 0.1, d, seed)
+        assert len(systems) == 4
+        for diag, off, rhs, x in systems:
+            assert x.tobytes() == scipy_tridiagonal(diag, off, rhs).tobytes()
+
+    def test_random_spd_systems_match_scipy_bit_for_bit(self):
+        # off-diagonals of both signs and scales from 1e-3 to 1e3, made
+        # positive definite by diagonal dominance
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            d = 1 + trial % 40
+            off = rng.standard_normal(d - 1) * 10.0 ** rng.uniform(-3, 3)
+            pad = np.abs(np.concatenate([[0.0], off, [0.0]]))
+            diag = pad[:-1] + pad[1:] + rng.exponential(1.0, d)
+            rhs = rng.standard_normal(d)
+            x = _solve_tridiagonal(diag, off, rhs)
+            assert x.tobytes() == scipy_tridiagonal(diag, off, rhs).tobytes()
+
+
 class TestFiniteDRidge:
+    @pytest.mark.parametrize(
+        "alpha, lam, seeds",
+        [(0.5, 0.0, range(3)), (1.0, -0.1, range(3)), (1.0, 0.1, range(1))],
+        ids=["lam-zero", "lam-negative", "one-seed"],
+    )
+    def test_invalid_input_is_validation_error(self, alpha, lam, seeds):
+        # before validation: a singular pivot, a negative training loss and
+        # a NaN stderr
+        with pytest.raises(SpecValidationError):
+            finite_d_ridge(alpha, lam, 50, seeds)
+
     @pytest.mark.parametrize("d, n_seeds", [(200, 200), (12, 4000)])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
     def test_bidiagonal_matches_dense_in_distribution(self, alpha, d, n_seeds):

@@ -6,7 +6,7 @@ import pytest
 from seqmix.errors import LossBlowupError, ProxConvergenceError
 from seqmix.losses import _sigmoid, LOSSES, logistic_gmm_loss, square_loss, zero_loss
 from seqmix.model import LossModel, solve
-from seqmix.prox import DEFAULT_TOL, prox_batch, prox_gain
+from seqmix.prox import DEFAULT_MAX_ITERS, DEFAULT_TOL, prox_batch, prox_gain
 
 
 def scalar_batch(anchor, V, y=0.0, c=0):
@@ -122,11 +122,19 @@ class TestMoreauProx:
 
     def test_no_accepted_step_is_prox_convergence_error(self):
         # no sample accepts a step in any iteration, so the set of samples
-        # whose residual is refreshed is empty
+        # whose residual is refreshed is empty, and every sample gives up
+        # once its Levenberg shift passes the cap, before the iteration limit
+        loss = _flat_loss(0.0)
+        calls = []
+        hess_X = loss.hess_X
+        loss.hess_X = lambda *args: calls.append(1) or hess_X(*args)
         with pytest.raises(ProxConvergenceError) as info:
-            prox_batch(_flat_loss(0.0), *_three_samples())
+            prox_batch(loss, *_three_samples())
         assert info.value.residual == 1.0
         assert info.value.x_last.shape == (1, 1)
+        # one Hessian per Newton iteration
+        assert 0 < info.value.iterations == len(calls) < DEFAULT_MAX_ITERS
+        assert f"after {len(calls)} iterations" in str(info.value)
 
     def test_non_finite_objective_is_loss_blowup(self):
         with pytest.raises(LossBlowupError, match="non-finite envelope objective"):
