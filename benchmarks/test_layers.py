@@ -8,6 +8,7 @@ Each case times one layer on inputs built outside the timed call.
 """
 
 import functools
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -118,9 +119,11 @@ def test_ridge_fit(benchmark):
 
 
 # Expectation plans of the sweep cases: the Gauss-Hermite order the sweep
-# workloads use for logistic_gmm, and the curve-mc Monte Carlo plan
-# (1,000 antithetic samples with common random numbers).
-SWEEP_PLANS = {"gh51": McPlan(gh_order=51), "mc1000": McPlan(n_samples=1000)}
+# workloads use for logistic_gmm, the curve-mc Monte Carlo plan (1,000
+# antithetic samples with common random numbers) and the README's default
+# (20,000 of them).
+SWEEP_PLANS = {"gh51": McPlan(gh_order=51), "mc1000": McPlan(n_samples=1000),
+               "mc20000": McPlan(n_samples=20000)}
 
 
 def _logistic_solve(plan_name):
@@ -200,3 +203,41 @@ def test_batched_prox(benchmark, plan):
 
     x_stars, gain = benchmark(prox)
     assert np.all(np.isfinite(x_stars)) and np.all(np.isfinite(gain))
+
+
+FAULT_INSTANCES = {
+    "ridge": lambda: zoo.ridge_instance(alpha=1.0, lam=RIDGE_LAM),
+    "logistic_gmm": lambda: zoo.gmm_instance(alpha=1.0, lam=GMM_LAM),
+    "two_token": lambda: zoo.two_token_instance(alpha=1.2, lam=RIDGE_LAM),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _mc20000_fixed_point(instance):
+    spec = FAULT_INSTANCES[instance]()
+    config = saddle.SolverConfig(damping=0.5, tol=1e-8, mc_plan=SWEEP_PLANS["mc20000"])
+    report = saddle.solve_fixed_point(spec, spec.nu, config)
+    return spec, compute_fixed_statistics(spec.nu, spec.dims), report
+
+
+@pytest.mark.parametrize("instance", sorted(FAULT_INSTANCES))
+def test_hat_sweep_faults(benchmark, instance):
+    """One README-default hat sweep (Monte Carlo, 20,000 samples) at the
+    instance's fixed point, the build of its key laws included.  The minor
+    page faults per sweep go to extra_info: the sweep's temporaries are
+    mapped afresh when the allocator has returned their pages."""
+    spec, fixed, report = _mc20000_fixed_point(instance)
+    plan = SWEEP_PLANS["mc20000"]
+    faults = [0, 0]
+
+    def sweep():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        laws = gaussian.token_laws(report.params, fixed)
+        conj = saddle.update_hats(report.params, laws, spec, plan)
+        faults[0] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        faults[1] += 1
+        return conj
+
+    conj = benchmark(sweep)
+    benchmark.extra_info["minor_faults_per_sweep"] = faults[0] / faults[1]
+    assert all(np.all(np.isfinite(a)) for a in conj.blocks().values())

@@ -13,10 +13,14 @@ Monte Carlo (antithetic variates, common random numbers across solver
 sweeps), a pure function of (seed, stream, iteration), and tensor
 Gauss-Hermite quadrature for small Gaussian dimension.  Class tuple c_index
 draws xi from stream c_index and zeta from c_index + ZETA_STREAM; the test
-error shifts both by TEST_STREAM.  For a loss that reads no labels
-(`LossModel.depends_on_y` False) no zeta is drawn and no Y is built, in the
-hat sweep, the envelope and the test error alike: its hooks receive a
-read-only zero label channel, and the xi draws are unchanged.
+error shifts both by TEST_STREAM.  Under common random numbers the
+energetic cores (every stream below TEST_STREAM) are drawn once per (plan,
+stream, shape) and shared read-only, the last CRN_CACHE_SIZE of them kept;
+the test error's draws are never kept, as nothing reuses them.  For a loss
+that reads no labels (`LossModel.depends_on_y` False) no zeta is drawn and
+no Y is built, in the hat sweep, the envelope and the test error alike: its
+hooks receive a read-only zero label channel, and the xi draws are
+unchanged.
 """
 
 from __future__ import annotations
@@ -32,13 +36,15 @@ from .errors import (
     InconsistentOverlapsError,
     SpecValidationError,
 )
-from .model import FixedStatistics, OrderParameters
+from .model import eigh, FixedStatistics, OrderParameters
 
 EIG_CLIP = 1e-12          # eigenvalues below this are treated as exactly zero
 NEG_EIG_TOL = 1e-8        # more negative than this signals corrupted matrices
 GH_MAX_DIM = 6            # tensor quadrature allowed up to this Gaussian dimension
 ZETA_STREAM = 1_000_003   # offset of the zeta stream from the xi stream
 TEST_STREAM = 7_000_009   # offset of the test error's streams from the energetic ones
+CRN_CACHE_SIZE = 8        # energetic core arrays kept under common random numbers
+VIEW_CACHE_SIZE = 32      # constant views kept (weights, zero labels, class tuples)
 
 
 # ----------------------------------------------------------------------
@@ -56,15 +62,15 @@ def sym_roots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zero, and the pseudo-inverses map zero eigenvalues to zero."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InconsistentOverlapsError(f"expected a square matrix, got shape {A.shape}")
-    if np.max(np.abs(A - A.T)) > 1e-10:
+    if np.abs(A - A.T).max() > 1e-10:
         raise InconsistentOverlapsError("matrix is not symmetric within tolerance")
-    w, U = np.linalg.eigh(_sym(A))
+    w, U = eigh(_sym(A))
     if w.min(initial=0.0) < -NEG_EIG_TOL:
         raise InconsistentOverlapsError(
             f"matrix has eigenvalue {w.min():.3e} below -{NEG_EIG_TOL:.0e}; "
             "order parameters are corrupted"
         )
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     live = w > EIG_CLIP
     spectra = (
         np.sqrt(w),
@@ -130,6 +136,34 @@ def standard_normals(
     return rng.standard_normal((n, *shape))
 
 
+@functools.lru_cache(maxsize=VIEW_CACHE_SIZE, typed=True)
+def constant_view(value, shape: tuple[int, ...]) -> np.ndarray:
+    """np.broadcast_to(value, shape), the read-only stride-0 view that
+    repeats value (the Monte Carlo weights, the zero label channel, a class
+    tuple per node), built once per (value, shape): every sweep asks for
+    the same ones, and each holds only value itself."""
+    return np.broadcast_to(value, shape)
+
+
+@functools.lru_cache(maxsize=CRN_CACHE_SIZE)
+def _crn_normals(plan: McPlan, stream: int, shape: tuple[int, ...]) -> np.ndarray:
+    """standard_normals under common random numbers, drawn once per (plan,
+    stream, shape) and shared by every later call, so read-only."""
+    out = standard_normals(plan, stream, 0, shape)
+    out.flags.writeable = False
+    return out
+
+
+def _core_normals(
+    plan: McPlan, stream: int, iteration: int, shape: tuple[int, ...]
+) -> np.ndarray:
+    """The Monte Carlo cores of one stream: kept under common random numbers
+    for an energetic stream, drawn afresh otherwise."""
+    if plan.crn and stream < TEST_STREAM:
+        return _crn_normals(plan, stream, shape)
+    return standard_normals(plan, stream, iteration, shape)
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Hermite nodes for N(0, I_dim).
@@ -177,8 +211,13 @@ def standard_cores(
     With gh_order > 0 the cores are the tensor Gauss-Hermite nodes over
     L r (+ L t) dimensions, Xi's first; otherwise n_samples seeded draws, Xi
     from `stream` and Zeta from stream + ZETA_STREAM, with equal weights.
-    Without with_zeta, Zeta is not drawn: it is a read-only zero view that
-    spans no quadrature dimension.  The weights are read-only too.
+    Under common random numbers, draws on an energetic stream (below
+    TEST_STREAM) are made once per (plan, stream, shape) and returned
+    read-only to every later call, for the last CRN_CACHE_SIZE keys; the
+    test error's streams, and every stream without common random numbers,
+    are drawn afresh on each call and never kept.  Without with_zeta, Zeta
+    is not drawn: it is a read-only zero view that spans no quadrature
+    dimension.  The weights are read-only too.
     """
     L, r, t = shape
     if plan.gh_order > 0:
@@ -189,11 +228,11 @@ def standard_cores(
             return wts, Xi, pts[:, L * r :].reshape(S, L, t)
     else:
         S = plan.n_samples
-        wts = np.broadcast_to(1.0 / S, (S,))
-        Xi = standard_normals(plan, stream, iteration, (L, r))
+        wts = constant_view(1.0 / S, (S,))
+        Xi = _core_normals(plan, stream, iteration, (L, r))
         if with_zeta:
-            return wts, Xi, standard_normals(plan, stream + ZETA_STREAM, iteration, (L, t))
-    return wts, Xi, np.broadcast_to(0.0, (S, L, t))
+            return wts, Xi, _core_normals(plan, stream + ZETA_STREAM, iteration, (L, t))
+    return wts, Xi, constant_view(0.0, (S, L, t))
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +269,7 @@ def token_laws(params: OrderParameters, fixed: FixedStatistics) -> dict:
         theta, rho = params.theta[key], fixed.rho[key]
         q_root, q_pinv_root, q_pinv = sym_roots(q)
         residual = theta - q @ q_pinv @ theta
-        if np.max(np.abs(residual)) > 1e-8 * (1.0 + np.max(np.abs(theta))):
+        if np.abs(residual).max() > 1e-8 * (1.0 + np.abs(theta).max()):
             raise DegenerateOverlapError(f"singular q{key} with teacher overlap outside its range")
         S_root, S_pinv_root, _ = sym_roots(_sym(rho - theta.T @ q_pinv @ theta))
         laws[key] = TokenLaw(params.m[key], fixed.m_star[key], q_root,

@@ -98,14 +98,17 @@ def logistic_gmm_loss() -> LossModel:
         a = anchors.reshape(n)
         V = 1.0 / precisions.reshape(n)
         s = _signs_of(cs)
+        # loop invariants; V * s * sig evaluates as (V * s) * sig
+        neg_s, Vs = -s, V * s
+        tol = 1e-14 * (1.0 + np.max(np.abs(a)))
         x = a.copy()
         for _ in range(80):
-            sig = _sigmoid(-s * x)
-            res = x - a - V * s * sig
+            sig = _sigmoid(neg_s * x)
+            res = x - a - Vs * sig
             dres = 1.0 + V * sig * (1.0 - sig)
             step = res / dres
             x = x - step
-            if np.max(np.abs(res)) < 1e-14 * (1.0 + np.max(np.abs(a))):
+            if np.abs(res).max() < tol:
                 break
         return x.reshape(n, 1, 1)
 

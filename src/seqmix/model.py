@@ -399,7 +399,24 @@ def check_divergence(
 # systems are 1 x 1 or 2 x 2 whenever L r <= 2, and a batched LAPACK call
 # spends more per matrix in dispatch than those sizes take in arithmetic.
 # They are solved in closed form here, larger ones by LAPACK; every batched
-# inverse and solve of the package goes through `inverse` or `solve`.
+# inverse and solve of the package goes through `inverse` or `solve`.  The
+# overlap blocks are 1 x 1 whenever r = t = 1, and their symmetric
+# eigendecompositions (the matrix roots, the admissibility tests) go through
+# `eigh`, which takes 1 x 1 in closed form too.
+
+def eigh(A: np.ndarray, vectors: bool = True):
+    """Eigenvalues w (..., n), ascending, of the symmetric A (..., n, n), and
+    with vectors its eigenvectors U (..., n, n): np.linalg.eigh's (w, U), or
+    without vectors np.linalg.eigvalsh's w alone.
+
+    n = 1 is (A[..., 0], [[1]]), the bits LAPACK's syevd returns at N = 1
+    (it copies the entry and sets the vector to one), inf and NaN included.
+    """
+    if A.shape[-1] == 1:
+        w = A[..., 0].astype(float)
+        return (w, np.ones(A.shape)) if vectors else w
+    return np.linalg.eigh(A) if vectors else np.linalg.eigvalsh(A)
+
 
 def _singular(what: str) -> SingularSystemError:
     return SingularSystemError(f"{what} is singular")

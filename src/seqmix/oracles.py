@@ -30,6 +30,7 @@ Two routes that never touch the fixed-point solver:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,9 +169,15 @@ def finite_d_ridge(
     bidiagonal model: with u = (T/d + lam)^-1 T e1 / d,
         eg = (1/2) ||u - e1||^2,
         et = ((1/2) (u - e1)^T T (u - e1) + (1/2) lam d ||u||^2) / d.
-    lam > 0 keeps every system positive definite, and the stderrs need at
-    least two seeds; anything else raises SpecValidationError.
+    d must be an integer >= 1 and alpha finite and >= 0 (alpha d rounding
+    to 0 fits on no data), lam > 0 keeps every system positive definite,
+    and the stderrs need at least two seeds; anything else raises
+    SpecValidationError.
     """
+    if not (isinstance(d, numbers.Integral) and d >= 1):
+        raise SpecValidationError(f"finite-d ridge requires an integer d >= 1, got {d!r}")
+    if not 0.0 <= alpha < math.inf:
+        raise SpecValidationError(f"finite-d ridge requires a finite alpha >= 0, got {alpha}")
     if not lam > 0:
         raise SpecValidationError(f"finite-d ridge requires lam > 0, got {lam}")
     if len(seeds) < 2:

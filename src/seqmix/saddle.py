@@ -49,6 +49,7 @@ import numpy as np
 from .errors import (DegenerateOverlapError, InconsistentOverlapsError,
                      SingularSystemError, SpecValidationError)
 from .gaussian import (
+    constant_view,
     McPlan,
     NEG_EIG_TOL,
     energetic_nodes,
@@ -63,6 +64,7 @@ from .model import (
     compute_fixed_statistics,
     ConjugateParameters,
     Dimensions,
+    eigh,
     FixedStatistics,
     inverse,
     LossModel,
@@ -187,7 +189,7 @@ def _node_batches(
         P_full = np.zeros((len(c) * r, len(c) * r))
         for ell, k in enumerate(c):
             P_full[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = V_inv[(ell, k)]
-        cs = np.broadcast_to(c, (len(wts), len(c)))
+        cs = constant_view(c, (len(wts), len(c)))
         P = np.broadcast_to(P_full, (len(wts),) + P_full.shape)
         x_stars = prox_batch(spec.loss, anchors, P, y_loss, params.v, cs)
         yield NodeBatch(c, pc, wts, Xi, Zeta, anchors, y_loss, cs, P, x_stars)
@@ -214,8 +216,9 @@ def update_hats(
 
     vhat_acc = np.zeros((r, r))
     eye_r = np.eye(r)
-    # column offsets of the statistics, in the order of the split below
-    cuts = np.cumsum([r, r * r, r * t, r * r])
+    # column ranges of the statistics, in the order of the stack below
+    bounds = np.cumsum([0, r, r * r, r * t, r * r, 1]).tolist()
+    columns = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     for nb in _node_batches(params, laws, spec, plan, iteration):
         c, pc, wts = nb.c, nb.pc, nb.wts
         S = len(wts)
@@ -232,7 +235,7 @@ def update_hats(
                                (VD[:, :, None] * zeta[:, None, :]).reshape(S, -1),
                                J[:, blk, blk].reshape(S, -1), np.ones((S, 1))])
             sums = pairwise_sum(wts[:, None] * stats)
-            m_hat, q_hat, theta_hat, avg_J, mass = np.split(sums, cuts)
+            m_hat, q_hat, theta_hat, avg_J, mass = (sums[cols] for cols in columns)
             out.m_hat[key] += pc * m_hat
             out.q_hat[key] += pc * q_hat.reshape(r, r)
             out.theta_hat[key] += pc * theta_hat.reshape(r, t)
@@ -270,7 +273,8 @@ def spectral_kernels(
         A = lam * eye + conj.v_hat.copy()
         for key in dims.lk_pairs():
             A = A + atom.gamma[key] * conj.V_hat[key]
-        smin = np.linalg.svd(A, compute_uv=False)[-1]
+        # a 1 x 1 system's singular value is |A|, as LAPACK's gesdd gives it
+        smin = abs(A[0, 0]) if dims.r == 1 else np.linalg.svd(A, compute_uv=False)[-1]
         if smin < 1e-12:
             raise SingularSystemError(
                 f"resolvent singular at atom {a_idx} (min singular value {smin:.3e})")
@@ -332,9 +336,13 @@ def expected_envelope(
     plan: McPlan,
 ) -> tuple[float, float]:
     """E_{c,Y,Xi} of the Moreau envelope value at the current overlaps."""
+    return _envelope(params, token_laws(params, fixed), spec, plan)
+
+
+def _envelope(params: OrderParameters, laws: dict, spec: ModelSpec, plan: McPlan):
+    """`expected_envelope` with the keys' laws built by the caller."""
 
     def per_class():
-        laws = token_laws(params, fixed)
         for nb in _node_batches(params, laws, spec, plan, iteration=0):
             D = (nb.x_stars - nb.anchors).reshape(len(nb.wts), -1)
             quad = 0.5 * np.einsum("si,ij,sj->s", D, nb.P_full, D)
@@ -371,9 +379,21 @@ def energies(
     negative is the training loss: per dimension, regularizer included.
     Both carry the envelope's stderr, scaled by alpha.
     """
+    return _energies(params, conj, token_laws(params, fixed), nu, spec, plan)
+
+
+def _energies(
+    params: OrderParameters,
+    conj: ConjugateParameters,
+    laws: dict,
+    nu: SpectralMeasure,
+    spec: ModelSpec,
+    plan: McPlan,
+) -> tuple[float, float, float]:
+    """`energies` with the keys' laws built by the caller."""
     dims = spec.dims
     kernels = spectral_kernels(conj, nu, dims, dims.lam)
-    em, se = expected_envelope(params, fixed, spec, plan)
+    em, se = _envelope(params, laws, spec, plan)
     spectral = 0.5 * sum(atom.weight * float(np.trace(R @ K)) for atom, R, _, K in kernels)
     phi = _trace_terms(params, conj) + spectral - dims.alpha * em
     ridge_term = 0.5 * dims.lam * sum(
@@ -399,18 +419,22 @@ def test_error(
     loss that reads no labels no label noise is drawn, and test_eval gets a
     zero label channel.
     """
+    return _test_error(params, token_laws(params, fixed), spec, plan)
+
+
+def _test_error(params: OrderParameters, laws: dict, spec: ModelSpec, plan: McPlan):
+    """`test_error` with the keys' laws built by the caller."""
     loss = spec.loss
     if plan.gh_order > 0 and not loss.test_metric_smooth:
         plan = replace(plan, gh_order=0)
 
     def per_class():
-        laws = token_laws(params, fixed)
         for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
             if pc == 0.0:
                 continue
             wts, X, Y = joint_xy_nodes(laws, c, plan, c_index=c_index,
                                        with_y=loss.depends_on_y)
-            cs = np.broadcast_to(c, (len(wts), len(c)))
+            cs = constant_view(c, (len(wts), len(c)))
             yield pc, wts, np.asarray(loss.test_eval(Y, X, params.v, cs), dtype=float)
 
     return _class_mean(per_class(), plan)
@@ -438,9 +462,9 @@ def _admissible(params: OrderParameters, fixed: FixedStatistics) -> Optional[dic
     be positive definite, v PSD, and `gaussian.token_laws` must accept
     every key (q and S = rho - theta^T q^+ theta PSD, theta in the range of
     q)."""
-    if any(np.linalg.eigvalsh(V)[0] <= 0.0 for V in params.V.values()):
+    if any(eigh(V, vectors=False)[0] <= 0.0 for V in params.V.values()):
         return None
-    if np.linalg.eigvalsh(params.v)[0] < -NEG_EIG_TOL:
+    if eigh(params.v, vectors=False)[0] < -NEG_EIG_TOL:
         return None
     try:
         return token_laws(params, fixed)
@@ -474,24 +498,23 @@ class _AndersonMixer:
         self.rejected = 0
 
     def step(self, params: OrderParameters, image: OrderParameters) -> tuple:
-        plain = image.mix(params, self.damping), None
         if not self.accelerate:
-            return plain
+            return self._plain(params, image)
         x = params.flat()
         f = image.flat() - x
         self.xs = self.xs[-ANDERSON_DEPTH:] + [x]
         self.fs = self.fs[-ANDERSON_DEPTH:] + [f]
         if len(self.xs) == 1:
-            return plain
+            return self._plain(params, image)
         if not np.all(np.isfinite(f)):
             # so is the plain step, and check_divergence stops the run on it
-            return plain
+            return self._plain(params, image)
         dX = np.diff(self.xs, axis=0).T
         dF = np.diff(self.fs, axis=0).T
         U, sv, Wt = np.linalg.svd(dF, full_matrices=False)
         while not sv[0] < ANDERSON_COND_LIMIT * sv[-1]:
             if len(sv) == 1:
-                return self._restart(plain)
+                return self._restart(params, image)
             self.xs, self.fs = self.xs[1:], self.fs[1:]
             dX, dF = dX[:, 1:], dF[:, 1:]
             U, sv, Wt = np.linalg.svd(dF, full_matrices=False)
@@ -500,13 +523,16 @@ class _AndersonMixer:
         mixed = params.from_flat(x + beta * f - (dX + beta * dF) @ gamma)
         laws = _admissible(mixed, self.fixed)
         if laws is None:
-            return self._restart(plain)
+            return self._restart(params, image)
         return mixed, laws
 
-    def _restart(self, plain: tuple) -> tuple:
+    def _plain(self, params: OrderParameters, image: OrderParameters) -> tuple:
+        return image.mix(params, self.damping), None
+
+    def _restart(self, params: OrderParameters, image: OrderParameters) -> tuple:
         self.xs, self.fs = self.xs[-1:], self.fs[-1:]
         self.rejected += 1
-        return plain
+        return self._plain(params, image)
 
 
 def _initial_params(spec: ModelSpec, nu: SpectralMeasure, fixed, config: SolverConfig):
@@ -585,7 +611,7 @@ def solve_fixed_point(
         residual_history.append(residual)
         if trajectory is not None:
             trajectory.append(params)
-        check_divergence(it, residual, trajectory, *params.blocks().values(),
+        check_divergence(it, residual, trajectory, params.flat(),
                          loop="fixed-point iteration", step="iteration", measure="residual")
         # an accepted Anderson step comes with its laws; any other iterate
         # gets them once check_divergence has seen it
@@ -596,12 +622,13 @@ def solve_fixed_point(
             break
 
     # exact one-sweep image: hats from the converged overlaps, overlaps from
-    # those hats, undamped
+    # those hats, undamped; the envelope and the test error share its laws
     conj = update_hats(params, laws, spec, plan, iteration=0)
     params = update_overlaps(conj, nu, spec)
+    laws = token_laws(params, fixed)
 
-    phi, et, energy_se = energies(params, conj, fixed, nu, spec, plan)
-    eg, eg_se = test_error(params, fixed, spec, plan)
+    phi, et, energy_se = _energies(params, conj, laws, nu, spec, plan)
+    eg, eg_se = _test_error(params, laws, spec, plan)
     return FixedPointReport(
         params=params,
         conj=conj,

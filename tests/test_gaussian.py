@@ -8,6 +8,7 @@ from seqmix.errors import (
     InconsistentOverlapsError,
     SpecValidationError,
 )
+from seqmix import gaussian
 from seqmix.gaussian import (
     _weighted_mean_stderr,
     energetic_nodes,
@@ -63,6 +64,21 @@ class TestSymSqrt:
         A = np.diag([4.0, 0.0])
         np.testing.assert_allclose(sym_roots(A)[1], np.diag([0.5, 0.0]), atol=1e-12)
 
+    @pytest.mark.parametrize("a", [0.0, -0.0, 1e-13, -5e-9, 4.0, np.inf, np.nan])
+    def test_1x1_is_the_lapack_path_bit_for_bit(self, a, monkeypatch):
+        # 1e-13 lies below EIG_CLIP and -5e-9 is clipped to zero
+        A = np.array([[a]])
+        with np.errstate(invalid="ignore"):
+            ours = sym_roots(A)
+            monkeypatch.setattr(gaussian, "eigh", lambda M: np.linalg.eigh(M))
+            lapack = sym_roots(A)
+        for x, y in zip(ours, lapack):
+            assert x.tobytes() == y.tobytes()
+
+    def test_1x1_large_negative_raises(self):
+        with pytest.raises(InconsistentOverlapsError):
+            sym_roots(np.array([[-1e-7]]))
+
 
 class TestStandardNormals:
     def test_determinism(self):
@@ -84,6 +100,54 @@ class TestStandardNormals:
 
     def test_odd_antithetic_rejected(self):
         assert McPlan(n_samples=7, antithetic=True).violations()
+
+
+class TestCrnCores:
+    """Under common random numbers the energetic cores are drawn once."""
+
+    def _nodes(self, plan, iteration):
+        spec = two_token_instance()
+        fixed = compute_fixed_statistics(spec.nu, spec.dims)
+        laws = token_laws(OrderParameters.informed(spec.dims, fixed), fixed)
+        return energetic_nodes(laws, spec.class_law.support[0], plan, iteration=iteration)
+
+    def test_sweeps_share_one_read_only_draw(self):
+        plan = McPlan(n_samples=64, seed=31)
+        _, Xi, Zeta, _, _ = self._nodes(plan, iteration=1)
+        _, Xi2, Zeta2, _, _ = self._nodes(plan, iteration=2)
+        assert Xi2 is Xi and Zeta2 is Zeta
+        assert not Xi.flags.writeable and not Zeta.flags.writeable
+        np.testing.assert_array_equal(Xi, standard_normals(plan, 0, 0, (2, 1)))
+
+    def test_without_crn_every_iteration_draws_afresh(self):
+        plan = McPlan(n_samples=64, seed=31, crn=False)
+        _, Xi, Zeta, _, _ = self._nodes(plan, iteration=1)
+        _, Xi2, Zeta2, _, _ = self._nodes(plan, iteration=2)
+        assert not np.array_equal(Xi, Xi2) and not np.array_equal(Zeta, Zeta2)
+        np.testing.assert_array_equal(Xi2, standard_normals(plan, 0, 2, (2, 1)))
+
+    @pytest.mark.parametrize("instance", ["ridge", "square_gmm", "logistic_gmm", "two_token"])
+    def test_zoo_fixed_points_match_fresh_cores(self, instance, monkeypatch):
+        """Kept cores give the Monte Carlo solve, bit for bit, that cores
+        drawn afresh at every sweep give."""
+        from seqmix.saddle import solve_fixed_point, SolverConfig
+        from seqmix.zoo import instance_by_name
+
+        spec = instance_by_name(instance, alpha=1.0, lam=0.1)
+        cfg = SolverConfig(damping=0.5, tol=1e-8, mc_plan=McPlan(n_samples=2000, seed=41))
+        kept = solve_fixed_point(spec, spec.nu, cfg)
+        monkeypatch.setattr(gaussian, "_crn_normals",
+                            lambda plan, stream, shape: standard_normals(plan, stream, 0, shape))
+        fresh = solve_fixed_point(spec, spec.nu, cfg)
+        for name, block in kept.params.blocks().items():
+            assert block.tobytes() == fresh.params.blocks()[name].tobytes()
+        for name, block in kept.conj.blocks().items():
+            assert block.tobytes() == fresh.conj.blocks()[name].tobytes()
+        assert kept.residual_history == fresh.residual_history
+        assert kept.rejected_steps == fresh.rejected_steps
+        assert (kept.test_error, kept.train_loss, kept.free_entropy) == (
+            fresh.test_error, fresh.train_loss, fresh.free_entropy
+        )
 
 
 class TestGaussHermite:

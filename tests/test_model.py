@@ -13,6 +13,7 @@ from seqmix.model import (
     compute_fixed_statistics,
     ConjugateParameters,
     Dimensions,
+    eigh,
     inverse,
     LossModel,
     make_atom,
@@ -251,6 +252,25 @@ class TestSmallSystems:
         np.testing.assert_array_equal(inverse(A, "A"), np.linalg.inv(A))
         np.testing.assert_array_equal(solve(A, B, "A"), np.linalg.solve(A, B))
         np.testing.assert_array_equal(solve(A[0], B, "A"), np.linalg.solve(A[0], B))
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, 1e-13, -5e-9, 4.0, np.inf, np.nan])
+    def test_1x1_eigh_is_lapack_bit_for_bit(self, a):
+        # 1e-13 lies below gaussian.EIG_CLIP and -5e-9 is clipped there
+        A = np.array([[a]])
+        w, U = eigh(A)
+        ref_w, ref_U = np.linalg.eigh(A)
+        assert w.tobytes() == ref_w.tobytes() and U.tobytes() == ref_U.tobytes()
+        assert eigh(A, vectors=False).tobytes() == np.linalg.eigvalsh(A).tobytes()
+
+    def test_eigh_stacks_and_larger_n_are_lapack(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 3):
+            M = rng.standard_normal((20, n, n))
+            A = M + np.swapaxes(M, -1, -2)
+            w, U = eigh(A)
+            ref_w, ref_U = np.linalg.eigh(A)
+            assert w.tobytes() == ref_w.tobytes() and U.tobytes() == ref_U.tobytes()
+            assert eigh(A, vectors=False).tobytes() == np.linalg.eigvalsh(A).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(_systems())

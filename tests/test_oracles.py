@@ -104,15 +104,20 @@ class TestSolveTridiagonal:
 
 class TestFiniteDRidge:
     @pytest.mark.parametrize(
-        "alpha, lam, seeds",
-        [(0.5, 0.0, range(3)), (1.0, -0.1, range(3)), (1.0, 0.1, range(1))],
-        ids=["lam-zero", "lam-negative", "one-seed"],
+        "alpha, lam, d, seeds",
+        [(0.5, 0.0, 50, range(3)), (1.0, -0.1, 50, range(3)), (1.0, 0.1, 50, range(1)),
+         (-0.5, 0.1, 50, [0, 1]), (float("nan"), 0.1, 50, [0, 1]),
+         (float("inf"), 0.1, 50, [0, 1]), (1.0, 0.1, 0, [0, 1]), (1.0, 0.1, -3, [0, 1]),
+         (1.0, 0.1, 2.5, [0, 1])],
+        ids=["lam-zero", "lam-negative", "one-seed", "alpha-negative", "alpha-nan",
+             "alpha-inf", "d-zero", "d-negative", "d-fractional"],
     )
-    def test_invalid_input_is_validation_error(self, alpha, lam, seeds):
-        # before validation: a singular pivot, a negative training loss and
-        # a NaN stderr
+    def test_invalid_input_is_validation_error(self, alpha, lam, d, seeds):
+        # before validation: a singular pivot, a negative training loss, a
+        # NaN stderr, and for a bad alpha or d a bare ValueError,
+        # OverflowError or TypeError
         with pytest.raises(SpecValidationError):
-            finite_d_ridge(alpha, lam, 50, seeds)
+            finite_d_ridge(alpha, lam, d, seeds)
 
     @pytest.mark.parametrize("d, n_seeds", [(200, 200), (12, 4000)])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])

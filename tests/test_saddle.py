@@ -483,6 +483,14 @@ class TestHoldoutNodes:
         assert len(streams) == calls_per_class * n_classes
         assert sorted(streams)[:n_classes] == [TEST_STREAM + i for i in range(n_classes)]
 
+    def test_holdout_draws_are_never_kept(self):
+        # a 400,000-draw estimate, as verify makes one, must not stay
+        # resident in the common-random-number core cache
+        spec, fixed, params = _solved("two_token")
+        before = gaussian._crn_normals.cache_info()
+        solver_test_error(params, fixed, spec, McPlan(n_samples=400_000, seed=23))
+        assert gaussian._crn_normals.cache_info() == before
+
     @pytest.mark.parametrize("instance", ["logistic_gmm", "two_token"])
     def test_estimate_is_the_xi_stream_rebuilt(self, instance):
         spec, fixed, params = _solved(instance)
