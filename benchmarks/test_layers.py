@@ -195,7 +195,7 @@ def test_batched_prox(benchmark, plan):
     spec, fixed, report = _logistic_fixed_point(plan)
     params = report.params
     laws = gaussian.token_laws(params, fixed)
-    nb = next(saddle._node_batches(params, laws, spec, SWEEP_PLANS[plan], 0))
+    nb = next(saddle._node_batches(params, laws, spec, SWEEP_PLANS[plan]))
 
     def prox():
         x_stars = prox_batch(spec.loss, nb.anchors, nb.P, nb.y_loss, params.v, nb.cs)

@@ -9,18 +9,17 @@ triangular factor X = m + q^{1/2} xi, Y = m* + theta^T q^{+1/2} xi +
 S^{1/2} zeta of standard normal cores (xi, zeta), S = rho - theta^T q^+ theta.
 
 `standard_cores` draws the cores and holds the only choice between seeded
-Monte Carlo (antithetic variates, common random numbers across solver
-sweeps), a pure function of (seed, stream, iteration), and tensor
-Gauss-Hermite quadrature for small Gaussian dimension.  Class tuple c_index
-draws xi from stream c_index and zeta from c_index + ZETA_STREAM; the test
-error shifts both by TEST_STREAM.  Under common random numbers the
-energetic cores (every stream below TEST_STREAM) are drawn once per (plan,
-stream, shape) and shared read-only, the last CRN_CACHE_SIZE of them kept;
-the test error's draws are never kept, as nothing reuses them.  For a loss
-that reads no labels (`LossModel.depends_on_y` False) no zeta is drawn and
-no Y is built, in the hat sweep, the envelope and the test error alike: its
-hooks receive a read-only zero label channel, and the xi draws are
-unchanged.
+Monte Carlo (antithetic variates), a pure function of (seed, stream), and
+tensor Gauss-Hermite quadrature for small Gaussian dimension.  Class tuple
+c_index draws xi from stream c_index and zeta from c_index + ZETA_STREAM;
+the test error shifts both by TEST_STREAM.  Monte Carlo nodes are common
+random numbers: the energetic cores (every stream below TEST_STREAM) are
+drawn once per (plan, stream, shape) and shared read-only by every solver
+sweep, the last CRN_CACHE_SIZE of them kept; the test error's draws are
+never kept, as nothing reuses them.  For a loss that reads no labels
+(`LossModel.depends_on_y` False) no zeta is drawn and no Y is built, in the
+hat sweep, the envelope and the test error alike: its hooks receive a
+read-only zero label channel, and the xi draws are unchanged.
 """
 
 from __future__ import annotations
@@ -91,8 +90,9 @@ class McPlan:
     gh_order = 0 selects Monte Carlo with n_samples draws; gh_order > 0
     selects tensor Gauss-Hermite quadrature with that many nodes per
     Gaussian dimension (allowed while the total dimension is <= 6).
-    crn reuses the same underlying normals at every solver iteration so the
-    fixed-point map is deterministic.
+    Monte Carlo nodes are always common random numbers, the same normals at
+    every solver sweep, so the fixed-point map is deterministic; crn is kept
+    so that configs stating it load, and must be True.
     """
 
     n_samples: int = 20000
@@ -111,21 +111,20 @@ class McPlan:
             out.append("McPlan: seed must be nonnegative")
         if self.gh_order < 0:
             out.append("McPlan: gh_order must be nonnegative")
+        if not self.crn:
+            out.append("McPlan: crn must be true; Monte Carlo nodes are always "
+                       "common random numbers")
         return out
 
 
-def standard_normals(
-    plan: McPlan, c_index: int, iteration: int, shape: tuple[int, ...]
-) -> np.ndarray:
+def standard_normals(plan: McPlan, c_index: int, shape: tuple[int, ...]) -> np.ndarray:
     """Seeded standard normals, shape (n_samples, *shape).
 
     With antithetic pairing, sample 2i+1 is the negation of sample 2i.
-    Under common random numbers the iteration index is ignored.
     """
-    tag = 0 if plan.crn else iteration + 1
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(plan.seed), int(c_index), int(tag)])
-    )
+    # the entropy's trailing 0 is part of every draw's seed: dropping it
+    # would change them all
+    rng = np.random.default_rng(np.random.SeedSequence([int(plan.seed), int(c_index), 0]))
     n = plan.n_samples
     if plan.antithetic:
         base = rng.standard_normal((n // 2, *shape))
@@ -147,21 +146,11 @@ def constant_view(value, shape: tuple[int, ...]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=CRN_CACHE_SIZE)
 def _crn_normals(plan: McPlan, stream: int, shape: tuple[int, ...]) -> np.ndarray:
-    """standard_normals under common random numbers, drawn once per (plan,
+    """standard_normals of an energetic stream, drawn once per (plan,
     stream, shape) and shared by every later call, so read-only."""
-    out = standard_normals(plan, stream, 0, shape)
+    out = standard_normals(plan, stream, shape)
     out.flags.writeable = False
     return out
-
-
-def _core_normals(
-    plan: McPlan, stream: int, iteration: int, shape: tuple[int, ...]
-) -> np.ndarray:
-    """The Monte Carlo cores of one stream: kept under common random numbers
-    for an energetic stream, drawn afresh otherwise."""
-    if plan.crn and stream < TEST_STREAM:
-        return _crn_normals(plan, stream, shape)
-    return standard_normals(plan, stream, iteration, shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,7 +191,6 @@ def standard_cores(
     plan: McPlan,
     shape: tuple[int, int, int],
     stream: int,
-    iteration: int = 0,
     with_zeta: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights and standard normal cores Xi (S, L, r) and Zeta (S, L, t),
@@ -211,13 +199,12 @@ def standard_cores(
     With gh_order > 0 the cores are the tensor Gauss-Hermite nodes over
     L r (+ L t) dimensions, Xi's first; otherwise n_samples seeded draws, Xi
     from `stream` and Zeta from stream + ZETA_STREAM, with equal weights.
-    Under common random numbers, draws on an energetic stream (below
-    TEST_STREAM) are made once per (plan, stream, shape) and returned
-    read-only to every later call, for the last CRN_CACHE_SIZE keys; the
-    test error's streams, and every stream without common random numbers,
-    are drawn afresh on each call and never kept.  Without with_zeta, Zeta
-    is not drawn: it is a read-only zero view that spans no quadrature
-    dimension.  The weights are read-only too.
+    Draws on an energetic stream (below TEST_STREAM) are common random
+    numbers: made once per (plan, stream, shape) and returned read-only to
+    every later call, for the last CRN_CACHE_SIZE keys.  The test error's
+    streams are drawn afresh on each call and never kept.  Without
+    with_zeta, Zeta is not drawn: it is a read-only zero view that spans no
+    quadrature dimension.  The weights are read-only too.
     """
     L, r, t = shape
     if plan.gh_order > 0:
@@ -229,9 +216,10 @@ def standard_cores(
     else:
         S = plan.n_samples
         wts = constant_view(1.0 / S, (S,))
-        Xi = _core_normals(plan, stream, iteration, (L, r))
+        draw = _crn_normals if stream < TEST_STREAM else standard_normals
+        Xi = draw(plan, stream, (L, r))
         if with_zeta:
-            return wts, Xi, _core_normals(plan, stream + ZETA_STREAM, iteration, (L, t))
+            return wts, Xi, draw(plan, stream + ZETA_STREAM, (L, t))
     return wts, Xi, constant_view(0.0, (S, L, t))
 
 
@@ -307,7 +295,6 @@ def energetic_nodes(
     laws: dict,
     c: tuple,
     plan: McPlan,
-    iteration: int = 0,
     c_index: int = 0,
     with_y: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -319,7 +306,7 @@ def energetic_nodes(
     means included.  Without with_y, for a loss that does not read Y, no
     label noise zeta is drawn and Zeta and Y are one read-only zero view.
     """
-    wts, Xi, Zeta = standard_cores(plan, _core_shape(laws, c), c_index, iteration, with_y)
+    wts, Xi, Zeta = standard_cores(plan, _core_shape(laws, c), c_index, with_y)
     return (wts, Xi, Zeta, *_through_laws(laws, c, Xi, Zeta, with_y))
 
 

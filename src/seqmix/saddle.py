@@ -30,12 +30,11 @@ update_overlaps(update_hats(x)).  With damping in (0, 1) it takes
 Anderson-mixed steps of size 1 - damping (`_AndersonMixer`), which reach the
 fixed point in about a fifth of the sweeps of plain damped iteration.
 An extrapolated iterate is accepted only when its laws can be built, and
-the next sweep draws its nodes through those laws.  With damping 0, or
-Monte Carlo nodes redrawn every sweep (no common random numbers, so G is
-random), every step is the plain one, `mix` of G(x) toward x.  Run
-undamped with time indices recorded, the sweeps are the state-evolution
-dynamics of the message-passing algorithm; run to self-consistency they
-characterize the trained estimator.
+the next sweep draws its nodes through those laws.  With damping 0 every
+step is the plain one, `mix` of G(x) toward x.  Run undamped with time
+indices recorded, the sweeps are the state-evolution dynamics of the
+message-passing algorithm; run to self-consistency they characterize the
+trained estimator.
 """
 
 from __future__ import annotations
@@ -90,11 +89,10 @@ class SolverConfig:
     damping = 0 runs the undamped map x_new = G(x), sweep for sweep.  A
     damping in (0, 1) makes 1 - damping the step of the Anderson mixing of
     the overlaps, whose first step is x_new = (1 - damping) G(x) + damping
-    x; under Monte Carlo without common random numbers every step is that
-    plain damped one.  A warm_start, when given, is the first iterate and
-    init is not consulted.  record_trajectory stores the overlaps after
-    every sweep, which is the state-evolution reading of the sweeps (use
-    damping = 0 there so the map matches the algorithm's dynamics exactly).
+    x.  A warm_start, when given, is the first iterate and init is not
+    consulted.  record_trajectory stores the overlaps after every sweep,
+    which is the state-evolution reading of the sweeps (use damping = 0
+    there so the map matches the algorithm's dynamics exactly).
     """
 
     damping: float = 0.5
@@ -168,13 +166,7 @@ class NodeBatch:
         return self.P[0]
 
 
-def _node_batches(
-    params: OrderParameters,
-    laws: dict,
-    spec: ModelSpec,
-    plan: McPlan,
-    iteration: int,
-):
+def _node_batches(params: OrderParameters, laws: dict, spec: ModelSpec, plan: McPlan):
     """NodeBatch for every class tuple of positive probability, in law order,
     with nodes drawn through the keys' `gaussian.token_laws`."""
     r = spec.dims.r
@@ -183,8 +175,7 @@ def _node_batches(
         if pc == 0.0:
             continue
         wts, Xi, Zeta, anchors, y_loss = energetic_nodes(
-            laws, c, plan, iteration=iteration, c_index=c_index,
-            with_y=spec.loss.depends_on_y,
+            laws, c, plan, c_index=c_index, with_y=spec.loss.depends_on_y,
         )
         P_full = np.zeros((len(c) * r, len(c) * r))
         for ell, k in enumerate(c):
@@ -196,11 +187,7 @@ def _node_batches(
 
 
 def update_hats(
-    params: OrderParameters,
-    laws: dict,
-    spec: ModelSpec,
-    plan: McPlan,
-    iteration: int = 0,
+    params: OrderParameters, laws: dict, spec: ModelSpec, plan: McPlan
 ) -> ConjugateParameters:
     """One hat sweep: class-weighted Gaussian expectations of prox statistics,
     with nodes drawn through laws = `gaussian.token_laws(params, fixed)`.
@@ -219,7 +206,7 @@ def update_hats(
     # column ranges of the statistics, in the order of the stack below
     bounds = np.cumsum([0, r, r * r, r * t, r * r, 1]).tolist()
     columns = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    for nb in _node_batches(params, laws, spec, plan, iteration):
+    for nb in _node_batches(params, laws, spec, plan):
         c, pc, wts = nb.c, nb.pc, nb.wts
         S = len(wts)
         D = nb.x_stars - nb.anchors
@@ -273,11 +260,13 @@ def spectral_kernels(
         A = lam * eye + conj.v_hat.copy()
         for key in dims.lk_pairs():
             A = A + atom.gamma[key] * conj.V_hat[key]
-        # a 1 x 1 system's singular value is |A|, as LAPACK's gesdd gives it
-        smin = abs(A[0, 0]) if dims.r == 1 else np.linalg.svd(A, compute_uv=False)[-1]
-        if smin < 1e-12:
-            raise SingularSystemError(
-                f"resolvent singular at atom {a_idx} (min singular value {smin:.3e})")
+        # a 1 x 1 system's singular value is |A|, as LAPACK's gesdd gives it;
+        # a non-finite A is not tested: its NaN overlaps reach check_divergence
+        if np.isfinite(A).all():
+            smin = abs(A[0, 0]) if dims.r == 1 else np.linalg.svd(A, compute_uv=False)[-1]
+            if smin < 1e-12:
+                raise SingularSystemError(
+                    f"resolvent singular at atom {a_idx} (min singular value {smin:.3e})")
         R = inverse(A, f"the resolvent at atom {a_idx}")
         S = np.zeros(dims.r)
         K = np.zeros((dims.r, dims.r))
@@ -343,7 +332,7 @@ def _envelope(params: OrderParameters, laws: dict, spec: ModelSpec, plan: McPlan
     """`expected_envelope` with the keys' laws built by the caller."""
 
     def per_class():
-        for nb in _node_batches(params, laws, spec, plan, iteration=0):
+        for nb in _node_batches(params, laws, spec, plan):
             D = (nb.x_stars - nb.anchors).reshape(len(nb.wts), -1)
             quad = 0.5 * np.einsum("si,ij,sj->s", D, nb.P_full, D)
             yield nb.pc, nb.wts, quad + spec.loss.eval(nb.y_loss, nb.x_stars, params.v, nb.cs)
@@ -480,25 +469,24 @@ class _AndersonMixer:
     dF of the last ANDERSON_DEPTH + 1 iterates and residuals, the step is
     x + beta f - (dX + beta dF) gamma, beta = 1 - damping, with gamma the
     least-squares solution of dF gamma = f.  With an empty history that is
-    the plain damped step `mix`, and a mixer built with accelerate False
-    keeps its history empty.  The oldest differences are dropped while dF is
-    conditioned worse than ANDERSON_COND_LIMIT.  `step` returns the next
-    iterate and, for an extrapolated one, the laws `_admissible` built for
-    it (None for a plain step).  A degenerate last difference, or an
+    the plain damped step `mix`; with damping 0, the state-evolution
+    dynamics, the history stays empty.  The oldest differences are dropped
+    while dF is conditioned worse than ANDERSON_COND_LIMIT.  `step` returns
+    the next iterate and, for an extrapolated one, the laws `_admissible`
+    built for it (None for a plain step).  A degenerate last difference, or an
     extrapolated iterate without laws, takes the plain step and restarts
     the history from (x, f); `rejected` counts those steps.
     """
 
-    def __init__(self, damping: float, fixed: FixedStatistics, accelerate: bool):
+    def __init__(self, damping: float, fixed: FixedStatistics):
         self.damping = damping
         self.fixed = fixed
-        self.accelerate = accelerate
         self.xs: list[np.ndarray] = []
         self.fs: list[np.ndarray] = []
         self.rejected = 0
 
     def step(self, params: OrderParameters, image: OrderParameters) -> tuple:
-        if not self.accelerate:
+        if self.damping == 0.0:
             return self._plain(params, image)
         x = params.flat()
         f = image.flat() - x
@@ -586,20 +574,14 @@ def solve_fixed_point(
 
     params = _initial_params(spec, nu, fixed, config)
     laws = token_laws(params, fixed)
-    # the undamped map is the state-evolution dynamics, and redrawn Monte
-    # Carlo nodes make it random: both keep the history empty, so every
-    # step is the plain damped one
-    mixer = _AndersonMixer(
-        config.damping, fixed,
-        accelerate=config.damping > 0.0 and (plan.gh_order > 0 or plan.crn),
-    )
+    mixer = _AndersonMixer(config.damping, fixed)
     conj = None
     residual_history: list[float] = []
     trajectory = [] if config.record_trajectory else None
     converged = False
 
     for it in range(1, config.max_iters + 1):
-        conj_prev, conj = conj, update_hats(params, laws, spec, plan, iteration=it)
+        conj_prev, conj = conj, update_hats(params, laws, spec, plan)
         # the first sweep's hats have no predecessor to change from
         res_hat = 0.0 if conj_prev is None else _block_residual(conj, conj_prev, skip=skip)
 
@@ -623,7 +605,7 @@ def solve_fixed_point(
 
     # exact one-sweep image: hats from the converged overlaps, overlaps from
     # those hats, undamped; the envelope and the test error share its laws
-    conj = update_hats(params, laws, spec, plan, iteration=0)
+    conj = update_hats(params, laws, spec, plan)
     params = update_overlaps(conj, nu, spec)
     laws = token_laws(params, fixed)
 

@@ -59,7 +59,7 @@ def report_to_dict(report) -> dict:
 
 
 def save_report(report, path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=1))
+    Path(path).write_text(json.dumps(report_to_dict(report)))
 
 
 # ----------------------------------------------------------------------

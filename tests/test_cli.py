@@ -19,7 +19,7 @@ from seqmix.errors import SpecValidationError
 from seqmix.gamp import gamp_run, generate_dataset, rbp_run
 from seqmix.gaussian import McPlan
 from seqmix.saddle import solve_fixed_point, SolverConfig
-from seqmix.serialize import read_table, save_report, write_table
+from seqmix.serialize import read_table, report_to_dict, save_report, write_table
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
 RIDGE_EXPERIMENT = """
@@ -186,10 +186,12 @@ class TestModelConfig:
          "max_epochs"),
         # failed only when the dataset was generated, without the section
         (RIDGE_EXPERIMENT.replace("d = 60", "d = 0"), "[erm] d"),
+        # redrew Monte Carlo nodes every sweep, ran every sweep and exited 3
+        (RIDGE_EXPERIMENT.replace("gh_order = 7\n", "crn = false\n"), "crn must be true"),
     ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
             "model-d", "dimensions-d", "erm-n-test", "erm-grad-tol", "solver-max-iters-0",
             "solver-max-iters-negative", "gamp-n", "gamp-seeds", "erm-seeds", "gamp-damping",
-            "gamp-max-iters", "gamp-tol", "erm-max-epochs", "erm-d"])
+            "gamp-max-iters", "gamp-tol", "erm-max-epochs", "erm-d", "mc-crn-false"])
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -236,6 +238,7 @@ class TestReportsAndDatasets:
             path = tmp_path / f"{spec.name}.json"
             save_report(rep, path)
             doc = json.loads(path.read_text())
+            assert doc == report_to_dict(rep)
             assert doc["converged"] is True
             assert list(doc) == [
                 "converged", "iterations", "residual_history", "rejected_steps", "free_entropy",

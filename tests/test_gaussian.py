@@ -83,19 +83,15 @@ class TestSymSqrt:
 class TestStandardNormals:
     def test_determinism(self):
         plan = McPlan(n_samples=64, seed=9)
-        a = standard_normals(plan, 0, 0, (2, 3))
-        b = standard_normals(plan, 0, 5, (2, 3))  # crn: iteration ignored
-        np.testing.assert_array_equal(a, b)
-
-    def test_iteration_matters_without_crn(self):
-        plan = McPlan(n_samples=64, seed=9, crn=False)
-        a = standard_normals(plan, 0, 0, (2,))
-        b = standard_normals(plan, 0, 1, (2,))
-        assert not np.array_equal(a, b)
+        a = standard_normals(plan, 4, (2, 3))
+        np.testing.assert_array_equal(a, standard_normals(plan, 4, (2, 3)))
+        # the draws of seed entropy [seed, stream, 0], which every solve uses
+        rng = np.random.default_rng(np.random.SeedSequence([9, 4, 0]))
+        np.testing.assert_array_equal(a[0::2], rng.standard_normal((32, 2, 3)))
 
     def test_antithetic_pairing(self):
         plan = McPlan(n_samples=64, seed=9, antithetic=True)
-        z = standard_normals(plan, 0, 0, (3,))
+        z = standard_normals(plan, 0, (3,))
         np.testing.assert_array_equal(z[1::2], -z[0::2])
 
     def test_odd_antithetic_rejected(self):
@@ -105,26 +101,19 @@ class TestStandardNormals:
 class TestCrnCores:
     """Under common random numbers the energetic cores are drawn once."""
 
-    def _nodes(self, plan, iteration):
+    def _nodes(self, plan):
         spec = two_token_instance()
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         laws = token_laws(OrderParameters.informed(spec.dims, fixed), fixed)
-        return energetic_nodes(laws, spec.class_law.support[0], plan, iteration=iteration)
+        return energetic_nodes(laws, spec.class_law.support[0], plan)
 
     def test_sweeps_share_one_read_only_draw(self):
         plan = McPlan(n_samples=64, seed=31)
-        _, Xi, Zeta, _, _ = self._nodes(plan, iteration=1)
-        _, Xi2, Zeta2, _, _ = self._nodes(plan, iteration=2)
+        _, Xi, Zeta, _, _ = self._nodes(plan)
+        _, Xi2, Zeta2, _, _ = self._nodes(plan)
         assert Xi2 is Xi and Zeta2 is Zeta
         assert not Xi.flags.writeable and not Zeta.flags.writeable
-        np.testing.assert_array_equal(Xi, standard_normals(plan, 0, 0, (2, 1)))
-
-    def test_without_crn_every_iteration_draws_afresh(self):
-        plan = McPlan(n_samples=64, seed=31, crn=False)
-        _, Xi, Zeta, _, _ = self._nodes(plan, iteration=1)
-        _, Xi2, Zeta2, _, _ = self._nodes(plan, iteration=2)
-        assert not np.array_equal(Xi, Xi2) and not np.array_equal(Zeta, Zeta2)
-        np.testing.assert_array_equal(Xi2, standard_normals(plan, 0, 2, (2, 1)))
+        np.testing.assert_array_equal(Xi, standard_normals(plan, 0, (2, 1)))
 
     @pytest.mark.parametrize("instance", ["ridge", "square_gmm", "logistic_gmm", "two_token"])
     def test_zoo_fixed_points_match_fresh_cores(self, instance, monkeypatch):
@@ -136,8 +125,7 @@ class TestCrnCores:
         spec = instance_by_name(instance, alpha=1.0, lam=0.1)
         cfg = SolverConfig(damping=0.5, tol=1e-8, mc_plan=McPlan(n_samples=2000, seed=41))
         kept = solve_fixed_point(spec, spec.nu, cfg)
-        monkeypatch.setattr(gaussian, "_crn_normals",
-                            lambda plan, stream, shape: standard_normals(plan, stream, 0, shape))
+        monkeypatch.setattr(gaussian, "_crn_normals", standard_normals)
         fresh = solve_fixed_point(spec, spec.nu, cfg)
         for name, block in kept.params.blocks().items():
             assert block.tobytes() == fresh.params.blocks()[name].tobytes()

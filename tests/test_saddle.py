@@ -7,14 +7,17 @@ import pytest
 
 from seqmix import gaussian
 from seqmix.erm import holdout_plan
-from seqmix.errors import DegenerateOverlapError, SingularSystemError
+from seqmix.errors import DegenerateOverlapError, SingularSystemError, SpecValidationError
 from seqmix.gaussian import (McPlan, pairwise_sum, standard_normals, sym_roots, TEST_STREAM,
                              token_laws, ZETA_STREAM)
 from seqmix.model import (
     compute_fixed_statistics,
     ConjugateParameters,
+    Dimensions,
+    make_atom,
     ModelSpec,
     OrderParameters,
+    SpectralMeasure,
 )
 from seqmix.losses import zero_loss
 from seqmix.oracles import ridge_asymptotics
@@ -26,6 +29,7 @@ from seqmix.saddle import (
     expected_envelope,
     solve_fixed_point,
     SolverConfig,
+    spectral_kernels,
     update_hats,
     update_overlaps,
 )
@@ -42,7 +46,7 @@ def stein_vhat(params, fixed, spec, plan, theta_hat):
     dims = spec.dims
     r = dims.r
     acc = {key: np.zeros((r, r)) for key in dims.lk_pairs()}
-    for nb in _node_batches(params, token_laws(params, fixed), spec, plan, 0):
+    for nb in _node_batches(params, token_laws(params, fixed), spec, plan):
         for ell in range(dims.L):
             blk = slice(ell * r, (ell + 1) * r)
             VD = (nb.x_stars - nb.anchors)[:, ell, :] @ nb.P_full[blk, blk].T
@@ -135,6 +139,17 @@ class TestUpdateOverlaps:
         conj = ConjugateParameters.zeros(spec.dims)
         with pytest.raises(SingularSystemError, match="resolvent singular at atom 0"):
             update_overlaps(conj, spec.nu, spec)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_nan_hat_passes_through_the_resolvent(self, r):
+        # a NaN hat gives NaN overlaps, which check_divergence stops, as at
+        # r = 1; the singularity test's SVD raised a bare LinAlgError here
+        dims = Dimensions(L=1, r=r, t=r, K=(1,), alpha=1.0, lam=0.1)
+        conj = ConjugateParameters.zeros(dims)
+        conj.V_hat[(0, 0)][0, 0] = np.nan
+        nu = SpectralMeasure((make_atom(dims, 1.0, 1.0),))
+        ((_, R, _, _),) = spectral_kernels(conj, nu, dims, dims.lam)
+        assert np.isnan(R).any()
 
     def test_two_atom_measure_is_weighted_sum(self):
         spec = two_token_instance(lam=0.3)
@@ -330,25 +345,32 @@ class TestAndersonMixing:
         with pytest.raises(DegenerateOverlapError):
             token_laws(params, fixed)
 
-    @pytest.mark.parametrize("case", ["undamped", "redrawn-mc"])
-    def test_plain_map_is_unaccelerated(self, case):
-        # damping 0 (the state-evolution dynamics) and Monte Carlo nodes
-        # redrawn every sweep keep the plain damped step, bit for bit
-        if case == "undamped":
-            spec, damping, plan = two_token_instance(), 0.0, GH
-        else:
-            spec, damping, plan = gmm_instance(alpha=0.8), 0.5, McPlan(n_samples=500, crn=False)
+    def test_plain_map_is_unaccelerated(self):
+        # damping 0 (the state-evolution dynamics) keeps the plain step, bit
+        # for bit
+        spec, damping, plan = two_token_instance(), 0.0, GH
         cfg = SolverConfig(damping=damping, tol=1e-15, max_iters=12, init="gamp",
                            mc_plan=plan, record_trajectory=True)
         rep = solve_fixed_point(spec, spec.nu, cfg)
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         params = OrderParameters.gamp_matched(spec.dims, spec.nu)
-        for it, recorded in enumerate(rep.trajectory, 1):
-            conj = update_hats(params, token_laws(params, fixed), spec, plan, iteration=it)
+        for recorded in rep.trajectory:
+            conj = update_hats(params, token_laws(params, fixed), spec, plan)
             params = update_overlaps(conj, spec.nu, spec).mix(params, damping)
             for name, block in params.blocks().items():
                 np.testing.assert_array_equal(recorded.blocks()[name], block)
         assert len(rep.trajectory) == 12 and rep.rejected_steps == 0
+
+    def test_redrawn_nodes_rejected(self):
+        # Monte Carlo nodes are always common random numbers: a plan that
+        # would redraw them every sweep is refused before the first sweep
+        assert McPlan().violations() == []
+        (msg,) = McPlan(crn=False).violations()
+        assert "crn must be true" in msg
+        spec = gmm_instance(alpha=0.8)
+        cfg = SolverConfig(mc_plan=McPlan(n_samples=500, crn=False))
+        with pytest.raises(SpecValidationError, match="crn must be true"):
+            solve_fixed_point(spec, spec.nu, cfg)
 
 
 class TestScalarFunctionals:
@@ -448,13 +470,13 @@ def _rebuilt_test_error(params, fixed, spec, plan):
     laws = token_laws(params, fixed)
     total, var = 0.0, 0.0
     for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
-        Xi = standard_normals(plan, c_index + TEST_STREAM, 0, (L, r))
+        Xi = standard_normals(plan, c_index + TEST_STREAM, (L, r))
         n = len(Xi)
         tokens = [(Xi[:, ell], laws[(ell, k)]) for ell, k in enumerate(c)]
         X = np.stack([xi @ law.q_root.T + law.m for xi, law in tokens], axis=1)
         Y = np.zeros((n, L, t))
         if spec.loss.depends_on_y:
-            Zeta = standard_normals(plan, c_index + TEST_STREAM + ZETA_STREAM, 0, (L, t))
+            Zeta = standard_normals(plan, c_index + TEST_STREAM + ZETA_STREAM, (L, t))
             Y = np.stack([xi @ law.mean_map.T + Zeta[:, ell] @ law.S_root.T + law.m_star
                           for ell, (xi, law) in enumerate(tokens)], axis=1)
         vals = spec.loss.test_eval(Y, X, params.v, np.tile(c, (n, 1)))
@@ -473,9 +495,9 @@ class TestHoldoutNodes:
         spec, fixed, params = _solved(instance)
         streams = []
 
-        def counted(plan, c_index, iteration, shape):
+        def counted(plan, c_index, shape):
             streams.append(c_index)
-            return standard_normals(plan, c_index, iteration, shape)
+            return standard_normals(plan, c_index, shape)
 
         monkeypatch.setattr(gaussian, "standard_normals", counted)
         solver_test_error(params, fixed, spec, holdout_plan(spec, 20_000, 3))
