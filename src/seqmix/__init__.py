@@ -23,7 +23,6 @@ from .model import (
 )
 from .gaussian import McPlan
 from .saddle import (
-    energies,
     FixedPointReport,
     solve_fixed_point,
     SolverConfig,
@@ -50,7 +49,6 @@ __all__ = [
     "Dataset",
     "Dimensions",
     "empirical_test_error",
-    "energies",
     "erm_train",
     "FixedPointReport",
     "FixedStatistics",

@@ -2,9 +2,12 @@
 and the cross-verification suite.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, which
-includes a solve or a per-seed fit that stops before converging.  `sweep`
-solves its lambdas in a pool of `--workers` processes (default 1), never
-more processes than lambdas.
+includes a solve or a per-seed fit that stops before converging.  A config
+is validated whole before anything runs or is written: every alpha and
+lambda of its model and of its grid, including grid values the command does
+not solve.  `sweep` solves its lambdas in a pool of `--workers` processes
+(default 1), never more processes than lambdas.  The per-seed commands draw
+round(alpha d) samples of dimension d, with d from [gamp] or [erm].
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .serialize import (
     trajectory_rows,
     write_table,
 )
-from .verify import run_checks
+from .verify import CHECKS_BY_INSTANCE, run_checks
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,8 +44,8 @@ EXIT_NUMERICAL = 3
 def _metadata(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     meta = {
         "tool": f"seqmix {__version__}",
-        "config": cfg.source_path or "<inline>",
-        "config_hash": config_hash(cfg.source_path) if cfg.source_path else "",
+        "config": cfg.source_path,
+        "config_hash": config_hash(cfg.source_path),
         "model": cfg.spec.name,
         "mc_seed": cfg.solver.mc_plan.seed,
     }
@@ -155,7 +158,7 @@ def cmd_sweep(args) -> int:
     # a fork-started pool forks all its workers at the first submit
     workers = min(args.workers, len(cfg.lambdas))
     lines: list[list[list]] = []
-    if workers > 1 and cfg.source_path:
+    if workers > 1:
         # imported here so that a serial run does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
@@ -194,7 +197,7 @@ def _fit_rbp(data, cfg: ExperimentConfig):
 
 
 def _fit_erm(data, cfg: ExperimentConfig):
-    fit = erm_train(data, cfg.spec, config=cfg.erm.train_config())
+    fit = erm_train(data, cfg.spec, config=cfg.erm)
     return fit.w_hat, fit, fit.train_loss_per_d, fit.grad_norm
 
 
@@ -227,8 +230,7 @@ def cmd_per_seed(args, command: PerSeed) -> int:
     cfg = _load_and_validate(args)
     dims = cfg.spec.dims
     opts = getattr(cfg, command.section)
-    # [erm] has no n: its sample count is always round(alpha d)
-    n = getattr(opts, "n", 0) or int(round(dims.alpha * opts.d))
+    n = int(round(dims.alpha * opts.d))
     sizes = {"d": opts.d, "n": n}
     ok = True
     rows = []
@@ -264,11 +266,7 @@ def cmd_per_seed(args, command: PerSeed) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_checks(args.instance)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
+    results = run_checks(args.instance)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         report = Path(args.out) / "verify_report.txt"
@@ -321,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=partial(cmd_per_seed, command=PER_SEED[name]))
 
     p = sub.add_parser("verify", help="run the cross-verification suite")
-    p.add_argument("--instance", default="all",
-                   help="zoo instance name (ridge | logistic_gmm | two_token) or 'all'")
+    p.add_argument("--instance", default="all", choices=[*CHECKS_BY_INSTANCE, "all"],
+                   help="zoo instance whose checks to run, or 'all' (default)")
     p.add_argument("--out", default=None, help="directory for the verification report")
     p.set_defaults(fn=cmd_verify)
     return parser

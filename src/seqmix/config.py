@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -124,7 +123,6 @@ def model_spec_from_parser(cp: configparser.ConfigParser) -> ModelSpec:
 @dataclass
 class GampOptions:
     d: int = 1000
-    n: int = 0                    # 0 means round(alpha * d)
     seeds: tuple[int, ...] = (0,)
     max_iters: int = 200
     tol: float = 1e-8
@@ -133,7 +131,6 @@ class GampOptions:
     def violations(self) -> list[str]:
         rules = {
             "d must be >= 1": self.d >= 1,
-            "n must be >= 0 (0 means round(alpha d))": self.n >= 0,
             "seeds must be >= 0": min(self.seeds, default=0) >= 0,
             "max_iters must be >= 1": self.max_iters >= 1,
             "tol must be positive": self.tol > 0,
@@ -143,22 +140,19 @@ class GampOptions:
 
 
 @dataclass
-class ErmOptions:
+class ErmOptions(TrainConfig):
+    """The fit's own settings, plus the size, seeds and test set of each run."""
+
     d: int = 500
     seeds: tuple[int, ...] = (0,)
-    max_epochs: int = 5000
-    grad_tol: float = 1e-6
     n_test: int = 200_000
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(grad_tol=self.grad_tol, max_epochs=self.max_epochs)
 
     def violations(self) -> list[str]:
         rules = {
             "d must be >= 1": self.d >= 1,
             "seeds must be >= 0": min(self.seeds, default=0) >= 0,
         }
-        return self.train_config().violations() + [
+        return super().violations() + [
             f"[erm] {rule}" for rule, ok in rules.items() if not ok
         ]
 
@@ -169,10 +163,10 @@ class ExperimentConfig:
     solver: SolverConfig
     alphas: tuple[float, ...]
     lambdas: tuple[float, ...]
+    source_path: str
     gamp: GampOptions = field(default_factory=GampOptions)
     erm: ErmOptions = field(default_factory=ErmOptions)
     out_dir: str = "out"
-    source_path: Optional[str] = None
 
     def violations(self) -> list[str]:
         out = []
@@ -180,6 +174,14 @@ class ExperimentConfig:
             out.append("ExperimentConfig: alpha grid is empty")
         if not self.lambdas:
             out.append("ExperimentConfig: lambda grid is empty")
+        # the model's own alpha and lambda run in the per-seed commands, the
+        # grid's in the solver: each is held to the rule of Dimensions
+        dims = self.spec.dims
+        points = [dims] + [replace(dims, alpha=a, lam=x) for a in self.alphas for x in self.lambdas]
+        out += dict.fromkeys(rule for point in points for rule in point.violations())
+        if any(c in self.spec.name for c in ",\n"):
+            out.append(f"ExperimentConfig: model name {self.spec.name!r} holds a comma or a "
+                       "newline, which would split its table cell")
         out += self.solver.violations()
         out += self.gamp.violations()
         out += self.erm.violations()

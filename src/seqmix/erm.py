@@ -37,7 +37,7 @@ MAX_STALLS = 50         # consecutive stalled epochs before StalledError
 @dataclass
 class TrainConfig:
     max_epochs: int = 5000
-    grad_tol: float = 1e-7            # stop when ||grad||_inf falls below
+    grad_tol: float = 1e-6            # stop when ||grad||_inf falls below
 
     def violations(self) -> list[str]:
         out = []

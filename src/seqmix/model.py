@@ -66,10 +66,10 @@ class Dimensions:
             out.append("Dimensions: len(K) must equal L")
         if any(k < 1 for k in self.K):
             out.append("Dimensions: every K_ell must be >= 1")
-        if not self.alpha > 0:
-            out.append("Dimensions: alpha must be positive")
-        if self.lam < 0:
-            out.append("Dimensions: lambda must be nonnegative")
+        if not 0 < self.alpha < np.inf:
+            out.append("Dimensions: alpha must be positive and finite")
+        if not 0 <= self.lam < np.inf:
+            out.append("Dimensions: lambda must be nonnegative and finite")
         if self.d is not None and self.d < 1:
             out.append("Dimensions: d must be positive when given")
         return out

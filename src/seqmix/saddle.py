@@ -353,24 +353,6 @@ def _trace_terms(params: OrderParameters, conj: ConjugateParameters) -> float:
     return total
 
 
-def energies(
-    params: OrderParameters,
-    conj: ConjugateParameters,
-    fixed: FixedStatistics,
-    nu: SpectralMeasure,
-    spec: ModelSpec,
-    plan: McPlan,
-) -> tuple[float, float, float]:
-    """(free entropy, training loss, stderr) at a fixed point, from one
-    kernel build and one envelope expectation.
-
-    The free entropy is the extremized low-dimensional functional, and its
-    negative is the training loss: per dimension, regularizer included.
-    Both carry the envelope's stderr, scaled by alpha.
-    """
-    return _energies(params, conj, token_laws(params, fixed), nu, spec, plan)
-
-
 def _energies(
     params: OrderParameters,
     conj: ConjugateParameters,
@@ -379,7 +361,13 @@ def _energies(
     spec: ModelSpec,
     plan: McPlan,
 ) -> tuple[float, float, float]:
-    """`energies` with the keys' laws built by the caller."""
+    """(free entropy, training loss, stderr) at a fixed point, from one
+    kernel build and one envelope expectation over the keys' laws.
+
+    The free entropy is the extremized low-dimensional functional, and its
+    negative is the training loss: per dimension, regularizer included.
+    Both carry the envelope's stderr, scaled by alpha.
+    """
     dims = spec.dims
     kernels = spectral_kernels(conj, nu, dims, dims.lam)
     em, se = _envelope(params, laws, spec, plan)
@@ -560,7 +548,7 @@ def solve_fixed_point(
     floating point.
     """
     dims = spec.dims
-    bad = config.violations() + lambda_violations(spec.loss, (dims.lam,))
+    bad = dims.violations() + config.violations() + lambda_violations(spec.loss, (dims.lam,))
     if bad:
         raise SpecValidationError("; ".join(bad))
     if dims.lam == 0.0:

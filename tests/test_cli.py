@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import seqmix
 from seqmix import gaussian
 from seqmix.cli import main
 from seqmix.config import load_experiment, SECTION_KEYS
+from seqmix.erm import erm_train, TrainConfig
 from seqmix.errors import SpecValidationError
 from seqmix.gamp import gamp_run, generate_dataset, rbp_run
 from seqmix.gaussian import McPlan
@@ -127,14 +129,25 @@ class TestModelConfig:
             "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 50\ninit = gamp\n"
             "record_trajectory = true\n\n"
             "[sweep]\nalphas = 0.5, 1.0\nlambdas = 0.1\n\n"
-            "[gamp]\nd = 50\nn = 40\nseeds = 0, 1\nmax_iters = 20\ntol = 1e-8\ndamping = 0.0\n\n"
+            "[gamp]\nd = 50\nseeds = 0, 1\nmax_iters = 20\ntol = 1e-8\ndamping = 0.0\n\n"
             "[erm]\nd = 40\nseeds = 2\nmax_epochs = 30\ngrad_tol = 1e-5\nn_test = 1000\n\n"
             "[output]\ndir = elsewhere\n"
         )
         cfg = load_experiment(path)
         assert cfg.solver.mc_plan == McPlan(n_samples=2000, seed=3, gh_order=7)
         assert cfg.solver.record_trajectory and cfg.solver.init == "gamp"
-        assert (cfg.gamp.n, cfg.erm.n_test, cfg.out_dir) == (40, 1000, "elsewhere")
+        assert (cfg.gamp.d, cfg.erm.n_test, cfg.out_dir) == (50, 1000, "elsewhere")
+
+    def test_erm_section_is_the_train_config(self, ridge_config):
+        # [erm] states max_epochs and grad_tol once, as the fit reads them
+        cfg = load_experiment(ridge_config)
+        assert isinstance(cfg.erm, TrainConfig)
+        assert (cfg.erm.grad_tol, cfg.erm.max_epochs) == (1e-6, 5000)
+        data = generate_dataset(cfg.spec, cfg.spec.nu, d=cfg.erm.d, n=cfg.erm.d, seed=0)
+        fit = erm_train(data, cfg.spec, config=cfg.erm)
+        ref = erm_train(data, cfg.spec, config=TrainConfig(grad_tol=1e-6, max_epochs=5000))
+        assert fit.converged and fit.iterations == ref.iterations
+        np.testing.assert_array_equal(fit.w_hat, ref.w_hat)
 
     def test_readme_reference_lists_every_accepted_key(self):
         # the INI blocks of the README and the reader accept the same keys in
@@ -174,8 +187,10 @@ class TestModelConfig:
         # an empty solve indexed its empty residual history
         (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = 0"), "SolverConfig: max_iters"),
         (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = -3"), "SolverConfig: max_iters"),
-        # raised a bare ValueError from the dataset or its seed
-        (RIDGE_EXPERIMENT.replace("d = 80\n", "d = 80\nn = -5\n"), "[gamp] n"),
+        # the sample count is round(alpha d); a set n disagreed with the
+        # alpha written in the final table
+        (RIDGE_EXPERIMENT.replace("d = 80\n", "d = 80\nn = 80\n"), "unknown key(s) in [gamp]: n"),
+        # raised a bare ValueError from the dataset's seed
         (RIDGE_EXPERIMENT.replace("d = 80\nseeds = 0", "d = 80\nseeds = -1"), "[gamp] seeds"),
         (RIDGE_EXPERIMENT.replace("seeds = 0, 1", "seeds = -1"), "[erm] seeds"),
         # ran, then exited 3
@@ -188,18 +203,39 @@ class TestModelConfig:
         (RIDGE_EXPERIMENT.replace("d = 60", "d = 0"), "[erm] d"),
         # redrew Monte Carlo nodes every sweep, ran every sweep and exited 3
         (RIDGE_EXPERIMENT.replace("gh_order = 7\n", "crn = false\n"), "crn must be true"),
+        # solved, converged and wrote a negative training loss, exit 0
+        (RIDGE_EXPERIMENT.replace("lambdas = 0.1", "lambdas = -0.05"),
+         "lambda must be nonnegative and finite"),
+        # exited 3 with corrupted order parameters
+        (RIDGE_EXPERIMENT.replace("alphas = 0.5, 1.0, 2.0", "alphas = -1.0, 0.5"),
+         "alpha must be positive and finite"),
+        # exited 3 as diverged
+        (RIDGE_EXPERIMENT.replace("alphas = 0.5, 1.0, 2.0", "alphas = nan"),
+         "alpha must be positive and finite"),
+        # the model's own values, which the per-seed commands run
+        (RIDGE_EXPERIMENT.replace("alpha = 1.0\n", "alpha = inf\n", 1),
+         "alpha must be positive and finite"),
+        (RIDGE_EXPERIMENT.replace("lambda = 0.1\n", "lambda = nan\n", 1),
+         "lambda must be nonnegative and finite"),
+        # wrote one cell more than the header, which read_table misaligned
+        (explicit_ini(replace(ridge_instance(), name="gmm,v2")), "holds a comma or a newline"),
+        (explicit_ini(replace(ridge_instance(), name="gmm\n  v2")), "holds a comma or a newline"),
     ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
             "model-d", "dimensions-d", "erm-n-test", "erm-grad-tol", "solver-max-iters-0",
-            "solver-max-iters-negative", "gamp-n", "gamp-seeds", "erm-seeds", "gamp-damping",
-            "gamp-max-iters", "gamp-tol", "erm-max-epochs", "erm-d", "mc-crn-false"])
+            "solver-max-iters-negative", "gamp-n-unknown", "gamp-seeds", "erm-seeds",
+            "gamp-damping", "gamp-max-iters", "gamp-tol", "erm-max-epochs", "erm-d",
+            "mc-crn-false", "sweep-lambda-negative", "sweep-alpha-negative", "sweep-alpha-nan",
+            "model-alpha-inf", "model-lambda-nan", "model-name-comma", "model-name-newline"])
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)
         with pytest.raises(SpecValidationError):
             load_experiment(path)
-        assert main(["solve-se", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["solve-se", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and named in err
+        assert not out.exists()
 
     def test_warm_init_is_validation_error(self, tmp_path, capsys):
         # a warm start is set by passing the previous overlaps, not by init
@@ -411,7 +447,7 @@ class TestCli:
         path = tmp_path / "rbp.ini"
         path.write_text(
             "[model]\ninstance = ridge\nalpha = 2.0\nlambda = 0.1\n\n"
-            "[gamp]\nd = 40\nn = 80\nseeds = 40000\nmax_iters = 500\ntol = 1e-11\n\n"
+            "[gamp]\nd = 40\nseeds = 40000\nmax_iters = 500\ntol = 1e-11\n\n"
             "[erm]\nn_test = 20000\n"
         )
         out = tmp_path / "out"

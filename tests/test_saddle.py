@@ -24,8 +24,8 @@ from seqmix.oracles import ridge_asymptotics
 from seqmix.saddle import (
     _admissible,
     _block_residual,
+    _energies,
     _node_batches,
-    energies,
     expected_envelope,
     solve_fixed_point,
     SolverConfig,
@@ -265,6 +265,15 @@ class TestSolveFixedPoint:
         with pytest.raises(SpecValidationError, match="damping"):
             solve_fixed_point(spec, spec.nu, SolverConfig(damping=1.5, mc_plan=GH))
 
+    @pytest.mark.parametrize("alpha, lam", [(1.0, -0.1), (1.0, np.nan), (np.inf, 0.1),
+                                            (np.nan, 0.1), (-1.0, 0.1)])
+    def test_dimension_violation_is_validation_error(self, alpha, lam):
+        # a negative lambda solved, converged and reported a negative
+        # training loss; NaN and infinite values diverged
+        spec = ridge_instance(alpha=alpha, lam=lam)
+        with pytest.raises(SpecValidationError, match="Dimensions"):
+            solve_fixed_point(spec, spec.nu, SolverConfig(mc_plan=GH))
+
     def test_informed_init_reaches_same_point(self):
         # convex instance: one basin, so the informed start must agree
         spec = ridge_instance(alpha=1.1, lam=0.2)
@@ -381,7 +390,7 @@ class TestScalarFunctionals:
         params = OrderParameters.cold(spec.dims, eps=0.0)
         # q = v = 0, theta = m = 0, hats all zero
         conj = ConjugateParameters.zeros(spec.dims)
-        phi, _, _ = energies(params, conj, fixed, spec.nu, zspec, GH)
+        phi, _, _ = _energies(params, conj, token_laws(params, fixed), spec.nu, zspec, GH)
         assert phi == pytest.approx(0.0, abs=1e-14)
 
     def test_train_loss_zero_at_alpha_zero(self):
