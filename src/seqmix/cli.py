@@ -3,11 +3,14 @@ and the cross-verification suite.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, which
 includes a solve or a per-seed fit that stops before converging.  A config
-is validated whole before anything runs or is written: every alpha and
-lambda of its model and of its grid, including grid values the command does
-not solve.  `sweep` solves its lambdas in a pool of `--workers` processes
-(default 1), never more processes than lambdas.  The per-seed commands draw
-round(alpha d) samples of dimension d, with d from [gamp] or [erm].
+is read and validated once, by `config.load_experiment` with --mc-samples
+and --seed set on its [mc] plan, before anything runs or is written: every
+alpha and lambda of its model and of its grid, including grid values the
+command does not solve.  The solver's rule on lambda = 0 covers only the
+lambdas a command solves.  `sweep` solves its lambdas in a pool of
+`--workers` processes (default 1), never more processes than lambdas.  The
+per-seed commands draw round(alpha d) samples of dimension d, with d from
+[gamp] or [erm], and exit 2 before the first fit when that count is 0.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .config import config_hash, ExperimentConfig, load_experiment
+from .config import ExperimentConfig, load_experiment
 from .erm import empirical_test_error, erm_train
 from .errors import SeqmixError, SpecValidationError
 from .gamp import gamp_run, gd_gradient_norm, generate_dataset, rbp_run
-from .model import validate_spec
 from .saddle import lambda_violations, solve_fixed_point
 from .serialize import (
     CURVE_HEADER,
@@ -45,7 +47,7 @@ def _metadata(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     meta = {
         "tool": f"seqmix {__version__}",
         "config": cfg.source_path,
-        "config_hash": config_hash(cfg.source_path),
+        "config_hash": cfg.source_hash,
         "model": cfg.spec.name,
         "mc_seed": cfg.solver.mc_plan.seed,
     }
@@ -53,28 +55,13 @@ def _metadata(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     return meta
 
 
-def _load_with_overrides(
-    path, mc_samples: int | None, seed: int | None
-) -> ExperimentConfig:
-    """Load a config and apply the --mc-samples / --seed overrides."""
-    cfg = load_experiment(path)
-    if mc_samples is not None:
-        cfg.solver.mc_plan = replace(cfg.solver.mc_plan, n_samples=mc_samples)
-    if seed is not None:
-        cfg.solver.mc_plan = replace(cfg.solver.mc_plan, seed=seed)
-    return cfg
-
-
 def _load_and_validate(args, solved: slice = slice(0)) -> ExperimentConfig:
     """The config of args, validated, with the `solved` part of its lambda
     grid checked against the solver's rule on lambda."""
-    if not args.config or not Path(args.config).exists():
-        raise SpecValidationError(f"config file not found: {args.config!r}")
-    cfg = _load_with_overrides(args.config, args.mc_samples, args.seed)
+    cfg = load_experiment(args.config, args.mc_samples, args.seed)
     if args.out:
         cfg.out_dir = args.out
-    bad = cfg.violations() + validate_spec(cfg.spec)
-    bad += lambda_violations(cfg.spec.loss, cfg.lambdas[solved])
+    bad = lambda_violations(cfg.spec.loss, cfg.lambdas[solved])
     if bad:
         raise SpecValidationError("; ".join(bad))
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
@@ -125,9 +112,9 @@ def _alpha_line(cfg: ExperimentConfig, lam: float) -> tuple[list[list], list]:
 def _alpha_line_from_path(
     path: str, lam: float, mc_samples: int | None = None, seed: int | None = None
 ) -> list[list]:
-    """Worker entry point: reload the config so nothing unpicklable crosses
-    the process boundary."""
-    rows, _ = _alpha_line(_load_with_overrides(path, mc_samples, seed), lam)
+    """Worker entry point: reload the config with the parent's overrides,
+    so nothing unpicklable crosses the process boundary."""
+    rows, _ = _alpha_line(load_experiment(path, mc_samples, seed), lam)
     return rows
 
 

@@ -20,7 +20,7 @@ from .erm import holdout_plan, TrainConfig
 from .errors import SpecValidationError
 from .gaussian import GH_MAX_DIM, McPlan, quadrature_dim
 from .losses import loss_by_name
-from .model import ClassLaw, Dimensions, make_atom, ModelSpec, SpectralMeasure
+from .model import ClassLaw, Dimensions, make_atom, ModelSpec, SpectralMeasure, validate_spec
 from .saddle import SolverConfig
 from .zoo import instance_by_name
 
@@ -31,17 +31,6 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
-
-
-def _parser(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    text = Path(path).read_text()
-    cp.read_string(text)
-    return cp
-
-
-def config_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
 # ----------------------------------------------------------------------
@@ -57,9 +46,10 @@ def model_spec_from_parser(cp: configparser.ConfigParser) -> ModelSpec:
         if cp.has_option("model", "lambda"):
             kwargs["lam"] = cp.getfloat("model", "lambda")
         try:
-            return instance_by_name(name, **kwargs)
+            spec = instance_by_name(name, **kwargs)
         except KeyError as exc:
             raise SpecValidationError(str(exc)) from exc
+        return replace(spec, name=cp.get("model", "name", fallback=spec.name))
 
     for section in ("dimensions", "class_law", "spectral_measure", "loss"):
         if not cp.has_section(section):
@@ -164,6 +154,7 @@ class ExperimentConfig:
     alphas: tuple[float, ...]
     lambdas: tuple[float, ...]
     source_path: str
+    source_hash: str  # sha256 of the bytes parsed, first 12 hex digits
     gamp: GampOptions = field(default_factory=GampOptions)
     erm: ErmOptions = field(default_factory=ErmOptions)
     out_dir: str = "out"
@@ -175,10 +166,12 @@ class ExperimentConfig:
         if not self.lambdas:
             out.append("ExperimentConfig: lambda grid is empty")
         # the model's own alpha and lambda run in the per-seed commands, the
-        # grid's in the solver: each is held to the rule of Dimensions
+        # grid's in the solver: each is held to the rule of Dimensions, the
+        # model's by validate_spec along with its class law, measure and loss
         dims = self.spec.dims
-        points = [dims] + [replace(dims, alpha=a, lam=x) for a in self.alphas for x in self.lambdas]
-        out += dict.fromkeys(rule for point in points for rule in point.violations())
+        grid = [replace(dims, alpha=a, lam=x) for a in self.alphas for x in self.lambdas]
+        out += dict.fromkeys(validate_spec(self.spec) + [
+            rule for point in grid for rule in point.violations()])
         if any(c in self.spec.name for c in ",\n"):
             out.append(f"ExperimentConfig: model name {self.spec.name!r} holds a comma or a "
                        "newline, which would split its table cell")
@@ -264,11 +257,16 @@ def _check_keys(cp: configparser.ConfigParser) -> None:
             )
 
 
-def _read_experiment(path) -> ExperimentConfig:
-    cp = _parser(path)
+def _read_experiment(path, **plan_overrides) -> ExperimentConfig:
+    """The config at path, with each McPlan field of plan_overrides that is
+    not None set on its [mc] plan."""
+    data = Path(path).read_bytes()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.read_string(data.decode())
     _check_keys(cp)
     spec = model_spec_from_parser(cp)
-    plan = _options(cp, "mc", McPlan)
+    given = {key: value for key, value in plan_overrides.items() if value is not None}
+    plan = replace(_options(cp, "mc", McPlan), **given)
     return ExperimentConfig(
         spec=spec,
         solver=_options(cp, "solver", SolverConfig, mc_plan=plan),
@@ -278,14 +276,22 @@ def _read_experiment(path) -> ExperimentConfig:
         erm=_options(cp, "erm", ErmOptions),
         out_dir=cp.get("output", "dir", fallback="out"),
         source_path=str(path),
+        source_hash=hashlib.sha256(data).hexdigest()[:12],
     )
 
 
-def load_experiment(path) -> ExperimentConfig:
+def load_experiment(
+    path, mc_samples: int | None = None, seed: int | None = None
+) -> ExperimentConfig:
+    """The experiment config at path, read once, with the command line's
+    --mc-samples and --seed (None: as the file says) set on its [mc] plan,
+    and then validated whole.  Every failure, a file that cannot be read
+    included, is a SpecValidationError naming the path."""
     try:
-        cfg = _read_experiment(path)
-    except (ValueError, configparser.Error) as exc:
-        # a malformed section header or a value of the wrong type
+        cfg = _read_experiment(path, n_samples=mc_samples, seed=seed)
+    except (OSError, ValueError, configparser.Error) as exc:
+        # a missing file or a directory, a malformed section header or a
+        # value of the wrong type
         raise SpecValidationError(f"cannot read {path}: {exc}") from exc
     bad = cfg.violations()
     if bad:

@@ -93,10 +93,15 @@ class Dataset:
 
 def _mapped_empty(shape: tuple) -> np.ndarray:
     """An uninitialized float64 array in a private anonymous map of its own,
-    unmapped when the array is freed (see the module docstring)."""
+    unmapped when the array is freed (see the module docstring).  Every
+    design, X and the squared design, is allocated here, so a dataset with
+    no samples is rejected here."""
     nbytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
     if nbytes == 0:
-        return np.empty(shape)
+        raise SpecValidationError(
+            f"the dataset has no samples (design shape {shape}); the per-seed "
+            "commands draw n = round(alpha d) samples, which must be >= 1"
+        )
     block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         # the 2 MB pages numpy asks for on its own large arrays; fresh 4 kB
@@ -351,25 +356,20 @@ def gamp_run(
     prev_residual = np.inf
 
     for _ in range(max_iters):
-        if n == 0:
-            A = np.zeros((d, r, r))
-            C = np.zeros((r, r))
-            b = np.zeros((d, r))
-        else:
-            Gamma = w_hat.T @ w_hat / d
-            V_full = _noise_blocks(XX, c_hat, L)
-            omega = _project(X, w_hat)
-            if onsager_omega:
-                omega = omega - (V_full @ f.reshape(n, L * r, 1)).reshape(n, L, r)
+        Gamma = w_hat.T @ w_hat / d
+        V_full = _noise_blocks(XX, c_hat, L)
+        omega = _project(X, w_hat)
+        if onsager_omega:
+            omega = omega - (V_full @ f.reshape(n, L * r, 1)).reshape(n, L, r)
 
-            f, g, eta = _output_channel(loss, omega, V_full, data.y, Gamma, data.c,
-                                        "a GAMP noise block V")
-            A = _onsager_blocks(XX, g, L)
-            C = np.zeros((r, r)) if eta is None else 2.0 * np.sum(eta, axis=0) / d
+        f, g, eta = _output_channel(loss, omega, V_full, data.y, Gamma, data.c,
+                                    "a GAMP noise block V")
+        A = _onsager_blocks(XX, g, L)
+        C = np.zeros((r, r)) if eta is None else 2.0 * np.sum(eta, axis=0) / d
 
-            b = _backproject(X, f)
-            if onsager_b:
-                b = b + (A @ w_hat[..., None])[..., 0]
+        b = _backproject(X, f)
+        if onsager_b:
+            b = b + (A @ w_hat[..., None])[..., 0]
 
         c_hat = inverse(lam * eye_r + C + A, "the GAMP weight system M")
         w_new = (c_hat @ b[..., None])[..., 0]

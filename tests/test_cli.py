@@ -1,16 +1,20 @@
 """Config parsing, file formats, and the command-line driver."""
 
 import concurrent.futures
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seqmix
 from seqmix import gaussian
@@ -20,9 +24,10 @@ from seqmix.erm import erm_train, TrainConfig
 from seqmix.errors import SpecValidationError
 from seqmix.gamp import gamp_run, generate_dataset, rbp_run
 from seqmix.gaussian import McPlan
+from seqmix.losses import loss_by_name
 from seqmix.saddle import solve_fixed_point, SolverConfig
 from seqmix.serialize import read_table, report_to_dict, save_report, write_table
-from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
+from seqmix.zoo import gmm_instance, INSTANCES, ridge_instance, two_token_instance
 
 RIDGE_EXPERIMENT = """
 [model]
@@ -124,7 +129,7 @@ class TestModelConfig:
         # [model]/[mc]/[solver]/[sweep] keys among them
         path = tmp_path / "full.ini"
         path.write_text(
-            "[model]\ninstance = ridge\nalpha = 1.0\nlambda = 0.1\n\n"
+            "[model]\ninstance = ridge\nname = my_ridge\nalpha = 1.0\nlambda = 0.1\n\n"
             "[mc]\nn_samples = 2000\nseed = 3\nantithetic = true\ncrn = true\ngh_order = 7\n\n"
             "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 50\ninit = gamp\n"
             "record_trajectory = true\n\n"
@@ -137,6 +142,7 @@ class TestModelConfig:
         assert cfg.solver.mc_plan == McPlan(n_samples=2000, seed=3, gh_order=7)
         assert cfg.solver.record_trajectory and cfg.solver.init == "gamp"
         assert (cfg.gamp.d, cfg.erm.n_test, cfg.out_dir) == (50, 1000, "elsewhere")
+        assert cfg.spec.name == "my_ridge"
 
     def test_erm_section_is_the_train_config(self, ridge_config):
         # [erm] states max_epochs and grad_tol once, as the fit reads them
@@ -220,12 +226,18 @@ class TestModelConfig:
         # wrote one cell more than the header, which read_table misaligned
         (explicit_ini(replace(ridge_instance(), name="gmm,v2")), "holds a comma or a newline"),
         (explicit_ini(replace(ridge_instance(), name="gmm\n  v2")), "holds a comma or a newline"),
+        # a zoo instance's name was dropped for the instance's own
+        (RIDGE_EXPERIMENT.replace("instance = ridge\n", "instance = ridge\nname = ridge,v2\n"),
+         "holds a comma or a newline"),
+        # caught only by a second check in the command line
+        (explicit_ini(ridge_instance()).replace("0 : 1.0", "0 : 0.9"), "probs sum to 0.9"),
     ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
             "model-d", "dimensions-d", "erm-n-test", "erm-grad-tol", "solver-max-iters-0",
             "solver-max-iters-negative", "gamp-n-unknown", "gamp-seeds", "erm-seeds",
             "gamp-damping", "gamp-max-iters", "gamp-tol", "erm-max-epochs", "erm-d",
             "mc-crn-false", "sweep-lambda-negative", "sweep-alpha-negative", "sweep-alpha-nan",
-            "model-alpha-inf", "model-lambda-nan", "model-name-comma", "model-name-newline"])
+            "model-alpha-inf", "model-lambda-nan", "model-name-comma", "model-name-newline",
+            "instance-name-comma", "class-law-sum"])
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -368,6 +380,18 @@ class TestCli:
                      "--out", str(tmp_path / "out"), "--mc-samples", "0"])
         assert code == 2
 
+    def test_overrides_apply_before_validation(self, ridge_config, tmp_path, capsys):
+        # the file's odd count is never run; an odd count that would run is
+        # rejected
+        ridge_config.write_text(ridge_config.read_text().replace(
+            "gh_order = 7", "n_samples = 1001").replace("alphas = 0.5, 1.0, 2.0", "alphas = 1.0"))
+        out = tmp_path / "out"
+        base = ["solve-se", "--config", str(ridge_config), "--out", str(out), "--mc-samples"]
+        assert main(base + ["1000"]) == 0
+        assert len(read_table(out / "learning_curve.csv")[2]) == 1
+        assert main(base + ["1001"]) == 2
+        assert "even n_samples" in capsys.readouterr().err
+
     def test_warm_start_saves_iterations(self, ridge_config, tmp_path):
         # the chain pays off once neighboring grid points are close
         alphas = [round(0.4 + 0.2 * i, 2) for i in range(9)]
@@ -460,6 +484,21 @@ class TestCli:
         residuals = [float(row[header.index("residual")]) for row in rows]
         assert len(residuals) == 500 and all(np.isfinite(residuals))
 
+    @pytest.mark.parametrize("command, final", [
+        ("run-gamp", "gamp_final.csv"), ("run-rbp", "rbp_final.csv"), ("run-erm", "erm_curve.csv"),
+    ])
+    def test_dataset_of_no_samples_is_validation_error(self, tmp_path, capsys, command, final):
+        # round(0.1 * 4) = 0 samples: rBP raised a bare ValueError, GAMP and
+        # ERM wrote a fit on no data and exited 0
+        path = tmp_path / "empty.ini"
+        path.write_text("[model]\ninstance = logistic_gmm\nalpha = 0.1\n\n"
+                        "[gamp]\nd = 4\n\n[erm]\nd = 4\nn_test = 400\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "no samples" in err
+        assert not (out / final).exists()
+
     def test_run_erm(self, ridge_config, tmp_path):
         out = tmp_path / "out"
         code = main(["run-erm", "--config", str(ridge_config), "--out", str(out)])
@@ -507,9 +546,12 @@ class TestCli:
         for cmd in ("solve-se", "run-gamp", "run-rbp", "run-erm"):
             assert main([cmd, "--config", str(ridge_config), "--workers", "2"]) == 2
 
-    def test_missing_config_is_validation_error(self, tmp_path):
-        code = main(["solve-se", "--config", str(tmp_path / "nope.ini")])
-        assert code == 2
+    def test_missing_config_is_validation_error(self, tmp_path, capsys):
+        # a directory passed an existence check and raised IsADirectoryError
+        for path in (tmp_path / "nope.ini", tmp_path):
+            assert main(["solve-se", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and f"cannot read {path}" in err
 
     def test_unknown_instance_is_validation_error(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -676,6 +718,44 @@ class TestCli:
         assert code == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _guard_config(model, alpha, d, lam, gh_order, damping) -> str:
+    """A small run of a zoo instance, or of ridge's data with a loss
+    spelled out by name."""
+    if model in INSTANCES:
+        head = f"[model]\ninstance = {model}\nalpha = {alpha}\nlambda = {lam}\n"
+    else:
+        spec = replace(ridge_instance(alpha=alpha, lam=lam), loss=loss_by_name(model), name=model)
+        head = explicit_ini(spec)
+    return head + (
+        f"\n[mc]\nn_samples = 200\ngh_order = {gh_order}\n\n"
+        f"[solver]\ndamping = {damping}\nmax_iters = 30\n\n"
+        f"[gamp]\nd = {d}\nmax_iters = 30\ndamping = {damping}\n\n"
+        f"[erm]\nd = {d}\nmax_epochs = 30\nn_test = 400\n"
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    model=st.sampled_from([*INSTANCES, "square_energy", "zero"]),
+    command=st.sampled_from(["solve-se", "sweep", "run-gamp", "run-rbp", "run-erm"]),
+    alpha=st.sampled_from([0.01, 0.3, 1.0, 3.0]),
+    d=st.sampled_from([1, 3, 20]),
+    lam=st.sampled_from([0.0, 0.05]),
+    gh_order=st.sampled_from([0, 7]),
+    damping=st.sampled_from([0.0, 0.5]),
+)
+def test_every_run_exits_with_a_documented_code(model, command, alpha, d, lam, gh_order, damping):
+    # 0, 2 or 3, whatever the config; a failure never escapes as a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(_guard_config(model, alpha, d, lam, gh_order, damping))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 # A fresh interpreter: imports the seqmix this module imported, lists what

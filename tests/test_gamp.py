@@ -101,7 +101,7 @@ class TestGenerateDataset:
 
     def test_design_matrices_in_maps_of_their_own(self):
         # X and the squared design bypass malloc, so freeing them leaves no
-        # hole in the heap; an empty design needs no map
+        # hole in the heap; a design with no samples is rejected there
         spec = two_token_instance()
         data = generate_dataset(spec, spec.nu, d=40, n=30, seed=0)
         for array in (data.X, _squared_design(data.X)):
@@ -109,9 +109,10 @@ class TestGenerateDataset:
             while isinstance(base, np.ndarray):
                 base = base.base
             assert isinstance(base.obj, mmap.mmap)
-        empty = generate_dataset(spec, spec.nu, d=40, n=0, seed=0)
-        assert empty.X.shape == (0, 2, 40)
-        assert _squared_design(empty.X).shape == (0, 3, 40)
+        with pytest.raises(SpecValidationError, match="no samples"):
+            generate_dataset(spec, spec.nu, d=40, n=0, seed=0)
+        with pytest.raises(SpecValidationError, match="no samples"):
+            _squared_design(data.X[:0])
 
     def test_d_smaller_than_atoms_rejected(self):
         spec = two_token_instance()
@@ -230,16 +231,16 @@ class TestFailures:
 
 class TestGamp:
     def test_pure_regularizer(self):
-        # no samples: one iteration gives w = 0 and c_hat = I / lambda
+        # a dataset of no samples, which would fit the regularizer alone,
+        # is rejected before the first iteration
         spec = ridge_instance(lam=0.5)
         data = generate_dataset(spec, spec.nu, d=30, n=4, seed=5)
         empty = type(data)(
             X=data.X[:0], y=data.y[:0], c=data.c[:0],
             teacher=data.teacher, meta=data.meta,
         )
-        res = gamp_run(empty, spec, max_iters=1, tol=1e-12, damping=0.0)
-        np.testing.assert_allclose(res.w_hat, 0.0)
-        np.testing.assert_allclose(res.c_hat, 1.0 / 0.5, atol=1e-12)
+        with pytest.raises(SpecValidationError, match="no samples"):
+            gamp_run(empty, spec, max_iters=1, tol=1e-12, damping=0.0)
 
     def test_matches_ridge_normal_equations(self):
         spec = ridge_instance(alpha=1.0, lam=0.1)
