@@ -63,12 +63,36 @@ def test_rbp_run(benchmark):
 
 @pytest.mark.parametrize("instance", sorted(SPECS))
 def test_squared_design(benchmark, instance):
-    """The squared-design build alone at d = 1000, the once-per-run part of
-    test_gamp_iteration."""
+    """GAMP's single-precision squared-design build alone at d = 1000, the
+    once-per-run part of test_gamp_iteration."""
     _, data = _dataset(instance, 1000)
-    XX = benchmark(gamp._squared_design, data.X)
+    XX = benchmark(gamp._squared_design, data.X, np.float32)
     n, L, d = data.X.shape
     assert XX.shape == (n, L * (L + 1) // 2, d)
+
+
+VARIANCE_SIZES = {"logistic_gmm": 2000, "two_token": 1000}
+
+
+@pytest.mark.parametrize("instance", sorted(VARIANCE_SIZES))
+def test_variance_contractions(benchmark, instance):
+    """GAMP's variance channel alone: the noise blocks V and the Onsager
+    blocks A against its prebuilt single-precision squared design, at the
+    gamp-sim sizes (logistic_gmm d = 2000, two_token d = 1000)."""
+    spec, data = _dataset(instance, VARIANCE_SIZES[instance])
+    n, L, d = data.X.shape
+    r = spec.dims.r
+    XX = gamp._squared_design(data.X, np.float32)
+    rng = np.random.default_rng(1)
+    c_hat = rng.standard_normal((d, r, r))
+    g = rng.standard_normal((n, L * r, L * r))
+
+    def channel():
+        return gamp._noise_blocks(XX, c_hat, L), gamp._onsager_blocks(XX, g, L)
+
+    V, A = benchmark(channel)
+    assert V.shape == (n, L * r, L * r) and A.shape == (d, r, r)
+    assert np.all(np.isfinite(V)) and np.all(np.isfinite(A))
 
 
 def test_risk_and_gradient(benchmark):

@@ -10,19 +10,33 @@ sweeps, so the two trajectories compare and tabulate through one type.
 
 Cost model.  Every data contraction is a BLAS matmul over operands fixed for
 the run.  GAMP builds the squared design XX[n, p, i] = X[n, l, i] X[n, k, i]
-over the token pairs p = (l, k), l <= k, once: n L (L + 1) / 2 d floats held
-for the run, the size of X when L = 1.  Each iteration is then four matrix
-products against it and X (the noise blocks V, the Onsager blocks A, the
-projections omega and the back-projection b) plus batched L r x L r algebra
-per sample and r x r algebra per coordinate.  The inverses of those blocks
-and the prox gain's solves go through `model.inverse` / `model.solve`, which
-take 1 x 1 and 2 x 2 blocks (L r <= 2, as in every zoo instance) in closed
-form instead of one LAPACK call per block.  rBP uses the same squared design
-for its target-excluded blocks; its n d blocks per iteration make it the
-loop that gains most from the closed forms.  The token-pair indices are
-built once per L.
+over the token pairs p = (l, k), l <= k, once: n L (L + 1) / 2 d
+single-precision floats held for the run, half of X's bytes when L = 1.
+Each iteration is then four matrix products against it and X (the noise
+blocks V, the Onsager blocks A, the projections omega and the
+back-projection b) plus batched L r x L r algebra per sample and r x r
+algebra per coordinate.  The two products against the squared design, V and
+A, are float32 products on float32 operands returned as float64; they read
+half the bytes of a float64 design, and everything else stays float64.  V
+and A form GAMP's variance channel.  It steers the path, but it drops out at
+a fixed point: lambda w = X^T f / sqrt(d) with f = -l'(X w / sqrt(d)) holds
+whatever V and A are (Rangan, Schniter, Riegler, Fletcher and Cevher, IEEE
+Trans. Inf. Theory 62(12), 2016), so single precision there leaves the fixed
+point where float64 puts it.  rBP's cavity fixed point does depend on V, so
+rBP builds a float64 squared design for its target-excluded blocks; its n d
+blocks per iteration make it the loop that gains most from the closed forms
+below.  The inverses of the blocks and the prox gain's solves go through
+`model.inverse` / `model.solve`, which take 1 x 1 and 2 x 2 blocks (L r <= 2,
+as in every zoo instance) in closed form instead of one LAPACK call per
+block.  The token-pair indices are built once per L.
 
-Memory.  X and the squared design live in anonymous maps of their own
+Range.  A squared entry beyond float32's largest value (3.4e38, an entry of
+X beyond about 1.8e19, e.g. a spectral atom with gamma near 1e40) becomes
+inf in GAMP's design.  V and A are then not finite, and the run stops at its
+first iteration with SolverDivergenceError.  Float64 GAMP does not converge
+at such scales either (already not at gamma = 1e20).
+
+Memory.  X and the squared designs live in anonymous maps of their own
 (`_mapped_empty`), not in malloc's heap.  They are tens of MB and short-lived.
 From malloc they come from the heap once glibc has raised its mmap threshold;
 small allocations then split the holes they leave, and repeating the same
@@ -91,12 +105,12 @@ class Dataset:
         return self.X.shape[2]
 
 
-def _mapped_empty(shape: tuple) -> np.ndarray:
-    """An uninitialized float64 array in a private anonymous map of its own,
-    unmapped when the array is freed (see the module docstring).  Every
-    design, X and the squared design, is allocated here, so a dataset with
+def _mapped_empty(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of `dtype` in a private anonymous map of its
+    own, unmapped when the array is freed (see the module docstring).  Every
+    design, X and the squared designs, is allocated here, so a dataset with
     no samples is rejected here."""
-    nbytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
     if nbytes == 0:
         raise SpecValidationError(
             f"the dataset has no samples (design shape {shape}); the per-seed "
@@ -107,7 +121,7 @@ def _mapped_empty(shape: tuple) -> np.ndarray:
         # the 2 MB pages numpy asks for on its own large arrays; fresh 4 kB
         # pages fault several times slower
         block.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(block, dtype=np.float64).reshape(shape)
+    return np.frombuffer(block, dtype=dtype).reshape(shape)
 
 
 def _atom_counts(weights: np.ndarray, d: int) -> np.ndarray:
@@ -213,11 +227,12 @@ def _token_pairs(L: int) -> tuple[np.ndarray, np.ndarray]:
     return ls, ks
 
 
-def _squared_design(X: np.ndarray) -> np.ndarray:
-    """XX[n, p, i] = X[n, l, i] X[n, k, i] over the token pairs (l, k)."""
+def _squared_design(X: np.ndarray, dtype) -> np.ndarray:
+    """XX[n, p, i] = X[n, l, i] X[n, k, i] over the token pairs (l, k),
+    rounded to `dtype`: float32 for GAMP, float64 for rBP (module docstring)."""
     n, L, d = X.shape
     ls, ks = _token_pairs(L)
-    XX = _mapped_empty((n, len(ls), d))
+    XX = _mapped_empty((n, len(ls), d), dtype)
     for p, (ell, k) in enumerate(zip(ls, ks)):
         np.multiply(X[:, ell], X[:, k], out=XX[:, p])
     return XX
@@ -254,19 +269,21 @@ def _fold_pairs(g: np.ndarray, L: int) -> np.ndarray:
 
 
 def _noise_blocks(XX: np.ndarray, c_hat: np.ndarray, L: int) -> np.ndarray:
-    """V[n] = sum_i x_{n,i} x_{n,i}^T (x) c_hat[i] / d as (n, Lr, Lr)."""
+    """V[n] = sum_i x_{n,i} x_{n,i}^T (x) c_hat[i] / d as float64 (n, Lr, Lr),
+    the product taken in the design's precision."""
     n, P, d = XX.shape
     r = c_hat.shape[-1]
-    pairs = XX.reshape(n * P, d) @ c_hat.reshape(d, r * r)
-    return _unfold_pairs(pairs.reshape(n, P, r, r) / d, L)
+    pairs = XX.reshape(n * P, d) @ c_hat.reshape(d, r * r).astype(XX.dtype)
+    return _unfold_pairs(pairs.astype(np.float64).reshape(n, P, r, r) / d, L)
 
 
 def _onsager_blocks(XX: np.ndarray, g: np.ndarray, L: int) -> np.ndarray:
-    """A[i] = -sum_n sum_{l,k} X[n, l, i] X[n, k, i] g[n, l, k] / d as (d, r, r)."""
+    """A[i] = -sum_n sum_{l,k} X[n, l, i] X[n, k, i] g[n, l, k] / d as float64
+    (d, r, r), the product taken in the design's precision."""
     n, P, d = XX.shape
     r = g.shape[-1] // L
-    pairs = _fold_pairs(g, L).reshape(n * P, r * r)
-    return -(XX.reshape(n * P, d).T @ pairs).reshape(d, r, r) / d
+    pairs = _fold_pairs(g, L).reshape(n * P, r * r).astype(XX.dtype)
+    return -(XX.reshape(n * P, d).T @ pairs).astype(np.float64).reshape(d, r, r) / d
 
 
 def _excluded_noise_blocks(XX: np.ndarray, c_msg: np.ndarray, L: int) -> np.ndarray:
@@ -342,7 +359,7 @@ def gamp_run(
     r = dims.r
     lam = dims.lam
     X = data.X
-    XX = _squared_design(X)
+    XX = _squared_design(X, np.float32)
 
     w_hat = np.zeros((d, r))
     c_hat = np.broadcast_to(np.eye(r), (d, r, r)).copy()
@@ -422,7 +439,7 @@ def rbp_run(
             f"rBP message storage n*d = {n * d} exceeds guard {MESSAGE_SLOT_GUARD}"
         )
     X = data.X
-    XX = _squared_design(X)
+    XX = _squared_design(X, np.float64)
     Xt = X.transpose(0, 2, 1)                                # (n, d, L)
     sqd = np.sqrt(d)
     eye_r = np.eye(r)

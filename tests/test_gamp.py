@@ -26,7 +26,7 @@ from seqmix.gamp import (
     rbp_run,
 )
 from seqmix.losses import square_loss_with_energy, zero_loss
-from seqmix.model import ModelSpec
+from seqmix.model import make_atom, ModelSpec, SpectralMeasure
 from seqmix.verify import _trajectory_deviation, GMM_LAM, SE_GAMP_REL_DEV
 from seqmix.zoo import INSTANCES, gmm_instance, ridge_instance, two_token_instance
 
@@ -61,6 +61,21 @@ def assert_close(actual, reference):
     # rtol 1e-12, with an absolute floor for entries that cancel to ~0
     scale = float(np.max(np.abs(reference)))
     np.testing.assert_allclose(actual, reference, rtol=1e-12, atol=1e-14 * scale)
+
+
+def assert_single_precision(actual, reference, abs_sum, terms):
+    """A sum of `terms` products taken in float32 on float64 operands.
+
+    Each term carries three roundings to float32 (the squared-design entry,
+    the small operand and their product), and the sum at most terms - 1
+    more, whatever the order BLAS adds in.  So the error of an entry is at
+    most gamma_(terms + 2) sum |term| with gamma_k = k u / (1 - k u) and
+    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Lemma 3.1 and Section 3.1); the bound below uses eps for u,
+    twice the rigorous bound.  `abs_sum` is that sum of |term| per entry
+    (scaled as `reference`)."""
+    eps = float(np.finfo(np.float32).eps)
+    np.testing.assert_array_less(np.abs(actual - reference), (terms + 2) * eps * abs_sum)
 
 
 class TestGenerateDataset:
@@ -99,20 +114,36 @@ class TestGenerateDataset:
             for name in ("X", "y", "c", "teacher"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
-    def test_design_matrices_in_maps_of_their_own(self):
-        # X and the squared design bypass malloc, so freeing them leaves no
-        # hole in the heap; a design with no samples is rejected there
-        spec = two_token_instance()
+    def test_design_matrices_in_maps_of_their_own(self, monkeypatch):
+        # X and the squared designs bypass malloc, so freeing them leaves no
+        # hole in the heap; a design with no samples is rejected there.
+        # GAMP builds a single-precision squared design, half of X's bytes
+        # at L = 1, and rBP a double-precision one
+        built = []
+
+        def record(X, dtype):
+            built.append(_squared_design(X, dtype))
+            return built[-1]
+
+        monkeypatch.setattr("seqmix.gamp._squared_design", record)
+        spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=40, n=30, seed=0)
-        for array in (data.X, _squared_design(data.X)):
+        gamp_run(data, spec, max_iters=1)
+        rbp_run(data, spec, max_iters=1)
+        gamp_design, rbp_design = built
+        for array in (data.X, gamp_design, rbp_design):
             base = array
             while isinstance(base, np.ndarray):
                 base = base.base
             assert isinstance(base.obj, mmap.mmap)
+            assert len(base.obj) == array.nbytes
+        assert data.X.dtype == rbp_design.dtype == np.float64
+        assert gamp_design.dtype == np.float32
+        assert 2 * gamp_design.nbytes == data.X.nbytes
         with pytest.raises(SpecValidationError, match="no samples"):
             generate_dataset(spec, spec.nu, d=40, n=0, seed=0)
         with pytest.raises(SpecValidationError, match="no samples"):
-            _squared_design(data.X[:0])
+            _squared_design(data.X[:0], np.float32)
 
     def test_d_smaller_than_atoms_rejected(self):
         spec = two_token_instance()
@@ -151,15 +182,22 @@ class TestContractions:
         g = rng.standard_normal((n, L * r, L * r))        # blocks not symmetric
         w = rng.standard_normal((d, r))
         f = rng.standard_normal((n, L, r))
-        XX = _squared_design(X)
+        XX = _squared_design(X, np.float32)               # GAMP's design
         assert XX.shape == (n, L * (L + 1) // 2, d)
 
+        X_abs = np.abs(X)
         V = np.einsum("nli,nki,iab->nlkab", X, X, c_hat) / d
-        assert_close(_noise_blocks(XX, c_hat, L),
-                     V.transpose(0, 1, 3, 2, 4).reshape(n, L * r, L * r))
+        V_abs = np.einsum("nli,nki,iab->nlkab", X_abs, X_abs, np.abs(c_hat)) / d
+        V_got = _noise_blocks(XX, c_hat, L)
+        assert V_got.dtype == np.float64
+        assert_single_precision(V_got, V.transpose(0, 1, 3, 2, 4).reshape(n, L * r, L * r),
+                                V_abs.transpose(0, 1, 3, 2, 4).reshape(n, L * r, L * r), d)
         g_blocks = g.reshape(n, L, r, L, r).transpose(0, 1, 3, 2, 4)
-        assert_close(_onsager_blocks(XX, g, L),
-                     -np.einsum("nli,nki,nlkab->iab", X, X, g_blocks) / d)
+        A = -np.einsum("nli,nki,nlkab->iab", X, X, g_blocks) / d
+        A_abs = np.einsum("nli,nki,nlkab->iab", X_abs, X_abs, np.abs(g_blocks)) / d
+        A_got = _onsager_blocks(XX, g, L)
+        assert A_got.dtype == np.float64
+        assert_single_precision(A_got, A, A_abs, n * XX.shape[1])
         assert_close(_project(X, w), np.einsum("nli,ia->nla", X, w) / np.sqrt(d))
         assert_close(_backproject(X, f), np.einsum("nli,nla->ia", X, f) / np.sqrt(d))
 
@@ -169,7 +207,7 @@ class TestContractions:
         X = rng.standard_normal((n, L, d))
         c_msg = rng.standard_normal((n, d, r, r))
         g = rng.standard_normal((n, d, L * r, L * r))
-        XX = _squared_design(X)
+        XX = _squared_design(X, np.float64)               # rBP's design
 
         T_full = np.einsum("nli,nki,niab->nlkab", X, X, c_msg) / d
         own = np.einsum("nli,nki,niab->nilkab", X, X, c_msg) / d
@@ -220,6 +258,17 @@ class TestFailures:
         with pytest.raises(SingularSystemError, match="weight system"):
             self.RUNS[run](data, spec)
 
+    def test_squared_entries_beyond_single_precision_stop_gamp(self):
+        # gamma = 1e40 puts the squared design's entries past float32's
+        # 3.4e38: they become inf, and GAMP stops at its first iteration
+        base = ridge_instance()
+        huge = SpectralMeasure((make_atom(base.dims, 1.0, gamma=1e40, tau=0.0, pi=1.0),))
+        spec = ModelSpec(base.dims, base.class_law, huge, base.loss)
+        data = generate_dataset(spec, spec.nu, d=20, n=20, seed=19)
+        with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError) as info:
+            self.RUNS["gamp"](data, spec)
+        assert info.value.iteration == 1
+
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_singular_noise_block_raises(self, run):
         spec = ridge_instance()
@@ -254,6 +303,22 @@ class TestGamp:
         assert res.converged
         np.testing.assert_allclose(res.w_hat[:, 0], w_exact, atol=1e-6)
 
+    @pytest.mark.parametrize("instance, n", [("ridge", 200), ("two_token", 240)])
+    def test_fixed_point_is_normal_equation_solution(self, instance, n):
+        # the single-precision variance channel (V, A) steers the iteration
+        # but drops out at a fixed point, lambda w = X^T f / sqrt(d), so the
+        # converged estimate is the ridge solution to float64 accuracy
+        d, lam = 200, 0.1
+        spec = INSTANCES[instance](alpha=n / d, lam=lam)
+        data = generate_dataset(spec, spec.nu, d=d, n=n, seed=0)
+        res = gamp_run(data, spec, max_iters=1000, tol=1e-13, damping=0.0)
+        X = data.X.reshape(n * spec.dims.L, d)
+        w_exact = np.linalg.solve(X.T @ X / d + lam * np.eye(d),
+                                  X.T @ data.y.reshape(-1) / np.sqrt(d))
+        assert res.converged
+        err = np.max(np.abs(res.w_hat[:, 0] - w_exact)) / np.max(np.abs(w_exact))
+        assert err <= 1e-11
+
     def test_deterministic(self):
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=60, n=60, seed=7)
@@ -270,7 +335,7 @@ class TestGamp:
             data = generate_dataset(spec, spec.nu, d=1000, n=1000, seed=seed)
             res = gamp_run(data, spec, max_iters=2, tol=1e-15, damping=0.0)
             # the noise blocks of the third iteration
-            V = _noise_blocks(_squared_design(data.X), res.c_hat, 2)
+            V = _noise_blocks(_squared_design(data.X, np.float32), res.c_hat, 2)
             rms.append(np.sqrt(np.mean(V[:, 0, 1] ** 2)))
         assert float(np.mean(rms)) <= 5.0 / np.sqrt(1000)
 
