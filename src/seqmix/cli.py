@@ -8,9 +8,10 @@ and --seed set on its [mc] plan, before anything runs or is written: every
 alpha and lambda of its model and of its grid, including grid values the
 command does not solve.  The solver's rule on lambda = 0 covers only the
 lambdas a command solves.  `sweep` solves its lambdas in a pool of
-`--workers` processes (default 1), never more processes than lambdas.  The
-per-seed commands draw round(alpha d) samples of dimension d, with d from
-[gamp] or [erm], and exit 2 before the first fit when that count is 0.
+`--workers` processes (default 1), never more processes than lambdas, each
+handed the config the parent validated.  The per-seed commands draw
+round(alpha d) samples of dimension d for each seed of [data], and exit 2
+before the first fit when that count is 0.
 """
 
 from __future__ import annotations
@@ -109,13 +110,9 @@ def _alpha_line(cfg: ExperimentConfig, lam: float) -> tuple[list[list], list]:
     return rows, reports
 
 
-def _alpha_line_from_path(
-    path: str, lam: float, mc_samples: int | None = None, seed: int | None = None
-) -> list[list]:
-    """Worker entry point: reload the config with the parent's overrides,
-    so nothing unpicklable crosses the process boundary."""
-    rows, _ = _alpha_line(load_experiment(path, mc_samples, seed), lam)
-    return rows
+def _alpha_rows(cfg: ExperimentConfig, lam: float) -> list[list]:
+    """A pool worker's line: the rows alone, which is all the parent keeps."""
+    return _alpha_line(cfg, lam)[0]
 
 
 def cmd_solve_se(args) -> int:
@@ -150,17 +147,11 @@ def cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _alpha_line_from_path, cfg.source_path, lam,
-                    args.mc_samples, args.seed,
-                )
-                for lam in cfg.lambdas
-            ]
+            futures = [pool.submit(_alpha_rows, cfg, lam) for lam in cfg.lambdas]
             # rows are collected in grid order regardless of completion order
             lines = [f.result() for f in futures]
     else:
-        lines = [_alpha_line(cfg, lam)[0] for lam in cfg.lambdas]
+        lines = [_alpha_rows(cfg, lam) for lam in cfg.lambdas]
     rows = [row for line in lines for row in line]
     out = Path(cfg.out_dir) / "sweep.csv"
     write_table(out, CURVE_HEADER + ["free_entropy"], rows, _metadata(cfg))
@@ -190,12 +181,11 @@ def _fit_erm(data, cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class PerSeed:
-    """A per-seed command: the config section of its options, the stem of
-    its trajectory tables, its final table, the offset of the test-set seed
-    from the dataset seed, and the fit (data, cfg) -> (w_hat, RunRecord,
-    training loss per d, gradient sup-norm)."""
+    """A per-seed command: the stem of its trajectory tables, its final
+    table, the offset of the test-set seed from the dataset seed, and the
+    fit (data, cfg) -> (w_hat, RunRecord, training loss per d, gradient
+    sup-norm)."""
 
-    section: str
     stem: str
     final: str
     test_seed_offset: int
@@ -203,9 +193,9 @@ class PerSeed:
 
 
 PER_SEED = {
-    "run-gamp": PerSeed("gamp", "gamp", "gamp_final.csv", 5000, _fit_gamp),
-    "run-rbp": PerSeed("gamp", "rbp", "rbp_final.csv", 5000, _fit_rbp),
-    "run-erm": PerSeed("erm", "erm", "erm_curve.csv", 9000, _fit_erm),
+    "run-gamp": PerSeed("gamp", "gamp_final.csv", 5000, _fit_gamp),
+    "run-rbp": PerSeed("rbp", "rbp_final.csv", 5000, _fit_rbp),
+    "run-erm": PerSeed("erm", "erm_curve.csv", 9000, _fit_erm),
 }
 
 
@@ -215,14 +205,13 @@ def cmd_per_seed(args, command: PerSeed) -> int:
     that raised gets a row of NaN errors); exit 3 when a fit failed or
     stopped before converging."""
     cfg = _load_and_validate(args)
-    dims = cfg.spec.dims
-    opts = getattr(cfg, command.section)
-    n = int(round(dims.alpha * opts.d))
-    sizes = {"d": opts.d, "n": n}
+    dims, d = cfg.spec.dims, cfg.data.d
+    n = int(round(dims.alpha * d))
+    sizes = {"d": d, "n": n}
     ok = True
     rows = []
-    for seed in opts.seeds:
-        data = generate_dataset(cfg.spec, cfg.spec.nu, d=opts.d, n=n, seed=seed)
+    for seed in cfg.data.seeds:
+        data = generate_dataset(cfg.spec, cfg.spec.nu, d=d, n=n, seed=seed)
         try:
             w_hat, record, et, gnorm = command.fit(data, cfg)
         except SeqmixError as exc:
@@ -237,7 +226,7 @@ def cmd_per_seed(args, command: PerSeed) -> int:
             write_table(table, trajectory_header(dims), trajectory_rows(record),
                         _metadata(cfg, {"seed": seed, **sizes}))
             print(f"wrote {table}")
-        eg, eg_se = empirical_test_error(w_hat, data, cfg.spec, n_test=cfg.erm.n_test,
+        eg, eg_se = empirical_test_error(w_hat, data, cfg.spec, n_test=cfg.data.n_test,
                                          seed=seed + command.test_seed_offset)
         rows.append(curve_row(cfg.spec.name, dims.alpha, dims.lam, seed, eg, eg_se, et, gnorm,
                               record.iterations, record.converged))

@@ -1,10 +1,12 @@
 """Configuration files: nested key-value sections (INI dialect).
 
 A model file defines the problem instance; an experiment file adds
-expectation, solver, simulator, training and sweep sections.  The full field
-reference lives in the README's configuration section.  Instances from the
-shipped zoo can be referenced by name instead of spelling out dimensions,
-class law and spectral atoms.
+expectation, solver, sweep, dataset, simulator and training sections, and
+states each setting in one of them: `run-gamp`, `run-rbp` and `run-erm` all
+draw the datasets of [data].  The full field reference lives in the README's
+configuration section.  Instances from the shipped zoo can be referenced by
+name instead of spelling out dimensions, class law and spectral atoms.  A
+validated `ExperimentConfig` pickles, so a process pool is handed it whole.
 """
 
 from __future__ import annotations
@@ -111,29 +113,10 @@ def model_spec_from_parser(cp: configparser.ConfigParser) -> ModelSpec:
 # ----------------------------------------------------------------------
 
 @dataclass
-class GampOptions:
+class DataOptions:
+    """The datasets of the per-seed commands: size, seeds and test-set size."""
+
     d: int = 1000
-    seeds: tuple[int, ...] = (0,)
-    max_iters: int = 200
-    tol: float = 1e-8
-    damping: float = 0.3
-
-    def violations(self) -> list[str]:
-        rules = {
-            "d must be >= 1": self.d >= 1,
-            "seeds must be >= 0": min(self.seeds, default=0) >= 0,
-            "max_iters must be >= 1": self.max_iters >= 1,
-            "tol must be positive": self.tol > 0,
-            "damping must lie in [0, 1)": 0.0 <= self.damping < 1.0,
-        }
-        return [f"[gamp] {rule}" for rule, ok in rules.items() if not ok]
-
-
-@dataclass
-class ErmOptions(TrainConfig):
-    """The fit's own settings, plus the size, seeds and test set of each run."""
-
-    d: int = 500
     seeds: tuple[int, ...] = (0,)
     n_test: int = 200_000
 
@@ -142,9 +125,24 @@ class ErmOptions(TrainConfig):
             "d must be >= 1": self.d >= 1,
             "seeds must be >= 0": min(self.seeds, default=0) >= 0,
         }
-        return super().violations() + [
-            f"[erm] {rule}" for rule, ok in rules.items() if not ok
-        ]
+        return [f"[data] {rule}" for rule, ok in rules.items() if not ok]
+
+
+@dataclass
+class GampOptions:
+    """GAMP's iteration; rBP reads max_iters and tol."""
+
+    max_iters: int = 200
+    tol: float = 1e-8
+    damping: float = 0.3
+
+    def violations(self) -> list[str]:
+        rules = {
+            "max_iters must be >= 1": self.max_iters >= 1,
+            "tol must be positive": self.tol > 0,
+            "damping must lie in [0, 1)": 0.0 <= self.damping < 1.0,
+        }
+        return [f"[gamp] {rule}" for rule, ok in rules.items() if not ok]
 
 
 @dataclass
@@ -155,8 +153,9 @@ class ExperimentConfig:
     lambdas: tuple[float, ...]
     source_path: str
     source_hash: str  # sha256 of the bytes parsed, first 12 hex digits
+    data: DataOptions = field(default_factory=DataOptions)
     gamp: GampOptions = field(default_factory=GampOptions)
-    erm: ErmOptions = field(default_factory=ErmOptions)
+    erm: TrainConfig = field(default_factory=TrainConfig)
     out_dir: str = "out"
 
     def violations(self) -> list[str]:
@@ -176,12 +175,13 @@ class ExperimentConfig:
             out.append(f"ExperimentConfig: model name {self.spec.name!r} holds a comma or a "
                        "newline, which would split its table cell")
         out += self.solver.violations()
+        out += self.data.violations()
         out += self.gamp.violations()
         out += self.erm.violations()
         # a test-error stderr needs two draws of each class tuple
-        if holdout_plan(self.spec, self.erm.n_test, 0).n_samples < 2:
+        if holdout_plan(self.spec, self.data.n_test, 0).n_samples < 2:
             out.append(
-                f"ExperimentConfig: [erm] n_test = {self.erm.n_test} leaves fewer "
+                f"ExperimentConfig: [data] n_test = {self.data.n_test} leaves fewer "
                 "than 2 test draws per class tuple"
             )
         if self.solver.mc_plan.gh_order > 0:
@@ -233,9 +233,18 @@ SECTION_KEYS = {
     "mc": set(_option_fields(McPlan)),
     "solver": set(_option_fields(SolverConfig)),
     "sweep": {"alphas", "lambdas"},
+    "data": set(_option_fields(DataOptions)),
     "gamp": set(_option_fields(GampOptions)),
-    "erm": set(_option_fields(ErmOptions)),
+    "erm": set(_option_fields(TrainConfig)),
     "output": {"dir"},
+}
+
+
+# The [data] key that a dataset key set in another section belongs to.
+_DATA_HINTS = {
+    "d": "the dataset size is [data] d",
+    "seeds": "the dataset seeds are [data] seeds",
+    "n_test": "the test-set size is [data] n_test",
 }
 
 
@@ -249,8 +258,8 @@ def _check_keys(cp: configparser.ConfigParser) -> None:
         known = SECTION_KEYS[section]
         unknown = sorted(set(cp.options(section)) - known) if known is not None else []
         if unknown:
-            # a model is size-free; each finite-d run reads its own d
-            hint = "; the dataset size is [gamp] d and [erm] d" if "d" in unknown else ""
+            # a model is size-free, and the per-seed runs share one dataset
+            hint = "".join(f"; {_DATA_HINTS[key]}" for key in unknown if key in _DATA_HINTS)
             raise SpecValidationError(
                 f"unknown key(s) in [{section}]: {', '.join(unknown)}; "
                 f"known: {sorted(known)}{hint}"
@@ -272,8 +281,9 @@ def _read_experiment(path, **plan_overrides) -> ExperimentConfig:
         solver=_options(cp, "solver", SolverConfig, mc_plan=plan),
         alphas=tuple(_floats(cp.get("sweep", "alphas", fallback=str(spec.dims.alpha)))),
         lambdas=tuple(_floats(cp.get("sweep", "lambdas", fallback=str(spec.dims.lam)))),
+        data=_options(cp, "data", DataOptions),
         gamp=_options(cp, "gamp", GampOptions),
-        erm=_options(cp, "erm", ErmOptions),
+        erm=_options(cp, "erm", TrainConfig),
         out_dir=cp.get("output", "dir", fallback="out"),
         source_path=str(path),
         source_hash=hashlib.sha256(data).hexdigest()[:12],

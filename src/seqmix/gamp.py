@@ -32,8 +32,8 @@ block.  The token-pair indices are built once per L.
 
 Range.  A squared entry beyond float32's largest value (3.4e38, an entry of
 X beyond about 1.8e19, e.g. a spectral atom with gamma near 1e40) becomes
-inf in GAMP's design.  V and A are then not finite, and the run stops at its
-first iteration with SolverDivergenceError.  Float64 GAMP does not converge
+inf in GAMP's design, and the run stops with SolverDivergenceError at its
+first iteration, before any product is taken.  Float64 GAMP does not converge
 at such scales either (already not at gamma = 1e20).
 
 Memory.  X and the squared designs live in anonymous maps of their own
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import SolverDivergenceError, SpecValidationError
 from .model import (
     check_divergence,
     inverse,
@@ -359,7 +359,13 @@ def gamp_run(
     r = dims.r
     lam = dims.lam
     X = data.X
-    XX = _squared_design(X, np.float32)
+    with np.errstate(over="ignore"):
+        XX = _squared_design(X, np.float32)
+    # |X[l] X[k]| overflows only where X[l]^2 or X[k]^2 does, so the largest
+    # entry shows every overflow
+    if not np.isfinite(XX.max()):
+        raise SolverDivergenceError(float("nan"), [], 1, loop="GAMP", step="iteration",
+                                    measure="relative change")
 
     w_hat = np.zeros((d, r))
     c_hat = np.broadcast_to(np.eye(r), (d, r, r)).copy()

@@ -167,14 +167,11 @@ def gauss_hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         )
     x, w = hermegauss(order)
     w = w / np.sqrt(2.0 * np.pi)
-    if dim == 0:
-        wts, pts = np.ones(1), np.zeros((1, 0))
-    else:
-        grids = np.meshgrid(*([x] * dim), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        wts = np.ones(len(pts))
-        for axis in range(dim):
-            wts = wts * w[np.unravel_index(np.arange(len(pts)), (order,) * dim)[axis]]
+    grids = np.meshgrid(*([x] * dim), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    wts = np.ones(len(pts))
+    for axis in range(dim):
+        wts = wts * w[np.unravel_index(np.arange(len(pts)), (order,) * dim)[axis]]
     wts.flags.writeable = False
     pts.flags.writeable = False
     return wts, pts

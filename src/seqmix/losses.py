@@ -4,10 +4,14 @@ Every loss implements the single batched interface of `model.LossModel`:
 each hook takes (Ys, Xs, v, cs) with Ys the (S, L, t) label channel, Xs the
 (S, L, r) student channel, v the shared r x r weight self-overlap and cs the
 (S, L) class tuples, and returns one value per sample.  A single point is a
-batch of one.
+batch of one.  The hooks are module-level functions (square_energy's bind
+its coupling with `functools.partial`), so a loss, and a spec or config
+holding one, pickles.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -31,34 +35,37 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # Square loss (teacher-student regression), any L, requires r == t.
 # ----------------------------------------------------------------------
 
+def _square_eval(Ys, Xs, v, cs):
+    return 0.5 * np.sum((Ys - Xs) ** 2, axis=(-2, -1))
+
+
+def _square_grad(Ys, Xs, v, cs):
+    return Xs - Ys
+
+
+def _square_hess(Ys, Xs, v, cs):
+    n = Xs.shape[-2] * Xs.shape[-1]
+    return np.broadcast_to(np.eye(n), (Xs.shape[0], n, n))
+
+
+def _square_prox(anchors, P, Ys, v, cs):
+    # stationarity: P (X - a) + (X - Y) = 0  =>  (P + I) X = P a + Y
+    n, L, r = anchors.shape
+    rhs = np.einsum("nij,nj->ni", P, anchors.reshape(n, -1)) + Ys.reshape(n, -1)
+    X = solve(P + np.eye(L * r), rhs[..., None], "the square-loss prox system P + I")[..., 0]
+    return X.reshape(n, L, r)
+
+
 def square_loss() -> LossModel:
     """ell = (1/2) ||Y - X||_F^2 with the exact quadratic prox."""
-
-    def ev(Ys, Xs, v, cs):
-        return 0.5 * np.sum((Ys - Xs) ** 2, axis=(-2, -1))
-
-    def grad(Ys, Xs, v, cs):
-        return Xs - Ys
-
-    def hess(Ys, Xs, v, cs):
-        n = Xs.shape[-2] * Xs.shape[-1]
-        return np.broadcast_to(np.eye(n), (Xs.shape[0], n, n))
-
-    def prox(anchors, P, Ys, v, cs):
-        # stationarity: P (X - a) + (X - Y) = 0  =>  (P + I) X = P a + Y
-        n, L, r = anchors.shape
-        rhs = np.einsum("nij,nj->ni", P, anchors.reshape(n, -1)) + Ys.reshape(n, -1)
-        X = solve(P + np.eye(L * r), rhs[..., None], "the square-loss prox system P + I")[..., 0]
-        return X.reshape(n, L, r)
-
     return LossModel(
         name="square",
         strongly_convex=True,
-        eval=ev,
-        grad_X=grad,
-        test_eval=ev,
-        hess_X=hess,
-        prox=prox,
+        eval=_square_eval,
+        grad_X=_square_grad,
+        test_eval=_square_eval,
+        hess_X=_square_hess,
+        prox=_square_prox,
     )
 
 
@@ -76,87 +83,93 @@ def misclassification(Ys, Xs, v, cs):
     return (np.sign(Xs[..., 0, 0]) != s).astype(float)
 
 
+def _logistic_eval(Ys, Xs, v, cs):
+    s = _signs_of(cs)
+    return _logistic(-s * Xs[..., 0, 0])
+
+
+def _logistic_grad(Ys, Xs, v, cs):
+    s = _signs_of(cs)
+    g = -s * _sigmoid(-s * Xs[..., 0, 0])
+    return g[..., None, None]
+
+
+def _logistic_hess(Ys, Xs, v, cs):
+    p = _sigmoid(_signs_of(cs) * Xs[..., 0, 0])
+    return (p * (1.0 - p))[..., None, None]
+
+
+def _logistic_prox(anchors, precisions, Ys, v, cs):
+    # scalar Newton on x + V s'(x) = a, vectorized over the batch
+    n = anchors.shape[0]
+    a = anchors.reshape(n)
+    V = 1.0 / precisions.reshape(n)
+    s = _signs_of(cs)
+    # loop invariants; V * s * sig evaluates as (V * s) * sig
+    neg_s, Vs = -s, V * s
+    tol = 1e-14 * (1.0 + np.max(np.abs(a)))
+    x = a.copy()
+    for _ in range(80):
+        sig = _sigmoid(neg_s * x)
+        res = x - a - Vs * sig
+        dres = 1.0 + V * sig * (1.0 - sig)
+        step = res / dres
+        x = x - step
+        if np.abs(res).max() < tol:
+            break
+    return x.reshape(n, 1, 1)
+
+
 def logistic_gmm_loss() -> LossModel:
     """ell = log(1 + exp(-s_c x)) with s_c = +-1 from the first token's cluster."""
-
-    def ev(Ys, Xs, v, cs):
-        s = _signs_of(cs)
-        return _logistic(-s * Xs[..., 0, 0])
-
-    def grad(Ys, Xs, v, cs):
-        s = _signs_of(cs)
-        g = -s * _sigmoid(-s * Xs[..., 0, 0])
-        return g[..., None, None]
-
-    def hess(Ys, Xs, v, cs):
-        p = _sigmoid(_signs_of(cs) * Xs[..., 0, 0])
-        return (p * (1.0 - p))[..., None, None]
-
-    def prox(anchors, precisions, Ys, v, cs):
-        # scalar Newton on x + V s'(x) = a, vectorized over the batch
-        n = anchors.shape[0]
-        a = anchors.reshape(n)
-        V = 1.0 / precisions.reshape(n)
-        s = _signs_of(cs)
-        # loop invariants; V * s * sig evaluates as (V * s) * sig
-        neg_s, Vs = -s, V * s
-        tol = 1e-14 * (1.0 + np.max(np.abs(a)))
-        x = a.copy()
-        for _ in range(80):
-            sig = _sigmoid(neg_s * x)
-            res = x - a - Vs * sig
-            dres = 1.0 + V * sig * (1.0 - sig)
-            step = res / dres
-            x = x - step
-            if np.abs(res).max() < tol:
-                break
-        return x.reshape(n, 1, 1)
-
     return LossModel(
         name="logistic_gmm",
-        eval=ev,
-        grad_X=grad,
+        eval=_logistic_eval,
+        grad_X=_logistic_grad,
         test_eval=misclassification,
         depends_on_y=False,
         test_metric_smooth=False,
-        hess_X=hess,
-        prox=prox,
+        hess_X=_logistic_hess,
+        prox=_logistic_prox,
     )
+
+
+def _square_gmm_eval(Ys, Xs, v, cs):
+    s = _signs_of(cs)
+    return 0.5 * (s - Xs[..., 0, 0]) ** 2
+
+
+def _square_gmm_grad(Ys, Xs, v, cs):
+    s = _signs_of(cs)
+    return (Xs[..., 0, 0] - s)[..., None, None]
+
+
+def _square_gmm_hess(Ys, Xs, v, cs):
+    return np.broadcast_to(1.0, (Xs.shape[0], 1, 1))
+
+
+def _square_gmm_prox(anchors, precisions, Ys, v, cs):
+    n = anchors.shape[0]
+    a = anchors.reshape(n)
+    V = 1.0 / precisions.reshape(n)
+    s = _signs_of(cs)
+    # (1/V)(x - a) + (x - s) = 0
+    x = (a + V * s) / (1.0 + V)
+    return x.reshape(n, 1, 1)
 
 
 def square_gmm_loss() -> LossModel:
     """ell = (1/2)(s_c - x)^2, misclassification as the test metric."""
-
-    def ev(Ys, Xs, v, cs):
-        s = _signs_of(cs)
-        return 0.5 * (s - Xs[..., 0, 0]) ** 2
-
-    def grad(Ys, Xs, v, cs):
-        s = _signs_of(cs)
-        return (Xs[..., 0, 0] - s)[..., None, None]
-
-    def hess(Ys, Xs, v, cs):
-        return np.broadcast_to(1.0, (Xs.shape[0], 1, 1))
-
-    def prox(anchors, precisions, Ys, v, cs):
-        n = anchors.shape[0]
-        a = anchors.reshape(n)
-        V = 1.0 / precisions.reshape(n)
-        s = _signs_of(cs)
-        # (1/V)(x - a) + (x - s) = 0
-        x = (a + V * s) / (1.0 + V)
-        return x.reshape(n, 1, 1)
-
     return LossModel(
         name="square_gmm",
         strongly_convex=True,
-        eval=ev,
-        grad_X=grad,
+        eval=_square_gmm_eval,
+        grad_X=_square_gmm_grad,
         test_eval=misclassification,
         depends_on_y=False,
         test_metric_smooth=False,
-        hess_X=hess,
-        prox=prox,
+        hess_X=_square_gmm_hess,
+        prox=_square_gmm_prox,
     )
 
 
@@ -165,52 +178,55 @@ def square_gmm_loss() -> LossModel:
 # (d3, the C update in message passing, the extra gradient term in GD).
 # ----------------------------------------------------------------------
 
+def _energy_eval(coupling, Ys, Xs, v, cs):
+    return _square_eval(Ys, Xs, v, cs) + 0.5 * coupling * float(np.trace(v))
+
+
+def _energy_d3(coupling, Ys, Xs, v, cs):
+    return np.broadcast_to(0.5 * coupling * np.eye(v.shape[0]), (Xs.shape[0],) + v.shape)
+
+
 def square_loss_with_energy(coupling: float = 0.3) -> LossModel:
     """ell = (1/2) ||Y - X||^2 + (coupling/2) Tr v."""
-    base = square_loss()
-
-    def ev(Ys, Xs, v, cs):
-        return base.eval(Ys, Xs, v, cs) + 0.5 * coupling * float(np.trace(v))
-
-    def d3(Ys, Xs, v, cs):
-        return np.broadcast_to(0.5 * coupling * np.eye(v.shape[0]), (Xs.shape[0],) + v.shape)
-
     return LossModel(
         name="square_energy",
         strongly_convex=True,
-        eval=ev,
-        grad_X=base.grad_X,
-        d3=d3,
-        test_eval=base.test_eval,
-        hess_X=base.hess_X,
-        prox=base.prox,
+        eval=partial(_energy_eval, coupling),
+        grad_X=_square_grad,
+        d3=partial(_energy_d3, coupling),
+        test_eval=_square_eval,
+        hess_X=_square_hess,
+        prox=_square_prox,
     )
+
+
+def _zero_eval(Ys, Xs, v, cs):
+    return np.zeros(Xs.shape[0])
+
+
+def _zero_grad(Ys, Xs, v, cs):
+    return np.zeros_like(Xs)
+
+
+def _zero_hess(Ys, Xs, v, cs):
+    n = Xs.shape[-2] * Xs.shape[-1]
+    return np.broadcast_to(0.0, (Xs.shape[0], n, n))
+
+
+def _zero_prox(anchors, precisions, Ys, v, cs):
+    return anchors.copy()
 
 
 def zero_loss() -> LossModel:
     """Identically-zero loss; prox is the identity on the anchor."""
-
-    def ev(Ys, Xs, v, cs):
-        return np.zeros(Xs.shape[0])
-
-    def grad(Ys, Xs, v, cs):
-        return np.zeros_like(Xs)
-
-    def hess(Ys, Xs, v, cs):
-        n = Xs.shape[-2] * Xs.shape[-1]
-        return np.broadcast_to(0.0, (Xs.shape[0], n, n))
-
-    def prox(anchors, precisions, Ys, v, cs):
-        return anchors.copy()
-
     return LossModel(
         name="zero",
-        eval=ev,
-        grad_X=grad,
-        test_eval=ev,
+        eval=_zero_eval,
+        grad_X=_zero_grad,
+        test_eval=_zero_eval,
         depends_on_y=False,
-        hess_X=hess,
-        prox=prox,
+        hess_X=_zero_hess,
+        prox=_zero_prox,
     )
 
 

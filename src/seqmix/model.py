@@ -43,7 +43,7 @@ class Dimensions:
     L: sequence length, r/t: student/teacher hidden units, K: clusters per
     token, alpha: sample complexity n/d, lam: l2 regularization strength.
     d is a label for Python callers (the zoo constructors take it); no module
-    reads it, and a config sets the simulated size in [gamp] d and [erm] d.
+    reads it, and a config sets the simulated size in [data] d.
     """
 
     L: int

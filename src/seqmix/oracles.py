@@ -8,7 +8,7 @@ Two routes that never touch the fixed-point solver:
 
        g = 1 / (lam + alpha / (1 + g)),
 
-   solved here by bisection.  The ridge estimator w = (W + lam)^-1 W w*
+   a quadratic in g, solved here in closed form.  The ridge estimator w = (W + lam)^-1 W w*
    then has deterministic overlaps
        theta = rho (1 - lam g),
        q     = rho (1 - 2 lam g + lam^2 g2),    g2 = -dg/dlam,
@@ -38,25 +38,15 @@ import numpy as np
 from .errors import SpecValidationError
 
 
-def resolvent_trace(alpha: float, lam: float, tol: float = 1e-14) -> float:
-    """Bisection solve of g = 1 / (lam + alpha / (1 + g)) on g > 0."""
+def resolvent_trace(alpha: float, lam: float) -> float:
+    """The positive root g of g = 1 / (lam + alpha / (1 + g)), that is of
+    lam g^2 + b g - 1 = 0 with b = lam + alpha - 1, in the form of the
+    quadratic formula that does not cancel for the sign of b."""
     if lam <= 0:
         raise SpecValidationError(f"resolvent trace requires lam > 0, got {lam}")
-
-    def F(g: float) -> float:
-        return g * (lam + alpha / (1.0 + g)) - 1.0
-
-    lo, hi = 0.0, 1.0 / lam
-    # F(0) = -1 < 0 and F(1/lam) >= 0, so the root is bracketed
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if F(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol * (1.0 + hi):
-            break
-    return 0.5 * (lo + hi)
+    b = lam + alpha - 1.0
+    root = math.sqrt(b * b + 4.0 * lam)
+    return 2.0 / (b + root) if b >= 0 else (root - b) / (2.0 * lam)
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
+import pickle
 import re
 import subprocess
 import sys
@@ -17,14 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seqmix
-from seqmix import gaussian
+from seqmix import cli, gaussian, verify
 from seqmix.cli import main
 from seqmix.config import load_experiment, SECTION_KEYS
 from seqmix.erm import erm_train, TrainConfig
 from seqmix.errors import SpecValidationError
 from seqmix.gamp import gamp_run, generate_dataset, rbp_run
 from seqmix.gaussian import McPlan
-from seqmix.losses import loss_by_name
+from seqmix.losses import loss_by_name, LOSSES
+from seqmix.model import make_atom, SpectralMeasure
 from seqmix.saddle import solve_fixed_point, SolverConfig
 from seqmix.serialize import read_table, report_to_dict, save_report, write_table
 from seqmix.zoo import gmm_instance, INSTANCES, ridge_instance, two_token_instance
@@ -48,18 +51,18 @@ max_iters = 500
 alphas = 0.5, 1.0, 2.0
 lambdas = 0.1
 
-[gamp]
+[data]
 d = 80
-seeds = 0
+seeds = 0, 1
+n_test = 20000
+
+[gamp]
 max_iters = 200
 tol = 1e-9
 damping = 0.0
 
 [erm]
-d = 60
-seeds = 0, 1
 grad_tol = 1e-6
-n_test = 20000
 """
 
 
@@ -120,8 +123,8 @@ class TestModelConfig:
         cfg = load_experiment(ridge_config)
         assert cfg.alphas == (0.5, 1.0, 2.0)
         assert cfg.solver.mc_plan.gh_order == 7
-        assert cfg.gamp.d == 80
-        assert cfg.erm.seeds == (0, 1)
+        assert (cfg.data.d, cfg.data.seeds, cfg.data.n_test) == (80, (0, 1), 20000)
+        assert cfg.gamp.damping == 0.0 and cfg.erm.grad_tol == 1e-6
         assert cfg.violations() == []
 
     def test_every_documented_key_loads(self, tmp_path):
@@ -134,14 +137,16 @@ class TestModelConfig:
             "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 50\ninit = gamp\n"
             "record_trajectory = true\n\n"
             "[sweep]\nalphas = 0.5, 1.0\nlambdas = 0.1\n\n"
-            "[gamp]\nd = 50\nseeds = 0, 1\nmax_iters = 20\ntol = 1e-8\ndamping = 0.0\n\n"
-            "[erm]\nd = 40\nseeds = 2\nmax_epochs = 30\ngrad_tol = 1e-5\nn_test = 1000\n\n"
+            "[data]\nd = 50\nseeds = 0, 1\nn_test = 1000\n\n"
+            "[gamp]\nmax_iters = 20\ntol = 1e-8\ndamping = 0.0\n\n"
+            "[erm]\nmax_epochs = 30\ngrad_tol = 1e-5\n\n"
             "[output]\ndir = elsewhere\n"
         )
         cfg = load_experiment(path)
         assert cfg.solver.mc_plan == McPlan(n_samples=2000, seed=3, gh_order=7)
         assert cfg.solver.record_trajectory and cfg.solver.init == "gamp"
-        assert (cfg.gamp.d, cfg.erm.n_test, cfg.out_dir) == (50, 1000, "elsewhere")
+        assert (cfg.data.d, cfg.data.seeds, cfg.data.n_test) == (50, (0, 1), 1000)
+        assert (cfg.gamp.max_iters, cfg.erm.max_epochs, cfg.out_dir) == (20, 30, "elsewhere")
         assert cfg.spec.name == "my_ridge"
 
     def test_erm_section_is_the_train_config(self, ridge_config):
@@ -149,7 +154,7 @@ class TestModelConfig:
         cfg = load_experiment(ridge_config)
         assert isinstance(cfg.erm, TrainConfig)
         assert (cfg.erm.grad_tol, cfg.erm.max_epochs) == (1e-6, 5000)
-        data = generate_dataset(cfg.spec, cfg.spec.nu, d=cfg.erm.d, n=cfg.erm.d, seed=0)
+        data = generate_dataset(cfg.spec, cfg.spec.nu, d=cfg.data.d, n=cfg.data.d, seed=0)
         fit = erm_train(data, cfg.spec, config=cfg.erm)
         ref = erm_train(data, cfg.spec, config=TrainConfig(grad_tol=1e-6, max_epochs=5000))
         assert fit.converged and fit.iterations == ref.iterations
@@ -183,11 +188,29 @@ class TestModelConfig:
         (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = many"), "many"),
         (RIDGE_EXPERIMENT.replace("[solver]", "[solver"), "[solver"),
         # a model is size-free: d was stored and read by nothing
-        (RIDGE_EXPERIMENT.replace("lambda = 0.1\n", "lambda = 0.1\nd = 100\n", 1), "[gamp] d"),
+        (RIDGE_EXPERIMENT.replace("lambda = 0.1\n", "lambda = 0.1\nd = 100\n", 1),
+         "the dataset size is [data] d"),
         (explicit_ini(ridge_instance()).replace("[class_law]", "d = 100\n\n[class_law]"),
-         "[erm] d"),
+         "the dataset size is [data] d"),
+        # the three per-seed commands share one dataset: [gamp] and [erm]
+        # stated it twice, with different default sizes
+        (RIDGE_EXPERIMENT.replace("[gamp]\n", "[gamp]\nd = 80\n"),
+         "unknown key(s) in [gamp]: d; known: ['damping', 'max_iters', 'tol']; "
+         "the dataset size is [data] d"),
+        (RIDGE_EXPERIMENT.replace("[gamp]\n", "[gamp]\nseeds = 0\n"),
+         "unknown key(s) in [gamp]: seeds; known: ['damping', 'max_iters', 'tol']; "
+         "the dataset seeds are [data] seeds"),
+        (RIDGE_EXPERIMENT.replace("[erm]\n", "[erm]\nd = 60\n"),
+         "unknown key(s) in [erm]: d; known: ['grad_tol', 'max_epochs']; "
+         "the dataset size is [data] d"),
+        (RIDGE_EXPERIMENT.replace("[erm]\n", "[erm]\nseeds = 0, 1\n"),
+         "the dataset seeds are [data] seeds"),
+        # run-gamp and run-rbp took their test-set size from [erm]
+        (RIDGE_EXPERIMENT.replace("[erm]\n", "[erm]\nn_test = 20000\n"),
+         "unknown key(s) in [erm]: n_test; known: ['grad_tol', 'max_epochs']; "
+         "the test-set size is [data] n_test"),
         # an empty test set wrote eg = nan and exited 0
-        (RIDGE_EXPERIMENT.replace("n_test = 20000", "n_test = 0"), "n_test"),
+        (RIDGE_EXPERIMENT.replace("n_test = 20000", "n_test = 0"), "[data] n_test = 0"),
         # raised inside the per-seed fit, which reported it as exit 3
         (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = -1"), "grad_tol"),
         # an empty solve indexed its empty residual history
@@ -195,10 +218,9 @@ class TestModelConfig:
         (RIDGE_EXPERIMENT.replace("max_iters = 500", "max_iters = -3"), "SolverConfig: max_iters"),
         # the sample count is round(alpha d); a set n disagreed with the
         # alpha written in the final table
-        (RIDGE_EXPERIMENT.replace("d = 80\n", "d = 80\nn = 80\n"), "unknown key(s) in [gamp]: n"),
+        (RIDGE_EXPERIMENT.replace("[gamp]\n", "[gamp]\nn = 80\n"), "unknown key(s) in [gamp]: n"),
         # raised a bare ValueError from the dataset's seed
-        (RIDGE_EXPERIMENT.replace("d = 80\nseeds = 0", "d = 80\nseeds = -1"), "[gamp] seeds"),
-        (RIDGE_EXPERIMENT.replace("seeds = 0, 1", "seeds = -1"), "[erm] seeds"),
+        (RIDGE_EXPERIMENT.replace("seeds = 0, 1", "seeds = -1"), "[data] seeds must be >= 0"),
         # ran, then exited 3
         (RIDGE_EXPERIMENT.replace("damping = 0.0", "damping = 1.5"), "[gamp] damping"),
         (RIDGE_EXPERIMENT.replace("max_iters = 200", "max_iters = 0"), "[gamp] max_iters"),
@@ -206,7 +228,7 @@ class TestModelConfig:
         (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = 1e-6\nmax_epochs = 0"),
          "max_epochs"),
         # failed only when the dataset was generated, without the section
-        (RIDGE_EXPERIMENT.replace("d = 60", "d = 0"), "[erm] d"),
+        (RIDGE_EXPERIMENT.replace("d = 80", "d = 0"), "[data] d must be >= 1"),
         # redrew Monte Carlo nodes every sweep, ran every sweep and exited 3
         (RIDGE_EXPERIMENT.replace("gh_order = 7\n", "crn = false\n"), "crn must be true"),
         # solved, converged and wrote a negative training loss, exit 0
@@ -232,9 +254,10 @@ class TestModelConfig:
         # caught only by a second check in the command line
         (explicit_ini(ridge_instance()).replace("0 : 1.0", "0 : 0.9"), "probs sum to 0.9"),
     ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
-            "model-d", "dimensions-d", "erm-n-test", "erm-grad-tol", "solver-max-iters-0",
-            "solver-max-iters-negative", "gamp-n-unknown", "gamp-seeds", "erm-seeds",
-            "gamp-damping", "gamp-max-iters", "gamp-tol", "erm-max-epochs", "erm-d",
+            "model-d", "dimensions-d", "gamp-d", "gamp-seeds", "erm-d", "erm-seeds",
+            "erm-n-test", "data-n-test", "erm-grad-tol", "solver-max-iters-0",
+            "solver-max-iters-negative", "gamp-n-unknown", "data-seeds",
+            "gamp-damping", "gamp-max-iters", "gamp-tol", "erm-max-epochs", "data-d",
             "mc-crn-false", "sweep-lambda-negative", "sweep-alpha-negative", "sweep-alpha-nan",
             "model-alpha-inf", "model-lambda-nan", "model-name-comma", "model-name-newline",
             "instance-name-comma", "class-law-sum"])
@@ -315,15 +338,15 @@ class TestReportsAndDatasets:
         path.write_text(
             "[model]\ninstance = two_token\nalpha = 1.0\nlambda = 0.1\n\n[mc]\ngh_order = 7\n\n"
             "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 500\nrecord_trajectory = true\n\n"
-            "[gamp]\nd = 40\nseeds = 0\nmax_iters = 200\ntol = 1e-9\ndamping = 0.0\n\n"
-            "[erm]\nn_test = 2000\n"
+            "[data]\nd = 40\nseeds = 0\nn_test = 2000\n\n"
+            "[gamp]\nmax_iters = 200\ntol = 1e-9\ndamping = 0.0\n"
         )
         out = tmp_path / "out"
         for command in ("solve-se", "run-gamp", "run-rbp"):
             assert main([command, "--config", str(path), "--out", str(out)]) == 0
         cfg = load_experiment(path)
         spec, o = cfg.spec, cfg.gamp
-        data = generate_dataset(spec, spec.nu, d=o.d, n=40, seed=0)
+        data = generate_dataset(spec, spec.nu, d=cfg.data.d, n=40, seed=0)
         records = {
             "se_trajectory_alpha1.0.csv": solve_fixed_point(spec, spec.nu, cfg.solver),
             "gamp_trajectory_seed0.csv": gamp_run(data, spec, max_iters=o.max_iters, tol=o.tol,
@@ -438,6 +461,26 @@ class TestCli:
         assert 0 < sweeps < 500
         assert f"alpha=1.0 lam=0.05: fixed-point iteration diverged at iteration {sweeps} " in err
 
+    def test_gamp_beyond_single_precision_stops_without_warnings(self, tmp_path, capsys):
+        # gamma = 1e40 squares X's entries past float32's 3.4e38; four numpy
+        # overflow warnings came before the divergence
+        base = ridge_instance()
+        huge = SpectralMeasure((make_atom(base.dims, 1.0, gamma=1e40, tau=0.0, pi=1.0),))
+        path = tmp_path / "huge.ini"
+        path.write_text(explicit_ini(replace(base, nu=huge))
+                        + "\n[data]\nd = 20\nseeds = 19\nn_test = 400\n\n[gamp]\ndamping = 0.0\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run-gamp", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert "seed=19: GAMP diverged at iteration 1 (relative change nan)" in err
+        _, header, rows = read_table(out / "gamp_final.csv")
+        assert (rows[0][header.index("iterations")], rows[0][header.index("converged")]) == (
+            "1", "False")
+
     def test_unconverged_solve_is_reported(self, tmp_path, capsys):
         path = self._square_gmm_config(tmp_path, 0.1, 40)
         assert main(["solve-se", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
@@ -471,8 +514,8 @@ class TestCli:
         path = tmp_path / "rbp.ini"
         path.write_text(
             "[model]\ninstance = ridge\nalpha = 2.0\nlambda = 0.1\n\n"
-            "[gamp]\nd = 40\nseeds = 40000\nmax_iters = 500\ntol = 1e-11\n\n"
-            "[erm]\nn_test = 20000\n"
+            "[data]\nd = 40\nseeds = 40000\nn_test = 20000\n\n"
+            "[gamp]\nmax_iters = 500\ntol = 1e-11\n"
         )
         out = tmp_path / "out"
         assert main(["run-rbp", "--config", str(path), "--out", str(out)]) == 3
@@ -492,7 +535,7 @@ class TestCli:
         # ERM wrote a fit on no data and exited 0
         path = tmp_path / "empty.ini"
         path.write_text("[model]\ninstance = logistic_gmm\nalpha = 0.1\n\n"
-                        "[gamp]\nd = 4\n\n[erm]\nd = 4\nn_test = 400\n")
+                        "[data]\nd = 4\nn_test = 400\n")
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -504,10 +547,23 @@ class TestCli:
         code = main(["run-erm", "--config", str(ridge_config), "--out", str(out)])
         assert code == 0
         meta, header, rows = read_table(out / "erm_curve.csv")
-        assert len(rows) == 2 and (meta["d"], meta["n"]) == ("60", "60")
+        assert len(rows) == 2 and (meta["d"], meta["n"]) == ("80", "80")
         eg = float(rows[0][header.index("eg")])
         assert 0.0 <= eg < 1.0
         assert all(r[header.index("converged")] == "True" for r in rows)
+
+    def test_per_seed_commands_share_the_data_section(self, ridge_config, tmp_path):
+        # [gamp] and [erm] each stated a dataset, with default sizes of 1000
+        # and 500: the two tables described different datasets
+        ridge_config.write_text(ridge_config.read_text().replace("d = 80\n", "").replace(
+            "seeds = 0, 1", "seeds = 3"))
+        out = tmp_path / "out"
+        for command in ("run-gamp", "run-erm"):
+            assert main([command, "--config", str(ridge_config), "--out", str(out)]) == 0
+        for table in ("gamp_final.csv", "erm_curve.csv"):
+            meta, header, rows = read_table(out / table)
+            assert (meta["d"], meta["n"]) == ("1000", "1000")
+            assert [row[header.index("seed")] for row in rows] == ["3"]
 
     def test_run_erm_max_epochs_is_numerical_failure(self, ridge_config, tmp_path):
         text = ridge_config.read_text().replace(
@@ -527,7 +583,8 @@ class TestCli:
         path = tmp_path / "unbounded.ini"
         path.write_text(
             base.replace("name = square\n", "name = square_energy\ncoupling = -0.5\n")
-            + "\n[erm]\nd = 100\nseeds = 2\ngrad_tol = 1e-8\nmax_epochs = 3000\nn_test = 2000\n"
+            + "\n[data]\nd = 100\nseeds = 2\nn_test = 2000\n\n"
+            "[erm]\ngrad_tol = 1e-8\nmax_epochs = 3000\n"
         )
         out = tmp_path / "out"
         assert main(["run-erm", "--config", str(path), "--out", str(out)]) == 3
@@ -664,7 +721,8 @@ class TestCli:
 
     def test_sweep_workers_match_serial(self, ridge_config, tmp_path):
         # Monte Carlo nodes whose sample count and seed come from the command
-        # line: the pool's workers reload the config and must apply both
+        # line: the pool's workers are handed the config the parent loaded,
+        # both overrides set on it
         text = ridge_config.read_text().replace("gh_order = 7", "gh_order = 0")
         text = text.replace("alphas = 0.5, 1.0, 2.0", "alphas = 0.5, 1.0")
         ridge_config.write_text(text.replace("lambdas = 0.1", "lambdas = 0.1, 0.5"))
@@ -677,6 +735,31 @@ class TestCli:
             tables.append(read_table(out / "sweep.csv"))
         assert len(tables[0][2]) == 4
         assert tables[0] == tables[1]
+
+    def test_sweep_workers_solve_the_config_the_table_names(self, ridge_config, tmp_path,
+                                                           monkeypatch):
+        # the file is edited after the parent has read it: workers that
+        # reread it solved two_token under the ridge bytes' hash
+        text = ridge_config.read_text().replace("lambdas = 0.1", "lambdas = 0.1, 0.5")
+        load = cli._load_and_validate
+
+        def load_then_edit(args, solved=slice(0)):
+            cfg = load(args, solved)
+            Path(args.config).write_text(text.replace("instance = ridge", "instance = two_token"))
+            return cfg
+
+        monkeypatch.setattr(cli, "_load_and_validate", load_then_edit)
+        tables = []
+        for workers in ("1", "2"):
+            ridge_config.write_text(text)
+            out = tmp_path / f"workers{workers}"
+            assert main(["sweep", "--config", str(ridge_config), "--out", str(out),
+                         "--workers", workers]) == 0
+            tables.append(read_table(out / "sweep.csv"))
+        assert tables[0] == tables[1]
+        meta, header, rows = tables[1]
+        assert meta["config_hash"] == hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert len(rows) == 6 and {row[header.index("model")] for row in rows} == {"ridge"}
 
     def test_sweep_pool_is_no_larger_than_the_grid(self, ridge_config, tmp_path, monkeypatch):
         # a fork-started pool forks all max_workers processes at the first
@@ -720,6 +803,53 @@ class TestCli:
         assert not out.exists()
 
 
+class TestVerifyCommand:
+    @staticmethod
+    def _check(name, passed):
+        return lambda: verify.CheckResult(name, passed, "stand-in")
+
+    def test_exit_code_and_report_follow_the_checks(self, tmp_path, monkeypatch, capsys):
+        checks = {"first": self._check("first", True), "second": self._check("second", True)}
+        monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+        out = tmp_path / "report"
+        assert main(["verify", "--out", str(out)]) == 0
+        lines = ["PASS first: stand-in [0.0s]", "PASS second: stand-in [0.0s]"]
+        assert (out / "verify_report.txt").read_text().splitlines() == lines
+        checks["second"] = self._check("second", False)
+        assert main(["verify", "--out", str(out)]) == 3
+        lines[1] = "FAIL second: stand-in [0.0s]"
+        assert (out / "verify_report.txt").read_text().splitlines() == lines
+        assert lines[1] in capsys.readouterr().out
+
+
+def _pickle_cases() -> dict[str, str]:
+    """An experiment of every zoo instance and, on ridge's data, of every
+    loss by name."""
+    cases = {name: f"[model]\ninstance = {name}\n" for name in INSTANCES}
+    for name in LOSSES:
+        spec = replace(ridge_instance(), loss=loss_by_name(name), name=name)
+        cases[name + "-loss"] = explicit_ini(spec).replace(
+            "[loss]\nname = square_energy\n", "[loss]\nname = square_energy\ncoupling = 0.7\n")
+    return {name: ini + "\n[mc]\ngh_order = 7\n\n[solver]\nmax_iters = 30\n\n"
+                        "[sweep]\nalphas = 0.5, 1.0\nlambdas = 0.1\n"
+            for name, ini in cases.items()}
+
+
+PICKLE_CASES = _pickle_cases()
+
+
+@pytest.mark.parametrize("text", list(PICKLE_CASES.values()), ids=list(PICKLE_CASES))
+def test_validated_config_pickles(tmp_path, text):
+    # a sweep's pool is handed the parent's config whole; nested loss hooks
+    # kept it from pickling, and the workers reread the file instead
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    cfg = load_experiment(path)
+    back = pickle.loads(pickle.dumps(cfg))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert repr(cli._alpha_line(back, 0.1)[0]) == repr(cli._alpha_line(cfg, 0.1)[0])
+
+
 def _guard_config(model, alpha, d, lam, gh_order, damping) -> str:
     """A small run of a zoo instance, or of ridge's data with a loss
     spelled out by name."""
@@ -731,8 +861,9 @@ def _guard_config(model, alpha, d, lam, gh_order, damping) -> str:
     return head + (
         f"\n[mc]\nn_samples = 200\ngh_order = {gh_order}\n\n"
         f"[solver]\ndamping = {damping}\nmax_iters = 30\n\n"
-        f"[gamp]\nd = {d}\nmax_iters = 30\ndamping = {damping}\n\n"
-        f"[erm]\nd = {d}\nmax_epochs = 30\nn_test = 400\n"
+        f"[data]\nd = {d}\nn_test = 400\n\n"
+        f"[gamp]\nmax_iters = 30\ndamping = {damping}\n\n"
+        f"[erm]\nmax_epochs = 30\n"
     )
 
 

@@ -69,6 +69,15 @@ class TestResolventTrace:
         with pytest.raises(SpecValidationError):
             resolvent_trace(1.0, 0.0)
 
+    def test_closed_form_meets_the_equation(self):
+        # a bisection stopped on an absolute width, and was off by up to
+        # 2.6e-11 relative where g is small (lam = 1e4)
+        eps = np.finfo(float).eps
+        for alpha in np.logspace(-3, 4, 29):
+            for lam in np.logspace(-8, 4, 25):
+                g = resolvent_trace(float(alpha), float(lam))
+                assert abs(g * (lam + alpha / (1.0 + g)) - 1.0) <= 4 * eps, (alpha, lam)
+
 
 class TestSolveTridiagonal:
     @pytest.mark.parametrize("d", [1, 2, 3, 50, 4000])

@@ -11,6 +11,7 @@ from seqmix.errors import DegenerateOverlapError, SingularSystemError, SpecValid
 from seqmix.gaussian import (McPlan, pairwise_sum, standard_normals, sym_roots, TEST_STREAM,
                              token_laws, ZETA_STREAM)
 from seqmix.model import (
+    ClassLaw,
     compute_fixed_statistics,
     ConjugateParameters,
     Dimensions,
@@ -273,6 +274,21 @@ class TestSolveFixedPoint:
         spec = ridge_instance(alpha=alpha, lam=lam)
         with pytest.raises(SpecValidationError, match="Dimensions"):
             solve_fixed_point(spec, spec.nu, SolverConfig(mc_plan=GH))
+
+    @pytest.mark.parametrize("plan", [McPlan(gh_order=31), McPlan(n_samples=2000)],
+                             ids=["gh31", "mc2000"])
+    def test_class_tuple_of_probability_zero_changes_nothing(self, plan):
+        # the hat sweep and the test error skip a tuple of probability 0
+        spec = gmm_instance(alpha=1.0)
+        law = spec.class_law
+        padded = replace(spec, class_law=ClassLaw(law.support + ((1,),), law.probs + (0.0,)))
+        cfg = SolverConfig(damping=0.5, tol=1e-8, max_iters=500, mc_plan=plan)
+        a = solve_fixed_point(spec, spec.nu, cfg)
+        b = solve_fixed_point(padded, padded.nu, cfg)
+        assert a.converged and b.iterations == a.iterations
+        assert (b.test_error, b.residual_history) == (a.test_error, a.residual_history)
+        for name, block in a.params.blocks().items():
+            np.testing.assert_array_equal(b.params.blocks()[name], block)
 
     def test_informed_init_reaches_same_point(self):
         # convex instance: one basin, so the informed start must agree
