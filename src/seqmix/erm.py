@@ -168,7 +168,7 @@ def empirical_test_error(
     n_test: int = 200_000,
     seed: int = 1,
 ) -> tuple[float, float]:
-    """Fresh-sample Monte Carlo estimate of the test metric, with stderr.
+    """The fit's expected test metric over fresh test tokens, with stderr.
 
     Test tokens come from the generator's declared population (the same
     means, covariance diagonals and teacher the train set realized), but the
@@ -176,10 +176,13 @@ def empirical_test_error(
     which given the cluster are Gaussian with the overlaps of w_hat and of
     the teacher as mean and covariance.  So this is the solver's
     `test_error` at the fit's own `empirical_statistics`, against the
-    teacher's realized rho and m*, with n_test draws split evenly over the
-    class tuples: the law of an estimate from full d-dimensional test
-    tokens, at O(n_test L (r + t)) cost instead of O(n_test L d), and
-    O(n_test L r) for a metric that reads no labels.
+    teacher's realized rho and m*.  A metric with a closed form
+    (`LossModel.test_mean`, e.g. misclassification) is exact there, with a
+    zero stderr, and n_test and seed are not read.  Any other metric is a
+    Monte Carlo estimate with n_test draws split evenly over the class
+    tuples: the law of an estimate from full d-dimensional test tokens, at
+    O(n_test L (r + t)) cost instead of O(n_test L d), and O(n_test L r)
+    for a metric that reads no labels.
     """
     teacher = empirical_statistics(data.teacher, 0.0, data)
     fixed = FixedStatistics(rho=teacher.q, m_star=teacher.m)

@@ -11,6 +11,7 @@ holding one, pickles.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -83,6 +84,20 @@ def misclassification(Ys, Xs, v, cs):
     return (np.sign(Xs[..., 0, 0]) != s).astype(float)
 
 
+def misclassification_mean(laws, c):
+    """E_c[misclassification]: given the cluster the first token's student
+    projection is X ~ N(m, var), so P(sign X != s) = erfc(s m / sqrt(2 var)) / 2
+    (Mignacco et al., ICML 2020).  At var = 0 it is the indicator at X = m,
+    which scores m = 0 as an error: np.sign(0) matches no class sign."""
+    law = laws[(0, c[0])]
+    s = float(_signs_of(c))
+    m = float(law.m[0])
+    var = float(law.q_root[0] @ law.q_root[0])
+    if var == 0.0:
+        return float(np.sign(m) != s)
+    return 0.5 * math.erfc(s * m / math.sqrt(2.0 * var))
+
+
 def _logistic_eval(Ys, Xs, v, cs):
     s = _signs_of(cs)
     return _logistic(-s * Xs[..., 0, 0])
@@ -128,7 +143,7 @@ def logistic_gmm_loss() -> LossModel:
         grad_X=_logistic_grad,
         test_eval=misclassification,
         depends_on_y=False,
-        test_metric_smooth=False,
+        test_mean=misclassification_mean,
         hess_X=_logistic_hess,
         prox=_logistic_prox,
     )
@@ -167,7 +182,7 @@ def square_gmm_loss() -> LossModel:
         grad_X=_square_gmm_grad,
         test_eval=misclassification,
         depends_on_y=False,
-        test_metric_smooth=False,
+        test_mean=misclassification_mean,
         hess_X=_square_gmm_hess,
         prox=_square_gmm_prox,
     )

@@ -511,6 +511,14 @@ class LossModel:
     (S, L, r), precisions (S, Lr, Lr), Ys, v, cs) returns the minimizers
     (S, L, r) of (1/2)(X - a)^T P (X - a) + ell, one precision per sample;
     without it, `prox.prox_batch` runs a generic damped Newton on hess_X.
+
+    The optional test_mean(laws, c) returns the exact expectation of
+    test_eval over class tuple c, from the keys' `gaussian.TokenLaw`s; the
+    test error then uses it under every plan, with a zero stderr, and draws
+    no nodes.  An indicator metric (misclassification) must supply it:
+    quadrature nodes cannot integrate a discontinuity, and Monte Carlo only
+    adds noise to a value the law gives in closed form.  Without it the
+    test error averages test_eval over the plan's nodes.
     """
 
     name: str
@@ -525,10 +533,7 @@ class LossModel:
     # the hat sweep, envelope and test error draw no label noise and hand
     # every hook a zero label channel.
     depends_on_y: bool = True
-    # False when test_eval is discontinuous (an indicator such as
-    # misclassification): quadrature is unreliable there and the test-error
-    # evaluation falls back to Monte Carlo.
-    test_metric_smooth: bool = True
+    test_mean: Optional[Callable[[dict, tuple], float]] = None
     # strong convexity in X keeps the spectral resolvent invertible at
     # lambda = 0; losses without it require a positive regularizer
     strongly_convex: bool = False

@@ -40,7 +40,7 @@ trained estimator.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -390,11 +390,11 @@ def test_error(
 ) -> tuple[float, float]:
     """Class-weighted expectation of the test metric over the joint (X, Y) law.
 
-    Quadrature plans are honored only for smooth metrics; indicator metrics
-    (misclassification) are integrated by Monte Carlo regardless, since
-    polynomial quadrature on a discontinuous integrand is unreliable.  For a
-    loss that reads no labels no label noise is drawn, and test_eval gets a
-    zero label channel.
+    A loss with a closed-form `LossModel.test_mean` (misclassification)
+    gets that exact value under every plan, with a zero stderr, and no nodes
+    are drawn.  Otherwise test_eval is averaged over the plan's nodes,
+    Gauss-Hermite or Monte Carlo; for a loss that reads no labels no label
+    noise is drawn, and test_eval gets a zero label channel.
     """
     return _test_error(params, token_laws(params, fixed), spec, plan)
 
@@ -402,13 +402,13 @@ def test_error(
 def _test_error(params: OrderParameters, laws: dict, spec: ModelSpec, plan: McPlan):
     """`test_error` with the keys' laws built by the caller."""
     loss = spec.loss
-    if plan.gh_order > 0 and not loss.test_metric_smooth:
-        plan = replace(plan, gh_order=0)
+    classes = [(c_index, c, pc) for c_index, (c, pc)
+               in enumerate(zip(spec.class_law.support, spec.class_law.probs)) if pc != 0.0]
+    if loss.test_mean is not None:
+        return float(sum(pc * loss.test_mean(laws, c) for _, c, pc in classes)), 0.0
 
     def per_class():
-        for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
-            if pc == 0.0:
-                continue
+        for c_index, c, pc in classes:
             wts, X, Y = joint_xy_nodes(laws, c, plan, c_index=c_index,
                                        with_y=loss.depends_on_y)
             cs = constant_view(c, (len(wts), len(c)))

@@ -565,6 +565,20 @@ class TestCli:
             assert (meta["d"], meta["n"]) == ("1000", "1000")
             assert [row[header.index("seed")] for row in rows] == ["3"]
 
+    def test_per_seed_commands_share_the_test_set(self, ridge_config, tmp_path):
+        # run-gamp and run-erm reach the same ridge minimizer; scored on one
+        # test set, their sampled eg must agree far inside its stderr
+        out = tmp_path / "out"
+        tables = {}
+        for command, table in (("run-gamp", "gamp_final.csv"), ("run-erm", "erm_curve.csv")):
+            assert main([command, "--config", str(ridge_config), "--out", str(out)]) == 0
+            _, header, rows = read_table(out / table)
+            tables[command] = [(float(row[header.index("eg")]), float(row[header.index("eg_stderr")]))
+                               for row in rows]
+        assert len(tables["run-gamp"]) == len(tables["run-erm"]) == 2
+        for (eg_gamp, se), (eg_erm, _) in zip(tables["run-gamp"], tables["run-erm"]):
+            assert se > 0.0 and abs(eg_gamp - eg_erm) <= 1e-3 * se
+
     def test_run_erm_max_epochs_is_numerical_failure(self, ridge_config, tmp_path):
         text = ridge_config.read_text().replace(
             "grad_tol = 1e-6", "grad_tol = 1e-6\nmax_epochs = 1"

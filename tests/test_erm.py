@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from seqmix import erm, losses
+from seqmix import erm, gaussian, losses, saddle
 from seqmix.erm import empirical_test_error, erm_train, TrainConfig
 from seqmix.errors import SolverDivergenceError, SpecValidationError
 from seqmix.gamp import empirical_statistics, generate_dataset
+from seqmix.gaussian import McPlan
 from seqmix.model import compute_fixed_statistics, ModelSpec
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
@@ -146,25 +147,53 @@ class TestEmpiricalTestError:
         assert abs(eg - 0.5) <= 3.0 * se
 
     def test_stderr_positive(self):
-        spec = gmm_instance()
+        # a sampled metric (squared error) carries its draws' stderr
+        spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=64, n=64, seed=9)
         rng = np.random.default_rng(10)
         eg, se = empirical_test_error(
             rng.standard_normal((64, 1)), data, spec, n_test=20_000, seed=11
         )
-        assert 0.0 < eg < 1.0 and se > 0.0
+        assert 0.0 < eg and se > 0.0
+
+    @pytest.mark.parametrize("loss", ["logistic", "square"])
+    def test_zero_weights_misclassify_every_token(self, loss):
+        # w = 0 projects every token to 0, whose sign matches no class
+        spec = gmm_instance(loss=loss)
+        data = generate_dataset(spec, spec.nu, d=64, n=64, seed=9)
+        assert empirical_test_error(np.zeros((64, 1)), data, spec) == (1.0, 0.0)
+
+    def test_closed_form_draws_no_normals(self, monkeypatch):
+        # logistic_gmm's test error, finite-d or asymptotic under either
+        # plan, must not reach the Gaussian sampler
+        spec = gmm_instance(alpha=1.0)
+        data = generate_dataset(spec, spec.nu, d=64, n=64, seed=9)
+        w = np.random.default_rng(10).standard_normal((64, 1))
+        params = empirical_statistics(w, 0.0, data)
+        fixed = compute_fixed_statistics(spec.nu, spec.dims)
+
+        def refuse(*args):
+            raise AssertionError("the closed-form test error drew standard normals")
+
+        monkeypatch.setattr(gaussian, "standard_normals", refuse)
+        eg, se = empirical_test_error(w, data, spec)
+        assert 0.0 < eg < 1.0 and se == 0.0
+        for plan in (McPlan(gh_order=51), McPlan(n_samples=400_000, seed=23)):
+            eg, se = saddle.test_error(params, fixed, spec, plan)
+            assert 0.0 < eg < 1.0 and se == 0.0
 
     @pytest.mark.parametrize("instance", [gmm_instance, two_token_instance])
     def test_projection_sampler_matches_dense_tokens(self, instance):
-        # the direct projection draw against full d-dimensional test tokens
-        # on trained weights; different seeds keep the two independent
+        # the projection law against full d-dimensional test tokens on
+        # trained weights: exact for misclassification, a draw of its own
+        # (on a different seed, so the two are independent) otherwise
         spec = instance(alpha=1.0)
         d = 100
         data = generate_dataset(spec, spec.nu, d=d, n=d, seed=14)
         fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-6))
         eg, se = empirical_test_error(fit.w_hat, data, spec, n_test=200_000, seed=15)
         eg_ref, se_ref = dense_test_error(fit.w_hat, data, spec, n_test=100_000, seed=16)
-        assert 0.0 < eg and se > 0.0
+        assert 0.0 < eg and (se == 0.0 if spec.loss.test_mean else se > 0.0)
         assert abs(eg - eg_ref) <= 3.0 * np.hypot(se, se_ref)
 
 

@@ -1,5 +1,6 @@
 """Fixed-point solver: sweep algebra, convergence, scalar functionals."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -436,21 +437,37 @@ class TestScalarFunctionals:
         assert abs(eg) <= 3.0 * se + 1e-12
 
     def test_indicator_metric_never_quadratured(self):
-        # polynomial quadrature on the misclassification indicator is
-        # unreliable; a quadrature plan must fall back to Monte Carlo
-        spec = gmm_instance(alpha=1.0, lam=0.05)
-        fixed = compute_fixed_statistics(spec.nu, spec.dims)
-        cfg = SolverConfig(damping=0.4, tol=1e-9, max_iters=600,
-                           mc_plan=McPlan(gh_order=31))
-        rep = solve_fixed_point(spec, spec.nu, cfg)
-        mc = solver_test_error(
-            rep.params, fixed, spec, McPlan(n_samples=400_000, seed=21)
-        )
-        gh = solver_test_error(
-            rep.params, fixed, spec, McPlan(gh_order=31, n_samples=400_000, seed=21)
-        )
-        assert gh[1] > 0.0  # a Monte Carlo estimate, not a quadrature
-        assert abs(gh[0] - mc[0]) <= 3.0 * np.hypot(gh[1], mc[1]) + 1e-12
+        # misclassification is an indicator, which quadrature nodes cannot
+        # integrate: its closed form is reported under every plan, and it
+        # matches 4,000,000 draws of the metric made through the nodes
+        mc = McPlan(n_samples=20_000, seed=21)
+        draws = McPlan(n_samples=2_000_000, seed=21, antithetic=False)
+        for loss, alpha in itertools.product(("logistic", "square"), (0.5, 1.0, 4.0)):
+            spec = gmm_instance(alpha=alpha, lam=0.05, loss=loss)
+            fixed = compute_fixed_statistics(spec.nu, spec.dims)
+            cfg = SolverConfig(damping=0.4, tol=1e-9, max_iters=600,
+                               mc_plan=McPlan(gh_order=51))
+            rep = solve_fixed_point(spec, spec.nu, cfg)
+            assert rep.converged and rep.test_error_stderr == 0.0
+            assert solver_test_error(rep.params, fixed, spec, mc) == (rep.test_error, 0.0)
+            laws = token_laws(rep.params, fixed)
+            est, var = 0.0, 0.0
+            for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
+                wts, X, Y = gaussian.joint_xy_nodes(laws, c, draws, c_index=c_index,
+                                                    with_y=False)
+                vals = spec.loss.test_eval(Y, X, rep.params.v, np.tile(c, (len(wts), 1)))
+                est += pc * vals.mean()
+                var += pc ** 2 * vals.var(ddof=1) / len(vals)
+            assert abs(rep.test_error - est) <= 3.0 * np.sqrt(var), (loss, alpha)
+
+    def test_degenerate_law_scores_the_indicator(self):
+        # q = 0, m = 0: every projection is 0, whose sign matches no class
+        for instance in ("logistic_gmm", "square_gmm"):
+            spec = INSTANCES[instance]()
+            fixed = compute_fixed_statistics(spec.nu, spec.dims)
+            params = OrderParameters.cold(spec.dims, eps=0.0)
+            for plan in (GH, McPlan(n_samples=1000)):
+                assert solver_test_error(params, fixed, spec, plan) == (1.0, 0.0)
 
     def test_constant_test_metric(self):
         spec = ridge_instance()
@@ -511,13 +528,13 @@ def _rebuilt_test_error(params, fixed, spec, plan):
 
 
 class TestHoldoutNodes:
-    """The test error's nodes: no label draws for a metric that reads no
-    labels, and the same xi stream either way."""
+    """The test error's nodes: none for a metric with a closed form; for a
+    sampled one, no label draws when it reads no labels, and the same xi
+    stream either way."""
 
-    @pytest.mark.parametrize("instance, calls_per_class", [
-        ("logistic_gmm", 1), ("square_gmm", 1), ("ridge", 2), ("two_token", 2)])
-    def test_label_cores_drawn_only_when_read(self, monkeypatch, instance, calls_per_class):
-        spec, fixed, params = _solved(instance)
+    @staticmethod
+    def _test_streams(monkeypatch, spec, fixed, params):
+        """The streams saddle.test_error draws standard normals from."""
         streams = []
 
         def counted(plan, c_index, shape):
@@ -526,9 +543,24 @@ class TestHoldoutNodes:
 
         monkeypatch.setattr(gaussian, "standard_normals", counted)
         solver_test_error(params, fixed, spec, holdout_plan(spec, 20_000, 3))
-        n_classes = len(spec.class_law.support)
+        return streams
+
+    @pytest.mark.parametrize("instance, calls_per_class", [
+        ("logistic_gmm", 0), ("square_gmm", 0), ("ridge", 2), ("two_token", 2)])
+    def test_label_cores_drawn_only_when_read(self, monkeypatch, instance, calls_per_class):
+        # the mixtures' misclassification has a closed form and draws nothing
+        streams = self._test_streams(monkeypatch, *_solved(instance))
+        n_classes = len(INSTANCES[instance]().class_law.support)
         assert len(streams) == calls_per_class * n_classes
-        assert sorted(streams)[:n_classes] == [TEST_STREAM + i for i in range(n_classes)]
+        if calls_per_class:
+            assert sorted(streams)[:n_classes] == [TEST_STREAM + i for i in range(n_classes)]
+
+    def test_label_free_sampled_metric_draws_xi_only(self, monkeypatch):
+        # misclassification without its closed form: one xi draw per class
+        spec, fixed, params = _solved("logistic_gmm")
+        spec = replace(spec, loss=replace(spec.loss, test_mean=None))
+        streams = self._test_streams(monkeypatch, spec, fixed, params)
+        assert streams == [TEST_STREAM, TEST_STREAM + 1]
 
     def test_holdout_draws_are_never_kept(self):
         # a 400,000-draw estimate, as verify makes one, must not stay
@@ -538,7 +570,7 @@ class TestHoldoutNodes:
         solver_test_error(params, fixed, spec, McPlan(n_samples=400_000, seed=23))
         assert gaussian._crn_normals.cache_info() == before
 
-    @pytest.mark.parametrize("instance", ["logistic_gmm", "two_token"])
+    @pytest.mark.parametrize("instance", ["ridge", "two_token"])
     def test_estimate_is_the_xi_stream_rebuilt(self, instance):
         spec, fixed, params = _solved(instance)
         plan = holdout_plan(spec, 200_000, 1001)
