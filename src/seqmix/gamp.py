@@ -36,13 +36,19 @@ inf in GAMP's design, and the run stops with SolverDivergenceError at its
 first iteration, before any product is taken.  Float64 GAMP does not converge
 at such scales either (already not at gamma = 1e20).
 
-Memory.  X and the squared designs live in anonymous maps of their own
-(`_mapped_empty`), not in malloc's heap.  They are tens of MB and short-lived.
-From malloc they come from the heap once glibc has raised its mmap threshold;
+Memory.  No design, and no scratch the size of one, passes through malloc's
+heap (rBP's n d message arrays still do).  X and the squared designs live in anonymous maps of their own (`_mapped_empty`), and
+the generator draws, scales and shifts each token one row block of
+DRAW_BLOCK_BYTES at a time, in X itself when L = 1 and in one block buffer
+copied into X otherwise.  Designs are tens of MB and short-lived.  From
+malloc they come from the heap once glibc has raised its mmap threshold;
 small allocations then split the holes they leave, and repeating the same
-calls grows the heap, and the peak memory with it, by whole design matrices at
-points that differ from process to process.  A map of its own is returned to
-the system when its array is freed.
+calls grows the heap, and the peak memory with it, by whole design matrices
+at points that differ from process to process: a scratch of one token's
+design, freed after each dataset, leaves a process that draws datasets
+repeatedly one such matrix larger for good (9.6 MB for two_token at
+d = 1000).  A map of its own is returned to the system when its array is
+freed.
 
 Stopping.  Both loops return a `RunRecord` (GAMP's `GampResult` extends
 it) of the relative change of the estimate per iteration, converged once it
@@ -73,6 +79,8 @@ from .model import (
 from .prox import prox_batch, prox_gain
 
 MESSAGE_SLOT_GUARD = 10_000_000
+# bytes of design the generator draws, scales and stores at a time
+DRAW_BLOCK_BYTES = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -109,13 +117,15 @@ def _mapped_empty(shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialized array of `dtype` in a private anonymous map of its
     own, unmapped when the array is freed (see the module docstring).  Every
     design, X and the squared designs, is allocated here, so a dataset with
-    no samples is rejected here."""
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    if nbytes == 0:
+    no samples, or a sample count that is not a positive integer, is
+    rejected here."""
+    if not all(isinstance(e, (int, np.integer)) and e >= 1 for e in shape):
         raise SpecValidationError(
-            f"the dataset has no samples (design shape {shape}); the per-seed "
-            "commands draw n = round(alpha d) samples, which must be >= 1"
+            f"the dataset has no samples, or a sample count that is not a "
+            f"positive integer (design shape {shape}); the per-seed commands "
+            "draw n = round(alpha d) samples, which must be >= 1"
         )
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
     block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         # the 2 MB pages numpy asks for on its own large arrays; fresh 4 kB
@@ -143,6 +153,12 @@ def generate_dataset(
     eigenvalues, sqrt(d)-scaled mean projections and teacher projections of
     its atom, so the population summary statistics of this instance match
     the measure exactly.
+
+    Each token is drawn, scaled by its class's sqrt(eigenvalue) and shifted
+    by its class's mean one row block at a time (module docstring, Memory),
+    so no design-sized scratch is allocated.  Block fills in token-major,
+    row order continue one normal stream, so the draws are those of one
+    (n, d) fill per token, whatever the block size.
     """
     dims = spec.dims
     if d < len(nu.atoms):
@@ -160,20 +176,25 @@ def generate_dataset(
         means[key] = np.array([a.tau[key] for a in nu.atoms])[atom_of] / np.sqrt(d)
     teacher = np.stack([a.pi for a in nu.atoms])[atom_of]  # (d, t)
 
+    # X first: allocation draws no numbers, and it rejects a bad n before
+    # the class draw does
+    X = _mapped_empty((n, dims.L, d))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     c = spec.class_law.sample(rng, n)
-    X = _mapped_empty((n, dims.L, d))
-    # each token's draw goes into one (n, d) buffer, X itself when L = 1
-    z = X.reshape(n, d) if dims.L == 1 else np.empty((n, d))
+    step = max(1, DRAW_BLOCK_BYTES // (X.itemsize * d))
+    block = X.reshape(n, d) if dims.L == 1 else np.empty((min(step, n), d))
     for ell in range(dims.L):
-        rng.standard_normal(out=z)
-        for k in range(dims.K[ell]):
-            rows = (c[:, ell] == k)[:, None]
-            key = (ell, k)
-            np.multiply(z, np.sqrt(eigenvalues[key]), out=z, where=rows)
-            np.add(z, means[key], out=z, where=rows)
-        if dims.L > 1:
-            X[:, ell, :] = z
+        scales = [np.sqrt(eigenvalues[(ell, k)]) for k in range(dims.K[ell])]
+        for i0 in range(0, n, step):
+            i1 = min(i0 + step, n)
+            z = block[i0:i1] if dims.L == 1 else block[: i1 - i0]
+            rng.standard_normal(out=z)
+            for k, scale in enumerate(scales):
+                rows = (c[i0:i1, ell] == k)[:, None]
+                np.multiply(z, scale, out=z, where=rows)
+                np.add(z, means[(ell, k)], out=z, where=rows)
+            if dims.L > 1:
+                X[i0:i1, ell, :] = z
     y = np.einsum("nld,dt->nlt", X, teacher) / np.sqrt(d)
     meta = GeneratorMetadata(eigenvalues=eigenvalues, means=means)
     return Dataset(X=X, y=y, c=c, teacher=teacher, meta=meta)
@@ -454,6 +475,9 @@ def rbp_run(
     w_msg = np.zeros((n, d, r))
     c_msg = np.broadcast_to(np.eye(r), (n, d, r, r)).copy()
     w_marg = np.zeros((d, r))
+    # the labels and classes of the n d messages, fixed for the run
+    y_msg = np.repeat(data.y, d, axis=0)
+    class_msg = np.repeat(data.c, d, axis=0)
     trajectory = []
     residual_history = []
     converged = False
@@ -467,7 +491,7 @@ def rbp_run(
 
         f, g, eta = _output_channel(
             loss, omega_mi.reshape(n * d, L, r), V_mi.reshape(n * d, L * r, L * r),
-            np.repeat(data.y, d, axis=0), Gamma_mean, np.repeat(data.c, d, axis=0),
+            y_msg, Gamma_mean, class_msg,
             "an rBP noise block V",
         )
         f_msg = f.reshape(n, d, L, r)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,14 +106,34 @@ class TestGenerateDataset:
             assert abs(agg - sign) < 4.0 * se
 
     @pytest.mark.parametrize("instance", sorted(INSTANCES))
-    def test_matches_masked_reference(self, instance):
+    def test_matches_masked_reference(self, instance, monkeypatch):
         spec = INSTANCES[instance]()
-        # n = 1 leaves one cluster of the two-class mixtures empty
-        for seed, d, n in ((0, 64, 1), (1, 64, 3), (2, 128, 50), (3, 33, 17)):
-            got = generate_dataset(spec, spec.nu, d=d, n=n, seed=seed)
-            ref = masked_generate_dataset(spec, spec.nu, d=d, n=n, seed=seed)
-            for name in ("X", "y", "c", "teacher"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        # n = 1 leaves one cluster of the two-class mixtures empty; blocks of
+        # 1, 3 and 7 rows split the draws at block edges, most of them ending
+        # in a partial block, and the default block holds every row
+        for block_rows in (None, 1, 3, 7):
+            for seed, d, n in ((0, 64, 1), (1, 64, 3), (2, 128, 50), (3, 33, 17)):
+                if block_rows is not None:
+                    monkeypatch.setattr("seqmix.gamp.DRAW_BLOCK_BYTES", block_rows * 8 * d)
+                got = generate_dataset(spec, spec.nu, d=d, n=n, seed=seed)
+                ref = masked_generate_dataset(spec, spec.nu, d=d, n=n, seed=seed)
+                for name in ("X", "y", "c", "teacher"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_draws_without_a_design_sized_scratch(self):
+        # tracemalloc sees numpy's heap buffers but not the mapped X: a
+        # scratch of one token's design (n d 8 bytes) would show in the peak
+        spec = two_token_instance()
+        d, n = 1000, 1200
+        # a first call's lazy imports (about 0.8 MB) are not scratch
+        generate_dataset(spec, spec.nu, d=8, n=2, seed=0)
+        tracemalloc.start()
+        try:
+            generate_dataset(spec, spec.nu, d=d, n=n, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
 
     def test_design_matrices_in_maps_of_their_own(self, monkeypatch):
         # X and the squared designs bypass malloc, so freeing them leaves no
@@ -140,8 +161,9 @@ class TestGenerateDataset:
         assert data.X.dtype == rbp_design.dtype == np.float64
         assert gamp_design.dtype == np.float32
         assert 2 * gamp_design.nbytes == data.X.nbytes
-        with pytest.raises(SpecValidationError, match="no samples"):
-            generate_dataset(spec, spec.nu, d=40, n=0, seed=0)
+        for n in (0, -5, 2.5):
+            with pytest.raises(SpecValidationError, match="no samples"):
+                generate_dataset(spec, spec.nu, d=40, n=n, seed=0)
         with pytest.raises(SpecValidationError, match="no samples"):
             _squared_design(data.X[:0], np.float32)
 
