@@ -114,12 +114,13 @@ def test_empirical_test_error(benchmark):
 
 
 def test_holdout_nodes(benchmark):
-    """The nodes of one class tuple of a sampled test metric (one without a
-    closed form), on logistic_gmm's law at its fixed point: 100,000 draws
-    (200,000 split over two class tuples), key laws built outside."""
+    """The nodes of one class tuple of a sampled estimate of a pointwise
+    test metric, the reference the tests check a closed form against, on
+    logistic_gmm's law at its fixed point: 100,000 unpaired draws, key laws
+    built outside."""
     spec, fixed, report = _logistic_fixed_point("gh51")
     laws = gaussian.token_laws(report.params, fixed)
-    plan = erm.holdout_plan(spec, 200_000, seed=1)
+    plan = McPlan(n_samples=100_000, seed=1, antithetic=False)
     wts, X, Y = benchmark(gaussian.joint_xy_nodes, laws, (0,), plan,
                           with_y=spec.loss.depends_on_y)
     assert X.shape == (100_000, 1, 1) and np.all(np.isfinite(X))

@@ -11,7 +11,8 @@ lambdas a command solves.  `sweep` solves its lambdas in a pool of
 `--workers` processes (default 1), never more processes than lambdas, each
 handed the config the parent validated.  The per-seed commands draw
 round(alpha d) samples of dimension d for each seed of [data], and exit 2
-before the first fit when that count is 0.
+before the first fit when that count is 0.  An output directory that cannot
+be created (a path through or onto a file) exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -65,8 +66,19 @@ def _load_and_validate(args, solved: slice = slice(0)) -> ExperimentConfig:
     bad = lambda_violations(cfg.spec.loss, cfg.lambdas[solved])
     if bad:
         raise SpecValidationError("; ".join(bad))
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     return cfg
+
+
+def _make_out_dir(path) -> Path:
+    """The output directory path, created with its parents when missing; a
+    path that cannot be a directory (an existing file, or a file on the
+    way) is a validation error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SpecValidationError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)
 
 
 # ----------------------------------------------------------------------
@@ -196,11 +208,6 @@ PER_SEED = {
     "run-erm": PerSeed("erm", "erm_curve.csv", _fit_erm),
 }
 
-# every per-seed command scores dataset seed s on test seed s + TEST_SEED_OFFSET,
-# so equal weights get equal test errors under a sampled metric too
-TEST_SEED_OFFSET = 5000
-
-
 def cmd_per_seed(args, command: PerSeed) -> int:
     """Generate each seed's dataset, fit it, write the fit's trajectory when
     it recorded one, and tabulate test error and how each fit stopped (a fit
@@ -228,8 +235,7 @@ def cmd_per_seed(args, command: PerSeed) -> int:
             write_table(table, trajectory_header(dims), trajectory_rows(record),
                         _metadata(cfg, {"seed": seed, **sizes}))
             print(f"wrote {table}")
-        eg, eg_se = empirical_test_error(w_hat, data, cfg.spec, n_test=cfg.data.n_test,
-                                         seed=seed + TEST_SEED_OFFSET)
+        eg, eg_se = empirical_test_error(w_hat, data, cfg.spec)
         rows.append(curve_row(cfg.spec.name, dims.alpha, dims.lam, seed, eg, eg_se, et, gnorm,
                               record.iterations, record.converged))
         ok = ok and record.converged
@@ -244,10 +250,11 @@ def cmd_per_seed(args, command: PerSeed) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    # the directory is made before the checks, so a bad --out fails at once
+    out = _make_out_dir(args.out) if args.out else None
     results = run_checks(args.instance)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        report = Path(args.out) / "verify_report.txt"
+    if out:
+        report = out / "verify_report.txt"
         report.write_text("\n".join(r.line() for r in results) + "\n")
         print(f"wrote {report}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL

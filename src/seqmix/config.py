@@ -3,10 +3,12 @@
 A model file defines the problem instance; an experiment file adds
 expectation, solver, sweep, dataset, simulator and training sections, and
 states each setting in one of them: `run-gamp`, `run-rbp` and `run-erm` all
-draw the datasets of [data].  The full field reference lives in the README's
-configuration section.  Instances from the shipped zoo can be referenced by
-name instead of spelling out dimensions, class law and spectral atoms.  A
-validated `ExperimentConfig` pickles, so a process pool is handed it whole.
+draw the datasets of [data].  Every shipped loss states its test error in
+closed form, so no section sizes a test set and no test error draws a node.
+The full field reference lives in the README's configuration section.
+Instances from the shipped zoo can be referenced by name instead of spelling
+out dimensions, class law and spectral atoms.  A validated
+`ExperimentConfig` pickles, so a process pool is handed it whole.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .erm import holdout_plan, TrainConfig
+from .erm import TrainConfig
 from .errors import SpecValidationError
 from .gaussian import GH_MAX_DIM, McPlan, quadrature_dim
 from .losses import loss_by_name
@@ -114,11 +116,11 @@ def model_spec_from_parser(cp: configparser.ConfigParser) -> ModelSpec:
 
 @dataclass
 class DataOptions:
-    """The datasets of the per-seed commands: size, seeds and test-set size."""
+    """The datasets of the per-seed commands: size and seeds.  A fit's test
+    error is exact, so no test set is drawn."""
 
     d: int = 1000
     seeds: tuple[int, ...] = (0,)
-    n_test: int = 200_000
 
     def violations(self) -> list[str]:
         rules = {
@@ -139,7 +141,7 @@ class GampOptions:
     def violations(self) -> list[str]:
         rules = {
             "max_iters must be >= 1": self.max_iters >= 1,
-            "tol must be positive": self.tol > 0,
+            "tol must be positive and finite": 0.0 < self.tol < np.inf,
             "damping must lie in [0, 1)": 0.0 <= self.damping < 1.0,
         }
         return [f"[gamp] {rule}" for rule, ok in rules.items() if not ok]
@@ -178,12 +180,6 @@ class ExperimentConfig:
         out += self.data.violations()
         out += self.gamp.violations()
         out += self.erm.violations()
-        # a test-error stderr needs two draws of each class tuple
-        if holdout_plan(self.spec, self.data.n_test, 0).n_samples < 2:
-            out.append(
-                f"ExperimentConfig: [data] n_test = {self.data.n_test} leaves fewer "
-                "than 2 test draws per class tuple"
-            )
         if self.solver.mc_plan.gh_order > 0:
             # tensor quadrature caps the dimension of every node set
             dims = self.spec.dims
@@ -244,7 +240,6 @@ SECTION_KEYS = {
 _DATA_HINTS = {
     "d": "the dataset size is [data] d",
     "seeds": "the dataset seeds are [data] seeds",
-    "n_test": "the test-set size is [data] n_test",
 }
 
 

@@ -11,7 +11,8 @@ not left rejecting every step.  The claims being verified concern critical
 points of the risk, not optimizer trajectories, so any such monotone method
 that reaches grad_tol keeps the message-passing comparison clean.  A fit's
 test error is the solver's test-error functional at the fit's own overlaps,
-since a test token reaches the metric only through its Gaussian projections.
+since a test token reaches the metric only through its Gaussian projections;
+like the solver's, it is a closed form and draws nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import SpecValidationError, StalledError
 from .gamp import Dataset, empirical_risk_and_grad, empirical_statistics
-from .gaussian import McPlan
 from .model import check_divergence, FixedStatistics, ModelSpec, RunRecord
 from .saddle import test_error
 
@@ -41,8 +41,8 @@ class TrainConfig:
 
     def violations(self) -> list[str]:
         out = []
-        if self.grad_tol <= 0:
-            out.append("TrainConfig: grad_tol must be positive")
+        if not 0.0 < self.grad_tol < np.inf:
+            out.append("TrainConfig: grad_tol must be positive and finite")
         if self.max_epochs < 1:
             out.append("TrainConfig: max_epochs must be >= 1")
         return out
@@ -176,23 +176,11 @@ def empirical_test_error(
     which given the cluster are Gaussian with the overlaps of w_hat and of
     the teacher as mean and covariance.  So this is the solver's
     `test_error` at the fit's own `empirical_statistics`, against the
-    teacher's realized rho and m*.  A metric with a closed form
-    (`LossModel.test_mean`, e.g. misclassification) is exact there, with a
-    zero stderr, and n_test and seed are not read.  Any other metric is a
-    Monte Carlo estimate with n_test draws split evenly over the class
-    tuples: the law of an estimate from full d-dimensional test tokens, at
-    O(n_test L (r + t)) cost instead of O(n_test L d), and O(n_test L r)
-    for a metric that reads no labels.
+    teacher's realized rho and m*: the loss's closed form
+    (`LossModel.test_mean`), exact, with a zero stderr, and no test token is
+    drawn.  n_test and seed are not read; they stay in the signature for
+    the callers that pass them.
     """
     teacher = empirical_statistics(data.teacher, 0.0, data)
     fixed = FixedStatistics(rho=teacher.q, m_star=teacher.m)
-    plan = holdout_plan(spec, n_test, seed)
-    return test_error(empirical_statistics(w_hat, 0.0, data), fixed, spec, plan)
-
-
-def holdout_plan(spec: ModelSpec, n_test: int, seed: int) -> McPlan:
-    """empirical_test_error's draws: n_test split evenly over the class
-    tuples of positive probability, unpaired (a metric even in the draw,
-    e.g. square loss at zero means, is equal on both draws of a pair)."""
-    n_classes = sum(pc > 0.0 for pc in spec.class_law.probs)
-    return McPlan(n_samples=n_test // n_classes, seed=seed, antithetic=False)
+    return test_error(empirical_statistics(w_hat, 0.0, data), fixed, spec)

@@ -11,15 +11,19 @@ S^{1/2} zeta of standard normal cores (xi, zeta), S = rho - theta^T q^+ theta.
 `standard_cores` draws the cores and holds the only choice between seeded
 Monte Carlo (antithetic variates), a pure function of (seed, stream), and
 tensor Gauss-Hermite quadrature for small Gaussian dimension.  Class tuple
-c_index draws xi from stream c_index and zeta from c_index + ZETA_STREAM;
-the test error shifts both by TEST_STREAM.  Monte Carlo nodes are common
-random numbers: the energetic cores (every stream below TEST_STREAM) are
-drawn once per (plan, stream, shape) and shared read-only by every solver
-sweep, the last CRN_CACHE_SIZE of them kept; the test error's draws are
-never kept, as nothing reuses them.  For a loss that reads no labels
-(`LossModel.depends_on_y` False) no zeta is drawn and no Y is built, in the
-hat sweep, the envelope and the test error alike: its hooks receive a
-read-only zero label channel, and the xi draws are unchanged.
+c_index draws xi from stream c_index and zeta from c_index + ZETA_STREAM.
+Monte Carlo nodes are common random numbers: the energetic cores (every
+stream below TEST_STREAM) are drawn once per (plan, stream, shape) and
+shared read-only by every solver sweep, the last CRN_CACHE_SIZE of them
+kept.  For a loss that reads no labels (`LossModel.depends_on_y` False) no
+zeta is drawn and no Y is built: its hooks receive a read-only zero label
+channel, and the xi draws are unchanged.
+
+The test error draws nothing: every shipped loss states its metric's
+expectation in closed form from the laws (`LossModel.test_mean`).
+`joint_xy_nodes` draws (X, Y) for a sampled estimate of a pointwise metric,
+the reference a closed form is checked against, on streams shifted by
+TEST_STREAM that are never kept.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ EIG_CLIP = 1e-12          # eigenvalues below this are treated as exactly zero
 NEG_EIG_TOL = 1e-8        # more negative than this signals corrupted matrices
 GH_MAX_DIM = 6            # tensor quadrature allowed up to this Gaussian dimension
 ZETA_STREAM = 1_000_003   # offset of the zeta stream from the xi stream
-TEST_STREAM = 7_000_009   # offset of the test error's streams from the energetic ones
+TEST_STREAM = 7_000_009   # offset of joint_xy_nodes' streams from the energetic ones
 CRN_CACHE_SIZE = 8        # energetic core arrays kept under common random numbers
 VIEW_CACHE_SIZE = 32      # constant views kept (weights, zero labels, class tuples)
 
@@ -198,8 +202,8 @@ def standard_cores(
     from `stream` and Zeta from stream + ZETA_STREAM, with equal weights.
     Draws on an energetic stream (below TEST_STREAM) are common random
     numbers: made once per (plan, stream, shape) and returned read-only to
-    every later call, for the last CRN_CACHE_SIZE keys.  The test error's
-    streams are drawn afresh on each call and never kept.  Without
+    every later call, for the last CRN_CACHE_SIZE keys.  The streams of
+    `joint_xy_nodes` are drawn afresh on each call and never kept.  Without
     with_zeta, Zeta is not drawn: it is a read-only zero view that spans no
     quadrature dimension.  The weights are read-only too.
     """
@@ -310,8 +314,9 @@ def energetic_nodes(
 def joint_xy_nodes(
     laws: dict, c: tuple, plan: McPlan, c_index: int = 0, with_y: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weights, X, Y) nodes of class tuple c for the test error: the
-    energetic nodes' law on the test error's own streams.  Without with_y,
+    """(weights, X, Y) nodes of class tuple c for a sampled estimate of a
+    pointwise test metric, the reference a closed-form test error is checked
+    against: the energetic nodes' law on streams of its own.  Without with_y,
     for a metric that does not read Y, no zeta is drawn and Y is a
     read-only zero view; X's draws are the same either way."""
     wts, Xi, Zeta = standard_cores(plan, _core_shape(laws, c), c_index + TEST_STREAM,

@@ -6,7 +6,10 @@ each hook takes (Ys, Xs, v, cs) with Ys the (S, L, t) label channel, Xs the
 (S, L) class tuples, and returns one value per sample.  A single point is a
 batch of one.  The hooks are module-level functions (square_energy's bind
 its coupling with `functools.partial`), so a loss, and a spec or config
-holding one, pickles.
+holding one, pickles.  Every loss states its test metric's per-class
+expectation in closed form (`test_mean`), so no test error draws a node;
+the pointwise metrics `squared_error` and `misclassification` stay as the
+references that sampled estimates in the tests are checked against.
 """
 
 from __future__ import annotations
@@ -36,8 +39,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # Square loss (teacher-student regression), any L, requires r == t.
 # ----------------------------------------------------------------------
 
-def _square_eval(Ys, Xs, v, cs):
+def squared_error(Ys, Xs, v, cs):
     return 0.5 * np.sum((Ys - Xs) ** 2, axis=(-2, -1))
+
+
+def squared_error_mean(laws, c):
+    """E_c[squared_error]: token ell has Y - X = (m* - m) + (mean_map - q_root) xi
+    + S_root zeta on key (ell, c_ell), with independent standard cores, so the
+    error is (1/2) sum_ell (||m* - m||^2 + ||mean_map - q_root||_F^2 + ||S_root||_F^2).
+    Y - X needs r == t, as every square loss does."""
+    total = 0.0
+    for ell, k in enumerate(c):
+        law = laws[(ell, k)]
+        total += (np.sum((law.m_star - law.m) ** 2) + np.sum((law.mean_map - law.q_root) ** 2)
+                  + np.sum(law.S_root ** 2))
+    return 0.5 * float(total)
 
 
 def _square_grad(Ys, Xs, v, cs):
@@ -58,13 +74,14 @@ def _square_prox(anchors, P, Ys, v, cs):
 
 
 def square_loss() -> LossModel:
-    """ell = (1/2) ||Y - X||_F^2 with the exact quadratic prox."""
+    """ell = (1/2) ||Y - X||_F^2 with the exact quadratic prox; the test
+    metric is the same squared error."""
     return LossModel(
         name="square",
         strongly_convex=True,
-        eval=_square_eval,
+        eval=squared_error,
         grad_X=_square_grad,
-        test_eval=_square_eval,
+        test_mean=squared_error_mean,
         hess_X=_square_hess,
         prox=_square_prox,
     )
@@ -141,7 +158,6 @@ def logistic_gmm_loss() -> LossModel:
         name="logistic_gmm",
         eval=_logistic_eval,
         grad_X=_logistic_grad,
-        test_eval=misclassification,
         depends_on_y=False,
         test_mean=misclassification_mean,
         hess_X=_logistic_hess,
@@ -180,7 +196,6 @@ def square_gmm_loss() -> LossModel:
         strongly_convex=True,
         eval=_square_gmm_eval,
         grad_X=_square_gmm_grad,
-        test_eval=misclassification,
         depends_on_y=False,
         test_mean=misclassification_mean,
         hess_X=_square_gmm_hess,
@@ -194,7 +209,7 @@ def square_gmm_loss() -> LossModel:
 # ----------------------------------------------------------------------
 
 def _energy_eval(coupling, Ys, Xs, v, cs):
-    return _square_eval(Ys, Xs, v, cs) + 0.5 * coupling * float(np.trace(v))
+    return squared_error(Ys, Xs, v, cs) + 0.5 * coupling * float(np.trace(v))
 
 
 def _energy_d3(coupling, Ys, Xs, v, cs):
@@ -209,7 +224,7 @@ def square_loss_with_energy(coupling: float = 0.3) -> LossModel:
         eval=partial(_energy_eval, coupling),
         grad_X=_square_grad,
         d3=partial(_energy_d3, coupling),
-        test_eval=_square_eval,
+        test_mean=squared_error_mean,
         hess_X=_square_hess,
         prox=_square_prox,
     )
@@ -217,6 +232,10 @@ def square_loss_with_energy(coupling: float = 0.3) -> LossModel:
 
 def _zero_eval(Ys, Xs, v, cs):
     return np.zeros(Xs.shape[0])
+
+
+def _zero_mean(laws, c):
+    return 0.0
 
 
 def _zero_grad(Ys, Xs, v, cs):
@@ -233,12 +252,12 @@ def _zero_prox(anchors, precisions, Ys, v, cs):
 
 
 def zero_loss() -> LossModel:
-    """Identically-zero loss; prox is the identity on the anchor."""
+    """Identically-zero loss and test metric; prox is the identity on the anchor."""
     return LossModel(
         name="zero",
         eval=_zero_eval,
         grad_X=_zero_grad,
-        test_eval=_zero_eval,
+        test_mean=_zero_mean,
         depends_on_y=False,
         hess_X=_zero_hess,
         prox=_zero_prox,

@@ -492,48 +492,45 @@ def solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass
 class LossModel:
-    """Behavioral loss interface: ell(Y, X, v, c) with its derivatives.
+    """Behavioral loss interface: ell(Y, X, v, c) with its derivatives, and
+    the expectation of its test metric.
 
     Every hook is batched over a leading sample axis and called as
     hook(Ys, Xs, v, cs) with Ys (S, L, t) the label channel (teacher means
     included), Xs (S, L, r) the student channel, v the shared r x r weight
     self-overlap slot and cs (S, L) the class tuples; a single point is a
-    batch of one.  Per sample, eval and test_eval return (S,), grad_X
-    (S, L, r) and hess_X the flattened X-Hessian (S, Lr, Lr).  grad_X and
-    hess_X are the exact partials used by the solver; test_eval is the
-    metric reported as test error.  A hook may return a read-only view, a
-    stride-0 one included (a Hessian that is the same matrix at every
+    batch of one.  Per sample, eval returns (S,), grad_X (S, L, r) and
+    hess_X the flattened X-Hessian (S, Lr, Lr); grad_X and hess_X are the
+    exact partials used by the solver.  A hook may return a read-only view,
+    a stride-0 one included (a Hessian that is the same matrix at every
     sample is best returned as `np.broadcast_to` of it, which lets
     `prox.prox_gain` take one solve for the whole batch).
+
+    test_mean(laws, c) returns the exact expectation of the metric reported
+    as test error over class tuple c, from the keys' `gaussian.TokenLaw`s
+    (`losses.misclassification_mean`, `losses.squared_error_mean`).  The
+    test error is that closed form under every plan, with a zero stderr,
+    and draws no nodes.
 
     The optional d3 = d ell / dv returns (S, r, r); None means the loss
     does not read v (`depends_on_v` is False).  The optional prox(anchors
     (S, L, r), precisions (S, Lr, Lr), Ys, v, cs) returns the minimizers
     (S, L, r) of (1/2)(X - a)^T P (X - a) + ell, one precision per sample;
     without it, `prox.prox_batch` runs a generic damped Newton on hess_X.
-
-    The optional test_mean(laws, c) returns the exact expectation of
-    test_eval over class tuple c, from the keys' `gaussian.TokenLaw`s; the
-    test error then uses it under every plan, with a zero stderr, and draws
-    no nodes.  An indicator metric (misclassification) must supply it:
-    quadrature nodes cannot integrate a discontinuity, and Monte Carlo only
-    adds noise to a value the law gives in closed form.  Without it the
-    test error averages test_eval over the plan's nodes.
     """
 
     name: str
     eval: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     grad_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    test_eval: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     hess_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    test_mean: Callable[[dict, tuple], float]
     d3: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    # False for losses whose hooks, test_eval included, never read the
-    # label channel (e.g. mixture classification, where supervision comes
-    # from the class tuple); the solver then freezes theta_hat at zero, and
-    # the hat sweep, envelope and test error draw no label noise and hand
-    # every hook a zero label channel.
+    # False for losses whose hooks never read the label channel (e.g.
+    # mixture classification, where supervision comes from the class
+    # tuple); the solver then freezes theta_hat at zero, and the hat sweep
+    # and envelope draw no label noise and hand every hook a zero label
+    # channel.
     depends_on_y: bool = True
-    test_mean: Optional[Callable[[dict, tuple], float]] = None
     # strong convexity in X keeps the spectral resolvent invertible at
     # lambda = 0; losses without it require a positive regularizer
     strongly_convex: bool = False

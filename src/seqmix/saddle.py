@@ -23,7 +23,8 @@ gamma theta_hat pi) and kernel K = S S^T + sum gamma q_hat:
 
 The theta channel is whitened by S^{+1/2}, S = rho - theta^T q^+ theta
 being the label covariance the nodes draw their labels from.  The envelope
-and the test error take their nodes through the same laws.
+takes its nodes through the same laws, and the test error is the loss's
+closed form read off them.
 
 The solve iterates the overlaps x through the map G(x) =
 update_overlaps(update_hats(x)).  With damping in (0, 1) it takes
@@ -52,7 +53,6 @@ from .gaussian import (
     McPlan,
     NEG_EIG_TOL,
     energetic_nodes,
-    joint_xy_nodes,
     pairwise_sum,
     token_laws,
     _sym,
@@ -107,8 +107,8 @@ class SolverConfig:
         out = self.mc_plan.violations()
         if not (0.0 <= self.damping < 1.0):
             out.append("SolverConfig: damping must lie in [0, 1)")
-        if self.tol <= 0:
-            out.append("SolverConfig: tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            out.append("SolverConfig: tol must be positive and finite")
         if self.max_iters < 1:
             out.append("SolverConfig: max_iters must be >= 1")
         if self.init not in ("cold", "gamp", "informed"):
@@ -121,7 +121,8 @@ class FixedPointReport(RunRecord):
     """A solve's record (its residual is the largest raw per-block relative
     change of a sweep) and the exact one-sweep image of its last iterate.
     rejected_steps counts the Anderson steps a safeguard replaced by the
-    plain damped step."""
+    plain damped step.  The test error is exact, so test_error_stderr is
+    always 0.0."""
 
     params: OrderParameters
     conj: ConjugateParameters
@@ -307,17 +308,6 @@ def update_overlaps(
 # Scalar functionals of a (params, conj) pair.
 # ----------------------------------------------------------------------
 
-def _class_mean(per_class, plan: McPlan) -> tuple[float, float]:
-    """sum_c p_c E_c[vals] and its stderr, from (p_c, weights, vals) per class."""
-    total = 0.0
-    var = 0.0
-    for pc, wts, vals in per_class:
-        mean_c, se_c = _weighted_mean_stderr(wts, vals[:, None], plan)
-        total += pc * float(mean_c[0])
-        var += (pc * float(se_c[0])) ** 2
-    return total, float(np.sqrt(var))
-
-
 def expected_envelope(
     params: OrderParameters,
     fixed: FixedStatistics,
@@ -329,15 +319,18 @@ def expected_envelope(
 
 
 def _envelope(params: OrderParameters, laws: dict, spec: ModelSpec, plan: McPlan):
-    """`expected_envelope` with the keys' laws built by the caller."""
-
-    def per_class():
-        for nb in _node_batches(params, laws, spec, plan):
-            D = (nb.x_stars - nb.anchors).reshape(len(nb.wts), -1)
-            quad = 0.5 * np.einsum("si,ij,sj->s", D, nb.P_full, D)
-            yield nb.pc, nb.wts, quad + spec.loss.eval(nb.y_loss, nb.x_stars, params.v, nb.cs)
-
-    return _class_mean(per_class(), plan)
+    """`expected_envelope` with the keys' laws built by the caller: sum_c p_c
+    E_c[envelope] and its stderr."""
+    total = 0.0
+    var = 0.0
+    for nb in _node_batches(params, laws, spec, plan):
+        D = (nb.x_stars - nb.anchors).reshape(len(nb.wts), -1)
+        quad = 0.5 * np.einsum("si,ij,sj->s", D, nb.P_full, D)
+        vals = quad + spec.loss.eval(nb.y_loss, nb.x_stars, params.v, nb.cs)
+        mean_c, se_c = _weighted_mean_stderr(nb.wts, vals[:, None], plan)
+        total += nb.pc * float(mean_c[0])
+        var += (nb.pc * float(se_c[0])) ** 2
+    return total, float(np.sqrt(var))
 
 
 def _trace_terms(params: OrderParameters, conj: ConjugateParameters) -> float:
@@ -386,35 +379,23 @@ def test_error(
     params: OrderParameters,
     fixed: FixedStatistics,
     spec: ModelSpec,
-    plan: McPlan,
+    plan: Optional[McPlan] = None,
 ) -> tuple[float, float]:
-    """Class-weighted expectation of the test metric over the joint (X, Y) law.
+    """Class-weighted expectation of the test metric over the joint (X, Y)
+    law, and its stderr.
 
-    A loss with a closed-form `LossModel.test_mean` (misclassification)
-    gets that exact value under every plan, with a zero stderr, and no nodes
-    are drawn.  Otherwise test_eval is averaged over the plan's nodes,
-    Gauss-Hermite or Monte Carlo; for a loss that reads no labels no label
-    noise is drawn, and test_eval gets a zero label channel.
+    Every loss states its metric's per-class expectation in closed form
+    (`LossModel.test_mean`), so the value is exact, the stderr is 0.0 and
+    no nodes are drawn.  plan is not read; it stays in the signature for
+    the callers that pass one.
     """
-    return _test_error(params, token_laws(params, fixed), spec, plan)
+    return _test_error(token_laws(params, fixed), spec), 0.0
 
 
-def _test_error(params: OrderParameters, laws: dict, spec: ModelSpec, plan: McPlan):
-    """`test_error` with the keys' laws built by the caller."""
-    loss = spec.loss
-    classes = [(c_index, c, pc) for c_index, (c, pc)
-               in enumerate(zip(spec.class_law.support, spec.class_law.probs)) if pc != 0.0]
-    if loss.test_mean is not None:
-        return float(sum(pc * loss.test_mean(laws, c) for _, c, pc in classes)), 0.0
-
-    def per_class():
-        for c_index, c, pc in classes:
-            wts, X, Y = joint_xy_nodes(laws, c, plan, c_index=c_index,
-                                       with_y=loss.depends_on_y)
-            cs = constant_view(c, (len(wts), len(c)))
-            yield pc, wts, np.asarray(loss.test_eval(Y, X, params.v, cs), dtype=float)
-
-    return _class_mean(per_class(), plan)
+def _test_error(laws: dict, spec: ModelSpec) -> float:
+    """`test_error`'s value with the keys' laws built by the caller."""
+    return float(sum(pc * spec.loss.test_mean(laws, c)
+                     for c, pc in zip(spec.class_law.support, spec.class_law.probs) if pc != 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -598,7 +579,7 @@ def solve_fixed_point(
     laws = token_laws(params, fixed)
 
     phi, et, energy_se = _energies(params, conj, laws, nu, spec, plan)
-    eg, eg_se = _test_error(params, laws, spec, plan)
+    eg = _test_error(laws, spec)
     return FixedPointReport(
         params=params,
         conj=conj,
@@ -607,7 +588,7 @@ def solve_fixed_point(
         free_entropy=phi,
         free_entropy_stderr=energy_se,
         test_error=eg,
-        test_error_stderr=eg_se,
+        test_error_stderr=0.0,
         train_loss=et,
         train_loss_stderr=energy_se,
         trajectory=trajectory,

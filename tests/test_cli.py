@@ -54,7 +54,6 @@ lambdas = 0.1
 [data]
 d = 80
 seeds = 0, 1
-n_test = 20000
 
 [gamp]
 max_iters = 200
@@ -123,7 +122,7 @@ class TestModelConfig:
         cfg = load_experiment(ridge_config)
         assert cfg.alphas == (0.5, 1.0, 2.0)
         assert cfg.solver.mc_plan.gh_order == 7
-        assert (cfg.data.d, cfg.data.seeds, cfg.data.n_test) == (80, (0, 1), 20000)
+        assert (cfg.data.d, cfg.data.seeds) == (80, (0, 1))
         assert cfg.gamp.damping == 0.0 and cfg.erm.grad_tol == 1e-6
         assert cfg.violations() == []
 
@@ -137,7 +136,7 @@ class TestModelConfig:
             "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 50\ninit = gamp\n"
             "record_trajectory = true\n\n"
             "[sweep]\nalphas = 0.5, 1.0\nlambdas = 0.1\n\n"
-            "[data]\nd = 50\nseeds = 0, 1\nn_test = 1000\n\n"
+            "[data]\nd = 50\nseeds = 0, 1\n\n"
             "[gamp]\nmax_iters = 20\ntol = 1e-8\ndamping = 0.0\n\n"
             "[erm]\nmax_epochs = 30\ngrad_tol = 1e-5\n\n"
             "[output]\ndir = elsewhere\n"
@@ -145,7 +144,7 @@ class TestModelConfig:
         cfg = load_experiment(path)
         assert cfg.solver.mc_plan == McPlan(n_samples=2000, seed=3, gh_order=7)
         assert cfg.solver.record_trajectory and cfg.solver.init == "gamp"
-        assert (cfg.data.d, cfg.data.seeds, cfg.data.n_test) == (50, (0, 1), 1000)
+        assert (cfg.data.d, cfg.data.seeds) == (50, (0, 1))
         assert (cfg.gamp.max_iters, cfg.erm.max_epochs, cfg.out_dir) == (20, 30, "elsewhere")
         assert cfg.spec.name == "my_ridge"
 
@@ -205,12 +204,11 @@ class TestModelConfig:
          "the dataset size is [data] d"),
         (RIDGE_EXPERIMENT.replace("[erm]\n", "[erm]\nseeds = 0, 1\n"),
          "the dataset seeds are [data] seeds"),
-        # run-gamp and run-rbp took their test-set size from [erm]
+        # every test error is exact: no section sizes a test set
         (RIDGE_EXPERIMENT.replace("[erm]\n", "[erm]\nn_test = 20000\n"),
-         "unknown key(s) in [erm]: n_test; known: ['grad_tol', 'max_epochs']; "
-         "the test-set size is [data] n_test"),
-        # an empty test set wrote eg = nan and exited 0
-        (RIDGE_EXPERIMENT.replace("n_test = 20000", "n_test = 0"), "[data] n_test = 0"),
+         "unknown key(s) in [erm]: n_test; known: ['grad_tol', 'max_epochs']"),
+        (RIDGE_EXPERIMENT.replace("seeds = 0, 1\n", "seeds = 0, 1\nn_test = 20000\n"),
+         "unknown key(s) in [data]: n_test; known: ['d', 'seeds']"),
         # raised inside the per-seed fit, which reported it as exit 3
         (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = -1"), "grad_tol"),
         # an empty solve indexed its empty residual history
@@ -225,6 +223,20 @@ class TestModelConfig:
         (RIDGE_EXPERIMENT.replace("damping = 0.0", "damping = 1.5"), "[gamp] damping"),
         (RIDGE_EXPERIMENT.replace("max_iters = 200", "max_iters = 0"), "[gamp] max_iters"),
         (RIDGE_EXPERIMENT.replace("tol = 1e-9\ndamping", "tol = -1\ndamping"), "[gamp] tol"),
+        # an infinite tolerance stopped each loop as "converged" after its
+        # first step, exit 0; a NaN one ran every loop to its cap, exit 3
+        (RIDGE_EXPERIMENT.replace("tol = 1e-9\nmax_iters", "tol = inf\nmax_iters"),
+         "SolverConfig: tol must be positive and finite"),
+        (RIDGE_EXPERIMENT.replace("tol = 1e-9\nmax_iters", "tol = nan\nmax_iters"),
+         "SolverConfig: tol must be positive and finite"),
+        (RIDGE_EXPERIMENT.replace("tol = 1e-9\ndamping", "tol = inf\ndamping"),
+         "[gamp] tol must be positive and finite"),
+        (RIDGE_EXPERIMENT.replace("tol = 1e-9\ndamping", "tol = nan\ndamping"),
+         "[gamp] tol must be positive and finite"),
+        (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = inf"),
+         "TrainConfig: grad_tol must be positive and finite"),
+        (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = nan"),
+         "TrainConfig: grad_tol must be positive and finite"),
         (RIDGE_EXPERIMENT.replace("grad_tol = 1e-6", "grad_tol = 1e-6\nmax_epochs = 0"),
          "max_epochs"),
         # failed only when the dataset was generated, without the section
@@ -257,7 +269,9 @@ class TestModelConfig:
             "model-d", "dimensions-d", "gamp-d", "gamp-seeds", "erm-d", "erm-seeds",
             "erm-n-test", "data-n-test", "erm-grad-tol", "solver-max-iters-0",
             "solver-max-iters-negative", "gamp-n-unknown", "data-seeds",
-            "gamp-damping", "gamp-max-iters", "gamp-tol", "erm-max-epochs", "data-d",
+            "gamp-damping", "gamp-max-iters", "gamp-tol", "solver-tol-inf", "solver-tol-nan",
+            "gamp-tol-inf", "gamp-tol-nan", "erm-grad-tol-inf", "erm-grad-tol-nan",
+            "erm-max-epochs", "data-d",
             "mc-crn-false", "sweep-lambda-negative", "sweep-alpha-negative", "sweep-alpha-nan",
             "model-alpha-inf", "model-lambda-nan", "model-name-comma", "model-name-newline",
             "instance-name-comma", "class-law-sum"])
@@ -338,7 +352,7 @@ class TestReportsAndDatasets:
         path.write_text(
             "[model]\ninstance = two_token\nalpha = 1.0\nlambda = 0.1\n\n[mc]\ngh_order = 7\n\n"
             "[solver]\ndamping = 0.3\ntol = 1e-9\nmax_iters = 500\nrecord_trajectory = true\n\n"
-            "[data]\nd = 40\nseeds = 0\nn_test = 2000\n\n"
+            "[data]\nd = 40\nseeds = 0\n\n"
             "[gamp]\nmax_iters = 200\ntol = 1e-9\ndamping = 0.0\n"
         )
         out = tmp_path / "out"
@@ -396,6 +410,22 @@ class TestCli:
         assert [int(row[0]) for row in se_rows] == list(range(1, len(se_rows) + 1))
         residuals = [float(row[se_header.index("residual")]) for row in se_rows]
         assert residuals == report["residual_history"]
+
+    def test_output_directory_that_cannot_be_created_is_validation_error(
+            self, ridge_config, tmp_path, capsys):
+        # an existing file, or a path through one, as --out or [output] dir
+        # raised a bare FileExistsError or NotADirectoryError, exit 1
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        with_dir = tmp_path / "with_dir.ini"
+        with_dir.write_text(ridge_config.read_text() + f"\n[output]\ndir = {blocker / 'sub'}\n")
+        for command, config, out in (("solve-se", ridge_config, [str(blocker)]),
+                                     ("run-erm", ridge_config, [str(blocker / "sub")]),
+                                     ("sweep", with_dir, [])):
+            assert main([command, "--config", str(config), *(["--out"] + out if out else [])]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "cannot create output directory" in err
+        assert blocker.read_text() == "a file\n"
 
     def test_zero_mc_samples_is_validation_error(self, ridge_config, tmp_path):
         # 0 is a value, not "no override": it must reach McPlan's check
@@ -468,7 +498,7 @@ class TestCli:
         huge = SpectralMeasure((make_atom(base.dims, 1.0, gamma=1e40, tau=0.0, pi=1.0),))
         path = tmp_path / "huge.ini"
         path.write_text(explicit_ini(replace(base, nu=huge))
-                        + "\n[data]\nd = 20\nseeds = 19\nn_test = 400\n\n[gamp]\ndamping = 0.0\n")
+                        + "\n[data]\nd = 20\nseeds = 19\n\n[gamp]\ndamping = 0.0\n")
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -514,7 +544,7 @@ class TestCli:
         path = tmp_path / "rbp.ini"
         path.write_text(
             "[model]\ninstance = ridge\nalpha = 2.0\nlambda = 0.1\n\n"
-            "[data]\nd = 40\nseeds = 40000\nn_test = 20000\n\n"
+            "[data]\nd = 40\nseeds = 40000\n\n"
             "[gamp]\nmax_iters = 500\ntol = 1e-11\n"
         )
         out = tmp_path / "out"
@@ -535,7 +565,7 @@ class TestCli:
         # ERM wrote a fit on no data and exited 0
         path = tmp_path / "empty.ini"
         path.write_text("[model]\ninstance = logistic_gmm\nalpha = 0.1\n\n"
-                        "[data]\nd = 4\nn_test = 400\n")
+                        "[data]\nd = 4\n")
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -566,8 +596,11 @@ class TestCli:
             assert [row[header.index("seed")] for row in rows] == ["3"]
 
     def test_per_seed_commands_share_the_test_set(self, ridge_config, tmp_path):
-        # run-gamp and run-erm reach the same ridge minimizer; scored on one
-        # test set, their sampled eg must agree far inside its stderr
+        # run-gamp and run-erm reach the same ridge minimizer and score it on
+        # one test population, the closed form at the weights' overlaps:
+        # their eg agree as far as the fits do (ERM stops at a gradient of
+        # 1e-6; they differ by about 5e-7 relative), and no test draw adds
+        # a stderr
         out = tmp_path / "out"
         tables = {}
         for command, table in (("run-gamp", "gamp_final.csv"), ("run-erm", "erm_curve.csv")):
@@ -576,8 +609,8 @@ class TestCli:
             tables[command] = [(float(row[header.index("eg")]), float(row[header.index("eg_stderr")]))
                                for row in rows]
         assert len(tables["run-gamp"]) == len(tables["run-erm"]) == 2
-        for (eg_gamp, se), (eg_erm, _) in zip(tables["run-gamp"], tables["run-erm"]):
-            assert se > 0.0 and abs(eg_gamp - eg_erm) <= 1e-3 * se
+        for (eg_gamp, se_gamp), (eg_erm, se_erm) in zip(tables["run-gamp"], tables["run-erm"]):
+            assert se_gamp == se_erm == 0.0 and eg_gamp == pytest.approx(eg_erm, rel=2e-6)
 
     def test_run_erm_max_epochs_is_numerical_failure(self, ridge_config, tmp_path):
         text = ridge_config.read_text().replace(
@@ -597,7 +630,7 @@ class TestCli:
         path = tmp_path / "unbounded.ini"
         path.write_text(
             base.replace("name = square\n", "name = square_energy\ncoupling = -0.5\n")
-            + "\n[data]\nd = 100\nseeds = 2\nn_test = 2000\n\n"
+            + "\n[data]\nd = 100\nseeds = 2\n\n"
             "[erm]\ngrad_tol = 1e-8\nmax_epochs = 3000\n"
         )
         out = tmp_path / "out"
@@ -836,6 +869,28 @@ class TestVerifyCommand:
         assert lines[1] in capsys.readouterr().out
 
 
+    def test_output_directory_is_made_before_the_checks(self, tmp_path, monkeypatch, capsys):
+        # a --out that cannot be a directory failed only after every check
+        # had run, with a bare FileExistsError
+        out = tmp_path / "report"
+        ran = []
+
+        def check():
+            ran.append(out.is_dir())
+            return verify.CheckResult("first", True, "stand-in")
+
+        monkeypatch.setattr(verify, "ALL_CHECKS", {"first": check})
+        assert main(["verify", "--out", str(out)]) == 0
+        assert ran == [True]
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        for bad in (blocker, blocker / "sub"):
+            assert main(["verify", "--out", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "cannot create output directory" in err
+        assert ran == [True]
+
+
 def _pickle_cases() -> dict[str, str]:
     """An experiment of every zoo instance and, on ridge's data, of every
     loss by name."""
@@ -875,7 +930,7 @@ def _guard_config(model, alpha, d, lam, gh_order, damping) -> str:
     return head + (
         f"\n[mc]\nn_samples = 200\ngh_order = {gh_order}\n\n"
         f"[solver]\ndamping = {damping}\nmax_iters = 30\n\n"
-        f"[data]\nd = {d}\nn_test = 400\n\n"
+        f"[data]\nd = {d}\n\n"
         f"[gamp]\nmax_iters = 30\ndamping = {damping}\n\n"
         f"[erm]\nmax_epochs = 30\n"
     )

@@ -14,9 +14,15 @@ from seqmix.model import compute_fixed_statistics, ModelSpec
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
 
+# The pointwise metric each closed form is the expectation of.
+POINTWISE = {losses.misclassification_mean: losses.misclassification,
+             losses.squared_error_mean: losses.squared_error}
+
+
 def dense_test_error(w_hat, data, spec, n_test, seed):
-    """Reference estimator: draws every test token in full, n_test x d
-    normals per token, and projects onto the weights and the teacher."""
+    """Reference estimator of the loss's pointwise metric: draws every test
+    token in full, n_test x d normals per token, and projects onto the
+    weights and the teacher."""
     dims = spec.dims
     d = data.d
     sqd = np.sqrt(d)
@@ -37,7 +43,7 @@ def dense_test_error(w_hat, data, spec, n_test, seed):
             Z[mask, ell, :] = x @ w_hat / sqd
             Y[mask, ell, :] = x @ data.teacher / sqd
     v = w_hat.T @ w_hat / d
-    vals = np.asarray(spec.loss.test_eval(Y, Z, v, c), dtype=float)
+    vals = np.asarray(POINTWISE[spec.loss.test_mean](Y, Z, v, c), dtype=float)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_test))
 
 
@@ -134,27 +140,34 @@ class TestEmpiricalTestError:
     def test_teacher_weights_zero_error(self):
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=64, n=16, seed=5)
-        eg, se = empirical_test_error(data.teacher, data, spec, n_test=5000, seed=6)
+        eg, se = empirical_test_error(data.teacher, data, spec)
         assert eg == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_weights_label_variance(self):
-        # square loss at w = 0: (1/2) E ||Y||^2 = (1/2) (tr rho + ||m*||^2)
+        # square loss at w = 0: (1/2) E ||Y||^2 = (1/2) (tr rho + ||m*||^2),
+        # with the teacher's realized rho and m*
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=64, n=16, seed=7)
-        eg, se = empirical_test_error(
-            np.zeros((64, 1)), data, spec, n_test=400_000, seed=8
-        )
-        assert abs(eg - 0.5) <= 3.0 * se
+        eg, se = empirical_test_error(np.zeros((64, 1)), data, spec)
+        teacher = empirical_statistics(data.teacher, 0.0, data)
+        rho, m_star = teacher.q[(0, 0)], teacher.m[(0, 0)]
+        assert eg == pytest.approx(0.5 * (np.trace(rho) + m_star @ m_star), rel=1e-12)
+        assert se == 0.0
 
-    def test_stderr_positive(self):
-        # a sampled metric (squared error) carries its draws' stderr
+    def test_squared_error_is_exact(self):
+        # ridge's squared error at any weights is (1/2) E (Y - X)^2
+        # = (1/2) (q - 2 theta + rho + (m* - m)^2) of the realized overlaps,
+        # with a zero stderr
         spec = ridge_instance()
         data = generate_dataset(spec, spec.nu, d=64, n=64, seed=9)
-        rng = np.random.default_rng(10)
-        eg, se = empirical_test_error(
-            rng.standard_normal((64, 1)), data, spec, n_test=20_000, seed=11
-        )
-        assert 0.0 < eg and se > 0.0
+        w = np.random.default_rng(10).standard_normal((64, 1))
+        eg, se = empirical_test_error(w, data, spec)
+        fit = empirical_statistics(w, 0.0, data)
+        teacher = empirical_statistics(data.teacher, 0.0, data)
+        q, theta, m = (float(np.ravel(x[(0, 0)])[0]) for x in (fit.q, fit.theta, fit.m))
+        rho, m_star = float(teacher.q[(0, 0)][0, 0]), float(teacher.m[(0, 0)][0])
+        assert eg == pytest.approx(0.5 * (q - 2.0 * theta + rho + (m_star - m) ** 2), rel=1e-12)
+        assert 0.0 < eg and se == 0.0
 
     @pytest.mark.parametrize("loss", ["logistic", "square"])
     def test_zero_weights_misclassify_every_token(self, loss):
@@ -164,37 +177,37 @@ class TestEmpiricalTestError:
         assert empirical_test_error(np.zeros((64, 1)), data, spec) == (1.0, 0.0)
 
     def test_closed_form_draws_no_normals(self, monkeypatch):
-        # logistic_gmm's test error, finite-d or asymptotic under either
-        # plan, must not reach the Gaussian sampler
-        spec = gmm_instance(alpha=1.0)
-        data = generate_dataset(spec, spec.nu, d=64, n=64, seed=9)
-        w = np.random.default_rng(10).standard_normal((64, 1))
-        params = empirical_statistics(w, 0.0, data)
-        fixed = compute_fixed_statistics(spec.nu, spec.dims)
-
+        # the test error, finite-d or asymptotic under either plan, must not
+        # reach the Gaussian sampler, for misclassification or squared error
         def refuse(*args):
             raise AssertionError("the closed-form test error drew standard normals")
 
-        monkeypatch.setattr(gaussian, "standard_normals", refuse)
-        eg, se = empirical_test_error(w, data, spec)
-        assert 0.0 < eg < 1.0 and se == 0.0
-        for plan in (McPlan(gh_order=51), McPlan(n_samples=400_000, seed=23)):
-            eg, se = saddle.test_error(params, fixed, spec, plan)
-            assert 0.0 < eg < 1.0 and se == 0.0
+        for instance in (gmm_instance, two_token_instance):
+            spec = instance(alpha=1.0)
+            data = generate_dataset(spec, spec.nu, d=64, n=64, seed=9)
+            w = np.random.default_rng(10).standard_normal((64, 1))
+            params = empirical_statistics(w, 0.0, data)
+            fixed = compute_fixed_statistics(spec.nu, spec.dims)
+            with monkeypatch.context() as patch:
+                patch.setattr(gaussian, "standard_normals", refuse)
+                eg, se = empirical_test_error(w, data, spec)
+                assert 0.0 < eg and se == 0.0
+                for plan in (McPlan(gh_order=51), McPlan(n_samples=400_000, seed=23)):
+                    eg, se = saddle.test_error(params, fixed, spec, plan)
+                    assert 0.0 < eg and se == 0.0
 
     @pytest.mark.parametrize("instance", [gmm_instance, two_token_instance])
     def test_projection_sampler_matches_dense_tokens(self, instance):
-        # the projection law against full d-dimensional test tokens on
-        # trained weights: exact for misclassification, a draw of its own
-        # (on a different seed, so the two are independent) otherwise
+        # the projection law's closed form against full d-dimensional test
+        # tokens on trained weights
         spec = instance(alpha=1.0)
         d = 100
         data = generate_dataset(spec, spec.nu, d=d, n=d, seed=14)
         fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-6))
-        eg, se = empirical_test_error(fit.w_hat, data, spec, n_test=200_000, seed=15)
+        eg, se = empirical_test_error(fit.w_hat, data, spec)
         eg_ref, se_ref = dense_test_error(fit.w_hat, data, spec, n_test=100_000, seed=16)
-        assert 0.0 < eg and (se == 0.0 if spec.loss.test_mean else se > 0.0)
-        assert abs(eg - eg_ref) <= 3.0 * np.hypot(se, se_ref)
+        assert 0.0 < eg and se == 0.0
+        assert abs(eg - eg_ref) <= 3.0 * se_ref
 
 
 class TestSummaryStatistics:

@@ -24,7 +24,7 @@ from seqmix.model import (
     SpectralMeasure,
     validate_spec,
 )
-from seqmix.losses import logistic_gmm_loss, square_loss
+from seqmix.losses import logistic_gmm_loss, square_loss, squared_error_mean
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
 
@@ -344,7 +344,7 @@ class TestMinimalLoss:
             return np.tile(np.eye(n), (len(Xs), 1, 1))
 
         loss = LossModel(name="minimal_square", eval=ev, grad_X=lambda Ys, Xs, v, cs: Xs - Ys,
-                         test_eval=ev, hess_X=hess)
+                         hess_X=hess, test_mean=squared_error_mean)
         return ModelSpec(spec.dims, spec.class_law, spec.nu, loss, "minimal")
 
     def test_runs_every_pipeline_as_the_shipped_square_loss(self):

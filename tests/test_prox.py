@@ -37,8 +37,8 @@ def _flat_loss(value: float) -> LossModel:
         name="flat",
         eval=lambda Y, X, v, c: np.full(len(X), value),
         grad_X=lambda Y, X, v, c: np.ones_like(X),
-        test_eval=lambda Y, X, v, c: np.zeros(len(X)),
         hess_X=lambda Y, X, v, c: np.zeros((len(X), 1, 1)),
+        test_mean=lambda laws, c: 0.0,
     )
 
 
@@ -171,7 +171,7 @@ class TestGampResolvent:
             name="hinge",
             eval=lambda Y, X, v, c: np.maximum(0.0, 1.0 - X[:, 0, 0]),
             grad_X=lambda Y, X, v, c: np.where(X < 1.0, -1.0, 0.0),
-            test_eval=lambda Y, X, v, c: np.zeros(len(X)),
+            test_mean=lambda laws, c: 0.0,
             # zero away from the kink, where the hinge has no Hessian
             hess_X=lambda Y, X, v, c: np.zeros((len(X), 1, 1)),
             depends_on_y=False,

@@ -1,16 +1,14 @@
 """Fixed-point solver: sweep algebra, convergence, scalar functionals."""
 
-import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from seqmix import gaussian
-from seqmix.erm import holdout_plan
 from seqmix.errors import DegenerateOverlapError, SingularSystemError, SpecValidationError
-from seqmix.gaussian import (McPlan, pairwise_sum, standard_normals, sym_roots, TEST_STREAM,
-                             token_laws, ZETA_STREAM)
+from seqmix.gaussian import (McPlan, standard_normals, sym_roots, TEST_STREAM, token_laws,
+                             ZETA_STREAM)
 from seqmix.model import (
     ClassLaw,
     compute_fixed_statistics,
@@ -21,7 +19,8 @@ from seqmix.model import (
     OrderParameters,
     SpectralMeasure,
 )
-from seqmix.losses import zero_loss
+from seqmix.losses import (misclassification, misclassification_mean, square_loss_with_energy,
+                           squared_error, squared_error_mean, zero_loss)
 from seqmix.oracles import ridge_asymptotics
 from seqmix.saddle import (
     _admissible,
@@ -437,28 +436,34 @@ class TestScalarFunctionals:
         assert abs(eg) <= 3.0 * se + 1e-12
 
     def test_indicator_metric_never_quadratured(self):
-        # misclassification is an indicator, which quadrature nodes cannot
-        # integrate: its closed form is reported under every plan, and it
-        # matches 4,000,000 draws of the metric made through the nodes
+        # every metric is reported in closed form under every plan: the
+        # indicator, which quadrature nodes cannot integrate, and the squared
+        # error.  Each matches 4,000,000 draws of its pointwise metric made
+        # through the nodes within 3 sigma, and the squared error, a
+        # polynomial of the nodes, matches its quadrature within 1e-12
         mc = McPlan(n_samples=20_000, seed=21)
-        draws = McPlan(n_samples=2_000_000, seed=21, antithetic=False)
-        for loss, alpha in itertools.product(("logistic", "square"), (0.5, 1.0, 4.0)):
-            spec = gmm_instance(alpha=alpha, lam=0.05, loss=loss)
+        specs = [gmm_instance(alpha=alpha, lam=0.05, loss=loss)
+                 for loss in ("logistic", "square") for alpha in (0.5, 1.0, 4.0)]
+        for alpha in (0.5, 1.0, 4.0):
+            ridge = ridge_instance(alpha=alpha, lam=0.05)
+            specs += [ridge, two_token_instance(alpha=alpha, lam=0.05),
+                      replace(ridge, loss=square_loss_with_energy(), name="square_energy")]
+        for spec in specs:
             fixed = compute_fixed_statistics(spec.nu, spec.dims)
-            cfg = SolverConfig(damping=0.4, tol=1e-9, max_iters=600,
-                               mc_plan=McPlan(gh_order=51))
+            plan = McPlan(gh_order=51 if spec.dims.L == 1 else 7)
+            cfg = SolverConfig(damping=0.4, tol=1e-9, max_iters=600, mc_plan=plan)
             rep = solve_fixed_point(spec, spec.nu, cfg)
-            assert rep.converged and rep.test_error_stderr == 0.0
+            case = (spec.name, spec.dims.alpha)
+            assert rep.converged and rep.test_error_stderr == 0.0, case
             assert solver_test_error(rep.params, fixed, spec, mc) == (rep.test_error, 0.0)
             laws = token_laws(rep.params, fixed)
-            est, var = 0.0, 0.0
-            for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
-                wts, X, Y = gaussian.joint_xy_nodes(laws, c, draws, c_index=c_index,
-                                                    with_y=False)
-                vals = spec.loss.test_eval(Y, X, rep.params.v, np.tile(c, (len(wts), 1)))
-                est += pc * vals.mean()
-                var += pc ** 2 * vals.var(ddof=1) / len(vals)
-            assert abs(rep.test_error - est) <= 3.0 * np.sqrt(var), (loss, alpha)
+            draws = [McPlan(n_samples=500_000, seed=seed, antithetic=False) for seed in range(8)]
+            est, se = _sampled_metric(laws, spec, rep.params.v, draws)
+            assert abs(rep.test_error - est) <= 3.0 * se, case
+            if spec.loss.test_mean is squared_error_mean:
+                gh = McPlan(gh_order=21 if spec.dims.L == 1 else 9)
+                quad, _ = _sampled_metric(laws, spec, rep.params.v, [gh])
+                assert rep.test_error == pytest.approx(quad, rel=1e-12, abs=0.0), case
 
     def test_degenerate_law_scores_the_indicator(self):
         # q = 0, m = 0: every projection is 0, whose sign matches no class
@@ -470,14 +475,16 @@ class TestScalarFunctionals:
                 assert solver_test_error(params, fixed, spec, plan) == (1.0, 0.0)
 
     def test_constant_test_metric(self):
+        # a closed form is reported as the loss states it, under every plan,
+        # with a zero stderr: zero's metric is 0, and a constant one is 1
         spec = ridge_instance()
-        constant = zero_loss()
-        constant.test_eval = lambda Y, X, v, c: np.ones(len(X))
-        cspec = ModelSpec(spec.dims, spec.class_law, spec.nu, constant)
         fixed = compute_fixed_statistics(spec.nu, spec.dims)
         params = OrderParameters.cold(spec.dims)
-        eg, se = solver_test_error(params, fixed, cspec, McPlan(n_samples=512, seed=6))
-        assert eg == pytest.approx(1.0) and se == pytest.approx(0.0)
+        constant = replace(zero_loss(), test_mean=lambda laws, c: 1.0)
+        for loss, value in ((zero_loss(), 0.0), (constant, 1.0)):
+            cspec = replace(spec, loss=loss)
+            for plan in (GH, McPlan(n_samples=512, seed=6)):
+                assert solver_test_error(params, fixed, cspec, plan) == (value, 0.0)
 
     def test_monotone_mc_refinement(self):
         # doubling the sample count moves the envelope by a few stderr
@@ -503,38 +510,58 @@ def _solved(instance):
     return spec, compute_fixed_statistics(spec.nu, spec.dims), rep.params
 
 
-def _rebuilt_test_error(params, fixed, spec, plan):
-    """saddle.test_error by hand: xi from each class tuple's test stream, the
-    laws' m + q^{1/2} xi and, for a loss that reads labels, m* + theta^T
-    q^{+1/2} xi + S^{1/2} zeta with zeta from the label stream; class means
-    by pairwise sums of the equally weighted metric."""
-    L, r, t = spec.dims.L, spec.dims.r, spec.dims.t
-    laws = token_laws(params, fixed)
+# The pointwise metric each closed form is the expectation of.
+POINTWISE = {misclassification_mean: misclassification, squared_error_mean: squared_error}
+
+
+def _sampled_metric(laws, spec, v, plans):
+    """The class-weighted mean of the loss's pointwise metric over the
+    `joint_xy_nodes` of every plan (equal sizes, unpaired draws or one
+    quadrature), and its standard error; labels are built only for a loss
+    that reads them."""
+    metric = POINTWISE[spec.loss.test_mean]
     total, var = 0.0, 0.0
     for c_index, (c, pc) in enumerate(zip(spec.class_law.support, spec.class_law.probs)):
+        means, variances = [], []
+        for plan in plans:
+            wts, X, Y = gaussian.joint_xy_nodes(laws, c, plan, c_index=c_index,
+                                                with_y=spec.loss.depends_on_y)
+            vals = metric(Y, X, v, np.tile(c, (len(wts), 1)))
+            means.append(float(wts @ vals))
+            variances.append(float(np.var(vals, ddof=1)) / len(vals) if plan.gh_order == 0 else 0.0)
+        total += pc * float(np.mean(means))
+        var += pc ** 2 * float(np.sum(variances)) / len(plans) ** 2
+    return total, float(np.sqrt(var))
+
+
+def _rebuilt_nodes(laws, spec, plan):
+    """joint_xy_nodes by hand, per class tuple: xi from its test stream, the
+    laws' m + q^{1/2} xi and, for a loss that reads labels, m* + theta^T
+    q^{+1/2} xi + S^{1/2} zeta with zeta from the label stream."""
+    L, r, t = spec.dims.L, spec.dims.r, spec.dims.t
+    for c_index, c in enumerate(spec.class_law.support):
         Xi = standard_normals(plan, c_index + TEST_STREAM, (L, r))
-        n = len(Xi)
         tokens = [(Xi[:, ell], laws[(ell, k)]) for ell, k in enumerate(c)]
         X = np.stack([xi @ law.q_root.T + law.m for xi, law in tokens], axis=1)
-        Y = np.zeros((n, L, t))
+        Y = np.zeros((len(Xi), L, t))
         if spec.loss.depends_on_y:
             Zeta = standard_normals(plan, c_index + TEST_STREAM + ZETA_STREAM, (L, t))
             Y = np.stack([xi @ law.mean_map.T + Zeta[:, ell] @ law.S_root.T + law.m_star
                           for ell, (xi, law) in enumerate(tokens)], axis=1)
-        vals = spec.loss.test_eval(Y, X, params.v, np.tile(c, (n, 1)))
-        total += pc * float(pairwise_sum((1.0 / n) * vals))
-        var += pc ** 2 * float(np.var(vals, ddof=1)) / n
-    return total, np.sqrt(var)
+        yield c, X, Y
 
 
 class TestHoldoutNodes:
-    """The test error's nodes: none for a metric with a closed form; for a
-    sampled one, no label draws when it reads no labels, and the same xi
-    stream either way."""
+    """The nodes of a sampled test-metric estimate, `gaussian.joint_xy_nodes`,
+    the reference the closed forms are checked against: the test error
+    itself draws none; the reference draws labels only for a metric that
+    reads them, the same xi either way, on streams that are never kept."""
+
+    PLAN = McPlan(n_samples=20_000, seed=3, antithetic=False)
 
     @staticmethod
-    def _test_streams(monkeypatch, spec, fixed, params):
-        """The streams saddle.test_error draws standard normals from."""
+    def _streams(monkeypatch, run):
+        """The streams run() draws standard normals from."""
         streams = []
 
         def counted(plan, c_index, shape):
@@ -542,39 +569,56 @@ class TestHoldoutNodes:
             return standard_normals(plan, c_index, shape)
 
         monkeypatch.setattr(gaussian, "standard_normals", counted)
-        solver_test_error(params, fixed, spec, holdout_plan(spec, 20_000, 3))
+        run()
         return streams
 
     @pytest.mark.parametrize("instance, calls_per_class", [
-        ("logistic_gmm", 0), ("square_gmm", 0), ("ridge", 2), ("two_token", 2)])
+        ("logistic_gmm", 1), ("square_gmm", 1), ("ridge", 2), ("two_token", 2)])
     def test_label_cores_drawn_only_when_read(self, monkeypatch, instance, calls_per_class):
-        # the mixtures' misclassification has a closed form and draws nothing
-        streams = self._test_streams(monkeypatch, *_solved(instance))
-        n_classes = len(INSTANCES[instance]().class_law.support)
+        # the closed-form test error draws nothing; the reference draws xi
+        # per class, and zeta too for a metric that reads labels
+        spec, fixed, params = _solved(instance)
+        laws = token_laws(params, fixed)
+        assert self._streams(
+            monkeypatch, lambda: solver_test_error(params, fixed, spec, self.PLAN)) == []
+        streams = self._streams(monkeypatch, lambda: _sampled_metric(laws, spec, params.v,
+                                                                     [self.PLAN]))
+        n_classes = len(spec.class_law.support)
         assert len(streams) == calls_per_class * n_classes
-        if calls_per_class:
-            assert sorted(streams)[:n_classes] == [TEST_STREAM + i for i in range(n_classes)]
+        assert sorted(streams)[:n_classes] == [TEST_STREAM + i for i in range(n_classes)]
 
     def test_label_free_sampled_metric_draws_xi_only(self, monkeypatch):
-        # misclassification without its closed form: one xi draw per class
+        # without labels one xi draw per class, and the xi a labelled draw makes
         spec, fixed, params = _solved("logistic_gmm")
-        spec = replace(spec, loss=replace(spec.loss, test_mean=None))
-        streams = self._test_streams(monkeypatch, spec, fixed, params)
+        laws = token_laws(params, fixed)
+        classes = list(enumerate(spec.class_law.support))
+        nodes = []
+        streams = self._streams(monkeypatch, lambda: nodes.extend(
+            gaussian.joint_xy_nodes(laws, c, self.PLAN, c_index=i, with_y=False)
+            for i, c in classes))
         assert streams == [TEST_STREAM, TEST_STREAM + 1]
+        for (i, c), (_, X, Y) in zip(classes, nodes):
+            _, X_labelled, _ = gaussian.joint_xy_nodes(laws, c, self.PLAN, c_index=i)
+            np.testing.assert_array_equal(X, X_labelled)
+            assert not Y.any()
 
     def test_holdout_draws_are_never_kept(self):
-        # a 400,000-draw estimate, as verify makes one, must not stay
-        # resident in the common-random-number core cache
+        # neither a test error under a 400,000-draw plan, as verify asks for
+        # one, nor a reference of that size may stay resident in the
+        # common-random-number core cache
         spec, fixed, params = _solved("two_token")
         before = gaussian._crn_normals.cache_info()
-        solver_test_error(params, fixed, spec, McPlan(n_samples=400_000, seed=23))
+        plan = McPlan(n_samples=400_000, seed=23)
+        solver_test_error(params, fixed, spec, plan)
+        gaussian.joint_xy_nodes(token_laws(params, fixed), spec.class_law.support[0], plan)
         assert gaussian._crn_normals.cache_info() == before
 
     @pytest.mark.parametrize("instance", ["ridge", "two_token"])
     def test_estimate_is_the_xi_stream_rebuilt(self, instance):
         spec, fixed, params = _solved(instance)
-        plan = holdout_plan(spec, 200_000, 1001)
-        eg, se = solver_test_error(params, fixed, spec, plan)
-        ref_eg, ref_se = _rebuilt_test_error(params, fixed, spec, plan)
-        assert eg.hex() == ref_eg.hex()
-        assert se == pytest.approx(ref_se, rel=1e-12)
+        plan = McPlan(n_samples=200_000, seed=1001, antithetic=False)
+        laws = token_laws(params, fixed)
+        for c_index, (c, X_ref, Y_ref) in enumerate(_rebuilt_nodes(laws, spec, plan)):
+            _, X, Y = gaussian.joint_xy_nodes(laws, c, plan, c_index=c_index)
+            np.testing.assert_array_equal(X, X_ref)
+            np.testing.assert_array_equal(Y, Y_ref)
