@@ -20,7 +20,7 @@ import seqmix
 from seqmix import erm, gamp, gaussian, oracles, saddle, zoo
 from seqmix.gaussian import McPlan
 from seqmix.model import compute_fixed_statistics
-from seqmix.prox import prox_batch, prox_gain
+from seqmix.prox import prox_gain
 from seqmix.verify import GMM_LAM, RIDGE_LAM
 
 SPECS = {
@@ -224,7 +224,7 @@ def test_batched_prox(benchmark, plan):
     nb = next(saddle._node_batches(params, laws, spec, SWEEP_PLANS[plan]))
 
     def prox():
-        x_stars = prox_batch(spec.loss, nb.anchors, nb.P, nb.y_loss, params.v, nb.cs)
+        x_stars = spec.loss.prox(nb.anchors, nb.P, nb.y_loss, params.v, nb.cs)
         return x_stars, prox_gain(spec.loss, nb.y_loss, x_stars, nb.P, params.v, nb.cs)
 
     x_stars, gain = benchmark(prox)

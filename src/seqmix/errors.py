@@ -18,12 +18,13 @@ class InconsistentOverlapsError(SeqmixError):
 
 
 class ProxConvergenceError(SeqmixError):
-    """Inner prox solver ran out of iterations.
+    """A loss's iterative prox ran out of iterations.
 
     Carries the first failing sample's last iterate `x_last` (L, r), its
-    stationarity residual norm `residual`, and `iterations`, the number of
-    Newton iterations run before the solver gave up: the iteration limit, or
-    fewer once every unconverged sample's Levenberg shift passed its cap.
+    stationarity residual `residual` and `iterations`, the number of Newton
+    iterations run.  The shipped logistic prox raises it at its cap,
+    `losses.LOGISTIC_PROX_MAX_ITERS`, with the residual |x - a + V ell'(x)|
+    in units of x.
     """
 
     def __init__(self, x_last, residual: float, iterations: int):
@@ -39,10 +40,6 @@ class ProxConvergenceError(SeqmixError):
 class SingularSystemError(SeqmixError):
     """A linear system inside an iteration is singular, the solver's
     spectral resolvent at an atom of the measure included."""
-
-
-class LossBlowupError(SeqmixError):
-    """Loss returned a non-finite value along the prox path."""
 
 
 class SolverDivergenceError(SeqmixError):

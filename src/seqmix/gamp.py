@@ -76,7 +76,7 @@ from .model import (
     RunRecord,
     SpectralMeasure,
 )
-from .prox import prox_batch, prox_gain
+from .prox import prox_gain
 
 MESSAGE_SLOT_GUARD = 10_000_000
 # bytes of design the generator draws, scales and stores at a time
@@ -344,7 +344,7 @@ def _output_channel(loss, omega, V, y, Gamma, c, what: str):
     that does not read v.  `what` names V in a singular-system error."""
     m, L, r = omega.shape
     P = inverse(V, what)
-    z = prox_batch(loss, omega, P, y, Gamma, c)
+    z = loss.prox(omega, P, y, Gamma, c)
     f = (P @ (z - omega).reshape(m, L * r, 1)).reshape(m, L, r)
     g = P @ (prox_gain(loss, y, z, P, Gamma, c) - np.eye(L * r))
     return f, g, loss.d3(y, z, Gamma, c) if loss.depends_on_v else None

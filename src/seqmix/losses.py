@@ -6,7 +6,9 @@ each hook takes (Ys, Xs, v, cs) with Ys the (S, L, t) label channel, Xs the
 (S, L) class tuples, and returns one value per sample.  A single point is a
 batch of one.  The hooks are module-level functions (square_energy's bind
 its coupling with `functools.partial`), so a loss, and a spec or config
-holding one, pickles.  Every loss states its test metric's per-class
+holding one, pickles.  Every loss solves its own prox, in closed form or,
+for the logistic loss, by a Newton iteration that cannot cycle, and states
+its test metric's per-class
 expectation in closed form (`test_mean`), so no test error draws a node;
 the pointwise metrics `squared_error` and `misclassification` stay as the
 references that sampled estimates in the tests are checked against.
@@ -19,7 +21,13 @@ from functools import partial
 
 import numpy as np
 
+from .errors import ProxConvergenceError, SpecValidationError
 from .model import LossModel, solve
+
+# Newton in the logistic prox stops once its step is below this fraction of
+# 1 + |a| + |u|, and gives up after this many steps.
+LOGISTIC_PROX_STEP_TOL = 1e-13
+LOGISTIC_PROX_MAX_ITERS = 80
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -39,6 +47,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # Square loss (teacher-student regression), any L, requires r == t.
 # ----------------------------------------------------------------------
 
+def _same_width(Ys, Xs):
+    """Y - X of the square losses needs r == t; numpy would broadcast a
+    single label column against every student column instead.  Checked in
+    grad_X, the first hook `validate_spec` calls."""
+    r, t = Xs.shape[-1], Ys.shape[-1]
+    if r != t:
+        raise SpecValidationError(f"the square losses require r == t, got r = {r}, t = {t}")
+
+
 def squared_error(Ys, Xs, v, cs):
     return 0.5 * np.sum((Ys - Xs) ** 2, axis=(-2, -1))
 
@@ -57,6 +74,7 @@ def squared_error_mean(laws, c):
 
 
 def _square_grad(Ys, Xs, v, cs):
+    _same_width(Ys, Xs)
     return Xs - Ys
 
 
@@ -96,6 +114,16 @@ def _signs_of(cs: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(cs)[..., 0] == 0, 1.0, -1.0)
 
 
+def _scalar_channel(Xs):
+    """The mixture classification losses read one token and one unit, so
+    they need L = r = 1.  Checked in grad_X, the first hook `validate_spec`
+    calls."""
+    L, r = Xs.shape[-2:]
+    if (L, r) != (1, 1):
+        raise SpecValidationError(
+            f"the mixture classification losses require L = r = 1, got L = {L}, r = {r}")
+
+
 def misclassification(Ys, Xs, v, cs):
     s = _signs_of(cs)
     return (np.sign(Xs[..., 0, 0]) != s).astype(float)
@@ -121,6 +149,7 @@ def _logistic_eval(Ys, Xs, v, cs):
 
 
 def _logistic_grad(Ys, Xs, v, cs):
+    _scalar_channel(Xs)
     s = _signs_of(cs)
     g = -s * _sigmoid(-s * Xs[..., 0, 0])
     return g[..., None, None]
@@ -132,24 +161,43 @@ def _logistic_hess(Ys, Xs, v, cs):
 
 
 def _logistic_prox(anchors, precisions, Ys, v, cs):
-    # scalar Newton on x + V s'(x) = a, vectorized over the batch
+    """Minimizer of (x - a)^2 / (2 V) + log(1 + exp(-s x)), V = 1 / P, by
+    Newton on u = s x, vectorized over the batch.
+
+    A sample stops when its Newton step is within LOGISTIC_PROX_STEP_TOL of
+    1 + |a| + |u|, which rounding near the root always allows; a finite
+    sample that has not by LOGISTIC_PROX_MAX_ITERS steps raises
+    ProxConvergenceError with its residual |x - a + V grad ell|.  Steps
+    take about one unit of u while V e^-u dominates, so a variance of about
+    e^80 or more exhausts the cap.  A NaN anchor or precision yields a NaN
+    minimizer, for the calling loop's divergence guard.
+    """
     n = anchors.shape[0]
     a = anchors.reshape(n)
     V = 1.0 / precisions.reshape(n)
     s = _signs_of(cs)
-    # loop invariants; V * s * sig evaluates as (V * s) * sig
-    neg_s, Vs = -s, V * s
-    tol = 1e-14 * (1.0 + np.max(np.abs(a)))
-    x = a.copy()
-    for _ in range(80):
-        sig = _sigmoid(neg_s * x)
-        res = x - a - Vs * sig
-        dres = 1.0 + V * sig * (1.0 - sig)
-        step = res / dres
-        x = x - step
-        if np.abs(res).max() < tol:
-            break
-    return x.reshape(n, 1, 1)
+    sa = s * a
+    # Stationarity reads g(u) = u - s a - V sigma(-u) = 0.  g is increasing,
+    # convex for u < 0 and concave for u > 0, so from its inflection point
+    # u = 0 each tangent's zero lies between the iterate and the root (on the
+    # convex side the tangent is below g, on the concave side above it): the
+    # iterates move monotonically to the root and cannot cycle
+    u = np.zeros(n)
+    for _ in range(LOGISTIC_PROX_MAX_ITERS):
+        e = np.exp(-np.abs(u))
+        inv = 1.0 / (1.0 + e)
+        sig = np.where(u > 0.0, e * inv, inv)          # sigma(-u)
+        # g' = 1 + V sigma(u) sigma(-u), the product from the same e^-|u|
+        step = (u - sa - V * sig) / (1.0 + V * (e * inv * inv))
+        live = np.abs(step) > LOGISTIC_PROX_STEP_TOL * (1.0 + np.abs(a) + np.abs(u))
+        u = u - step
+        if not live.any():                             # NaN compares False
+            return (s * u).reshape(n, 1, 1)
+    i = int(np.flatnonzero(live)[0])
+    # |g(u)| = |x - a + V grad ell|, the stationarity residual in units of x
+    residual = abs(u[i] - sa[i] - V[i] * _sigmoid(-u[i]))
+    raise ProxConvergenceError(np.full((1, 1), s[i] * u[i]), float(residual),
+                               LOGISTIC_PROX_MAX_ITERS)
 
 
 def logistic_gmm_loss() -> LossModel:
@@ -171,6 +219,7 @@ def _square_gmm_eval(Ys, Xs, v, cs):
 
 
 def _square_gmm_grad(Ys, Xs, v, cs):
+    _scalar_channel(Xs)
     s = _signs_of(cs)
     return (Xs[..., 0, 0] - s)[..., None, None]
 

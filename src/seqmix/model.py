@@ -34,6 +34,9 @@ Key = tuple[int, int]
 PROB_TOL = 1e-12
 # A relative residual above this ends an iteration as diverged.
 DIVERGENCE_LIMIT = 1e6
+# How far `check_loss_prox` lets a prox's stationarity residual be from 0,
+# relative to its terms: the shipped proxes read about 2e-14 at most.
+PROX_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -512,11 +515,13 @@ class LossModel:
     test error is that closed form under every plan, with a zero stderr,
     and draws no nodes.
 
+    prox(anchors (S, L, r), precisions (S, Lr, Lr), Ys, v, cs) returns the
+    minimizers (S, L, r) of (1/2)(X - a)^T P (X - a) + ell, one precision
+    per sample; it is the only solver of that problem, so `validate_spec`
+    checks its stationarity P (X - a) + grad_X = 0 on a seeded batch.
+
     The optional d3 = d ell / dv returns (S, r, r); None means the loss
-    does not read v (`depends_on_v` is False).  The optional prox(anchors
-    (S, L, r), precisions (S, Lr, Lr), Ys, v, cs) returns the minimizers
-    (S, L, r) of (1/2)(X - a)^T P (X - a) + ell, one precision per sample;
-    without it, `prox.prox_batch` runs a generic damped Newton on hess_X.
+    does not read v (`depends_on_v` is False).
     """
 
     name: str
@@ -524,6 +529,7 @@ class LossModel:
     grad_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     hess_X: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     test_mean: Callable[[dict, tuple], float]
+    prox: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     d3: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     # False for losses whose hooks never read the label channel (e.g.
     # mixture classification, where supervision comes from the class
@@ -534,7 +540,6 @@ class LossModel:
     # strong convexity in X keeps the spectral resolvent invertible at
     # lambda = 0; losses without it require a positive regularizer
     strongly_convex: bool = False
-    prox: Optional[Callable] = None
 
     @property
     def depends_on_v(self) -> bool:
@@ -607,8 +612,50 @@ def check_loss_gradients(
     return out
 
 
+def check_loss_prox(
+    loss: LossModel, dims: Dimensions, classes, rng: np.random.Generator,
+) -> list[str]:
+    """Spot-check prox against the loss's own grad_X: at its minimizers X,
+    P (X - a) + grad_X must vanish to PROX_CHECK_TOL times 1 plus the
+    larger of the two terms, sample by sample.
+
+    The batch of 64 cycles through `classes`; the anchors are 3 N(0, 1)
+    and each precision is Q diag(exp(-u)) Q^T with Q a random rotation and
+    the log-variances u drawn from [-3, 8], the first of them spread evenly
+    over that range, so the variances span e^-3 to e^8.
+    """
+    classes = np.asarray(classes)
+    S, n = 64, dims.L * dims.r
+    cs = classes[np.arange(S) % len(classes)]
+    Ys = rng.standard_normal((S, dims.L, dims.t))
+    anchors = 3.0 * rng.standard_normal((S, dims.L, dims.r))
+    log_var = rng.uniform(-3.0, 8.0, (S, n))
+    log_var[:, 0] = np.linspace(-3.0, 8.0, S)
+    Q = np.linalg.qr(rng.standard_normal((S, n, n)))[0]
+    P = (Q * np.exp(-log_var)[:, None, :]) @ Q.transpose(0, 2, 1)
+    A = rng.standard_normal((dims.r, dims.r))
+    v = 0.5 * np.eye(dims.r) + 0.05 * (A + A.T)
+
+    X = np.asarray(loss.prox(anchors, P, Ys, v, cs), dtype=float)
+    if X.shape != anchors.shape:
+        return [f"LossModel {loss.name}: prox has shape {X.shape}, expected {anchors.shape}"]
+    pull = np.einsum("sij,sj->si", P, (X - anchors).reshape(S, n))
+    grad = np.reshape(loss.grad_X(Ys, X, v, cs), (S, n))
+    scale = 1.0 + np.maximum(np.abs(pull).max(axis=1), np.abs(grad).max(axis=1))
+    miss = np.abs(pull + grad).max(axis=1) / scale
+    if not np.all(miss <= PROX_CHECK_TOL):
+        return [f"LossModel {loss.name}: prox is not stationary, P (X - a) + grad_X "
+                f"reaches {np.max(miss):.3e} of its terms (tolerance {PROX_CHECK_TOL:.0e})"]
+    return []
+
+
 def validate_spec(spec: ModelSpec) -> list[str]:
-    """Report-valued validation; the instance is runnable iff the list is empty."""
+    """Report-valued validation; the instance is runnable iff the list is empty.
+
+    A loss hook that rejects the dimensions (the square losses need r == t,
+    the mixture classification losses L = r = 1) raises SpecValidationError,
+    which is reported like any other violation.
+    """
     out = spec.dims.violations()
     if out:
         return out
@@ -616,5 +663,11 @@ def validate_spec(spec: ModelSpec) -> list[str]:
     out += spec.nu.violations(spec.dims)
     if not out:
         rng = np.random.default_rng(20240)
-        out += check_loss_gradients(spec.loss, spec.dims, spec.class_law.support, rng)
+        loss, classes = spec.loss, spec.class_law.support
+        try:
+            # the prox is checked against grad_X, so only once grad_X passes
+            out += (check_loss_gradients(loss, spec.dims, classes, rng)
+                    or check_loss_prox(loss, spec.dims, classes, rng))
+        except SpecValidationError as exc:
+            out.append(f"LossModel {loss.name}: {exc}")
     return out

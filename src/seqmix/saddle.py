@@ -73,7 +73,7 @@ from .model import (
     SpectralAtom,
     SpectralMeasure,
 )
-from .prox import prox_batch, prox_gain
+from .prox import prox_gain
 
 # Anderson mixing combines the last ANDERSON_DEPTH changes of the iterate,
 # dropping the oldest while their least-squares system is conditioned worse
@@ -183,7 +183,7 @@ def _node_batches(params: OrderParameters, laws: dict, spec: ModelSpec, plan: Mc
             P_full[ell * r : (ell + 1) * r, ell * r : (ell + 1) * r] = V_inv[(ell, k)]
         cs = constant_view(c, (len(wts), len(c)))
         P = np.broadcast_to(P_full, (len(wts),) + P_full.shape)
-        x_stars = prox_batch(spec.loss, anchors, P, y_loss, params.v, cs)
+        x_stars = spec.loss.prox(anchors, P, y_loss, params.v, cs)
         yield NodeBatch(c, pc, wts, Xi, Zeta, anchors, y_loss, cs, P, x_stars)
 
 

@@ -342,24 +342,21 @@ def check_unit_properties() -> CheckResult:
         SpectralAtom,
         SpectralMeasure,
     )
-    from .prox import prox_batch
 
     rng = np.random.default_rng(8)
     notes = []
     ok = True
 
-    # prox stationarity on random smooth problems; the specialized prox is
-    # dropped so the generic Newton path is what gets exercised
+    # stationarity of the shipped logistic prox on random problems
     worst_res = 0.0
-    generic = logistic_gmm_loss()
-    generic.prox = None
+    loss = logistic_gmm_loss()
     y, v = np.zeros((1, 1, 1)), np.zeros((1, 1))
     for _ in range(50):
         anchor = rng.standard_normal((1, 1, 1))
         prec = np.full((1, 1, 1), np.exp(rng.uniform(-1.5, 1.5)))
         cs = np.array([[int(rng.integers(2))]])
-        X = prox_batch(generic, anchor, prec, y, v, cs)
-        res = np.linalg.norm(prec[0] @ (X - anchor)[0, 0] + generic.grad_X(y, X, v, cs)[0, 0])
+        X = loss.prox(anchor, prec, y, v, cs)
+        res = np.linalg.norm(prec[0] @ (X - anchor)[0, 0] + loss.grad_X(y, X, v, cs)[0, 0])
         worst_res = max(worst_res, float(res) / (1.0 + abs(float(anchor[0, 0, 0]))))
     ok = ok and worst_res <= PROX_STATIONARITY
     notes.append(f"prox residual {worst_res:.1e}")

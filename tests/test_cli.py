@@ -265,6 +265,16 @@ class TestModelConfig:
          "holds a comma or a newline"),
         # caught only by a second check in the command line
         (explicit_ini(ridge_instance()).replace("0 : 1.0", "0 : 0.9"), "probs sum to 0.9"),
+        # numpy broadcast the one label column against both student columns,
+        # and solve-se exited 0
+        (explicit_ini(ridge_instance()).replace("r = 1", "r = 2"),
+         "LossModel square: the square losses require r == t, got r = 2, t = 1"),
+        (explicit_ini(replace(ridge_instance(), loss=loss_by_name("square_energy")))
+         .replace("r = 1", "r = 2"),
+         "LossModel square_energy: the square losses require r == t, got r = 2, t = 1"),
+        # a bare ValueError from the gradient check's reshape
+        (explicit_ini(replace(two_token_instance(), loss=loss_by_name("logistic_gmm"))),
+         "the mixture classification losses require L = r = 1, got L = 2, r = 1"),
     ], ids=["unknown-key", "unknown-section", "unknown-loss-parameter", "bad-value", "bad-header",
             "model-d", "dimensions-d", "gamp-d", "gamp-seeds", "erm-d", "erm-seeds",
             "erm-n-test", "data-n-test", "erm-grad-tol", "solver-max-iters-0",
@@ -274,7 +284,8 @@ class TestModelConfig:
             "erm-max-epochs", "data-d",
             "mc-crn-false", "sweep-lambda-negative", "sweep-alpha-negative", "sweep-alpha-nan",
             "model-alpha-inf", "model-lambda-nan", "model-name-comma", "model-name-newline",
-            "instance-name-comma", "class-law-sum"])
+            "instance-name-comma", "class-law-sum", "square-r-not-t", "square-energy-r-not-t",
+            "logistic-two-tokens"])
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)

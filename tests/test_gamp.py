@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from seqmix.erm import empirical_test_error, erm_train, TrainConfig
 from seqmix.errors import SingularSystemError, SolverDivergenceError, SpecValidationError
 from seqmix.gamp import (
     Dataset,
@@ -28,7 +29,7 @@ from seqmix.gamp import (
 )
 from seqmix.losses import square_loss_with_energy, zero_loss
 from seqmix.model import make_atom, ModelSpec, SpectralMeasure
-from seqmix.verify import _trajectory_deviation, GMM_LAM, SE_GAMP_REL_DEV
+from seqmix.verify import _trajectory_deviation, GD_FIXEDPOINT_SCALE, GMM_LAM, SE_GAMP_REL_DEV
 from seqmix.zoo import INSTANCES, gmm_instance, ridge_instance, two_token_instance
 
 
@@ -368,6 +369,22 @@ class TestGamp:
         assert res.converged
         bound = 1e-4 * (1.0 + gd_gradient_norm(np.zeros((120, 1)), data, spec))
         assert gd_gradient_norm(res.w_hat, data, spec) <= bound
+
+    def test_small_lambda_logistic_matches_erm(self):
+        # at lambda = 0.01 the message variances reach the range where the
+        # logistic prox started at the anchor cycled: GAMP ran its 200
+        # iterations unconverged, gradient norm about 0.2, eg off by 1e-2
+        spec = gmm_instance(alpha=1.0, lam=0.01)
+        data = generate_dataset(spec, spec.nu, d=500, n=500, seed=0)
+        res = gamp_run(data, spec, max_iters=200, tol=1e-10, damping=0.3)
+        assert res.converged
+        bound = GD_FIXEDPOINT_SCALE * (1.0 + gd_gradient_norm(np.zeros((500, 1)), data, spec))
+        assert gd_gradient_norm(res.w_hat, data, spec) <= bound
+        fit = erm_train(data, spec, config=TrainConfig(grad_tol=1e-8))
+        assert fit.converged
+        eg_gamp, _ = empirical_test_error(res.w_hat, data, spec)
+        eg_erm, _ = empirical_test_error(fit.w_hat, data, spec)
+        assert abs(eg_gamp - eg_erm) <= 1e-6
 
     def test_v_dependent_loss_fixed_point(self):
         # the weight-energy term feeds back through the C block; the fixed

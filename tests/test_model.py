@@ -24,7 +24,7 @@ from seqmix.model import (
     SpectralMeasure,
     validate_spec,
 )
-from seqmix.losses import logistic_gmm_loss, square_loss, squared_error_mean
+from seqmix.losses import _sigmoid, logistic_gmm_loss, square_loss, squared_error_mean
 from seqmix.zoo import gmm_instance, ridge_instance, two_token_instance
 
 
@@ -153,6 +153,37 @@ class TestValidateSpec:
         for loss, hook in ((first_grad, "grad_X"), (first_hess, "hess_X")):
             report = validate_spec(ModelSpec(spec.dims, spec.class_law, spec.nu, loss))
             assert any(hook in line for line in report), hook
+
+    def test_identity_prox_flagged(self):
+        spec = ridge_instance()
+        broken = square_loss()
+        broken.prox = lambda anchors, P, Ys, v, cs: anchors.copy()
+        report = validate_spec(ModelSpec(spec.dims, spec.class_law, spec.nu, broken))
+        assert len(report) == 1 and "LossModel square: prox is not stationary" in report[0]
+
+    def test_anchor_start_logistic_newton_flagged(self):
+        # the logistic prox as it was: undamped Newton on x from the anchor,
+        # which falls into a 2-cycle at large variances and s a < -3.25
+        def anchor_start(anchors, precisions, Ys, v, cs):
+            n = anchors.shape[0]
+            a = anchors.reshape(n)
+            V = 1.0 / precisions.reshape(n)
+            s = np.where(cs[:, 0] == 0, 1.0, -1.0)
+            tol = 1e-14 * (1.0 + np.max(np.abs(a)))
+            x = a.copy()
+            for _ in range(80):
+                sig = _sigmoid(-s * x)
+                res = x - a - V * s * sig
+                x = x - res / (1.0 + V * sig * (1.0 - sig))
+                if np.abs(res).max() < tol:
+                    break
+            return x.reshape(n, 1, 1)
+
+        spec = gmm_instance()
+        broken = logistic_gmm_loss()
+        broken.prox = anchor_start
+        report = validate_spec(ModelSpec(spec.dims, spec.class_law, spec.nu, broken))
+        assert len(report) == 1 and "LossModel logistic_gmm: prox is not stationary" in report[0]
 
     def test_total_lk_maps(self):
         spec = two_token_instance()
@@ -331,8 +362,8 @@ class TestSmallSystems:
 
 
 class TestMinimalLoss:
-    """A user loss with only the required hooks: no d3 (it does not read v)
-    and no prox (the generic Newton solves it)."""
+    """A user loss with only the required hooks: no d3 (it does not read v),
+    and its own closed-form prox."""
 
     @staticmethod
     def _minimal_square(spec) -> ModelSpec:
@@ -343,8 +374,14 @@ class TestMinimalLoss:
             n = Xs.shape[-2] * Xs.shape[-1]
             return np.tile(np.eye(n), (len(Xs), 1, 1))
 
+        def prox(anchors, P, Ys, v, cs):
+            # (P + I) X = P a + Y, one LAPACK solve per sample
+            S, n = len(anchors), P.shape[-1]
+            rhs = P @ anchors.reshape(S, n, 1) + Ys.reshape(S, n, 1)
+            return np.linalg.solve(P + np.eye(n), rhs).reshape(anchors.shape)
+
         loss = LossModel(name="minimal_square", eval=ev, grad_X=lambda Ys, Xs, v, cs: Xs - Ys,
-                         hess_X=hess, test_mean=squared_error_mean)
+                         hess_X=hess, test_mean=squared_error_mean, prox=prox)
         return ModelSpec(spec.dims, spec.class_law, spec.nu, loss, "minimal")
 
     def test_runs_every_pipeline_as_the_shipped_square_loss(self):
